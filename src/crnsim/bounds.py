@@ -16,15 +16,21 @@ underflow any float almost immediately.
 
 ``monte_carlo_validate`` samples the matching process and checks that a
 99% Clopper-Pearson upper confidence limit on the empirical tail
-frequency stays below the analytic bound.
+frequency stays below the analytic bound. ``TARGETS`` is the one table of
+validatable bounds: each entry holds the parameter dataclass, the log2
+evaluator and the tail hit counter, and the CLI builds its ``bounds``
+subcommands from it. Counters sample only what decides the tail event:
+a reflecting draw stops at the first passage of its running maximum to
+the level ceil(delta_r*N), after which ``max W < delta_r*N`` is settled.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
+from typing import Callable
 
-from scipy.stats import beta as _beta_dist
+import numpy as np
 
 from . import processes
 from .analysis import finite_density_status, stage_decomposition
@@ -40,8 +46,15 @@ LOG2_E = math.log2(math.e)
 _CHUNK = 8192
 
 
+def _check_finite(**values: float) -> None:
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value}")
+
+
 def log_bound_decay(N: int, lam: float, t: float, delta: float) -> float:
     """log2 of the decay tail bound (2*delta*e^(lam*t))^(delta*N - 1)."""
+    _check_finite(N=N, lam=lam, t=t, delta=delta)
     if N < 1:
         raise DomainError("N must be a positive integer")
     if not (lam > 0 and t > 0):
@@ -58,6 +71,7 @@ def log_bound_poisson(lam: float, n: float, side: str) -> float:
     ``side`` is "upper" for the right tail Pr[P(lam) >= n] (needs n > lam)
     or "lower" for the left tail Pr[P(lam) <= n] (needs 0 < n < lam).
     """
+    _check_finite(lam=lam, n=n)
     if not lam > 0:
         raise DomainError("lam must be positive")
     side = side.lower()
@@ -74,6 +88,7 @@ def log_bound_poisson(lam: float, n: float, side: str) -> float:
 
 def log_bound_walk(f_hat: float, r_hat: float, t: float, eps_hat: float) -> float:
     """log2 of 2*exp(-eps_hat^2 * (f_hat-r_hat)^2 * t / (8*f_hat))."""
+    _check_finite(f_hat=f_hat, r_hat=r_hat, t=t, eps_hat=eps_hat)
     if not r_hat > 0 or not f_hat > r_hat:
         raise DomainError("requires f_hat > r_hat > 0")
     if not (t > 0 and eps_hat > 0):
@@ -84,6 +99,7 @@ def log_bound_walk(f_hat: float, r_hat: float, t: float, eps_hat: float) -> floa
 
 def log_bound_reflecting(delta_f: float, lambda_r: float, delta_r: float, N: int) -> float:
     """log2 of 2^(-delta_f*N/22 + 1) after checking the lemma hypotheses."""
+    _check_finite(delta_f=delta_f, lambda_r=lambda_r, delta_r=delta_r, N=N)
     if not lambda_r >= 1:
         raise HypothesisViolationError(f"requires lambda_r >= 1, got {lambda_r}")
     if not (delta_f > 0 and delta_r > 0):
@@ -283,7 +299,7 @@ class DecayBoundParams:
 class PoissonBoundParams:
     lam: float
     n: float
-    side: str
+    side: str = field(metadata={"choices": ("upper", "lower")})
 
 
 @dataclass(frozen=True)
@@ -306,7 +322,11 @@ def clopper_pearson_upper(hits: int, trials: int, confidence: float = 0.99) -> f
     """One-sided exact upper confidence limit on a binomial proportion."""
     if hits >= trials:
         return 1.0
-    return float(_beta_dist.ppf(confidence, hits + 1, trials - hits))
+    # imported here: scipy.stats takes about a second to import, and only
+    # validation needs it
+    from scipy.stats import beta
+
+    return float(beta.ppf(confidence, hits + 1, trials - hits))
 
 
 @dataclass(frozen=True)
@@ -347,51 +367,59 @@ class BoundReport:
         }
 
 
-def _tail_counter(target: str, params):
-    """Returns (log2_bound, fn(rng, size) -> tail hit count)."""
-    if target == "decay":
-        log2_bound = log_bound_decay(params.N, params.lam, params.t, params.delta)
-        proc = processes.DecayParams(params.N, params.lam, params.t)
-        thr = params.delta * params.N
+def _decay_hits(params: DecayBoundParams, rng: np.random.Generator, size: int) -> int:
+    proc = processes.DecayParams(params.N, params.lam, params.t)
+    vals = processes.sample_decay_batch(proc, size, rng)
+    return int((vals < params.delta * params.N).sum())
 
-        def count(rng, size):
-            vals = processes.sample_decay_batch(proc, size, rng)
-            return int((vals < thr).sum())
 
-    elif target == "poisson":
-        log2_bound = log_bound_poisson(params.lam, params.n, params.side)
-        upper = params.side.lower() == "upper"
+def _poisson_hits(params: PoissonBoundParams, rng: np.random.Generator, size: int) -> int:
+    vals = rng.poisson(params.lam, size)
+    tail = vals >= params.n if params.side.lower() == "upper" else vals <= params.n
+    return int(tail.sum())
 
-        def count(rng, size):
-            vals = rng.poisson(params.lam, size)
-            return int((vals >= params.n).sum() if upper else (vals <= params.n).sum())
 
-    elif target == "walk_z":
-        log2_bound = log_bound_walk(params.f_hat, params.r_hat, params.t, params.eps_hat)
-        proc = processes.WalkParams(params.f_hat, params.r_hat, params.t)
-        thr = (1.0 - params.eps_hat) * (params.f_hat - params.r_hat) * params.t
+def _walk_z_hits(params: WalkBoundParams, rng: np.random.Generator, size: int) -> int:
+    proc = processes.WalkParams(params.f_hat, params.r_hat, params.t)
+    thr = (1.0 - params.eps_hat) * (params.f_hat - params.r_hat) * params.t
+    vals = processes.sample_walk_z_batch(proc, size, rng)
+    return int((vals < thr).sum())
 
-        def count(rng, size):
-            vals = processes.sample_walk_z_batch(proc, size, rng)
-            return int((vals < thr).sum())
 
-    elif target == "reflecting":
-        log2_bound = log_bound_reflecting(
-            params.delta_f, params.lambda_r, params.delta_r, params.N
-        )
-        # the reflecting bound is stated for the unit horizon
-        proc = processes.ReflectingParams(params.N, params.delta_f, params.lambda_r, 1.0)
-        thr = params.delta_r * params.N
+def _reflecting_hits(params: ReflectingBoundParams, rng: np.random.Generator, size: int) -> int:
+    # the reflecting bound is stated for the unit horizon. The running max
+    # is an integer, so it stays below thr exactly when the walk never
+    # reaches ceil(thr); a draw that gets there is out of the tail and stops.
+    proc = processes.ReflectingParams(params.N, params.delta_f, params.lambda_r, 1.0)
+    thr = params.delta_r * params.N
+    _, vmax = processes.sample_walk_reflecting_batch(proc, size, rng, stop_at=math.ceil(thr))
+    return int((vmax < thr).sum())
 
-        def count(rng, size):
-            _, vmax = processes.sample_walk_reflecting_batch(proc, size, rng)
-            return int((vmax < thr).sum())
 
-    else:
-        raise DomainError(
-            f"unknown target {target!r}; expected decay, poisson, walk_z or reflecting"
-        )
-    return log2_bound, count
+@dataclass(frozen=True)
+class BoundTarget:
+    """One validatable bound.
+
+    ``command`` names the CLI subcommand; ``params`` is the parameter
+    dataclass, whose field names are also the keyword arguments of the
+    ``log2_bound`` evaluator; ``hits(params, rng, size)`` draws ``size``
+    samples of the process and counts those in the bounded tail.
+    """
+
+    command: str
+    params: type
+    log2_bound: Callable[..., float]
+    hits: Callable[..., int]
+
+
+TARGETS: dict[str, BoundTarget] = {
+    "decay": BoundTarget("decay", DecayBoundParams, log_bound_decay, _decay_hits),
+    "poisson": BoundTarget("poisson", PoissonBoundParams, log_bound_poisson, _poisson_hits),
+    "walk_z": BoundTarget("walk", WalkBoundParams, log_bound_walk, _walk_z_hits),
+    "reflecting": BoundTarget(
+        "reflecting", ReflectingBoundParams, log_bound_reflecting, _reflecting_hits
+    ),
+}
 
 
 def monte_carlo_validate(
@@ -411,7 +439,15 @@ def monte_carlo_validate(
     if trials < 10_000:
         raise DomainError("validation needs at least 10^4 trials")
     target = target.lower()
-    log2_bound, count = _tail_counter(target, params)
+    entry = TARGETS.get(target)
+    if entry is None:
+        raise DomainError(f"unknown target {target!r}; expected one of {', '.join(TARGETS)}")
+    if not isinstance(params, entry.params):
+        raise DomainError(
+            f"target {target!r} takes {entry.params.__name__}, got {type(params).__name__}"
+        )
+    values = {f.name: getattr(params, f.name) for f in fields(params)}
+    log2_bound = entry.log2_bound(**values)
 
     chunks = [
         (ci, min(_CHUNK, trials - ci * _CHUNK))
@@ -420,7 +456,7 @@ def monte_carlo_validate(
 
     def one(chunk):
         ci, size = chunk
-        return count(substream(seed, ci), size)
+        return entry.hits(params, substream(seed, ci), size)
 
     hits = int(sum(map_ordered(one, chunks, threads)))
     upper = clopper_pearson_upper(hits, trials)
@@ -434,7 +470,7 @@ def monte_carlo_validate(
         verdict = "violated"
     return BoundReport(
         target=target,
-        params={k: getattr(params, k) for k in params.__dataclass_fields__},
+        params=values,
         log2_bound=log2_bound,
         empirical_hits=hits,
         trials=trials,

@@ -11,9 +11,11 @@ $CRNSIM_OUTDIR); --format json switches the report on stdout to JSON.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
+import typing
 from pathlib import Path
 
 from . import analysis, bounds, harness, kinetics, model
@@ -232,20 +234,9 @@ def _cmd_reachable(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    if args.process == "decay":
-        params = bounds.DecayBoundParams(args.N, args.lam, args.t, args.delta)
-        log2_bound = bounds.log_bound_decay(args.N, args.lam, args.t, args.delta)
-    elif args.process == "poisson":
-        params = bounds.PoissonBoundParams(args.lam, args.n, args.side)
-        log2_bound = bounds.log_bound_poisson(args.lam, args.n, args.side)
-    elif args.process == "walk":
-        params = bounds.WalkBoundParams(args.f_hat, args.r_hat, args.t, args.eps_hat)
-        log2_bound = bounds.log_bound_walk(args.f_hat, args.r_hat, args.t, args.eps_hat)
-    else:
-        params = bounds.ReflectingBoundParams(args.delta_f, args.lambda_r, args.delta_r, args.N)
-        log2_bound = bounds.log_bound_reflecting(
-            args.delta_f, args.lambda_r, args.delta_r, args.N
-        )
+    target = bounds.TARGETS[args.bound]
+    values = {f.name: getattr(args, f.name) for f in dataclasses.fields(target.params)}
+    log2_bound = target.log2_bound(**values)
     vacuous = log2_bound >= 0
     report = {
         "process": args.process,
@@ -254,9 +245,9 @@ def _cmd_bounds(args) -> int:
     }
     lines = [f"log2 bound = {log2_bound:.6g}" + (" (vacuous: bound >= 1)" if vacuous else "")]
     if args.validate:
-        target = {"decay": "decay", "poisson": "poisson", "walk": "walk_z", "reflecting": "reflecting"}
         rep = bounds.monte_carlo_validate(
-            target[args.process], params, trials=args.trials, seed=args.seed, threads=args.threads
+            args.bound, target.params(**values), trials=args.trials, seed=args.seed,
+            threads=args.threads,
         )
         report["validation"] = rep.to_dict()
         lines.append(
@@ -381,34 +372,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bounds", help="closed-form tail bounds, optionally validated")
     bsub = p.add_subparsers(dest="process", required=True)
 
-    def add_validate(bp):
+    for name, target in bounds.TARGETS.items():
+        bp = bsub.add_parser(target.command)
+        types = typing.get_type_hints(target.params)
+        for f in dataclasses.fields(target.params):
+            bp.add_argument("--" + f.name.replace("_", "-"), type=types[f.name], required=True,
+                            choices=f.metadata.get("choices"))
         bp.add_argument("--validate", action="store_true", help="Monte Carlo dominance check")
         bp.add_argument("--trials", type=int, default=100_000)
-        bp.set_defaults(fn=_cmd_bounds)
-
-    bp = bsub.add_parser("decay")
-    bp.add_argument("--N", type=int, required=True)
-    bp.add_argument("--lam", type=float, required=True)
-    bp.add_argument("--t", type=float, required=True)
-    bp.add_argument("--delta", type=float, required=True)
-    add_validate(bp)
-    bp = bsub.add_parser("poisson")
-    bp.add_argument("--lam", type=float, required=True)
-    bp.add_argument("--n", type=float, required=True)
-    bp.add_argument("--side", choices=["upper", "lower"], required=True)
-    add_validate(bp)
-    bp = bsub.add_parser("walk")
-    bp.add_argument("--f-hat", type=float, required=True)
-    bp.add_argument("--r-hat", type=float, required=True)
-    bp.add_argument("--t", type=float, required=True)
-    bp.add_argument("--eps-hat", type=float, required=True)
-    add_validate(bp)
-    bp = bsub.add_parser("reflecting")
-    bp.add_argument("--delta-f", type=float, required=True)
-    bp.add_argument("--lambda-r", type=float, required=True)
-    bp.add_argument("--delta-r", type=float, required=True)
-    bp.add_argument("--N", type=int, required=True)
-    add_validate(bp)
+        bp.set_defaults(fn=_cmd_bounds, bound=name)
 
     p = sub.add_parser("demo", help="prebuilt experiments")
     dsub = p.add_subparsers(dest="scenario", required=True)

@@ -28,6 +28,11 @@ from .streams import open_uniform, open_uniform_block, substream
 from .parallel import map_ordered
 
 _BLOCK = 4096  # uniforms buffered per refill inside the event loop
+# the first refill of a run is small, since many trials of a multi-trial run
+# stop after a few events.
+# With the power-of-two bound of open_uniform_block every uniform takes one
+# 64-bit draw, so the split leaves the sequence of uniforms unchanged.
+_FIRST_BLOCK = 64
 
 
 def propensity(config: Configuration, rx: Reaction, volume: float) -> float:
@@ -264,7 +269,7 @@ def _run_core(
         status = STOPPED
 
     ubuf = None
-    ui = _BLOCK
+    ui = nbuf = 0
     rho = [0.0] * nrx
     while status is None:
         total = 0.0
@@ -282,8 +287,9 @@ def _run_core(
         if total <= 0.0:
             status = EXHAUSTED
             break
-        if ui >= _BLOCK:
-            ubuf = open_uniform_block(rng, _BLOCK)
+        if ui >= nbuf:
+            nbuf = _FIRST_BLOCK if ubuf is None else _BLOCK
+            ubuf = open_uniform_block(rng, nbuf)
             ui = 0
         u = ubuf[ui]
         ui += 1
@@ -299,8 +305,9 @@ def _run_core(
         if nrx == 1:
             chosen = 0
         else:
-            if ui >= _BLOCK:
-                ubuf = open_uniform_block(rng, _BLOCK)
+            if ui >= nbuf:  # the time draw above already filled the buffer once
+                nbuf = _BLOCK
+                ubuf = open_uniform_block(rng, nbuf)
                 ui = 0
             x = ubuf[ui] * total
             ui += 1

@@ -11,9 +11,11 @@
   state j, tracked together with its running maximum.
 
 All samplers are exact event simulations (the reflecting walk needs its
-whole path for the running maximum; the others use exact event-count
-laws). Batch variants vectorize across draws and are what the Monte
-Carlo bound validation consumes.
+path for the running maximum; the others use exact event-count laws).
+Batch variants vectorize across draws and are what the Monte Carlo bound
+validation consumes. The reflecting batch sampler can also stop each draw
+at the first passage to a level, which is all a tail event on the running
+maximum needs to know.
 """
 
 from __future__ import annotations
@@ -113,7 +115,7 @@ def sample_walk_z(p: WalkParams, rng: np.random.Generator) -> int:
 
 
 def sample_walk_reflecting_batch(
-    p: ReflectingParams, size: int, rng: np.random.Generator
+    p: ReflectingParams, size: int, rng: np.random.Generator, stop_at: int | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """(value at t, running max over [0, t]) for ``size`` draws.
 
@@ -122,7 +124,18 @@ def sample_walk_reflecting_batch(
     horizon, freezing its value. From state 0 the reverse rate is zero,
     so the selection uniform (strictly below 1) always steps forward and
     the barrier needs no special casing.
+
+    With an integer level ``stop_at >= 1``, a draw also retires in the
+    sweep where its state first reaches that level, so both results are
+    those of the walk stopped at min(t, first passage): a stopped draw
+    reads ``stop_at`` for value and running max, and every draw has
+    running max at most ``stop_at``. Whether the running max over [0, t]
+    stays below the level is unchanged in law; the draws consume less
+    randomness, so individual values differ from an unstopped call. With
+    ``stop_at=None`` every draw runs to the horizon.
     """
+    if stop_at is not None and not (stop_at >= 1 and float(stop_at).is_integer()):
+        raise DomainError(f"stop_at must be an integer level >= 1, got {stop_at}")
     fwd = p.delta_f * p.N
     state = np.zeros(size, dtype=np.int64)
     vmax = np.zeros(size, dtype=np.int64)
@@ -139,6 +152,8 @@ def sample_walk_reflecting_batch(
         forward = rng.random(live.size) * rates[alive] < fwd
         state[live] += np.where(forward, 1, -1)
         vmax[live] = np.maximum(vmax[live], state[live])
+        if stop_at is not None:
+            live = live[state[live] < stop_at]
         idx = live
     return state, vmax
 

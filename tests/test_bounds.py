@@ -116,6 +116,24 @@ class TestReflectingBound:
             log_bound_reflecting(0.22, 1.0, 0.05, 20)
 
 
+@pytest.mark.parametrize(
+    "evaluator, args",
+    [
+        (log_bound_decay, (100, math.inf, 1.0, 0.1)),
+        (log_bound_decay, (100, 1.0, math.nan, 0.1)),
+        (log_bound_poisson, (math.inf, 3.0, "lower")),
+        (log_bound_poisson, (10.0, math.inf, "upper")),
+        (log_bound_walk, (2.0, 1.0, math.inf, 0.5)),
+        (log_bound_walk, (math.inf, 1.0, 1.0, 0.5)),
+        (log_bound_reflecting, (0.22, math.inf, 0.05, 1000)),
+        (log_bound_reflecting, (math.nan, 1.0, 0.05, 1000)),
+    ],
+)
+def test_non_finite_parameters_refused(evaluator, args):
+    with pytest.raises(DomainError, match="must be finite"):
+        evaluator(*args)
+
+
 class TestPrecision:
     def test_evaluators_stable_at_higher_precision(self):
         # recompute with 80-bit mantissas; float64 results agree to 1e-9
@@ -291,6 +309,10 @@ class TestMonteCarlo:
     def test_unknown_target(self):
         with pytest.raises(DomainError):
             monte_carlo_validate("brownian", None, trials=10_000)
+
+    def test_params_must_match_target(self):
+        with pytest.raises(DomainError, match="WalkBoundParams"):
+            monte_carlo_validate("walk_z", PoissonBoundParams(10.0, 14, "upper"), trials=10_000)
 
 
 def test_clopper_pearson_known_values():

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import crnsim
 from crnsim.cli import main
 
 LEADER = "L + L -> L + N ; k=1\ninit: L = 1000\n"
@@ -56,6 +61,19 @@ class TestReports:
         )
         assert rc == 0
         assert "-9" in capsys.readouterr().out
+
+    def test_bounds_walk_validates_walk_z(self, capsys):
+        rc = main(
+            [
+                "--format", "json", "bounds", "walk", "--f-hat", "100", "--r-hat", "25",
+                "--t", "1", "--eps-hat", "0.6667", "--validate", "--trials", "10000",
+            ]
+        )
+        assert rc == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["process"] == "walk"
+        assert report["validation"]["target"] == "walk_z"
+        assert report["validation"]["verdict"] == "dominates"
 
     def test_constants_json(self, chain_file, capsys):
         rc = main(
@@ -170,6 +188,7 @@ class TestErrorPaths:
         assert main([]) == 2
         assert main(["bounds"]) == 2
         assert main(["no-such-command"]) == 2
+        assert main(["bounds", "poisson", "--lam", "10", "--n", "14", "--side", "sideways"]) == 2
 
     @pytest.mark.parametrize(
         "content,argv_tail",
@@ -210,6 +229,18 @@ class TestErrorPaths:
         assert rc == 1
         assert "delta_r" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bounds", "walk", "--f-hat", "2", "--r-hat", "1", "--t", "inf", "--eps-hat", "0.5"],
+            ["bounds", "poisson", "--lam", "inf", "--n", "3", "--side", "lower",
+             "--validate", "--trials", "10000"],
+        ],
+    )
+    def test_non_finite_bound_parameter(self, argv, capsys):
+        assert main(argv) == 1
+        assert "error:" in capsys.readouterr().err
+
     def test_constants_without_init(self, tmp_path, capsys):
         p = tmp_path / "noinit.crn"
         p.write_text("X -> Y\n")
@@ -242,3 +273,12 @@ class TestErrorPaths:
         )
         assert rc == 1
         assert "Nope" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # a fresh interpreter: this test session has imported scipy.stats already
+    src = str(Path(crnsim.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    code = "import sys, crnsim.cli; sys.exit('scipy.stats' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0

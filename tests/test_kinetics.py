@@ -16,7 +16,7 @@ from crnsim.kinetics import (
     step,
 )
 from crnsim.model import Configuration, parse_crn
-from crnsim.streams import substream
+from crnsim.streams import open_uniform_block, substream
 
 from conftest import random_config, random_crn
 
@@ -301,3 +301,13 @@ class TestFirstProduction:
         assert stats.quantile(0.5) == pytest.approx(0.3)
         assert stats.quantile(0.95) == math.inf
         assert stats.mean == pytest.approx(0.2)
+
+
+def test_small_first_refill_keeps_the_uniform_sequence():
+    # the event loop refills 64 uniforms first, then 4096 at a time; each
+    # uniform takes one 64-bit draw, so the split cannot change any run
+    for s, k in [(0, 0), (3, 17), (2012, 5)]:
+        one = open_uniform_block(substream(s, k), 4096)
+        rng = substream(s, k)
+        split = np.concatenate([open_uniform_block(rng, 64), open_uniform_block(rng, 4032)])
+        assert np.array_equal(one, split)

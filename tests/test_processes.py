@@ -1,3 +1,4 @@
+import hashlib
 import io
 import math
 
@@ -125,6 +126,51 @@ class TestReflecting:
             v, m = sample_walk_reflecting_batch(p, 200, substream(1000 + i))
             assert np.all(v >= 0)
             assert np.all(m >= v)
+
+
+class TestReflectingStopped:
+    def test_unstopped_draws_match_pinned_digest(self):
+        # digest of the sampler before stop_at existed: stop_at=None keeps
+        # the loop and its random draws
+        h = hashlib.sha256()
+        points = [ReflectingParams(200, 0.1, 1.0, 1.0), ReflectingParams(50, 0.5, 2.0, 3.0)]
+        for i, p in enumerate(points):
+            v, m = sample_walk_reflecting_batch(p, 1000, substream(7, i), stop_at=None)
+            h.update(v.astype("<i8").tobytes())
+            h.update(m.astype("<i8").tobytes())
+        assert h.hexdigest()[:16] == "098320bcd03cacf3"
+
+    def test_tail_frequency_matches_full_paths(self):
+        # Pr[max < 12] is about 0.27 here, so both estimates are sharp
+        p, thr, draws = ReflectingParams(200, 0.1, 1.0, 1.0), 12, 200_000
+        _, full = sample_walk_reflecting_batch(p, draws, substream(21))
+        _, stopped = sample_walk_reflecting_batch(p, draws, substream(22), stop_at=thr)
+        a, b = (full < thr).mean(), (stopped < thr).mean()
+        pooled = (a + b) / 2
+        z = (a - b) / math.sqrt(pooled * (1 - pooled) * 2 / draws)
+        assert 0.2 < pooled < 0.35
+        assert abs(z) <= 5
+
+    def test_stopped_draws_end_at_the_level(self, rng):
+        for i in range(10):
+            p = ReflectingParams(
+                int(rng.integers(1, 200)),
+                float(rng.uniform(0.05, 2.0)),
+                float(rng.uniform(0.5, 3.0)),
+                float(rng.uniform(0.1, 2.0)),
+            )
+            level = int(rng.integers(1, 30))
+            v, m = sample_walk_reflecting_batch(p, 200, substream(2000 + i), stop_at=level)
+            assert np.all(m <= level)
+            assert np.all(v >= 0) and np.all(m >= v)
+            assert np.all(v[m == level] == level)
+
+    @pytest.mark.parametrize("level", [0, -3, 0.5, 2.5, math.inf, math.nan])
+    def test_bad_level_rejected(self, level):
+        with pytest.raises(DomainError):
+            sample_walk_reflecting_batch(
+                ReflectingParams(10, 0.5, 1.0, 1.0), 10, substream(0), stop_at=level
+            )
 
 
 class TestDeterminism:
