@@ -32,6 +32,7 @@ from .errors import (
     HypothesisViolationError,
     NotApplicableError,
     ParseError,
+    UnknownSpeciesError,
     UnsupportedReactionOrderError,
 )
 from .streams import substream
@@ -48,6 +49,7 @@ __all__ = [
     "ParseError",
     "Reaction",
     "SpeciesTable",
+    "UnknownSpeciesError",
     "UnsupportedReactionOrderError",
     "apply_reaction",
     "format_crn",

@@ -37,10 +37,7 @@ def _load_crn(path: str, init_spec: str | None, require_init: bool):
                 counts[name.strip()] = int(value)
             except ValueError:
                 raise CrnError(f"bad --init count {value!r} for {name!r}") from None
-        try:
-            init = crn.config(counts)
-        except KeyError as e:
-            raise CrnError(str(e)) from None
+        init = crn.config(counts)
     if require_init and init is None:
         raise CrnError(
             f"{path} declares no init: lines; pass --init \"NAME=COUNT ...\""
@@ -182,19 +179,16 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_first_production(args) -> int:
     crn, init = _load_crn(args.file, args.init, require_init=True)
-    try:
-        stats = kinetics.first_production_times(
-            crn,
-            init,
-            args.target,
-            args.t_cap,
-            args.trials,
-            seed=args.seed,
-            volume=args.volume,
-            threads=args.threads,
-        )
-    except KeyError as e:
-        raise CrnError(str(e)) from None
+    stats = kinetics.first_production_times(
+        crn,
+        init,
+        args.target,
+        args.t_cap,
+        args.trials,
+        seed=args.seed,
+        volume=args.volume,
+        threads=args.threads,
+    )
     out = _out_path(args, args.out)
     with open(out, "w", newline="") as f:
         stats.to_csv(f)
@@ -413,9 +407,8 @@ def main(argv=None) -> int:
         return 0 if e.code in (0, None) else 2
     try:
         return args.fn(args)
-    except (CrnError, KeyError, FileNotFoundError) as e:
-        message = e.args[0] if isinstance(e, KeyError) and e.args else e
-        print(f"error: {message}", file=sys.stderr)
+    except (CrnError, FileNotFoundError) as e:
+        print(f"error: {e}", file=sys.stderr)
         return 1
 
 

@@ -18,6 +18,12 @@ class ParseError(CrnError):
         super().__init__(message)
 
 
+class UnknownSpeciesError(CrnError, KeyError):
+    """A species name is not in the species table."""
+
+    __str__ = CrnError.__str__  # the message itself, not KeyError's quoted repr
+
+
 class NotApplicableError(CrnError):
     """A reaction was applied to a configuration lacking its reactants."""
 

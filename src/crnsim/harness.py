@@ -26,14 +26,21 @@ from .analysis import is_alpha_dense, stage_decomposition
 from .errors import DomainError
 from .kinetics import (
     FirstProductionStats,
-    _Compiled,
-    _run_core,
+    StopCondition,
+    csv_time,
     first_production_times,
-    first_production_times_multi,
+    json_time,
+    run_trials,
 )
 from .model import Configuration, Crn, parse_crn, support
-from .parallel import map_ordered
-from .streams import substream
+
+
+def _write_csv(fileobj, results):
+    """The header of the first result, then the rows of every result."""
+    w = csv.writer(fileobj)
+    w.writerow(results[0].CSV_HEADER)
+    for res in results:
+        w.writerows(res.csv_rows())
 
 
 def leader_election_crn() -> Crn:
@@ -80,21 +87,22 @@ class LeaderElectionResult:
         return 1.96 * float(self.times.std(ddof=1)) / math.sqrt(self.trials)
 
     def to_dict(self) -> dict:
-        hw = self.ci95_halfwidth
         return {
             "n": self.n,
             "trials": self.trials,
             "seed": self.seed,
             "mean": self.mean,
-            "ci95_halfwidth": None if math.isnan(hw) else hw,
+            "ci95_halfwidth": json_time(self.ci95_halfwidth),
             "analytic_mean": self.analytic_mean,
         }
 
+    CSV_HEADER = ("n", "trial", "time")
+
+    def csv_rows(self):
+        return ([self.n, i, repr(t)] for i, t in enumerate(self.times.tolist()))
+
     def to_csv(self, fileobj):
-        w = csv.writer(fileobj)
-        w.writerow(["n", "trial", "time"])
-        for i, t in enumerate(self.times.tolist()):
-            w.writerow([self.n, i, repr(t)])
+        _write_csv(fileobj, [self])
 
 
 def leader_election_experiment(
@@ -107,20 +115,11 @@ def leader_election_experiment(
     """
     if n < 2:
         raise DomainError("n must be at least 2")
-    if trials < 1:
-        raise DomainError("trials must be at least 1")
     crn = leader_election_crn()
-    comp = _Compiled(crn, float(n))
-    lid = crn.species.id_of("L")
-    base = crn.config({"L": n}).counts.tolist()
-
-    def one(trial: int) -> float:
-        t, _, _, _, _, _ = _run_core(
-            comp, list(base), substream(seed, trial), count_stop=(lid, 1, -1)
-        )
-        return t
-
-    times = np.array(map_ordered(one, range(trials), threads))
+    times = run_trials(
+        crn, crn.config({"L": n}), StopCondition(count_reaches=("L", 1)), trials, seed,
+        threads=threads,
+    )[0]
     return LeaderElectionResult(
         n=n, trials=trials, seed=seed, times=times, analytic_mean=2.0 * (n - 1)
     )
@@ -150,11 +149,13 @@ class ChainResult:
             "first_production": self.stats.to_dict(),
         }
 
+    CSV_HEADER = ("m", "n", *FirstProductionStats.CSV_HEADER)
+
+    def csv_rows(self):
+        return ([self.m, self.n, *row] for row in self.stats.csv_rows())
+
     def to_csv(self, fileobj):
-        w = csv.writer(fileobj)
-        w.writerow(["m", "n", "trial", "time_or_censored"])
-        for i, t in enumerate(self.stats.times.tolist()):
-            w.writerow([self.m, self.n, i, "censored" if math.isnan(t) else repr(t)])
+        _write_csv(fileobj, [self])
 
 
 def chain_experiment(
@@ -237,33 +238,25 @@ class ScanResult:
                     "species": r.species,
                     "trials": r.trials,
                     "produced_count": r.produced_count,
-                    "median": r.median if math.isfinite(r.median) else None,
-                    "p90": r.p90 if math.isfinite(r.p90) else None,
-                    "mean_uncensored": r.mean_uncensored
-                    if math.isfinite(r.mean_uncensored)
-                    else None,
+                    "median": json_time(r.median),
+                    "p90": json_time(r.p90),
+                    "mean_uncensored": json_time(r.mean_uncensored),
                 }
                 for r in self.rows
             ],
         }
 
-    def to_csv(self, fileobj):
-        w = csv.writer(fileobj)
-        w.writerow(
-            ["n", "species", "trials", "produced_count", "median", "p90", "mean_uncensored"]
+    CSV_HEADER = ("n", "species", "trials", "produced_count", "median", "p90", "mean_uncensored")
+
+    def csv_rows(self):
+        return (
+            [r.n, r.species, r.trials, r.produced_count,
+             csv_time(r.median), csv_time(r.p90), csv_time(r.mean_uncensored)]
+            for r in self.rows
         )
-        for r in self.rows:
-            w.writerow(
-                [
-                    r.n,
-                    r.species,
-                    r.trials,
-                    r.produced_count,
-                    repr(r.median) if math.isfinite(r.median) else "censored",
-                    repr(r.p90) if math.isfinite(r.p90) else "censored",
-                    repr(r.mean_uncensored) if math.isfinite(r.mean_uncensored) else "censored",
-                ]
-            )
+
+    def to_csv(self, fileobj):
+        _write_csv(fileobj, [self])
 
 
 def constant_time_scan(
@@ -311,39 +304,32 @@ def constant_time_scan(
             )
         if not is_alpha_dense(init_n, alpha):
             raise DomainError(f"scaled configuration at n={n} is not alpha-dense")
-        per_target = first_production_times_multi(
-            crn,
-            init_n,
-            targets,
-            t_cap,
-            trials,
-            seed=seed,
-            volume=float(n),
-            threads=threads,
+        if not targets:
+            result.all_produced_fraction[n] = 1.0
+            continue
+        stop = StopCondition(t_max=t_cap, species_appears=frozenset(targets))
+        per_target = run_trials(
+            crn, init_n, stop, trials, seed, volume=float(n), threads=threads,
             stream_key=(gi,),
-        ) if targets else {}
+        )[1]
+        produced_all = np.ones(trials, dtype=bool)
         for name in targets:
-            times = per_target[name]
-            ok = times[~np.isnan(times)]
-            vals = np.where(np.isnan(times), np.inf, times)
+            stats = FirstProductionStats(
+                target=name, t_cap=t_cap, times=per_target[name], seed=seed
+            )
             result.rows.append(
                 ScanRow(
                     n=n,
                     species=name,
                     trials=trials,
-                    produced_count=int(ok.size),
-                    median=float(np.quantile(vals, 0.5, method="higher")),
-                    p90=float(np.quantile(vals, 0.9, method="higher")),
-                    mean_uncensored=float(ok.mean()) if ok.size else math.nan,
+                    produced_count=trials - stats.censored,
+                    median=stats.median,
+                    p90=stats.quantile(0.9),
+                    mean_uncensored=stats.mean,
                 )
             )
-        if targets:
-            produced_all = np.ones(trials, dtype=bool)
-            for name in targets:
-                produced_all &= ~np.isnan(per_target[name])
-            result.all_produced_fraction[n] = float(produced_all.mean())
-        else:
-            result.all_produced_fraction[n] = 1.0
+            produced_all &= ~np.isnan(stats.times)
+        result.all_produced_fraction[n] = float(produced_all.mean())
     return result
 
 
@@ -379,21 +365,11 @@ class ExperimentSpec:
         out = Path(self.out_dir)
         out.mkdir(parents=True, exist_ok=True)
         if self.scenario == "leader":
-            summary, rows_writer = {}, []
-            for n in self.n_grid:
-                res = leader_election_experiment(
-                    n, self.trials, seed=self.seed + n, threads=threads
-                )
-                summary[str(n)] = res.to_dict()
-                rows_writer.append(res)
-            csv_path = out / "leader.csv"
-            with open(csv_path, "w", newline="") as f:
-                w = csv.writer(f)
-                w.writerow(["n", "trial", "time"])
-                for res in rows_writer:
-                    for i, t in enumerate(res.times.tolist()):
-                        w.writerow([res.n, i, repr(t)])
-            report = {"scenario": "leader", "results": summary, "csv": str(csv_path)}
+            results = [
+                leader_election_experiment(n, self.trials, seed=self.seed + n, threads=threads)
+                for n in self.n_grid
+            ]
+            name, summary = "leader", {str(r.n): r.to_dict() for r in results}
         elif self.scenario == "chain":
             t_cap = float(self.m + 1) if self.t_cap is None else self.t_cap
             results = [
@@ -401,20 +377,7 @@ class ExperimentSpec:
                                  seed=self.seed + n, threads=threads)
                 for n in self.n_grid
             ]
-            csv_path = out / f"chain_m{self.m}.csv"
-            with open(csv_path, "w", newline="") as f:
-                w = csv.writer(f)
-                w.writerow(["m", "n", "trial", "time_or_censored"])
-                for res in results:
-                    for i, t in enumerate(res.stats.times.tolist()):
-                        w.writerow(
-                            [res.m, res.n, i, "censored" if math.isnan(t) else repr(t)]
-                        )
-            report = {
-                "scenario": "chain",
-                "results": {str(r.n): r.to_dict() for r in results},
-                "csv": str(csv_path),
-            }
+            name, summary = f"chain_m{self.m}", {str(r.n): r.to_dict() for r in results}
         else:
             if crn is None or init is None:
                 raise DomainError("the scan scenario needs a network and an init")
@@ -422,10 +385,11 @@ class ExperimentSpec:
                 crn, init, self.alpha, list(self.n_grid), self.trials,
                 seed=self.seed, t_cap=self.t_cap, threads=threads,
             )
-            csv_path = out / "scan.csv"
-            with open(csv_path, "w", newline="") as f:
-                scan.to_csv(f)
-            report = {"scenario": "scan", "results": scan.to_dict(), "csv": str(csv_path)}
+            results, name, summary = [scan], "scan", scan.to_dict()
+        csv_path = out / f"{name}.csv"
+        with open(csv_path, "w", newline="") as f:
+            _write_csv(f, results)
+        report = {"scenario": self.scenario, "results": summary, "csv": str(csv_path)}
         json_path = csv_path.with_suffix(".json")
         json_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
         report["json"] = str(json_path)

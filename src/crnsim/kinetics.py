@@ -12,6 +12,15 @@ Waiting times are sampled by inverse CDF on open-interval uniforms, so
 every inter-event time is finite and strictly positive. A trace records
 (time, reaction index) events compactly; full count vectors are captured
 only at requested checkpoint times.
+
+Every run goes through one event loop, ``_run_core``, and every
+:class:`StopCondition` is turned into that loop's arguments in one place,
+``_resolve_stop``. It also refuses, before any event is drawn, a stop
+without a time horizon or event budget that can never fire. ``simulate``
+records one trajectory. ``run_trials`` repeats a stop over independent
+trials, trial i drawing from ``substream(seed, *stream_key, i)``, and
+returns per-trial end times and first-appearance times; the
+first-production statistics and the ``harness`` experiments build on it.
 """
 
 from __future__ import annotations
@@ -23,8 +32,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, UnsupportedReactionOrderError
-from .model import Configuration, Crn, Reaction, apply_reaction
-from .streams import open_uniform, open_uniform_block, substream
+from .model import Configuration, Crn, apply_reaction
+from .streams import open_uniform_block, substream
 from .parallel import map_ordered
 
 _BLOCK = 4096  # uniforms buffered per refill inside the event loop
@@ -33,37 +42,6 @@ _BLOCK = 4096  # uniforms buffered per refill inside the event loop
 # With the power-of-two bound of open_uniform_block every uniform takes one
 # 64-bit draw, so the split leaves the sequence of uniforms unchanged.
 _FIRST_BLOCK = 64
-
-
-def propensity(config: Configuration, rx: Reaction, volume: float) -> float:
-    """Stochastic mass-action propensity of ``rx`` in ``config``."""
-    if volume <= 0:
-        raise DomainError("volume must be positive")
-    order = rx.order
-    if order == 1:
-        i = next(s for s, r in enumerate(rx.reactants) if r)
-        return rx.rate_constant * config[i]
-    if order == 2:
-        sup = [s for s, r in enumerate(rx.reactants) if r]
-        if len(sup) == 2:
-            i, j = sup
-            return (rx.rate_constant / volume) * config[i] * config[j]
-        i = sup[0]
-        ci = config[i]
-        return (rx.rate_constant / volume) * ci * (ci - 1) / 2.0
-    raise UnsupportedReactionOrderError(
-        f"reaction has {order} reactants; only orders 1 and 2 are supported"
-    )
-
-
-@dataclass
-class SimState:
-    """Mutable simulation cursor: configuration, clock, volume, event count."""
-
-    config: Configuration
-    volume: float
-    time: float = 0.0
-    event_count: int = 0
 
 
 @dataclass(frozen=True)
@@ -95,6 +73,8 @@ class StopCondition:
             raise DomainError("t_max must be finite and nonnegative")
         if self.max_events is not None and self.max_events < 0:
             raise DomainError("max_events must be nonnegative")
+        if self.count_reaches is not None and self.count_reaches[1] < 0:
+            raise DomainError("a count threshold must be nonnegative")
         if self.species_appears is not None:
             object.__setattr__(self, "species_appears", frozenset(self.species_appears))
 
@@ -187,35 +167,6 @@ class _Compiled:
         self.ib = tuple(ib)
         self.coef = tuple(coef)
         self.deltas = tuple(deltas)
-
-
-def step(state: SimState, crn: Crn, rng: np.random.Generator):
-    """Advance one reaction event in place.
-
-    Returns the (time, reaction index) event, or None when the total
-    propensity is zero and the process is exhausted. The selection uniform
-    is only drawn when more than one reaction competes.
-    """
-    props = [propensity(state.config, rx, state.volume) for rx in crn.reactions]
-    total = math.fsum(props)
-    if total <= 0.0:
-        return None
-    dt = -math.log(open_uniform(rng)) / total
-    if len(props) == 1:
-        chosen = 0
-    else:
-        x = open_uniform(rng) * total
-        acc = 0.0
-        chosen = len(props) - 1
-        for j, p in enumerate(props):
-            acc += p
-            if x < acc:
-                chosen = j
-                break
-    state.config = apply_reaction(state.config, crn.reactions[chosen])
-    state.time += dt
-    state.event_count += 1
-    return (state.time, chosen)
 
 
 def _run_core(
@@ -354,15 +305,51 @@ def _run_core(
     return t, status, events, cp_rows, watch_times, n_events
 
 
-def _resolve_stop(crn: Crn, stop: StopCondition):
-    watch = None
+def _resolve_stop(crn: Crn, stop: StopCondition, counts: list) -> dict:
+    """The ``_run_core`` keyword arguments that run ``stop`` from ``counts``.
+
+    A count threshold is approached from the side of its initial count.
+    Without ``t_max`` or ``max_events`` a stop that can never fire would
+    loop forever, so two such stops raise ``DomainError``: a watched
+    species outside the stage closure, which over-approximates what can
+    be produced, and a rising count threshold above the bound that a
+    conservation certificate puts on that count.
+    """
+    watch = count_stop = None
     if stop.species_appears is not None:
         watch = {crn.species.id_of(name) for name in stop.species_appears}
-    count_stop = None
     if stop.count_reaches is not None:
         name, thr = stop.count_reaches
-        count_stop = (crn.species.id_of(name), int(thr))
-    return watch, count_stop
+        sid, thr = crn.species.id_of(name), int(thr)
+        count_stop = (sid, thr, -1 if counts[sid] > thr else 1)
+    # a zero configuration has no propensity and ends at once
+    if stop.t_max is None and stop.max_events is None and any(counts):
+        from . import analysis  # deferred: it slows down importing this module
+
+        if watch is not None:
+            closure = analysis.stage_decomposition(crn, Configuration(counts)).closure
+            never = sorted(crn.species.name_of(s) for s in watch - closure)
+            if never:
+                raise DomainError(
+                    f"species {', '.join(never)} can never appear from this initial "
+                    "configuration; give the stop a t_max or max_events"
+                )
+        if count_stop is not None and count_stop[2] > 0:
+            mass = analysis.check_mass_conserving(crn).mass
+            if mass is not None:
+                cap = sum(m * c for m, c in zip(mass, counts)) // mass[sid]
+                if thr > cap:
+                    raise DomainError(
+                        f"the count of {name} stays at most {cap} by mass conservation and "
+                        f"can never reach {thr}; give the stop a t_max or max_events"
+                    )
+    return {
+        "t_max": stop.t_max,
+        "watch": watch,
+        "stop_on_watch": watch is not None,
+        "count_stop": count_stop,
+        "max_events": stop.max_events,
+    }
 
 
 def simulate(
@@ -387,26 +374,16 @@ def simulate(
     if volume is None:
         volume = float(init.total)
     comp = _Compiled(crn, volume)
-    watch, raw_count_stop = _resolve_stop(crn, stop)
     counts = init.counts.tolist()
-    count_stop = None
-    if raw_count_stop is not None:
-        sid, thr = raw_count_stop
-        direction = -1 if counts[sid] > thr else 1
-        count_stop = (sid, thr, direction)
-    rng = substream(seed, *stream_key)
+    loop_args = _resolve_stop(crn, stop, counts)
     cps = sorted(checkpoint_times) if checkpoint_times else ()
     t, status, events, cp_rows, _, _ = _run_core(
         comp,
         counts,
-        rng,
-        t_max=stop.t_max,
-        watch=watch,
-        stop_on_watch=watch is not None,
-        count_stop=count_stop,
-        max_events=stop.max_events,
+        substream(seed, *stream_key),
         record=True,
         checkpoint_times=cps,
+        **loop_args,
     )
     return Trace(
         initial=init,
@@ -417,6 +394,58 @@ def simulate(
         volume=volume,
         checkpoints=cp_rows,
     )
+
+
+def run_trials(
+    crn: Crn,
+    init: Configuration,
+    stop: StopCondition,
+    trials: int,
+    seed: int,
+    volume: float | None = None,
+    threads: int = 1,
+    stream_key: tuple = (),
+) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """Run ``stop`` from ``init`` in ``trials`` independent trials.
+
+    Returns the per-trial end times and, for each species in
+    ``stop.species_appears``, the per-trial time it first had positive
+    count: 0 when present initially, NaN when it never appeared. Trial i
+    draws from ``substream(seed, *stream_key, i)``, so it ends where
+    ``simulate(..., stream_key=(*stream_key, i))`` does, at any thread
+    count. The volume defaults to the total initial count.
+    """
+    if trials < 1:
+        raise DomainError("trials must be at least 1")
+    if len(init) != crn.n_species:
+        raise DomainError("initial configuration does not span the species table")
+    vol = float(init.total) if volume is None else float(volume)
+    comp = _Compiled(crn, vol)
+    base_counts = init.counts.tolist()
+    loop_args = _resolve_stop(crn, stop, base_counts)
+
+    def one(trial: int):
+        t, _, _, _, watch_times, _ = _run_core(
+            comp, list(base_counts), substream(seed, *stream_key, trial), **loop_args
+        )
+        return t, watch_times
+
+    results = map_ordered(one, range(trials), threads)
+    first = {}
+    for name in stop.species_appears or ():
+        sid = crn.species.id_of(name)
+        first[name] = np.array([wt.get(sid, math.nan) for _, wt in results])
+    return np.array([t for t, _ in results]), first
+
+
+def csv_time(x: float) -> str:
+    """A time as a CSV cell: its repr, or "censored" when it is not finite."""
+    return repr(x) if math.isfinite(x) else "censored"
+
+
+def json_time(x: float) -> float | None:
+    """A time as a JSON value: None when it is not finite."""
+    return x if math.isfinite(x) else None
 
 
 @dataclass
@@ -465,26 +494,27 @@ class FirstProductionStats:
         return self.quantile(0.5)
 
     def to_dict(self) -> dict:
-        def _finite(x):
-            return x if math.isfinite(x) else None
-
         return {
             "target": self.target,
             "t_cap": self.t_cap,
             "trials": self.trials,
             "censored": self.censored,
-            "mean": _finite(self.mean),
-            "variance": _finite(self.variance),
-            "median": _finite(self.median),
-            "p90": _finite(self.quantile(0.9)),
+            "mean": json_time(self.mean),
+            "variance": json_time(self.variance),
+            "median": json_time(self.median),
+            "p90": json_time(self.quantile(0.9)),
             "seed": self.seed,
         }
 
+    CSV_HEADER = ("trial", "time_or_censored")
+
+    def csv_rows(self):
+        return ([i, csv_time(t)] for i, t in enumerate(self.times.tolist()))
+
     def to_csv(self, fileobj):
         w = csv.writer(fileobj)
-        w.writerow(["trial", "time_or_censored"])
-        for i, t in enumerate(self.times.tolist()):
-            w.writerow([i, "censored" if math.isnan(t) else repr(t)])
+        w.writerow(self.CSV_HEADER)
+        w.writerows(self.csv_rows())
 
 
 def first_production_times(
@@ -499,66 +529,13 @@ def first_production_times(
 ) -> FirstProductionStats:
     """Time of the first event giving ``target`` positive count, per trial.
 
-    A target already present reports time 0. Trial i draws from the
-    substream (seed, i), so results do not depend on execution order or
-    thread count.
+    A target already present reports time 0; a trial where it has not
+    appeared by ``t_cap`` is censored. Trial i draws from the substream
+    (seed, i), so results do not depend on execution order or thread
+    count.
     """
-    if trials < 1:
-        raise DomainError("trials must be at least 1")
-    if not t_cap > 0:
-        raise DomainError("t_cap must be positive")
-    times = first_production_times_multi(
-        crn, init, [target], t_cap, trials, seed, volume=volume, threads=threads
-    )[target]
+    if not 0 < t_cap < math.inf:
+        raise DomainError("t_cap must be finite and positive")
+    stop = StopCondition(t_max=t_cap, species_appears=frozenset({target}))
+    times = run_trials(crn, init, stop, trials, seed, volume=volume, threads=threads)[1][target]
     return FirstProductionStats(target=target, t_cap=t_cap, times=times, seed=seed)
-
-
-def first_production_times_multi(
-    crn: Crn,
-    init: Configuration,
-    targets,
-    t_cap: float,
-    trials: int,
-    seed: int,
-    volume: float | None = None,
-    threads: int = 1,
-    stream_key: tuple = (),
-) -> dict[str, np.ndarray]:
-    """First-production times for several species out of shared trials.
-
-    Each trial runs once, watching every target, and stops as soon as all
-    of them have appeared (or at ``t_cap``). Returns one times array per
-    target, NaN marking censored trials. ``stream_key`` prefixes the trial
-    index in the substream key, separating e.g. grid cells that share a
-    seed.
-    """
-    if len(init) != crn.n_species:
-        raise DomainError("initial configuration does not span the species table")
-    vol = float(init.total) if volume is None else float(volume)
-    comp = _Compiled(crn, vol)
-    sids = [crn.species.id_of(name) for name in targets]
-    watch = set(sids)
-    base_counts = init.counts.tolist()
-
-    def one(trial: int) -> dict:
-        rng = substream(seed, *stream_key, trial)
-        counts = list(base_counts)
-        _, _, _, _, watch_times, _ = _run_core(
-            comp,
-            counts,
-            rng,
-            t_max=t_cap,
-            watch=watch,
-            stop_on_watch=True,
-        )
-        return watch_times
-
-    results = map_ordered(one, range(trials), threads)
-    out = {}
-    for name, sid in zip(targets, sids):
-        arr = np.full(trials, np.nan)
-        for i, wt in enumerate(results):
-            if sid in wt:
-                arr[i] = wt[sid]
-        out[name] = arr
-    return out

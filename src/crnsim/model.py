@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NotApplicableError, ParseError
+from .errors import NotApplicableError, ParseError, UnknownSpeciesError
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
 _INT_RE = re.compile(r"\d+")
@@ -62,7 +62,7 @@ class SpeciesTable:
         try:
             return self._index[name]
         except KeyError:
-            raise KeyError(f"unknown species {name!r}") from None
+            raise UnknownSpeciesError(f"unknown species {name!r}") from None
 
     def name_of(self, sid: int) -> str:
         return self.names[sid]

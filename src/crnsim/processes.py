@@ -21,6 +21,7 @@ maximum needs to know.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,36 +31,36 @@ from .errors import DomainError
 
 @dataclass(frozen=True)
 class DecayParams:
-    """Initial value N, decay constant lam, horizon t (all positive)."""
+    """Initial value N, decay constant lam, horizon t (all positive and finite)."""
 
     N: int
     lam: float
     t: float
 
     def __post_init__(self):
-        if self.N < 1:
+        if not 1 <= self.N < math.inf:
             raise DomainError("N must be a positive integer")
-        if not (self.lam > 0 and self.t > 0):
-            raise DomainError("lam and t must be positive")
+        if not all(0 < x < math.inf for x in (self.lam, self.t)):
+            raise DomainError("lam and t must be positive and finite")
 
 
 @dataclass(frozen=True)
 class WalkParams:
-    """Forward rate f_hat, reverse rate r_hat, horizon t (all positive)."""
+    """Forward rate f_hat, reverse rate r_hat, horizon t (all positive and finite)."""
 
     f_hat: float
     r_hat: float
     t: float
 
     def __post_init__(self):
-        if not (self.f_hat > 0 and self.r_hat > 0 and self.t > 0):
-            raise DomainError("f_hat, r_hat and t must be positive")
+        if not all(0 < x < math.inf for x in (self.f_hat, self.r_hat, self.t)):
+            raise DomainError("f_hat, r_hat and t must be positive and finite")
 
 
 @dataclass(frozen=True)
 class ReflectingParams:
     """Scale N, forward coefficient delta_f, reverse coefficient lambda_r,
-    horizon t (all positive)."""
+    horizon t (all positive and finite)."""
 
     N: int
     delta_f: float
@@ -67,10 +68,10 @@ class ReflectingParams:
     t: float
 
     def __post_init__(self):
-        if self.N < 1:
+        if not 1 <= self.N < math.inf:
             raise DomainError("N must be a positive integer")
-        if not (self.delta_f > 0 and self.lambda_r > 0 and self.t > 0):
-            raise DomainError("delta_f, lambda_r and t must be positive")
+        if not all(0 < x < math.inf for x in (self.delta_f, self.lambda_r, self.t)):
+            raise DomainError("delta_f, lambda_r and t must be positive and finite")
 
 
 def sample_decay_batch(p: DecayParams, size: int, rng: np.random.Generator) -> np.ndarray:

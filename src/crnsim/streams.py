@@ -24,11 +24,6 @@ def substream(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(ss)
 
 
-def open_uniform(rng: np.random.Generator) -> float:
-    """One uniform draw in the open interval (0, 1)."""
-    return (int(rng.integers(_U53)) + 0.5) * _INV53
-
-
 def open_uniform_block(rng: np.random.Generator, size: int) -> np.ndarray:
     """A block of open-interval uniforms; used to buffer hot loops."""
     return (rng.integers(_U53, size=size) + 0.5) * _INV53

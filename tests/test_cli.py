@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import crnsim
+from crnsim import analysis, kinetics
 from crnsim.cli import main
 
 LEADER = "L + L -> L + N ; k=1\ninit: L = 1000\n"
@@ -218,6 +219,35 @@ class TestErrorPaths:
             ["--out-dir", str(tmp_path), "first-production", convert_file, "--target", "Q"]
         )
         assert rc == 1
+        assert capsys.readouterr().err == "error: unknown species 'Q'\n"
+
+    def test_internal_key_error_is_not_a_user_error(self, convert_file, monkeypatch):
+        def broken(crn):
+            raise KeyError("internal")
+
+        monkeypatch.setattr(analysis, "finite_density_status", broken)
+        with pytest.raises(KeyError, match="internal"):
+            main(["validate", convert_file])
+
+    @pytest.mark.parametrize(
+        "argv_tail",
+        [
+            ["simulate", "--stop-species", "C"],
+            ["simulate", "--stop-count", "A=99"],
+            ["first-production", "--target", "C", "--t-cap", "inf"],
+        ],
+    )
+    def test_stop_that_can_never_fire_exits_1(self, tmp_path, capsys, monkeypatch, argv_tail):
+        p = tmp_path / "cycle.crn"
+        p.write_text("species: A B C\nA -> B\nB -> A\ninit: A = 5\n")
+
+        def no_events(*args, **kwargs):
+            raise AssertionError("the stop should have been refused before simulating")
+
+        monkeypatch.setattr(kinetics, "_run_core", no_events)
+        rc = main(["--out-dir", str(tmp_path), argv_tail[0], str(p), *argv_tail[1:]])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_reflecting_hypothesis_violation(self, capsys):
         rc = main(

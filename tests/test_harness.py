@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import math
@@ -221,3 +222,32 @@ class TestExperimentSpec:
         report = spec.run(crn=crn, init=crn.config({"X": 5}))
         assert (tmp_path / "scan.csv").exists()
         assert report["results"]["rows"][0]["n"] == 50
+
+    @pytest.mark.parametrize(
+        "spec, network, digest",
+        [
+            (ExperimentSpec("leader", (5, 12), 6, seed=1, out_dir="out"), None,
+             "5690796e9dbf374f"),
+            (ExperimentSpec("chain", (4, 16), 8, seed=2, out_dir="out", m=1, t_cap=0.6), None,
+             "4f012fe24569b9ce"),
+            (ExperimentSpec("scan", (20, 60), 7, seed=3, out_dir="out", t_cap=0.12),
+             "X -> Y ; k=1\nY -> Z ; k=2\n", "4d35af1b3f727980"),
+        ],
+        ids=["leader", "chain", "scan"],
+    )
+    def test_outputs_byte_identical_to_pinned_digest(
+        self, spec, network, digest, tmp_path, monkeypatch
+    ):
+        # sha256 prefixes of the CSV and JSON bytes as written before each
+        # result class owned its CSV rows; chain and scan mix censored and
+        # finite times
+        monkeypatch.chdir(tmp_path)
+        crn = init = None
+        if network is not None:
+            crn, _ = parse_crn(network)
+            init = crn.config({"X": 5})
+        report = spec.run(crn=crn, init=init)
+        h = hashlib.sha256()
+        for path in (report["csv"], report["json"]):
+            h.update((tmp_path / path).read_bytes())
+        assert h.hexdigest()[:16] == digest

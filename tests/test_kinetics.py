@@ -4,16 +4,15 @@ import math
 import numpy as np
 import pytest
 
+from crnsim import kinetics
 from crnsim.errors import DomainError, UnsupportedReactionOrderError
 from crnsim.kinetics import (
     FirstProductionStats,
-    SimState,
     StopCondition,
+    _Compiled,
     first_production_times,
-    first_production_times_multi,
-    propensity,
+    run_trials,
     simulate,
-    step,
 )
 from crnsim.model import Configuration, parse_crn
 from crnsim.streams import open_uniform_block, substream
@@ -22,43 +21,52 @@ from conftest import random_config, random_crn
 
 
 class TestPropensity:
+    """The compiled table: the event loop's propensity is coef * c(X) for
+    mode 0, coef * c(X) * c(Y) for mode 1 and coef * c(X) * (c(X) - 1) for
+    mode 2."""
+
     def test_unimolecular(self):
         crn, _ = parse_crn("X -> 0 ; k=2\n")
-        assert propensity(Configuration([7]), crn.reactions[0], volume=3.0) == 14.0
+        comp = _Compiled(crn, 3.0)
+        assert comp.modes == (0,)
+        assert comp.coef[0] * 7 == 14.0
 
     def test_bimolecular_distinct(self):
         crn, _ = parse_crn("X + Y -> X ; k=2\n")
-        assert propensity(Configuration([5, 4]), crn.reactions[0], volume=10.0) == 4.0
+        comp = _Compiled(crn, 10.0)
+        assert (comp.modes, comp.ia, comp.ib) == ((1,), (0,), (1,))
+        assert comp.coef[0] * 5 * 4 == 4.0
 
     def test_bimolecular_identical_pair_count(self):
         crn, _ = parse_crn("X + X -> Y ; k=1\n")
-        assert propensity(Configuration([1, 0]), crn.reactions[0], volume=100.0) == 0.0
-        assert propensity(Configuration([4, 0]), crn.reactions[0], volume=2.0) == 3.0
+        comp = _Compiled(crn, 2.0)
+        assert comp.modes == (2,)  # c(X) * (c(X) - 1) is 0 for a single copy
+        assert comp.coef[0] * 4 * 3 == 3.0
 
     def test_rejects_order_zero_and_three(self):
-        crn, _ = parse_crn("0 -> X\nA + 2B -> A + 3C\n")
-        with pytest.raises(UnsupportedReactionOrderError):
-            propensity(Configuration([0, 0, 0, 0]), crn.reactions[0], 1.0)
-        with pytest.raises(UnsupportedReactionOrderError):
-            propensity(Configuration([1, 2, 0, 0]), crn.reactions[1], 1.0)
+        for text in ("0 -> X\n", "A + 2B -> A + 3C\n"):
+            crn, _ = parse_crn(text)
+            with pytest.raises(UnsupportedReactionOrderError):
+                _Compiled(crn, 1.0)
+
+    def test_rejects_nonpositive_volume(self):
+        crn, _ = parse_crn("X -> 0\n")
+        with pytest.raises(DomainError):
+            _Compiled(crn, 0.0)
 
 
 class TestStep:
     def test_exhausted_on_zero_config(self):
         crn, _ = parse_crn("X -> 0\n")
-        state = SimState(Configuration([0]), volume=1.0)
-        assert step(state, crn, substream(1)) is None
-        assert state.event_count == 0
+        trace = simulate(crn, Configuration([0]), StopCondition(max_events=1), seed=1, volume=1.0)
+        assert trace.status == "exhausted"
+        assert trace.events == []
 
     def test_waiting_time_mean(self):
         crn, _ = parse_crn("X -> 0 ; k=1\n")
         n, samples = 1000, 20_000
-        rng = substream(2)
-        total = 0.0
-        for _ in range(samples):
-            state = SimState(Configuration([n]), volume=float(n))
-            step(state, crn, rng)
-            total += state.time
+        init, stop = crn.config({"X": n}), StopCondition(max_events=1)
+        total = sum(simulate(crn, init, stop, seed=2, stream_key=(i,)).time for i in range(samples))
         mean = total / samples
         se = (1.0 / n) / math.sqrt(samples)  # exponential: sd == mean
         assert abs(mean - 1.0 / n) < 4 * se
@@ -66,13 +74,12 @@ class TestStep:
     def test_selection_frequency_matches_propensity_ratio(self):
         # propensities stay (3, 1) because reactants are catalytic
         crn, _ = parse_crn("A -> A + B ; k=3\nC -> C + D ; k=1\n")
-        state = SimState(crn.config({"A": 1, "C": 1}), volume=1.0)
-        rng = substream(3)
         steps = 100_000
-        first = 0
-        for _ in range(steps):
-            _, ridx = step(state, crn, rng)
-            first += ridx == 0
+        trace = simulate(
+            crn, crn.config({"A": 1, "C": 1}), StopCondition(max_events=steps), seed=3,
+            volume=1.0,
+        )
+        first = sum(ridx == 0 for _, ridx in trace.events)
         se = math.sqrt(0.75 * 0.25 / steps)
         assert abs(first / steps - 0.75) < 4.5 * se
 
@@ -216,6 +223,8 @@ class TestSimulate:
             StopCondition(t_max=math.inf)
         with pytest.raises(DomainError):
             StopCondition(max_events=-1)
+        with pytest.raises(DomainError):  # counts never fall below 0
+            StopCondition(count_reaches=("X", -1))
 
     def test_csv_exports(self):
         crn, _ = parse_crn("X -> 0 ; k=1 ; label=decay\n")
@@ -234,6 +243,75 @@ class TestSimulate:
         buf2 = io.StringIO()
         trace.checkpoints_to_csv(crn, buf2)
         assert buf2.getvalue().splitlines()[0] == "time,X"
+
+
+def _no_events(*args, **kwargs):
+    raise AssertionError("the stop should have been refused before simulating")
+
+
+class TestRunTrials:
+    def test_trials_end_where_simulate_ends_on_random_networks(self, rng):
+        for case in range(20):
+            crn = random_crn(rng, kinetics_compatible=True)
+            init = random_config(rng, crn, max_count=20)
+            names = crn.species.names
+            watched = rng.choice(names, size=int(rng.integers(1, len(names) + 1)), replace=False)
+            count_name = names[int(rng.integers(len(names)))]
+            stops = [
+                StopCondition(count_reaches=(count_name, int(rng.integers(0, 25))), max_events=500),
+                StopCondition(t_max=2.0, species_appears=frozenset(map(str, watched)),
+                              max_events=3000),
+            ]
+            key = (case, 5)
+            for stop in stops:
+                times, first = run_trials(crn, init, stop, 4, seed=case, stream_key=key)
+                assert set(first) == set(stop.species_appears or ())
+                for i in range(4):
+                    trace = simulate(crn, init, stop, seed=case, stream_key=(*key, i))
+                    assert times[i] == trace.time
+                    event_times = [0.0] + [t for t, _ in trace.events]
+                    for name, per_trial in first.items():
+                        sid = crn.species.id_of(name)
+                        seen = [t for t, c in zip(event_times, trace.replay(crn)) if c[sid] > 0]
+                        assert per_trial[i] == seen[0] if seen else math.isnan(per_trial[i])
+
+    @pytest.mark.parametrize(
+        "stop",
+        [
+            StopCondition(species_appears=frozenset({"C"})),
+            StopCondition(species_appears=frozenset({"B", "C"})),
+            StopCondition(count_reaches=("A", 99)),
+            StopCondition(count_reaches=("B", 6)),
+        ],
+    )
+    def test_stop_that_can_never_fire_is_refused(self, stop, monkeypatch):
+        # A + B = 5 is conserved and nothing produces C
+        crn, _ = parse_crn("species: A B C\nA -> B\nB -> A\n")
+        monkeypatch.setattr(kinetics, "_run_core", _no_events)
+        with pytest.raises(DomainError, match="t_max or max_events"):
+            simulate(crn, crn.config({"A": 5}), stop, seed=0)
+        with pytest.raises(DomainError, match="t_max or max_events"):
+            run_trials(crn, crn.config({"A": 5}), stop, 3, seed=0)
+
+    @pytest.mark.parametrize(
+        "stop",
+        [
+            StopCondition(species_appears=frozenset({"B"})),
+            StopCondition(count_reaches=("B", 5)),
+            StopCondition(count_reaches=("A", 0)),
+            StopCondition(t_max=1.0, species_appears=frozenset({"C"})),
+            StopCondition(max_events=50, count_reaches=("A", 99)),
+        ],
+    )
+    def test_stop_that_can_fire_or_is_bounded_runs(self, stop):
+        crn, _ = parse_crn("species: A B C\nA -> B\nB -> A\n")
+        assert simulate(crn, crn.config({"A": 5}), stop, seed=0).status == "stopped"
+
+    def test_count_threshold_on_unconserved_network_is_not_refused(self):
+        # no conservation certificate exists, so the threshold is reachable for all we know
+        crn, _ = parse_crn("X -> X + X\n")
+        trace = simulate(crn, crn.config({"X": 1}), StopCondition(count_reaches=("X", 40)), seed=0)
+        assert trace.terminal[0] == 40
 
 
 class TestFirstProduction:
@@ -264,6 +342,13 @@ class TestFirstProduction:
         assert stats.median == math.inf
         assert stats.to_dict()["median"] is None
 
+    @pytest.mark.parametrize("t_cap", [math.inf, math.nan, 0.0, -1.0])
+    def test_t_cap_must_be_finite_and_positive(self, t_cap, monkeypatch):
+        crn, _ = parse_crn("species: A B C\nA -> B\nB -> A\n")
+        monkeypatch.setattr(kinetics, "_run_core", _no_events)
+        with pytest.raises(DomainError, match="t_cap"):
+            first_production_times(crn, crn.config({"A": 5}), "C", t_cap, 2, seed=0)
+
     def test_unknown_target(self):
         crn, _ = parse_crn("X -> Y\n")
         with pytest.raises(KeyError):
@@ -274,7 +359,8 @@ class TestFirstProduction:
         init = crn.config({"X": 30})
         batch = first_production_times(crn, init, "Y", 5.0, trials=20, seed=13)
         # recompute trial 0 alone: same substream, same value
-        lone = first_production_times_multi(crn, init, ["Y"], 5.0, 1, seed=13)
+        stop = StopCondition(t_max=5.0, species_appears=frozenset({"Y"}))
+        lone = run_trials(crn, init, stop, 1, seed=13)[1]
         assert batch.times[0] == lone["Y"][0]
         threaded = first_production_times(
             crn, init, "Y", 5.0, trials=20, seed=13, threads=4
@@ -283,9 +369,8 @@ class TestFirstProduction:
 
     def test_multi_target_shared_trials(self):
         crn, _ = parse_crn("X -> Y ; k=5\nY -> Z ; k=5\n")
-        out = first_production_times_multi(
-            crn, crn.config({"X": 40}), ["Y", "Z"], t_cap=20.0, trials=50, seed=3
-        )
+        stop = StopCondition(t_max=20.0, species_appears=frozenset({"Y", "Z"}))
+        out = run_trials(crn, crn.config({"X": 40}), stop, trials=50, seed=3)[1]
         assert np.all(out["Y"] <= out["Z"])
         assert not np.isnan(out["Z"]).any()
 

@@ -70,6 +70,28 @@ class TestDecay:
             DecayParams(5, -1.0, 1.0)
 
 
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda x: DecayParams(x, 1.0, 1.0),
+        lambda x: DecayParams(10, x, 1.0),
+        lambda x: DecayParams(10, 1.0, x),
+        lambda x: WalkParams(x, 0.5, 1.0),
+        lambda x: WalkParams(1.0, x, 1.0),
+        lambda x: WalkParams(1.0, 0.5, x),
+        lambda x: ReflectingParams(x, 0.5, 1.0, 1.0),
+        lambda x: ReflectingParams(10, x, 1.0, 1.0),
+        lambda x: ReflectingParams(10, 0.5, x, 1.0),
+        lambda x: ReflectingParams(10, 0.5, 1.0, x),
+    ],
+)
+def test_non_finite_params_rejected(make, bad):
+    # an infinite horizon would keep the reflecting sampler drawing forever
+    with pytest.raises(DomainError):
+        make(bad)
+
+
 class TestWalkZ:
     def test_symmetric_walk_centers_at_zero(self):
         vals = sample_walk_z_batch(WalkParams(5.0, 5.0, 2.0), 10_000, substream(0))
