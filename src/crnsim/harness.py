@@ -14,7 +14,6 @@ Three scenarios:
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, field
@@ -31,16 +30,9 @@ from .kinetics import (
     first_production_times,
     json_time,
     run_trials,
+    write_csv,
 )
 from .model import Configuration, Crn, parse_crn, support
-
-
-def _write_csv(fileobj, results):
-    """The header of the first result, then the rows of every result."""
-    w = csv.writer(fileobj)
-    w.writerow(results[0].CSV_HEADER)
-    for res in results:
-        w.writerows(res.csv_rows())
 
 
 def leader_election_crn() -> Crn:
@@ -102,7 +94,7 @@ class LeaderElectionResult:
         return ([self.n, i, repr(t)] for i, t in enumerate(self.times.tolist()))
 
     def to_csv(self, fileobj):
-        _write_csv(fileobj, [self])
+        write_csv(fileobj, [self])
 
 
 def leader_election_experiment(
@@ -155,7 +147,7 @@ class ChainResult:
         return ([self.m, self.n, *row] for row in self.stats.csv_rows())
 
     def to_csv(self, fileobj):
-        _write_csv(fileobj, [self])
+        write_csv(fileobj, [self])
 
 
 def chain_experiment(
@@ -256,7 +248,7 @@ class ScanResult:
         )
 
     def to_csv(self, fileobj):
-        _write_csv(fileobj, [self])
+        write_csv(fileobj, [self])
 
 
 def constant_time_scan(
@@ -388,7 +380,7 @@ class ExperimentSpec:
             results, name, summary = [scan], "scan", scan.to_dict()
         csv_path = out / f"{name}.csv"
         with open(csv_path, "w", newline="") as f:
-            _write_csv(f, results)
+            write_csv(f, results)
         report = {"scenario": self.scenario, "results": summary, "csv": str(csv_path)}
         json_path = csv_path.with_suffix(".json")
         json_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")

@@ -16,11 +16,12 @@ only at requested checkpoint times.
 Every run goes through one event loop, ``_run_core``, and every
 :class:`StopCondition` is turned into that loop's arguments in one place,
 ``_resolve_stop``. It also refuses, before any event is drawn, a stop
-without a time horizon or event budget that can never fire. ``simulate``
-records one trajectory. ``run_trials`` repeats a stop over independent
-trials, trial i drawing from ``substream(seed, *stream_key, i)``, and
-returns per-trial end times and first-appearance times; the
-first-production statistics and the ``harness`` experiments build on it.
+without a time horizon or event budget none of whose triggers can ever
+fire. ``simulate`` records one trajectory. ``run_trials`` repeats a stop
+over independent trials, trial i drawing from ``substream(seed,
+*stream_key, i)``, and returns per-trial end times and first-appearance
+times; the first-production statistics and the ``harness`` experiments
+build on it.
 """
 
 from __future__ import annotations
@@ -309,11 +310,8 @@ def _resolve_stop(crn: Crn, stop: StopCondition, counts: list) -> dict:
     """The ``_run_core`` keyword arguments that run ``stop`` from ``counts``.
 
     A count threshold is approached from the side of its initial count.
-    Without ``t_max`` or ``max_events`` a stop that can never fire would
-    loop forever, so two such stops raise ``DomainError``: a watched
-    species outside the stage closure, which over-approximates what can
-    be produced, and a rising count threshold above the bound that a
-    conservation certificate puts on that count.
+    Without ``t_max`` or ``max_events`` a stop none of whose triggers can
+    ever fire would loop forever, so it raises ``DomainError``.
     """
     watch = count_stop = None
     if stop.species_appears is not None:
@@ -324,25 +322,9 @@ def _resolve_stop(crn: Crn, stop: StopCondition, counts: list) -> dict:
         count_stop = (sid, thr, -1 if counts[sid] > thr else 1)
     # a zero configuration has no propensity and ends at once
     if stop.t_max is None and stop.max_events is None and any(counts):
-        from . import analysis  # deferred: it slows down importing this module
-
-        if watch is not None:
-            closure = analysis.stage_decomposition(crn, Configuration(counts)).closure
-            never = sorted(crn.species.name_of(s) for s in watch - closure)
-            if never:
-                raise DomainError(
-                    f"species {', '.join(never)} can never appear from this initial "
-                    "configuration; give the stop a t_max or max_events"
-                )
-        if count_stop is not None and count_stop[2] > 0:
-            mass = analysis.check_mass_conserving(crn).mass
-            if mass is not None:
-                cap = sum(m * c for m, c in zip(mass, counts)) // mass[sid]
-                if thr > cap:
-                    raise DomainError(
-                        f"the count of {name} stays at most {cap} by mass conservation and "
-                        f"can never reach {thr}; give the stop a t_max or max_events"
-                    )
+        why = _never_fires(crn, counts, watch, count_stop)
+        if why is not None:
+            raise DomainError(f"{why}; give the stop a t_max or max_events")
     return {
         "t_max": stop.t_max,
         "watch": watch,
@@ -350,6 +332,41 @@ def _resolve_stop(crn: Crn, stop: StopCondition, counts: list) -> dict:
         "count_stop": count_stop,
         "max_events": stop.max_events,
     }
+
+
+def _never_fires(crn: Crn, counts: list, watch, count_stop) -> str | None:
+    """Why neither trigger of a stop can ever fire from ``counts``, or None
+    when one of them might.
+
+    The watch trigger never fires when a watched species lies outside the
+    stage closure, which over-approximates what can be produced. A rising
+    count trigger never fires when its threshold exceeds the bound that a
+    conservation certificate puts on that count. Any other trigger might.
+    """
+    from . import analysis  # deferred: it slows down importing this module
+
+    reasons = []
+    if watch is not None:
+        closure = analysis.stage_decomposition(crn, Configuration(counts)).closure
+        never = sorted(crn.species.name_of(s) for s in watch - closure)
+        if not never:
+            return None
+        reasons.append(
+            f"species {', '.join(never)} can never appear from this initial configuration"
+        )
+    if count_stop is not None:
+        sid, thr, direction = count_stop
+        mass = analysis.check_mass_conserving(crn).mass if direction > 0 else None
+        if mass is None:
+            return None
+        cap = sum(m * c for m, c in zip(mass, counts)) // mass[sid]
+        if thr <= cap:
+            return None
+        reasons.append(
+            f"the count of {crn.species.name_of(sid)} stays at most {cap} by mass "
+            f"conservation and can never reach {thr}"
+        )
+    return "; ".join(reasons)
 
 
 def simulate(
@@ -448,6 +465,14 @@ def json_time(x: float) -> float | None:
     return x if math.isfinite(x) else None
 
 
+def write_csv(fileobj, results):
+    """The ``CSV_HEADER`` of the first result, then the ``csv_rows()`` of every result."""
+    w = csv.writer(fileobj)
+    w.writerow(results[0].CSV_HEADER)
+    for res in results:
+        w.writerows(res.csv_rows())
+
+
 @dataclass
 class FirstProductionStats:
     """Per-trial first-production times of one species.
@@ -512,9 +537,7 @@ class FirstProductionStats:
         return ([i, csv_time(t)] for i, t in enumerate(self.times.tolist()))
 
     def to_csv(self, fileobj):
-        w = csv.writer(fileobj)
-        w.writerow(self.CSV_HEADER)
-        w.writerows(self.csv_rows())
+        write_csv(fileobj, [self])
 
 
 def first_production_times(

@@ -249,6 +249,12 @@ class TestErrorPaths:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_stop_with_one_trigger_that_can_fire_runs(self, tmp_path):
+        p = tmp_path / "cycle.crn"
+        p.write_text("species: A B C\nA -> B\nB -> A\ninit: A = 5\n")
+        argv = ["simulate", str(p), "--stop-species", "C", "--stop-count", "A=0"]
+        assert main(["--out-dir", str(tmp_path), *argv]) == 0
+
     def test_reflecting_hypothesis_violation(self, capsys):
         rc = main(
             [

@@ -40,8 +40,17 @@ class TestPropensity:
     def test_bimolecular_identical_pair_count(self):
         crn, _ = parse_crn("X + X -> Y ; k=1\n")
         comp = _Compiled(crn, 2.0)
-        assert comp.modes == (2,)  # c(X) * (c(X) - 1) is 0 for a single copy
+        assert comp.modes == (2,)
         assert comp.coef[0] * 4 * 3 == 3.0
+
+    def test_identical_pair_single_copy_has_no_propensity(self):
+        # the event loop sees total propensity 0 and fires nothing
+        crn, _ = parse_crn("X + X -> Y ; k=1\n")
+        trace = simulate(
+            crn, Configuration([1, 0]), StopCondition(max_events=1), seed=0, volume=100.0
+        )
+        assert trace.status == "exhausted"
+        assert trace.events == []
 
     def test_rejects_order_zero_and_three(self):
         for text in ("0 -> X\n", "A + 2B -> A + 3C\n"):
@@ -282,6 +291,7 @@ class TestRunTrials:
             StopCondition(species_appears=frozenset({"B", "C"})),
             StopCondition(count_reaches=("A", 99)),
             StopCondition(count_reaches=("B", 6)),
+            StopCondition(species_appears=frozenset({"C"}), count_reaches=("A", 99)),
         ],
     )
     def test_stop_that_can_never_fire_is_refused(self, stop, monkeypatch):
@@ -301,6 +311,9 @@ class TestRunTrials:
             StopCondition(count_reaches=("A", 0)),
             StopCondition(t_max=1.0, species_appears=frozenset({"C"})),
             StopCondition(max_events=50, count_reaches=("A", 99)),
+            # the first trigger to fire ends the run, so one that can fire is enough
+            StopCondition(species_appears=frozenset({"C"}), count_reaches=("A", 0)),
+            StopCondition(species_appears=frozenset({"B"}), count_reaches=("A", 99)),
         ],
     )
     def test_stop_that_can_fire_or_is_bounded_runs(self, stop):
