@@ -3,9 +3,11 @@
 Subcommands: validate, analyze, constants, simulate, first-production,
 reachable, bounds (decay|poisson|walk|reflecting), demo (leader|chain|scan).
 Exit codes: 0 success, 1 domain error, 2 usage error. Identical arguments
-and seed always yield byte-identical outputs; --threads only caps
-parallelism. Bulk results go to CSV files (default directory "." or
-$CRNSIM_OUTDIR); --format json switches the report on stdout to JSON.
+and seed always yield byte-identical outputs: multi-trial commands draw
+one substream per chunk of trials and Monte Carlo validation one per
+chunk of draws, so --threads only caps parallelism. Bulk results go to
+CSV files (default directory "." or $CRNSIM_OUTDIR); --format json
+switches the report on stdout to JSON.
 """
 
 from __future__ import annotations

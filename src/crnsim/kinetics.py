@@ -13,15 +13,17 @@ every inter-event time is finite and strictly positive. A trace records
 (time, reaction index) events compactly; full count vectors are captured
 only at requested checkpoint times.
 
-Every run goes through one event loop, ``_run_core``, and every
-:class:`StopCondition` is turned into that loop's arguments in one place,
+There are two event loops, one per execution shape, and every
+:class:`StopCondition` is turned into their arguments in one place,
 ``_resolve_stop``. It also refuses, before any event is drawn, a stop
 without a time horizon or event budget none of whose triggers can ever
-fire. ``simulate`` records one trajectory. ``run_trials`` repeats a stop
-over independent trials, trial i drawing from ``substream(seed,
-*stream_key, i)``, and returns per-trial end times and first-appearance
-times; the first-production statistics and the ``harness`` experiments
-build on it.
+fire. ``simulate`` records one trajectory with the scalar loop,
+``_run_core``. ``run_trials`` repeats a stop over independent trials
+with the batched loop, ``_run_batch``, which advances all trials of a
+chunk of ``_TRIAL_CHUNK`` in lockstep; chunk c draws from
+``substream(seed, *stream_key, c)``. It returns per-trial end times and
+first-appearance times; the first-production statistics and the
+``harness`` experiments build on it.
 """
 
 from __future__ import annotations
@@ -37,12 +39,14 @@ from .model import Configuration, Crn, apply_reaction
 from .streams import open_uniform_block, substream
 from .parallel import map_ordered
 
-_BLOCK = 4096  # uniforms buffered per refill inside the event loop
-# the first refill of a run is small, since many trials of a multi-trial run
-# stop after a few events.
-# With the power-of-two bound of open_uniform_block every uniform takes one
-# 64-bit draw, so the split leaves the sequence of uniforms unchanged.
+_BLOCK = 4096  # uniforms buffered per refill inside the event loops
+# the first refill of a scalar run is small, since many runs stop after a
+# few events. Every uniform of open_uniform_block takes one 64-bit draw, so
+# how a run splits its refills leaves the sequence of uniforms unchanged.
 _FIRST_BLOCK = 64
+# trials per substream in run_trials; fixed so that results do not depend
+# on the thread count
+_TRIAL_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -125,9 +129,18 @@ class Trace:
 
 
 class _Compiled:
-    """Per-(crn, volume) reaction table in loop-friendly form."""
+    """Per-(crn, volume) reaction table in loop-friendly form.
 
-    __slots__ = ("n", "modes", "ia", "ib", "coef", "deltas")
+    The scalar loop reads ``modes``, ``ia``, ``ib``, ``coef`` and
+    ``deltas``. The batched kernel reads the same table as arrays over a
+    count matrix with one extra column held at 1: reaction j has
+    propensity ``coefs[j] * c[ra[j]] * (c[rb[j]] - minus[j])``, where
+    ``rb`` points at the column of ones for mode 0 and back at ``ra``
+    with ``minus`` 1 for mode 2, and ``stoich[j]`` is its net change.
+    """
+
+    __slots__ = ("n", "modes", "ia", "ib", "coef", "deltas", "coefs", "ra", "rb", "minus",
+                 "stoich")
 
     def __init__(self, crn: Crn, volume: float):
         if volume <= 0:
@@ -168,6 +181,17 @@ class _Compiled:
         self.ib = tuple(ib)
         self.coef = tuple(coef)
         self.deltas = tuple(deltas)
+        ones = crn.n_species
+        self.coefs = np.array(coef, dtype=np.float64)
+        self.ra = np.array(ia, dtype=np.intp)
+        self.rb = np.array(
+            [(ones, b, a)[m] for m, a, b in zip(modes, ia, ib)], dtype=np.intp
+        )
+        self.minus = np.array([m == 2 for m in modes], dtype=np.int64)
+        self.stoich = np.zeros((self.n, ones + 1), dtype=np.int64)
+        for j, delta in enumerate(deltas):
+            for s, d in delta:
+                self.stoich[j, s] = d
 
 
 def _run_core(
@@ -183,7 +207,7 @@ def _run_core(
     record=False,
     checkpoint_times=(),
 ):
-    """Shared event loop.
+    """Scalar event loop: one run, optionally recorded.
 
     ``watch`` is a set of species ids whose first positive-count times are
     collected (already-positive species report 0.0). With
@@ -306,8 +330,124 @@ def _run_core(
     return t, status, events, cp_rows, watch_times, n_events
 
 
+def _run_batch(
+    comp: _Compiled,
+    counts: list,
+    trials: int,
+    rng,
+    *,
+    t_max=None,
+    watch=None,
+    stop_on_watch=False,
+    count_stop=None,
+    max_events=None,
+):
+    """``trials`` independent runs of ``_run_core`` from ``counts``, in lockstep.
+
+    Every active trial makes one event per sweep, so the sweep count is
+    each active trial's event count. A sweep takes the time uniforms of
+    all active trials, then their selection uniforms (none with a single
+    reaction), so a one-trial run reads the uniforms ``_run_core`` reads.
+    A trial leaves the active arrays in the sweep where its stop fires, or
+    where its total propensity is zero: it is then exhausted and keeps the
+    time of its last event.
+
+    Returns (end times, first-appearance times with one column per
+    watched species in id order and NaN where never seen, exhausted
+    flags, event counts), one row per trial.
+    """
+    wcols = np.array(sorted(watch or ()), dtype=np.intp)
+    init = np.array(counts, dtype=np.int64)
+    end = np.zeros(trials)
+    first = np.full((trials, wcols.size), math.nan)
+    first[:, init[wcols] > 0] = 0.0
+    exhausted = np.zeros(trials, dtype=bool)
+    n_events = np.zeros(trials, dtype=np.int64)
+    if count_stop is not None:
+        sid, thr, direction = count_stop
+    # every trial starts from the same configuration, so a stop that holds
+    # there ends all of them at once, as does a network without reactions
+    if (
+        (stop_on_watch and wcols.size and init[wcols].all())
+        or (count_stop is not None and (init[sid] - thr) * direction >= 0)
+        or max_events == 0
+    ):
+        return end, first, exhausted, n_events
+    nrx = comp.n
+    if nrx == 0:
+        exhausted[:] = True
+        return end, first, exhausted, n_events
+
+    coefs, ra, rb, minus, stoich = comp.coefs, comp.ra, comp.rb, comp.minus, comp.stoich
+    draws = 1 if nrx == 1 else 2
+    cnt = np.tile(np.append(init, 1), (trials, 1))
+    t = np.zeros(trials)
+    ids = np.arange(trials)
+    seen = first.copy()
+    ubuf, ui = np.empty(0), 0
+    sweep = 0
+
+    def retire(gone, at):
+        out = ids[gone]
+        end[out] = at
+        first[out] = seen[gone]
+        n_events[out] = sweep
+        return ~gone
+
+    with np.errstate(divide="ignore"):
+        while ids.size:
+            k = ids.size
+            rho = coefs * cnt.take(ra, axis=1) * (cnt.take(rb, axis=1) - minus)
+            cum = rho.cumsum(axis=1)
+            total = cum[:, -1]
+            need = draws * k
+            if ui + need > ubuf.size:
+                fresh = open_uniform_block(rng, max(2 * need, _BLOCK))
+                ubuf, ui = np.concatenate((ubuf[ui:], fresh)), 0
+            tn = t - np.log(ubuf[ui : ui + k]) / total
+            usel = ubuf[ui + k : ui + need]
+            ui += need
+            # an exhausted trial has total 0 and so tn = inf
+            gone = total <= 0.0 if t_max is None else tn > t_max
+            if gone.any():
+                dead = total[gone] <= 0.0
+                exhausted[ids[gone]] = dead
+                at = t[gone] if t_max is None else np.where(dead, t[gone], t_max)
+                keep = retire(gone, at)
+                ids, cnt, t, seen = ids[keep], cnt[keep], t[keep], seen[keep]
+                cum, total, tn = cum[keep], total[keep], tn[keep]
+                if nrx > 1:
+                    usel = usel[keep]
+                if not ids.size:
+                    break
+            if nrx == 1:
+                cnt += stoich[0]
+            else:
+                # the first j with x < cum[j], or the last reaction when there is none
+                chosen = (cum[:, :-1] <= (usel * total)[:, None]).sum(axis=1)
+                cnt += stoich[chosen]
+            t = tn
+            sweep += 1
+
+            done = np.zeros(ids.size, dtype=bool)
+            if wcols.size:
+                new = np.isnan(seen) & (cnt.take(wcols, axis=1) > 0)
+                if new.any():  # a trial's watch can only complete when something appears
+                    seen = np.where(new, t[:, None], seen)
+                    if stop_on_watch:
+                        done |= ~np.isnan(seen).any(axis=1)
+            if count_stop is not None:
+                done |= (cnt[:, sid] - thr) * direction >= 0
+            if max_events is not None and sweep >= max_events:
+                done[:] = True
+            if done.any():
+                keep = retire(done, t[done])
+                ids, cnt, t, seen = ids[keep], cnt[keep], t[keep], seen[keep]
+    return end, first, exhausted, n_events
+
+
 def _resolve_stop(crn: Crn, stop: StopCondition, counts: list) -> dict:
-    """The ``_run_core`` keyword arguments that run ``stop`` from ``counts``.
+    """The event-loop keyword arguments that run ``stop`` from ``counts``.
 
     A count threshold is approached from the side of its initial count.
     Without ``t_max`` or ``max_events`` a stop none of whose triggers can
@@ -427,10 +567,12 @@ def run_trials(
 
     Returns the per-trial end times and, for each species in
     ``stop.species_appears``, the per-trial time it first had positive
-    count: 0 when present initially, NaN when it never appeared. Trial i
-    draws from ``substream(seed, *stream_key, i)``, so it ends where
-    ``simulate(..., stream_key=(*stream_key, i))`` does, at any thread
-    count. The volume defaults to the total initial count.
+    count: 0 when present initially, NaN when it never appeared. Trials
+    run in chunks of ``_TRIAL_CHUNK`` in lockstep, and chunk c draws from
+    ``substream(seed, *stream_key, c)``, so results do not depend on the
+    thread count. A one-trial run ends where ``simulate(...,
+    stream_key=(*stream_key, 0))`` does. The volume defaults to the total
+    initial count.
     """
     if trials < 1:
         raise DomainError("trials must be at least 1")
@@ -440,19 +582,21 @@ def run_trials(
     comp = _Compiled(crn, vol)
     base_counts = init.counts.tolist()
     loop_args = _resolve_stop(crn, stop, base_counts)
+    sizes = [min(_TRIAL_CHUNK, trials - lo) for lo in range(0, trials, _TRIAL_CHUNK)]
 
-    def one(trial: int):
-        t, _, _, _, watch_times, _ = _run_core(
-            comp, list(base_counts), substream(seed, *stream_key, trial), **loop_args
-        )
-        return t, watch_times
+    def chunk(c: int):
+        rng = substream(seed, *stream_key, c)
+        return _run_batch(comp, base_counts, sizes[c], rng, **loop_args)
 
-    results = map_ordered(one, range(trials), threads)
-    first = {}
-    for name in stop.species_appears or ():
-        sid = crn.species.id_of(name)
-        first[name] = np.array([wt.get(sid, math.nan) for _, wt in results])
-    return np.array([t for t, _ in results]), first
+    parts = map_ordered(chunk, range(len(sizes)), threads)
+    times = np.concatenate([p[0] for p in parts])
+    seen = np.concatenate([p[1] for p in parts])
+    columns = sorted(loop_args["watch"] or ())
+    first = {
+        name: seen[:, columns.index(crn.species.id_of(name))].copy()
+        for name in stop.species_appears or ()
+    }
+    return times, first
 
 
 def csv_time(x: float) -> str:
@@ -553,9 +697,9 @@ def first_production_times(
     """Time of the first event giving ``target`` positive count, per trial.
 
     A target already present reports time 0; a trial where it has not
-    appeared by ``t_cap`` is censored. Trial i draws from the substream
-    (seed, i), so results do not depend on execution order or thread
-    count.
+    appeared by ``t_cap`` is censored. Trials run through ``run_trials``,
+    one substream (seed, c) per chunk c of ``_TRIAL_CHUNK`` trials, so
+    results do not depend on the thread count.
     """
     if not 0 < t_cap < math.inf:
         raise DomainError("t_cap must be finite and positive")

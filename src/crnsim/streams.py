@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import numpy as np
 
-# 2**53; uniforms are built from 53-bit integers so they lie strictly
-# inside (0, 1) and -log(u) is always finite and positive.
-_U53 = 1 << 53
+# uniforms are built from the top 53 bits of each 64-bit draw, and the
+# one integer that would round to 1.0 is clamped below it, so they lie
+# strictly inside (0, 1) and -log(u) is always finite and positive.
 _INV53 = 2.0**-53
+_BELOW_ONE = 1.0 - _INV53
 
 
 def substream(seed: int, *key: int) -> np.random.Generator:
@@ -25,5 +26,10 @@ def substream(seed: int, *key: int) -> np.random.Generator:
 
 
 def open_uniform_block(rng: np.random.Generator, size: int) -> np.ndarray:
-    """A block of open-interval uniforms; used to buffer hot loops."""
-    return (rng.integers(_U53, size=size) + 0.5) * _INV53
+    """A block of open-interval uniforms; used to buffer hot loops.
+
+    Each uniform takes one 64-bit draw. Its top 53 bits are the integers
+    ``rng.integers(2**53)`` returns, at a fraction of the fixed cost.
+    """
+    u = ((rng.bit_generator.random_raw(size) >> 11) + 0.5) * _INV53
+    return np.minimum(u, _BELOW_ONE, out=u)

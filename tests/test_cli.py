@@ -245,6 +245,7 @@ class TestErrorPaths:
             raise AssertionError("the stop should have been refused before simulating")
 
         monkeypatch.setattr(kinetics, "_run_core", no_events)
+        monkeypatch.setattr(kinetics, "_run_batch", no_events)
         rc = main(["--out-dir", str(tmp_path), argv_tail[0], str(p), *argv_tail[1:]])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: ")

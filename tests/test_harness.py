@@ -227,20 +227,20 @@ class TestExperimentSpec:
         "spec, network, digest",
         [
             (ExperimentSpec("leader", (5, 12), 6, seed=1, out_dir="out"), None,
-             "5690796e9dbf374f"),
+             "5e4f15c7d3e6e9dd"),
             (ExperimentSpec("chain", (4, 16), 8, seed=2, out_dir="out", m=1, t_cap=0.6), None,
-             "4f012fe24569b9ce"),
+             "38f71195a76a5f4b"),
             (ExperimentSpec("scan", (20, 60), 7, seed=3, out_dir="out", t_cap=0.12),
-             "X -> Y ; k=1\nY -> Z ; k=2\n", "4d35af1b3f727980"),
+             "X -> Y ; k=1\nY -> Z ; k=2\n", "51dae522e2718f94"),
         ],
         ids=["leader", "chain", "scan"],
     )
     def test_outputs_byte_identical_to_pinned_digest(
         self, spec, network, digest, tmp_path, monkeypatch
     ):
-        # sha256 prefixes of the CSV and JSON bytes as written before each
-        # result class owned its CSV rows; chain and scan mix censored and
-        # finite times
+        # sha256 prefixes of the CSV and JSON bytes, with trials drawn by
+        # the batched kernel from one substream per chunk of trials; chain
+        # and scan mix censored and finite times
         monkeypatch.chdir(tmp_path)
         crn = init = None
         if network is not None:

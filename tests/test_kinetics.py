@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from crnsim import kinetics
+from crnsim.analysis import stage_decomposition
 from crnsim.errors import DomainError, UnsupportedReactionOrderError
 from crnsim.kinetics import (
+    _TRIAL_CHUNK,
     FirstProductionStats,
     StopCondition,
     _Compiled,
@@ -258,8 +260,57 @@ def _no_events(*args, **kwargs):
     raise AssertionError("the stop should have been refused before simulating")
 
 
+def _refuse_to_simulate(monkeypatch):
+    """Make both event loops fail, so a stop that is not refused fails instead of hanging."""
+    monkeypatch.setattr(kinetics, "_run_core", _no_events)
+    monkeypatch.setattr(kinetics, "_run_batch", _no_events)
+
+
+_RUN_BATCH = kinetics._run_batch
+
+
+def _spy_batch(monkeypatch) -> list:
+    """Record what every ``_run_batch`` call returns: (end, first, exhausted, n_events)."""
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(_RUN_BATCH(*args, **kwargs))
+        return calls[-1]
+
+    monkeypatch.setattr(kinetics, "_run_batch", spy)
+    return calls
+
+
+def _assert_one_trial_matches_simulate(crn, init, stop, seed, key, monkeypatch):
+    """A one-trial run ends as ``simulate`` on the substream of chunk 0 does.
+
+    The two loops read the same uniforms and make the same selections, so
+    the end reason, the event count and which species appeared match
+    exactly. Times match to 1e-12 relative, since ``np.log`` and
+    ``math.log`` may differ by one ulp.
+    """
+    calls = _spy_batch(monkeypatch)
+    times, first = run_trials(crn, init, stop, 1, seed=seed, stream_key=key)
+    trace = simulate(crn, init, stop, seed=seed, stream_key=(*key, 0))
+    _, _, exhausted, n_events = calls[-1]
+    assert set(first) == set(stop.species_appears or ())
+    assert bool(exhausted[0]) == (trace.status == "exhausted")
+    assert n_events[0] == len(trace.events)
+    assert (times[0] == stop.t_max) == (trace.time == stop.t_max)
+    assert times[0] == pytest.approx(trace.time, rel=1e-12, abs=0)
+    event_times = [0.0] + [t for t, _ in trace.events]
+    for name, per_trial in first.items():
+        sid = crn.species.id_of(name)
+        seen = [t for t, c in zip(event_times, trace.replay(crn)) if c[sid] > 0]
+        if seen:
+            assert per_trial[0] == pytest.approx(seen[0], rel=1e-12, abs=0)
+        else:
+            assert math.isnan(per_trial[0])
+    return trace
+
+
 class TestRunTrials:
-    def test_trials_end_where_simulate_ends_on_random_networks(self, rng):
+    def test_trials_end_where_simulate_ends_on_random_networks(self, rng, monkeypatch):
         for case in range(20):
             crn = random_crn(rng, kinetics_compatible=True)
             init = random_config(rng, crn, max_count=20)
@@ -271,18 +322,107 @@ class TestRunTrials:
                 StopCondition(t_max=2.0, species_appears=frozenset(map(str, watched)),
                               max_events=3000),
             ]
-            key = (case, 5)
             for stop in stops:
-                times, first = run_trials(crn, init, stop, 4, seed=case, stream_key=key)
-                assert set(first) == set(stop.species_appears or ())
-                for i in range(4):
-                    trace = simulate(crn, init, stop, seed=case, stream_key=(*key, i))
-                    assert times[i] == trace.time
-                    event_times = [0.0] + [t for t, _ in trace.events]
-                    for name, per_trial in first.items():
-                        sid = crn.species.id_of(name)
-                        seen = [t for t, c in zip(event_times, trace.replay(crn)) if c[sid] > 0]
-                        assert per_trial[i] == seen[0] if seen else math.isnan(per_trial[i])
+                _assert_one_trial_matches_simulate(crn, init, stop, case, (case, 5), monkeypatch)
+
+    def test_no_reactions_exhausts_every_trial_at_zero(self, monkeypatch):
+        crn, _ = parse_crn("species: A B\n")
+        stop = StopCondition(t_max=1.0, species_appears=frozenset({"A", "B"}))
+        calls = _spy_batch(monkeypatch)
+        times, first = run_trials(crn, crn.config({"A": 3}), stop, 5, seed=0)
+        assert np.all(times == 0.0) and calls[-1][2].all()
+        assert np.all(first["A"] == 0.0) and np.isnan(first["B"]).all()
+        _assert_one_trial_matches_simulate(crn, crn.config({"A": 3}), stop, 0, (), monkeypatch)
+
+    @pytest.mark.parametrize(
+        "stop",
+        [
+            StopCondition(count_reaches=("A", 5)),
+            StopCondition(species_appears=frozenset({"A"})),
+            StopCondition(max_events=0),
+            StopCondition(t_max=0.0),
+        ],
+    )
+    def test_stop_satisfied_at_time_zero(self, stop, monkeypatch):
+        crn, _ = parse_crn("A -> B\nB -> A\n")
+        init = crn.config({"A": 5})
+        calls = _spy_batch(monkeypatch)
+        times, first = run_trials(crn, init, stop, 7, seed=1)
+        assert np.all(times == 0.0)
+        assert not calls[-1][2].any()
+        assert all(np.all(v == 0.0) for v in first.values())
+        trace = _assert_one_trial_matches_simulate(crn, init, stop, 1, (), monkeypatch)
+        assert trace.events == []
+
+    def test_max_events_counts_per_trial(self, monkeypatch):
+        # A + A -> B exhausts a trial after at most three events; the rest
+        # must each stop after exactly max_events, whenever they started
+        crn, _ = parse_crn("A -> B ; k=1\nB -> A ; k=1\nA + A -> C ; k=0.2\n")
+        init = crn.config({"A": 6})
+        stop = StopCondition(max_events=40)
+        calls = _spy_batch(monkeypatch)
+        run_trials(crn, init, stop, 300, seed=4)
+        _, _, exhausted, n_events = calls[-1]
+        assert np.all(n_events[~exhausted] == 40)
+        assert np.all(n_events[exhausted] < 40) and exhausted.any()
+        for key in range(10):
+            _assert_one_trial_matches_simulate(crn, init, stop, 4, (key,), monkeypatch)
+
+    @pytest.mark.parametrize("target", [("A", 3), ("B", 7), ("A", 10)], ids=["above", "below", "at"])
+    def test_count_threshold_from_either_side(self, target, monkeypatch):
+        crn, _ = parse_crn("A -> B ; k=1\nB -> A ; k=0.5\n")
+        init = crn.config({"A": 10})
+        stop = StopCondition(count_reaches=target)
+        name, thr = target
+        sid = crn.species.id_of(name)
+        for key in range(10):
+            trace = _assert_one_trial_matches_simulate(crn, init, stop, 2, (key,), monkeypatch)
+            assert trace.terminal[sid] == thr
+
+    def test_exhausted_trials_keep_their_last_event_time(self, monkeypatch):
+        crn, _ = parse_crn("species: A B C\nA -> B\n")
+        init = crn.config({"A": 3})
+        stop = StopCondition(t_max=1e6, species_appears=frozenset({"B", "C"}))
+        calls = _spy_batch(monkeypatch)
+        times, first = run_trials(crn, init, stop, 50, seed=5)
+        _, _, exhausted, n_events = calls[-1]
+        assert exhausted.all() and np.all(n_events == 3)
+        assert np.all((times > first["B"]) & (times < 1e6))
+        assert np.isnan(first["C"]).all()
+        for key in range(5):
+            trace = _assert_one_trial_matches_simulate(crn, init, stop, 5, (key,), monkeypatch)
+            assert trace.time == trace.events[-1][0]
+
+    def test_kernel_law_matches_repeated_simulate(self, rng):
+        # on random networks where an absent species is producible, the
+        # kernel's mean end time and censored fraction for that species
+        # agree with independent simulate calls within |z| <= 5
+        trials, checked = 2000, 0
+        while checked < 5:
+            crn = random_crn(rng, kinetics_compatible=True)
+            counts = random_config(rng, crn, max_count=12).counts.copy()
+            sid = int(rng.integers(crn.n_species))
+            counts[sid] = 0
+            init = Configuration(counts)
+            if init.total == 0 or sid not in stage_decomposition(crn, init).closure:
+                continue
+            if simulate(crn, init, StopCondition(max_events=1), seed=0).status == "exhausted":
+                continue  # no reaction can fire at all
+            target = crn.species.name_of(sid)
+            stop = StopCondition(t_max=0.5, species_appears=frozenset({target}))
+            times, first = run_trials(crn, init, stop, trials, seed=checked)
+            ref_t, ref_censored = np.empty(trials), np.empty(trials)
+            for i in range(trials):
+                trace = simulate(crn, init, stop, seed=checked, stream_key=(1, i))
+                ref_t[i] = trace.time
+                ref_censored[i] = all(c[sid] == 0 for c in trace.replay(crn))
+            se = math.sqrt((times.var(ddof=1) + ref_t.var(ddof=1)) / trials)
+            assert abs(times.mean() - ref_t.mean()) <= 5 * se
+            p_kernel, p_ref = np.isnan(first[target]).mean(), ref_censored.mean()
+            pooled = (p_kernel + p_ref) / 2
+            se = math.sqrt(2 * pooled * (1 - pooled) / trials)
+            assert abs(p_kernel - p_ref) <= 5 * se if se > 0 else p_kernel == p_ref
+            checked += 1
 
     @pytest.mark.parametrize(
         "stop",
@@ -297,7 +437,7 @@ class TestRunTrials:
     def test_stop_that_can_never_fire_is_refused(self, stop, monkeypatch):
         # A + B = 5 is conserved and nothing produces C
         crn, _ = parse_crn("species: A B C\nA -> B\nB -> A\n")
-        monkeypatch.setattr(kinetics, "_run_core", _no_events)
+        _refuse_to_simulate(monkeypatch)
         with pytest.raises(DomainError, match="t_max or max_events"):
             simulate(crn, crn.config({"A": 5}), stop, seed=0)
         with pytest.raises(DomainError, match="t_max or max_events"):
@@ -358,7 +498,7 @@ class TestFirstProduction:
     @pytest.mark.parametrize("t_cap", [math.inf, math.nan, 0.0, -1.0])
     def test_t_cap_must_be_finite_and_positive(self, t_cap, monkeypatch):
         crn, _ = parse_crn("species: A B C\nA -> B\nB -> A\n")
-        monkeypatch.setattr(kinetics, "_run_core", _no_events)
+        _refuse_to_simulate(monkeypatch)
         with pytest.raises(DomainError, match="t_cap"):
             first_production_times(crn, crn.config({"A": 5}), "C", t_cap, 2, seed=0)
 
@@ -368,17 +508,23 @@ class TestFirstProduction:
             first_production_times(crn, crn.config({"X": 1}), "Q", 1.0, 1, seed=0)
 
     def test_trials_independent_of_execution_order(self):
-        crn, _ = parse_crn("X -> Y ; k=1\n")
-        init = crn.config({"X": 30})
-        batch = first_production_times(crn, init, "Y", 5.0, trials=20, seed=13)
-        # recompute trial 0 alone: same substream, same value
-        stop = StopCondition(t_max=5.0, species_appears=frozenset({"Y"}))
-        lone = run_trials(crn, init, stop, 1, seed=13)[1]
-        assert batch.times[0] == lone["Y"][0]
-        threaded = first_production_times(
-            crn, init, "Y", 5.0, trials=20, seed=13, threads=4
-        )
-        assert np.array_equal(batch.times, threaded.times)
+        # trials retire in different sweeps, some censored at the cap
+        crn, _ = parse_crn("X -> Y ; k=1\nY -> Z ; k=1\n")
+        init = crn.config({"X": 3})
+        # the first chunk of a longer run is a run of exactly one chunk:
+        # same substream, same trials in lockstep
+        longer = first_production_times(crn, init, "Z", 0.5, _TRIAL_CHUNK + 300, seed=13)
+        one_chunk = first_production_times(crn, init, "Z", 0.5, _TRIAL_CHUNK, seed=13)
+        assert 0 < one_chunk.censored < _TRIAL_CHUNK
+        assert longer.times[:_TRIAL_CHUNK].tobytes() == one_chunk.times.tobytes()
+        # several chunks give the same bytes on one thread and on three
+        stop = StopCondition(t_max=0.5, species_appears=frozenset({"Y", "Z"}))
+        trials = 2 * _TRIAL_CHUNK + 500
+        serial = run_trials(crn, init, stop, trials, seed=13)
+        threaded = run_trials(crn, init, stop, trials, seed=13, threads=3)
+        assert serial[0].tobytes() == threaded[0].tobytes()
+        for name in ("Y", "Z"):
+            assert serial[1][name].tobytes() == threaded[1][name].tobytes()
 
     def test_multi_target_shared_trials(self):
         crn, _ = parse_crn("X -> Y ; k=5\nY -> Z ; k=5\n")
