@@ -194,6 +194,20 @@ class _Compiled:
                 self.stoich[j, s] = d
 
 
+def _holds_at_start(counts, watch, stop_on_watch, count_stop, max_events) -> bool:
+    """Whether a stop already holds in ``counts``, before any event.
+
+    Both event loops end a run at time 0 exactly when this is true.
+    """
+    if stop_on_watch and watch and all(counts[s] > 0 for s in watch):
+        return True
+    if count_stop is not None:
+        sid, thr, direction = count_stop
+        if (counts[sid] - thr) * direction >= 0:
+            return True
+    return max_events == 0
+
+
 def _run_core(
     comp: _Compiled,
     counts: list,
@@ -235,13 +249,7 @@ def _run_core(
                 pending.add(sid)
 
     status = None
-    if stop_on_watch and watch and not pending:
-        status = STOPPED
-    if count_stop is not None and status is None:
-        sid, thr, direction = count_stop
-        if (counts[sid] - thr) * direction >= 0:
-            status = STOPPED
-    if max_events == 0 and status is None:
+    if _holds_at_start(counts, watch, stop_on_watch, count_stop, max_events):
         status = STOPPED
 
     ubuf = None
@@ -363,16 +371,12 @@ def _run_batch(
     first[:, init[wcols] > 0] = 0.0
     exhausted = np.zeros(trials, dtype=bool)
     n_events = np.zeros(trials, dtype=np.int64)
-    if count_stop is not None:
-        sid, thr, direction = count_stop
     # every trial starts from the same configuration, so a stop that holds
     # there ends all of them at once, as does a network without reactions
-    if (
-        (stop_on_watch and wcols.size and init[wcols].all())
-        or (count_stop is not None and (init[sid] - thr) * direction >= 0)
-        or max_events == 0
-    ):
+    if _holds_at_start(counts, watch, stop_on_watch, count_stop, max_events):
         return end, first, exhausted, n_events
+    if count_stop is not None:
+        sid, thr, direction = count_stop
     nrx = comp.n
     if nrx == 0:
         exhausted[:] = True
@@ -407,10 +411,12 @@ def _run_batch(
             tn = t - np.log(ubuf[ui : ui + k]) / total
             usel = ubuf[ui + k : ui + need]
             ui += need
-            # an exhausted trial has total 0 and so tn = inf
-            gone = total <= 0.0 if t_max is None else tn > t_max
+            # exhaustion is tested on its own: when every propensity is
+            # -0.0 (X + X at count 0), total is -0.0 and tn is -inf
+            dead_all = total <= 0.0
+            gone = dead_all if t_max is None else dead_all | (tn > t_max)
             if gone.any():
-                dead = total[gone] <= 0.0
+                dead = dead_all[gone]
                 exhausted[ids[gone]] = dead
                 at = t[gone] if t_max is None else np.where(dead, t[gone], t_max)
                 keep = retire(gone, at)

@@ -393,6 +393,26 @@ class TestRunTrials:
             trace = _assert_one_trial_matches_simulate(crn, init, stop, 5, (key,), monkeypatch)
             assert trace.time == trace.events[-1][0]
 
+    @pytest.mark.parametrize(
+        "text, a0, n_events",
+        [("A + A -> B\n", 2, 1), ("A + A -> B\nB + B -> C\n", 4, 3)],
+        ids=["dimer", "cascade"],
+    )
+    def test_exhausted_when_every_propensity_is_negative_zero(self, text, a0, n_events,
+                                                              monkeypatch):
+        # X + X at count 0 has propensity coef*0*(0-1) = -0.0, so the total
+        # is -0.0; the budget keeps a regression from looping forever
+        crn, _ = parse_crn(text)
+        init = crn.config({"A": a0})
+        stop = StopCondition(t_max=1e6, max_events=50)
+        calls = _spy_batch(monkeypatch)
+        times, _ = run_trials(crn, init, stop, 20, seed=6)
+        _, _, exhausted, counts = calls[-1]
+        assert exhausted.all() and np.all(counts == n_events) and np.all(times < 1e6)
+        for key in range(5):
+            trace = _assert_one_trial_matches_simulate(crn, init, stop, 6, (key,), monkeypatch)
+            assert trace.status == "exhausted" and trace.time == trace.events[-1][0]
+
     def test_kernel_law_matches_repeated_simulate(self, rng):
         # on random networks where an absent species is producible, the
         # kernel's mean end time and censored fraction for that species
