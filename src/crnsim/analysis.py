@@ -17,6 +17,7 @@ floating point never decides a feasibility question here.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,18 +26,21 @@ from .errors import DomainError
 from .model import Configuration, Crn, support
 
 
-def _as_fraction(x) -> Fraction:
-    """Exact value of a user-supplied number.
+def _as_fraction(x, name: str) -> Fraction:
+    """Exact value of the user-supplied number ``name``.
 
     Floats are interpreted at decimal precision (their shortest repr), so
     is_alpha_dense(c, 0.1) means the rational 1/10, not the nearest
-    binary double.
+    binary double. A float that is not finite has no exact value and
+    raises ``DomainError``.
     """
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, float):
+        if not math.isfinite(x):
+            raise DomainError(f"{name} must be finite, got {x}")
         return Fraction(str(x))
     return Fraction(x)
 
@@ -126,7 +130,7 @@ def is_alpha_dense(config: Configuration, alpha) -> bool:
 
     ``alpha`` must lie in (0, 1]; the comparison is exact.
     """
-    alpha = _as_fraction(alpha)
+    alpha = _as_fraction(alpha, "alpha")
     if not (0 < alpha <= 1):
         raise DomainError("alpha must lie in (0, 1]")
     if config.total == 0:

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -36,8 +37,7 @@ from . import processes
 from .analysis import finite_density_status, stage_decomposition
 from .errors import DomainError, HypothesisViolationError
 from .model import Configuration, Crn
-from .parallel import map_ordered
-from .streams import substream
+from .parallel import map_chunks
 
 LOG2_E = math.log2(math.e)
 
@@ -431,8 +431,9 @@ def monte_carlo_validate(
 ) -> BoundReport:
     """Estimate the tail probability a bound constrains and compare.
 
-    Draws ``trials`` samples of the target process in fixed-size chunks
-    (one substream per chunk, so thread count cannot change the result),
+    Draws ``trials`` samples of the target process through
+    ``parallel.map_chunks`` in chunks of ``_CHUNK``, chunk c from
+    ``substream(seed, c)``, so thread count cannot change the result;
     counts tail events exactly as the bound states them, and classifies
     the outcome per :class:`BoundReport`.
     """
@@ -449,16 +450,7 @@ def monte_carlo_validate(
     values = {f.name: getattr(params, f.name) for f in fields(params)}
     log2_bound = entry.log2_bound(**values)
 
-    chunks = [
-        (ci, min(_CHUNK, trials - ci * _CHUNK))
-        for ci in range((trials + _CHUNK - 1) // _CHUNK)
-    ]
-
-    def one(chunk):
-        ci, size = chunk
-        return entry.hits(params, substream(seed, ci), size)
-
-    hits = int(sum(map_ordered(one, chunks, threads)))
+    hits = int(sum(map_chunks(partial(entry.hits, params), trials, _CHUNK, seed, threads=threads)))
     upper = clopper_pearson_upper(hits, trials)
     vacuous = log2_bound >= 0.0
     bound_prob = 2.0**log2_bound if log2_bound < 1024 else math.inf

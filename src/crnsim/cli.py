@@ -56,7 +56,7 @@ def _emit(args, report: dict, text_lines: list[str]):
 
 
 def _out_path(args, name: str) -> Path:
-    base = Path(args.out_dir or os.environ.get("CRNSIM_OUTDIR", "."))
+    base = Path(args.out_dir)
     base.mkdir(parents=True, exist_ok=True)
     return base / name
 
@@ -194,8 +194,8 @@ def _cmd_first_production(args) -> int:
     out = _out_path(args, args.out)
     with open(out, "w", newline="") as f:
         stats.to_csv(f)
-    report = dict(stats.to_dict(), csv=str(out))
     d = stats.to_dict()
+    report = dict(d, csv=str(out))
     lines = [
         f"target {args.target}: {stats.trials} trials, {stats.censored} censored at t_cap={args.t_cap}",
         f"mean = {d['mean']}, median = {d['median']}, p90 = {d['p90']}",
@@ -255,24 +255,23 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_demo(args) -> int:
-    out_dir = str(Path(args.out_dir or os.environ.get("CRNSIM_OUTDIR", ".")))
     crn = init = None
     if args.scenario == "scan":
         crn, init = _load_crn(args.file, args.init, require_init=True)
         n_grid = tuple(int(x) for x in args.n_grid.split(","))
         spec = harness.ExperimentSpec(
             scenario="scan", n_grid=n_grid, trials=args.trials, seed=args.seed,
-            out_dir=out_dir, alpha=args.alpha, t_cap=args.t_cap,
+            out_dir=args.out_dir, alpha=args.alpha, t_cap=args.t_cap,
         )
     elif args.scenario == "leader":
         spec = harness.ExperimentSpec(
             scenario="leader", n_grid=(args.n,), trials=args.trials,
-            seed=args.seed, out_dir=out_dir,
+            seed=args.seed, out_dir=args.out_dir,
         )
     else:
         spec = harness.ExperimentSpec(
             scenario="chain", n_grid=(args.n,), trials=args.trials,
-            seed=args.seed, out_dir=out_dir, m=args.m, t_cap=args.t_cap,
+            seed=args.seed, out_dir=args.out_dir, m=args.m, t_cap=args.t_cap,
         )
     report = spec.run(crn=crn, init=init, threads=args.threads)
     lines = [f"{args.scenario} experiment over n in {list(spec.n_grid)}:"]
@@ -310,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--threads", type=int, default=1,
                         help="parallelism cap; never changes results")
     parser.add_argument("--format", choices=["text", "json"], default="text")
-    parser.add_argument("--out-dir", default=None,
+    parser.add_argument("--out-dir", default=os.environ.get("CRNSIM_OUTDIR", "."),
                         help="directory for bulk outputs (default $CRNSIM_OUTDIR or .)")
     sub = parser.add_subparsers(dest="command", required=True)
 

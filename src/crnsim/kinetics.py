@@ -13,14 +13,16 @@ every inter-event time is finite and strictly positive. A trace records
 (time, reaction index) events compactly; full count vectors are captured
 only at requested checkpoint times.
 
-There are two event loops, one per execution shape, and every
-:class:`StopCondition` is turned into their arguments in one place,
-``_resolve_stop``. It also refuses, before any event is drawn, a stop
-without a time horizon or event budget none of whose triggers can ever
-fire. ``simulate`` records one trajectory with the scalar loop,
-``_run_core``. ``run_trials`` repeats a stop over independent trials
-with the batched loop, ``_run_batch``, which advances all trials of a
-chunk of ``_TRIAL_CHUNK`` in lockstep; chunk c draws from
+There are two event loops, one per execution shape. Both evaluate the
+propensities above by one formula over one reaction table,
+``_Compiled``, and every :class:`StopCondition` is turned into their
+arguments in one place, ``_resolve_stop``. It also refuses, before any
+event is drawn, a stop without a time horizon or event budget none of
+whose triggers can ever fire. ``simulate`` records one trajectory with
+the scalar loop, ``_run_core``. ``run_trials`` repeats a stop over
+independent trials with the batched loop, ``_run_batch``, which advances
+all trials of a chunk of ``_TRIAL_CHUNK`` in lockstep; the chunks fan out
+through ``parallel.map_chunks``, so chunk c draws from
 ``substream(seed, *stream_key, c)``. It returns per-trial end times and
 first-appearance times; the first-production statistics and the
 ``harness`` experiments build on it.
@@ -30,14 +32,16 @@ from __future__ import annotations
 
 import csv
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .errors import DomainError, UnsupportedReactionOrderError
 from .model import Configuration, Crn, apply_reaction
 from .streams import open_uniform_block, substream
-from .parallel import map_ordered
+from .parallel import map_chunks
 
 _BLOCK = 4096  # uniforms buffered per refill inside the event loops
 # the first refill of a scalar run is small, since many runs stop after a
@@ -129,41 +133,37 @@ class Trace:
 
 
 class _Compiled:
-    """Per-(crn, volume) reaction table in loop-friendly form.
+    """Per-(crn, volume) reaction table: the one propensity definition of
+    both event loops.
 
-    The scalar loop reads ``modes``, ``ia``, ``ib``, ``coef`` and
-    ``deltas``. The batched kernel reads the same table as arrays over a
-    count matrix with one extra column held at 1: reaction j has
-    propensity ``coefs[j] * c[ra[j]] * (c[rb[j]] - minus[j])``, where
-    ``rb`` points at the column of ones for mode 0 and back at ``ra``
-    with ``minus`` 1 for mode 2, and ``stoich[j]`` is its net change.
+    Both loops read counts with one extra entry held at 1 after the
+    species. Reaction j has propensity
+    ``coef[j] * c[ra[j]] * (c[rb[j]] - minus[j])``: X -> ... has coef k
+    and ``rb`` at the entry held at 1; X + Y -> ... has coef k/v and ``rb``
+    at Y; X + X -> ... has coef k/(2v), ``rb`` equal to ``ra`` and
+    ``minus`` 1. ``table`` holds these four values per reaction, which the
+    scalar loop reads; the batched loop reads them as the arrays ``coef``,
+    ``ra``, ``rb`` and ``minus``. Reaction j's net change is ``deltas[j]``,
+    its (species, change) pairs, for the scalar update and ``stoich[j]``,
+    a row over the counts, for the batched one.
     """
 
-    __slots__ = ("n", "modes", "ia", "ib", "coef", "deltas", "coefs", "ra", "rb", "minus",
-                 "stoich")
+    __slots__ = ("n", "table", "coef", "ra", "rb", "minus", "deltas", "stoich")
 
     def __init__(self, crn: Crn, volume: float):
-        if volume <= 0:
-            raise DomainError("volume must be positive")
-        modes, ia, ib, coef, deltas = [], [], [], [], []
+        if not 0 < volume < math.inf:
+            raise DomainError("volume must be positive and finite")
+        ones = crn.n_species
+        table, deltas = [], []
         for rx in crn.reactions:
             order = rx.order
             sup = [s for s, r in enumerate(rx.reactants) if r]
             if order == 1:
-                modes.append(0)
-                ia.append(sup[0])
-                ib.append(-1)
-                coef.append(rx.rate_constant)
+                table.append((rx.rate_constant, sup[0], ones, 0))
             elif order == 2 and len(sup) == 2:
-                modes.append(1)
-                ia.append(sup[0])
-                ib.append(sup[1])
-                coef.append(rx.rate_constant / volume)
+                table.append((rx.rate_constant / volume, sup[0], sup[1], 0))
             elif order == 2:
-                modes.append(2)
-                ia.append(sup[0])
-                ib.append(-1)
-                coef.append(rx.rate_constant / volume / 2.0)
+                table.append((rx.rate_constant / volume / 2.0, sup[0], sup[0], 1))
             else:
                 raise UnsupportedReactionOrderError(
                     f"reaction has {order} reactants; only orders 1 and 2 are supported"
@@ -175,31 +175,32 @@ class _Compiled:
                     if p != r
                 )
             )
-        self.n = len(crn.reactions)
-        self.modes = tuple(modes)
-        self.ia = tuple(ia)
-        self.ib = tuple(ib)
-        self.coef = tuple(coef)
+        # k/v overflowing to inf makes inf * 0 a NaN propensity, and a NaN
+        # total neither exhausts a run nor passes its t_max
+        if not all(0.0 < k < math.inf for k, _, _, _ in table):
+            raise DomainError(
+                f"volume {volume!r} takes a rate constant divided by it out of floating-point range"
+            )
+        self.n = len(table)
+        self.table = tuple(table)
         self.deltas = tuple(deltas)
-        ones = crn.n_species
-        self.coefs = np.array(coef, dtype=np.float64)
-        self.ra = np.array(ia, dtype=np.intp)
-        self.rb = np.array(
-            [(ones, b, a)[m] for m, a, b in zip(modes, ia, ib)], dtype=np.intp
-        )
-        self.minus = np.array([m == 2 for m in modes], dtype=np.int64)
+        coef, ra, rb, minus = zip(*table) if table else ((), (), (), ())
+        self.coef = np.array(coef, dtype=np.float64)
+        self.ra = np.array(ra, dtype=np.intp)
+        self.rb = np.array(rb, dtype=np.intp)
+        self.minus = np.array(minus, dtype=np.int64)
         self.stoich = np.zeros((self.n, ones + 1), dtype=np.int64)
         for j, delta in enumerate(deltas):
             for s, d in delta:
                 self.stoich[j, s] = d
 
 
-def _holds_at_start(counts, watch, stop_on_watch, count_stop, max_events) -> bool:
+def _holds_at_start(counts, watch, count_stop, max_events) -> bool:
     """Whether a stop already holds in ``counts``, before any event.
 
     Both event loops end a run at time 0 exactly when this is true.
     """
-    if stop_on_watch and watch and all(counts[s] > 0 for s in watch):
+    if watch and all(counts[s] > 0 for s in watch):
         return True
     if count_stop is not None:
         sid, thr, direction = count_stop
@@ -215,24 +216,24 @@ def _run_core(
     *,
     t_max=None,
     watch=None,
-    stop_on_watch=False,
     count_stop=None,
     max_events=None,
-    record=False,
     checkpoint_times=(),
 ):
-    """Scalar event loop: one run, optionally recorded.
+    """Scalar event loop: one recorded run.
 
-    ``watch`` is a set of species ids whose first positive-count times are
-    collected (already-positive species report 0.0). With
-    ``stop_on_watch`` the run ends once every watched species was seen.
-    ``count_stop`` is (sid, threshold, direction) with direction +1 / -1.
-    Returns (time, status, events, checkpoints, watch_times, n_events).
+    ``counts`` holds the species counts followed by the entry held at 1
+    that ``comp`` reads, and is updated in place. ``watch`` is a set of
+    species ids whose first positive-count times are collected
+    (already-positive species report 0.0); the run ends once every watched
+    species was seen. ``count_stop`` is (sid, threshold, direction) with
+    direction +1 / -1. Returns (time, status, events, checkpoints,
+    watch_times, n_events).
     """
     nrx = comp.n
-    modes, ia, ib, coef, deltas = comp.modes, comp.ia, comp.ib, comp.coef, comp.deltas
+    table, deltas = comp.table, comp.deltas
     t = 0.0
-    events = [] if record else None
+    events = []
     n_events = 0
 
     cps = list(checkpoint_times)
@@ -249,31 +250,25 @@ def _run_core(
                 pending.add(sid)
 
     status = None
-    if _holds_at_start(counts, watch, stop_on_watch, count_stop, max_events):
+    if _holds_at_start(counts, watch, count_stop, max_events):
         status = STOPPED
 
     ubuf = None
     ui = nbuf = 0
-    rho = [0.0] * nrx
+    cum = [0.0] * (nrx + 1)  # cum[j + 1]: the propensities of reactions 0..j, summed in order
     while status is None:
         total = 0.0
-        for j in range(nrx):
-            m = modes[j]
-            if m == 0:
-                p = coef[j] * counts[ia[j]]
-            elif m == 1:
-                p = coef[j] * counts[ia[j]] * counts[ib[j]]
-            else:
-                ci = counts[ia[j]]
-                p = coef[j] * ci * (ci - 1)
-            rho[j] = p
-            total += p
+        j = 1
+        for k, a, b, m in table:
+            total += k * counts[a] * (counts[b] - m)
+            cum[j] = total
+            j += 1
         if total <= 0.0:
             status = EXHAUSTED
             break
         if ui >= nbuf:
             nbuf = _FIRST_BLOCK if ubuf is None else _BLOCK
-            ubuf = open_uniform_block(rng, nbuf)
+            ubuf = open_uniform_block(rng, nbuf).tolist()
             ui = 0
         u = ubuf[ui]
         ui += 1
@@ -283,7 +278,7 @@ def _run_core(
             status = STOPPED
             break
         while cpi < len(cps) and cps[cpi] < tn:
-            cp_rows.append((cps[cpi], np.array(counts, dtype=np.int64)))
+            cp_rows.append((cps[cpi], np.array(counts[:-1], dtype=np.int64)))
             cpi += 1
         t = tn
         if nrx == 1:
@@ -291,31 +286,24 @@ def _run_core(
         else:
             if ui >= nbuf:  # the time draw above already filled the buffer once
                 nbuf = _BLOCK
-                ubuf = open_uniform_block(rng, nbuf)
+                ubuf = open_uniform_block(rng, nbuf).tolist()
                 ui = 0
-            x = ubuf[ui] * total
+            # the first j with x < cum[j + 1], or the last reaction when there is none
+            chosen = min(bisect_right(cum, ubuf[ui] * total, 1), nrx) - 1
             ui += 1
-            acc = 0.0
-            chosen = nrx - 1
-            for j in range(nrx):
-                acc += rho[j]
-                if x < acc:
-                    chosen = j
-                    break
         for s, d in deltas[chosen]:
             counts[s] += d
         n_events += 1
-        if record:
-            events.append((t, chosen))
+        events.append((t, chosen))
         while cpi < len(cps) and cps[cpi] <= t:
-            cp_rows.append((cps[cpi], np.array(counts, dtype=np.int64)))
+            cp_rows.append((cps[cpi], np.array(counts[:-1], dtype=np.int64)))
             cpi += 1
         if pending:
             for s, d in deltas[chosen]:
                 if d > 0 and s in pending and counts[s] > 0:
                     watch_times[s] = t
                     pending.discard(s)
-            if stop_on_watch and not pending:
+            if not pending:
                 status = STOPPED
                 break
         if count_stop is not None:
@@ -329,11 +317,11 @@ def _run_core(
 
     if status == EXHAUSTED:
         while cpi < len(cps):  # the process is frozen from here on
-            cp_rows.append((cps[cpi], np.array(counts, dtype=np.int64)))
+            cp_rows.append((cps[cpi], np.array(counts[:-1], dtype=np.int64)))
             cpi += 1
     else:
         while cpi < len(cps) and cps[cpi] <= t:
-            cp_rows.append((cps[cpi], np.array(counts, dtype=np.int64)))
+            cp_rows.append((cps[cpi], np.array(counts[:-1], dtype=np.int64)))
             cpi += 1
     return t, status, events, cp_rows, watch_times, n_events
 
@@ -341,17 +329,17 @@ def _run_core(
 def _run_batch(
     comp: _Compiled,
     counts: list,
-    trials: int,
     rng,
+    trials: int,
     *,
     t_max=None,
     watch=None,
-    stop_on_watch=False,
     count_stop=None,
     max_events=None,
 ):
     """``trials`` independent runs of ``_run_core`` from ``counts``, in lockstep.
 
+    ``counts`` ends with the entry held at 1, as for ``_run_core``.
     Every active trial makes one event per sweep, so the sweep count is
     each active trial's event count. A sweep takes the time uniforms of
     all active trials, then their selection uniforms (none with a single
@@ -373,7 +361,7 @@ def _run_batch(
     n_events = np.zeros(trials, dtype=np.int64)
     # every trial starts from the same configuration, so a stop that holds
     # there ends all of them at once, as does a network without reactions
-    if _holds_at_start(counts, watch, stop_on_watch, count_stop, max_events):
+    if _holds_at_start(counts, watch, count_stop, max_events):
         return end, first, exhausted, n_events
     if count_stop is not None:
         sid, thr, direction = count_stop
@@ -382,9 +370,9 @@ def _run_batch(
         exhausted[:] = True
         return end, first, exhausted, n_events
 
-    coefs, ra, rb, minus, stoich = comp.coefs, comp.ra, comp.rb, comp.minus, comp.stoich
+    coef, ra, rb, minus, stoich = comp.coef, comp.ra, comp.rb, comp.minus, comp.stoich
     draws = 1 if nrx == 1 else 2
-    cnt = np.tile(np.append(init, 1), (trials, 1))
+    cnt = np.tile(init, (trials, 1))
     t = np.zeros(trials)
     ids = np.arange(trials)
     seen = first.copy()
@@ -401,7 +389,7 @@ def _run_batch(
     with np.errstate(divide="ignore"):
         while ids.size:
             k = ids.size
-            rho = coefs * cnt.take(ra, axis=1) * (cnt.take(rb, axis=1) - minus)
+            rho = coef * cnt.take(ra, axis=1) * (cnt.take(rb, axis=1) - minus)
             cum = rho.cumsum(axis=1)
             total = cum[:, -1]
             need = draws * k
@@ -440,8 +428,7 @@ def _run_batch(
                 new = np.isnan(seen) & (cnt.take(wcols, axis=1) > 0)
                 if new.any():  # a trial's watch can only complete when something appears
                     seen = np.where(new, t[:, None], seen)
-                    if stop_on_watch:
-                        done |= ~np.isnan(seen).any(axis=1)
+                    done |= ~np.isnan(seen).any(axis=1)
             if count_stop is not None:
                 done |= (cnt[:, sid] - thr) * direction >= 0
             if max_events is not None and sweep >= max_events:
@@ -474,7 +461,6 @@ def _resolve_stop(crn: Crn, stop: StopCondition, counts: list) -> dict:
     return {
         "t_max": stop.t_max,
         "watch": watch,
-        "stop_on_watch": watch is not None,
         "count_stop": count_stop,
         "max_events": stop.max_events,
     }
@@ -539,19 +525,15 @@ def simulate(
     comp = _Compiled(crn, volume)
     counts = init.counts.tolist()
     loop_args = _resolve_stop(crn, stop, counts)
+    counts.append(1)  # the entry held at 1 that the reaction table reads
     cps = sorted(checkpoint_times) if checkpoint_times else ()
     t, status, events, cp_rows, _, _ = _run_core(
-        comp,
-        counts,
-        substream(seed, *stream_key),
-        record=True,
-        checkpoint_times=cps,
-        **loop_args,
+        comp, counts, substream(seed, *stream_key), checkpoint_times=cps, **loop_args
     )
     return Trace(
         initial=init,
         events=events,
-        terminal=Configuration(counts),
+        terminal=Configuration(counts[:-1]),
         time=t,
         status=status,
         volume=volume,
@@ -573,9 +555,10 @@ def run_trials(
 
     Returns the per-trial end times and, for each species in
     ``stop.species_appears``, the per-trial time it first had positive
-    count: 0 when present initially, NaN when it never appeared. Trials
-    run in chunks of ``_TRIAL_CHUNK`` in lockstep, and chunk c draws from
-    ``substream(seed, *stream_key, c)``, so results do not depend on the
+    count: 0 when present initially, NaN when it never appeared. The
+    trials of each chunk of ``_TRIAL_CHUNK`` run in lockstep through
+    ``parallel.map_chunks``, so chunk c draws from
+    ``substream(seed, *stream_key, c)`` and results do not depend on the
     thread count. A one-trial run ends where ``simulate(...,
     stream_key=(*stream_key, 0))`` does. The volume defaults to the total
     initial count.
@@ -586,15 +569,11 @@ def run_trials(
         raise DomainError("initial configuration does not span the species table")
     vol = float(init.total) if volume is None else float(volume)
     comp = _Compiled(crn, vol)
-    base_counts = init.counts.tolist()
-    loop_args = _resolve_stop(crn, stop, base_counts)
-    sizes = [min(_TRIAL_CHUNK, trials - lo) for lo in range(0, trials, _TRIAL_CHUNK)]
-
-    def chunk(c: int):
-        rng = substream(seed, *stream_key, c)
-        return _run_batch(comp, base_counts, sizes[c], rng, **loop_args)
-
-    parts = map_ordered(chunk, range(len(sizes)), threads)
+    counts = init.counts.tolist()
+    loop_args = _resolve_stop(crn, stop, counts)
+    counts.append(1)  # the entry held at 1 that the reaction table reads
+    batch = partial(_run_batch, comp, counts, **loop_args)
+    parts = map_chunks(batch, trials, _TRIAL_CHUNK, seed, stream_key, threads)
     times = np.concatenate([p[0] for p in parts])
     seen = np.concatenate([p[1] for p in parts])
     columns = sorted(loop_args["watch"] or ())

@@ -20,7 +20,6 @@ maximum needs to know.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -163,16 +162,3 @@ def sample_walk_reflecting(p: ReflectingParams, rng: np.random.Generator) -> tup
     """One draw: (value at t, running max over [0, t])."""
     value, vmax = sample_walk_reflecting_batch(p, 1, rng)
     return int(value[0]), int(vmax[0])
-
-
-def batch_to_csv(values, fileobj, running_max=None):
-    """Emit draws as CSV rows (draw_index, value[, running_max])."""
-    w = csv.writer(fileobj)
-    if running_max is None:
-        w.writerow(["draw_index", "value"])
-        for i, v in enumerate(values):
-            w.writerow([i, int(v)])
-    else:
-        w.writerow(["draw_index", "value", "running_max"])
-        for i, (v, m) in enumerate(zip(values, running_max)):
-            w.writerow([i, int(v), int(m)])

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -124,6 +125,11 @@ class TestDensity:
             is_alpha_dense(Configuration([1]), 0)
         with pytest.raises(DomainError):
             is_alpha_dense(Configuration([0, 0]), 0.5)
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf])
+    def test_non_finite_alpha_is_a_domain_error(self, alpha):
+        with pytest.raises(DomainError, match="alpha must be finite"):
+            is_alpha_dense(Configuration([1]), alpha)
 
 
 class TestMassConservation:

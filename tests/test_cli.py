@@ -250,6 +250,32 @@ class TestErrorPaths:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("volume", ["nan", "inf"])
+    @pytest.mark.parametrize(
+        "argv_tail", [["simulate", "--t-max", "1"], ["first-production", "--target", "C"]]
+    )
+    def test_non_finite_volume_exits_1(self, tmp_path, capsys, monkeypatch, argv_tail, volume):
+        p = tmp_path / "ab.crn"
+        p.write_text("A + B -> C\nC -> A + B\ninit: A = 3\ninit: B = 2\n")
+
+        def no_events(*args, **kwargs):
+            raise AssertionError("the volume should have been refused before simulating")
+
+        monkeypatch.setattr(kinetics, "_run_core", no_events)
+        monkeypatch.setattr(kinetics, "_run_batch", no_events)
+        argv = [argv_tail[0], str(p), *argv_tail[1:], "--volume", volume]
+        assert main(["--out-dir", str(tmp_path), *argv]) == 1
+        assert capsys.readouterr().err == "error: volume must be positive and finite\n"
+
+    @pytest.mark.parametrize(
+        "command,options",
+        [(["analyze"], []), (["demo", "scan"], ["--n-grid", "100", "--trials", "5"])],
+    )
+    def test_non_finite_alpha_exits_1(self, convert_file, tmp_path, capsys, command, options):
+        argv = [*command, convert_file, *options, "--alpha", "nan"]
+        assert main(["--out-dir", str(tmp_path), *argv]) == 1
+        assert capsys.readouterr().err == "error: alpha must be finite, got nan\n"
+
     def test_stop_with_one_trigger_that_can_fire_runs(self, tmp_path):
         p = tmp_path / "cycle.crn"
         p.write_text("species: A B C\nA -> B\nB -> A\ninit: A = 5\n")

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import math
 
@@ -22,28 +23,39 @@ from crnsim.streams import open_uniform_block, substream
 from conftest import random_config, random_crn
 
 
+def _propensities(comp, counts) -> list:
+    """Every propensity from ``counts`` as the scalar loop computes it,
+    checked against the batched loop's arrays."""
+    c = [*counts, 1]
+    scalar = [k * c[a] * (c[b] - m) for k, a, b, m in comp.table]
+    col = np.array(c)
+    assert (comp.coef * col[comp.ra] * (col[comp.rb] - comp.minus)).tolist() == scalar
+    return scalar
+
+
 class TestPropensity:
-    """The compiled table: the event loop's propensity is coef * c(X) for
-    mode 0, coef * c(X) * c(Y) for mode 1 and coef * c(X) * (c(X) - 1) for
-    mode 2."""
+    """The compiled table: reaction j has propensity
+    coef * c[ra] * (c[rb] - minus) over the counts followed by an entry
+    held at 1, which is k * c(X), (k/v) * c(X) * c(Y) and
+    (k/2v) * c(X) * (c(X) - 1) for the three reaction shapes."""
 
     def test_unimolecular(self):
         crn, _ = parse_crn("X -> 0 ; k=2\n")
         comp = _Compiled(crn, 3.0)
-        assert comp.modes == (0,)
-        assert comp.coef[0] * 7 == 14.0
+        assert comp.table == ((2.0, 0, 1, 0),)
+        assert _propensities(comp, [7]) == [14.0]
 
     def test_bimolecular_distinct(self):
         crn, _ = parse_crn("X + Y -> X ; k=2\n")
         comp = _Compiled(crn, 10.0)
-        assert (comp.modes, comp.ia, comp.ib) == ((1,), (0,), (1,))
-        assert comp.coef[0] * 5 * 4 == 4.0
+        assert comp.table == ((0.2, 0, 1, 0),)
+        assert _propensities(comp, [5, 4]) == [4.0]
 
     def test_bimolecular_identical_pair_count(self):
         crn, _ = parse_crn("X + X -> Y ; k=1\n")
         comp = _Compiled(crn, 2.0)
-        assert comp.modes == (2,)
-        assert comp.coef[0] * 4 * 3 == 3.0
+        assert comp.table == ((0.25, 0, 0, 1),)
+        assert _propensities(comp, [4, 0]) == [3.0]
 
     def test_identical_pair_single_copy_has_no_propensity(self):
         # the event loop sees total propensity 0 and fires nothing
@@ -174,6 +186,38 @@ class TestSimulate:
         b = simulate(crn, init, StopCondition(t_max=5.0), seed=99)
         assert a.events == b.events
         assert a.terminal == b.terminal
+
+    @pytest.mark.parametrize(
+        "key,stop,digest",
+        [
+            (0, StopCondition(t_max=2.0), "b428180be6c6b24a"),
+            (1, StopCondition(species_appears=frozenset({"D"}), max_events=100_000),
+             "1bec0d348f0e520c"),
+            (2, StopCondition(count_reaches=("C", 6), max_events=100_000), "e0590a9e0a66250c"),
+        ],
+        ids=["t_max", "watch", "count"],
+    )
+    def test_traces_byte_identical_to_pinned_digest(self, key, stop, digest):
+        # sha256 prefixes of the event and checkpoint CSVs, status, end time
+        # and terminal counts of five runs on a network with all three
+        # reaction shapes; the watch and count runs stop long before
+        # max_events, which only bounds a regression
+        crn, _ = parse_crn(
+            "species: A B C D\n"
+            "A -> B ; k=1.5\nA + B -> C ; k=2\nB + B -> D ; k=0.7\n"
+            "C -> A + B ; k=1\nD -> B + B ; k=0.3\n"
+        )
+        init = crn.config({"A": 30, "B": 10})
+        h = hashlib.sha256()
+        for seed in range(5):
+            trace = simulate(crn, init, stop, seed=seed, volume=17.0,
+                             checkpoint_times=[0.0, 0.05, 0.2, 1.0, 2.5], stream_key=(key,))
+            buf = io.StringIO()
+            trace.to_csv(crn, buf)
+            trace.checkpoints_to_csv(crn, buf)
+            buf.write(f"{trace.status},{trace.time!r},{trace.terminal.counts.tolist()}\n")
+            h.update(buf.getvalue().encode())
+        assert h.hexdigest()[:16] == digest
 
     def test_checkpoints_match_replayed_states(self):
         crn, _ = parse_crn("X -> 0 ; k=1\n")
@@ -462,6 +506,32 @@ class TestRunTrials:
             simulate(crn, crn.config({"A": 5}), stop, seed=0)
         with pytest.raises(DomainError, match="t_max or max_events"):
             run_trials(crn, crn.config({"A": 5}), stop, 3, seed=0)
+
+    @pytest.mark.parametrize("volume", [math.nan, math.inf, -math.inf])
+    def test_volume_must_be_finite(self, volume, monkeypatch):
+        # a NaN volume made every propensity NaN, so a run with a t_max never ended
+        crn, _ = parse_crn("A + B -> C\nC -> A + B\n")
+        init = crn.config({"A": 3, "B": 2})
+        stop = StopCondition(t_max=1.0)
+        _refuse_to_simulate(monkeypatch)
+        with pytest.raises(DomainError, match="volume must be positive and finite"):
+            simulate(crn, init, stop, seed=0, volume=volume)
+        with pytest.raises(DomainError, match="volume must be positive and finite"):
+            run_trials(crn, init, stop, 3, seed=0, volume=volume)
+
+    @pytest.mark.parametrize("k,volume", [(1.0, 1e-320), (1e-30, 1e300)])
+    def test_volume_that_takes_a_rate_out_of_range_is_refused(self, k, volume, monkeypatch):
+        # k/v overflowing to inf made a propensity with a zero count NaN, so
+        # reactions fired without their reactants; k/v underflowing to 0
+        # silently removed the reaction
+        crn, _ = parse_crn(f"A + B -> C ; k={k!r}\nC -> A + B\n")
+        init = crn.config({"A": 3, "C": 2})
+        stop = StopCondition(t_max=1.0)
+        _refuse_to_simulate(monkeypatch)
+        with pytest.raises(DomainError, match="out of floating-point range"):
+            simulate(crn, init, stop, seed=0, volume=volume)
+        with pytest.raises(DomainError, match="out of floating-point range"):
+            run_trials(crn, init, stop, 3, seed=0, volume=volume)
 
     @pytest.mark.parametrize(
         "stop",

@@ -1,5 +1,4 @@
 import hashlib
-import io
 import math
 
 import numpy as np
@@ -12,7 +11,6 @@ from crnsim.processes import (
     DecayParams,
     ReflectingParams,
     WalkParams,
-    batch_to_csv,
     sample_decay,
     sample_decay_batch,
     sample_walk_reflecting,
@@ -209,11 +207,3 @@ class TestDeterminism:
         vb, mb = sample_walk_reflecting_batch(pa, 50, substream(9))
         assert np.array_equal(va, vb) and np.array_equal(ma, mb)
 
-
-def test_batch_csv():
-    buf = io.StringIO()
-    batch_to_csv([3, 1], buf)
-    assert buf.getvalue().splitlines() == ["draw_index,value", "0,3", "1,1"]
-    buf = io.StringIO()
-    batch_to_csv([3, 1], buf, running_max=[4, 1])
-    assert buf.getvalue().splitlines()[1] == "0,3,4"
