@@ -22,7 +22,7 @@ from crnsim.processes import (
     ReflectingParams,
     WalkParams,
     sample_decay_batch,
-    sample_walk_reflecting,
+    sample_walk_reflecting_batch,
     sample_walk_z_batch,
 )
 from crnsim.streams import substream
@@ -35,8 +35,10 @@ def main():
     print("decay draws (N=1000, lam=1, t=1):", decay.tolist(), " — mean is n/e")
     walk = sample_walk_z_batch(WalkParams(f_hat=10.0, r_hat=2.0, t=3.0), 5, rng)
     print("biased-walk draws (drift (f-r)t = 24):", walk.tolist())
-    value, peak = sample_walk_reflecting(ReflectingParams(N=200, delta_f=0.5, lambda_r=1.0, t=1.0), rng)
-    print(f"reflecting walk: value {value}, running max {peak}")
+    value, peak = sample_walk_reflecting_batch(
+        ReflectingParams(N=200, delta_f=0.5, lambda_r=1.0, t=1.0), 1, rng
+    )
+    print(f"reflecting walk: value {value[0]}, running max {peak[0]}")
 
     # closed-form bounds, log2 scale
     print("\nlog2 tail bounds:")

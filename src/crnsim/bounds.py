@@ -19,9 +19,12 @@ underflow any float almost immediately.
 frequency stays below the analytic bound. ``TARGETS`` is the one table of
 validatable bounds: each entry holds the parameter dataclass, the log2
 evaluator and the tail hit counter, and the CLI builds its ``bounds``
-subcommands from it. Counters sample only what decides the tail event:
-a reflecting draw stops at the first passage of its running maximum to
-the level ceil(delta_r*N), after which ``max W < delta_r*N`` is settled.
+subcommands from it. The decay and walk parameter classes extend the
+``processes`` ones by the tail threshold alone, so their counters hand
+them to the sampler as they are. Counters sample only what decides the
+tail event: a reflecting draw stops at the first passage of its running
+maximum to the level ceil(delta_r*N), after which ``max W < delta_r*N``
+is settled.
 """
 
 from __future__ import annotations
@@ -54,11 +57,7 @@ def _check_finite(**values: float) -> None:
 
 def log_bound_decay(N: int, lam: float, t: float, delta: float) -> float:
     """log2 of the decay tail bound (2*delta*e^(lam*t))^(delta*N - 1)."""
-    _check_finite(N=N, lam=lam, t=t, delta=delta)
-    if N < 1:
-        raise DomainError("N must be a positive integer")
-    if not (lam > 0 and t > 0):
-        raise DomainError("lam and t must be positive")
+    processes.DecayParams(N, lam, t)
     if not 0 < delta < 1:
         raise DomainError("delta must lie in (0, 1)")
     log2_base = 1.0 + math.log2(delta) + lam * t * LOG2_E
@@ -88,11 +87,11 @@ def log_bound_poisson(lam: float, n: float, side: str) -> float:
 
 def log_bound_walk(f_hat: float, r_hat: float, t: float, eps_hat: float) -> float:
     """log2 of 2*exp(-eps_hat^2 * (f_hat-r_hat)^2 * t / (8*f_hat))."""
-    _check_finite(f_hat=f_hat, r_hat=r_hat, t=t, eps_hat=eps_hat)
-    if not r_hat > 0 or not f_hat > r_hat:
+    processes.WalkParams(f_hat, r_hat, t)
+    if not f_hat > r_hat:
         raise DomainError("requires f_hat > r_hat > 0")
-    if not (t > 0 and eps_hat > 0):
-        raise DomainError("t and eps_hat must be positive")
+    if not 0 < eps_hat < math.inf:
+        raise DomainError(f"eps_hat must be finite and positive, got {eps_hat}")
     exponent = eps_hat**2 * (f_hat - r_hat) ** 2 * t / (8.0 * f_hat)
     return 1.0 - LOG2_E * exponent
 
@@ -288,10 +287,7 @@ def compute_theorem_constants(
 
 
 @dataclass(frozen=True)
-class DecayBoundParams:
-    N: int
-    lam: float
-    t: float
+class DecayBoundParams(processes.DecayParams):
     delta: float
 
 
@@ -303,10 +299,7 @@ class PoissonBoundParams:
 
 
 @dataclass(frozen=True)
-class WalkBoundParams:
-    f_hat: float
-    r_hat: float
-    t: float
+class WalkBoundParams(processes.WalkParams):
     eps_hat: float
 
 
@@ -368,8 +361,7 @@ class BoundReport:
 
 
 def _decay_hits(params: DecayBoundParams, rng: np.random.Generator, size: int) -> int:
-    proc = processes.DecayParams(params.N, params.lam, params.t)
-    vals = processes.sample_decay_batch(proc, size, rng)
+    vals = processes.sample_decay_batch(params, size, rng)
     return int((vals < params.delta * params.N).sum())
 
 
@@ -380,9 +372,8 @@ def _poisson_hits(params: PoissonBoundParams, rng: np.random.Generator, size: in
 
 
 def _walk_z_hits(params: WalkBoundParams, rng: np.random.Generator, size: int) -> int:
-    proc = processes.WalkParams(params.f_hat, params.r_hat, params.t)
     thr = (1.0 - params.eps_hat) * (params.f_hat - params.r_hat) * params.t
-    vals = processes.sample_walk_z_batch(proc, size, rng)
+    vals = processes.sample_walk_z_batch(params, size, rng)
     return int((vals < thr).sum())
 
 

@@ -16,16 +16,16 @@ only at requested checkpoint times.
 There are two event loops, one per execution shape. Both evaluate the
 propensities above by one formula over one reaction table,
 ``_Compiled``, and every :class:`StopCondition` is turned into their
-arguments in one place, ``_resolve_stop``. It also refuses, before any
-event is drawn, a stop without a time horizon or event budget none of
-whose triggers can ever fire. ``simulate`` records one trajectory with
-the scalar loop, ``_run_core``. ``run_trials`` repeats a stop over
-independent trials with the batched loop, ``_run_batch``, which advances
-all trials of a chunk of ``_TRIAL_CHUNK`` in lockstep; the chunks fan out
-through ``parallel.map_chunks``, so chunk c draws from
-``substream(seed, *stream_key, c)``. It returns per-trial end times and
-first-appearance times; the first-production statistics and the
-``harness`` experiments build on it.
+arguments in one place, ``_prepare``, which also builds that table. It
+refuses, before any event is drawn, a stop without a time horizon or
+event budget none of whose triggers can ever fire. ``simulate`` records
+one trajectory with the scalar loop, ``_run_core``. ``run_trials``
+repeats a stop over independent trials with the batched loop,
+``_run_batch``, which advances all trials of a chunk of ``_TRIAL_CHUNK``
+in lockstep; the chunks fan out through ``parallel.map_chunks``, so
+chunk c draws from ``substream(seed, *stream_key, c)``. It returns
+per-trial end times and first-appearance times; the first-production
+statistics and the ``harness`` experiments build on it.
 """
 
 from __future__ import annotations
@@ -439,13 +439,22 @@ def _run_batch(
     return end, first, exhausted, n_events
 
 
-def _resolve_stop(crn: Crn, stop: StopCondition, counts: list) -> dict:
-    """The event-loop keyword arguments that run ``stop`` from ``counts``.
+def _prepare(crn: Crn, init: Configuration, stop: StopCondition, volume):
+    """(volume, reaction table, counts, event-loop keyword arguments) that
+    run ``stop`` from ``init``.
 
-    A count threshold is approached from the side of its initial count.
-    Without ``t_max`` or ``max_events`` a stop none of whose triggers can
-    ever fire would loop forever, so it raises ``DomainError``.
+    The volume defaults to the total initial count, and the counts end
+    with the entry held at 1 that the table reads. A count threshold is
+    approached from the side of its initial count. Without ``t_max`` or
+    ``max_events`` a stop none of whose triggers can ever fire would loop
+    forever, so it raises ``DomainError``.
     """
+    if len(init) != crn.n_species:
+        raise DomainError("initial configuration does not span the species table")
+    if volume is None:
+        volume = float(init.total)
+    comp = _Compiled(crn, volume)
+    counts = init.counts.tolist()
     watch = count_stop = None
     if stop.species_appears is not None:
         watch = {crn.species.id_of(name) for name in stop.species_appears}
@@ -458,7 +467,8 @@ def _resolve_stop(crn: Crn, stop: StopCondition, counts: list) -> dict:
         why = _never_fires(crn, counts, watch, count_stop)
         if why is not None:
             raise DomainError(f"{why}; give the stop a t_max or max_events")
-    return {
+    counts.append(1)
+    return volume, comp, counts, {
         "t_max": stop.t_max,
         "watch": watch,
         "count_stop": count_stop,
@@ -516,17 +526,12 @@ def simulate(
     The volume defaults to the total initial count. The same (crn, init,
     volume, stop, seed, stream_key) always yields the bit-identical
     trace; ``stream_key`` selects an independent substream, e.g. one per
-    trial of a repeated experiment.
+    trial of a repeated experiment. Checkpoint times must be finite.
     """
-    if len(init) != crn.n_species:
-        raise DomainError("initial configuration does not span the species table")
-    if volume is None:
-        volume = float(init.total)
-    comp = _Compiled(crn, volume)
-    counts = init.counts.tolist()
-    loop_args = _resolve_stop(crn, stop, counts)
-    counts.append(1)  # the entry held at 1 that the reaction table reads
     cps = sorted(checkpoint_times) if checkpoint_times else ()
+    if not all(map(math.isfinite, cps)):
+        raise DomainError(f"checkpoint times must be finite, got {cps}")
+    volume, comp, counts, loop_args = _prepare(crn, init, stop, volume)
     t, status, events, cp_rows, _, _ = _run_core(
         comp, counts, substream(seed, *stream_key), checkpoint_times=cps, **loop_args
     )
@@ -565,13 +570,7 @@ def run_trials(
     """
     if trials < 1:
         raise DomainError("trials must be at least 1")
-    if len(init) != crn.n_species:
-        raise DomainError("initial configuration does not span the species table")
-    vol = float(init.total) if volume is None else float(volume)
-    comp = _Compiled(crn, vol)
-    counts = init.counts.tolist()
-    loop_args = _resolve_stop(crn, stop, counts)
-    counts.append(1)  # the entry held at 1 that the reaction table reads
+    _, comp, counts, loop_args = _prepare(crn, init, stop, volume)
     batch = partial(_run_batch, comp, counts, **loop_args)
     parts = map_chunks(batch, trials, _TRIAL_CHUNK, seed, stream_key, threads)
     times = np.concatenate([p[0] for p in parts])

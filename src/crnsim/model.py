@@ -225,10 +225,6 @@ class _Cursor:
         self.skip_ws()
         return self.pos >= len(self.text)
 
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
     def take(self, literal: str) -> bool:
         self.skip_ws()
         if self.text.startswith(literal, self.pos):

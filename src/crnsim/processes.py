@@ -1,20 +1,20 @@
-"""Standalone samplers for three continuous-time Markov processes.
+"""Batch samplers for three continuous-time Markov processes.
 
-* ``sample_decay``: pure-death chain from N where the j-th surviving unit
-  count decays at total rate lam*j; equivalently, each unit survives to
-  time t independently with probability exp(-lam*t).
-* ``sample_walk_z``: biased walk on the integers with constant forward
-  rate f_hat and reverse rate r_hat; its value at t is the difference of
-  two independent Poisson event counts.
-* ``sample_walk_reflecting``: walk on the nonnegative integers from 0
-  with constant forward rate delta_f*N and reverse rate lambda_r*j out of
+* ``sample_decay_batch``: pure-death chain from N where the j-th surviving
+  unit count decays at total rate lam*j; equivalently, each unit survives
+  to time t independently with probability exp(-lam*t).
+* ``sample_walk_z_batch``: biased walk on the integers with constant
+  forward rate f_hat and reverse rate r_hat; its value at t is the
+  difference of two independent Poisson event counts.
+* ``sample_walk_reflecting_batch``: walk on the nonnegative integers from
+  0 with constant forward rate delta_f*N and reverse rate lambda_r*j out of
   state j, tracked together with its running maximum.
 
-All samplers are exact event simulations (the reflecting walk needs its
-path for the running maximum; the others use exact event-count laws).
-Batch variants vectorize across draws and are what the Monte Carlo bound
-validation consumes. The reflecting batch sampler can also stop each draw
-at the first passage to a level, which is all a tail event on the running
+Each sampler is called as ``(params, size, rng)`` and vectorizes across
+``size`` draws; ``size=1`` gives one draw. All are exact event simulations
+(the reflecting walk needs its path for the running maximum; the others use
+exact event-count laws). The reflecting sampler can also stop each draw at
+the first passage to a level, which is all a tail event on the running
 maximum needs to know.
 """
 
@@ -38,9 +38,9 @@ class DecayParams:
 
     def __post_init__(self):
         if not 1 <= self.N < math.inf:
-            raise DomainError("N must be a positive integer")
+            raise DomainError(f"N must be finite and at least 1, got {self.N}")
         if not all(0 < x < math.inf for x in (self.lam, self.t)):
-            raise DomainError("lam and t must be positive and finite")
+            raise DomainError("lam and t must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -53,7 +53,7 @@ class WalkParams:
 
     def __post_init__(self):
         if not all(0 < x < math.inf for x in (self.f_hat, self.r_hat, self.t)):
-            raise DomainError("f_hat, r_hat and t must be positive and finite")
+            raise DomainError("f_hat, r_hat and t must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -68,9 +68,9 @@ class ReflectingParams:
 
     def __post_init__(self):
         if not 1 <= self.N < math.inf:
-            raise DomainError("N must be a positive integer")
+            raise DomainError(f"N must be finite and at least 1, got {self.N}")
         if not all(0 < x < math.inf for x in (self.delta_f, self.lambda_r, self.t)):
-            raise DomainError("delta_f, lambda_r and t must be positive and finite")
+            raise DomainError("delta_f, lambda_r and t must be finite and positive")
 
 
 def sample_decay_batch(p: DecayParams, size: int, rng: np.random.Generator) -> np.ndarray:
@@ -93,11 +93,6 @@ def sample_decay_batch(p: DecayParams, size: int, rng: np.random.Generator) -> n
     return out
 
 
-def sample_decay(p: DecayParams, rng: np.random.Generator) -> int:
-    """One draw of the decay process value at time t."""
-    return int(sample_decay_batch(p, 1, rng)[0])
-
-
 def sample_walk_z_batch(p: WalkParams, size: int, rng: np.random.Generator) -> np.ndarray:
     """Walk values at time t: forward events minus reverse events.
 
@@ -108,10 +103,6 @@ def sample_walk_z_batch(p: WalkParams, size: int, rng: np.random.Generator) -> n
     fwd = rng.poisson(p.f_hat * p.t, size).astype(np.int64)
     rev = rng.poisson(p.r_hat * p.t, size).astype(np.int64)
     return fwd - rev
-
-
-def sample_walk_z(p: WalkParams, rng: np.random.Generator) -> int:
-    return int(sample_walk_z_batch(p, 1, rng)[0])
 
 
 def sample_walk_reflecting_batch(
@@ -156,9 +147,3 @@ def sample_walk_reflecting_batch(
             live = live[state[live] < stop_at]
         idx = live
     return state, vmax
-
-
-def sample_walk_reflecting(p: ReflectingParams, rng: np.random.Generator) -> tuple[int, int]:
-    """One draw: (value at t, running max over [0, t])."""
-    value, vmax = sample_walk_reflecting_batch(p, 1, rng)
-    return int(value[0]), int(vmax[0])

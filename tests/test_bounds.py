@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -295,6 +297,24 @@ class TestMonteCarlo:
         b = monte_carlo_validate("poisson", params, trials=30_000, seed=5, threads=4)
         assert a.empirical_hits == b.empirical_hits
         assert a.to_dict() == b.to_dict()
+
+    @pytest.mark.parametrize(
+        "target,params,digest",
+        [
+            ("decay", DecayBoundParams(80, 1.0, 0.5, 0.5), "2c55d3e17ee153e9"),
+            ("poisson", PoissonBoundParams(10.0, 14.0, "upper"), "ce6956c537bd6158"),
+            ("walk_z", WalkBoundParams(10.0, 5.0, 1.0, 0.5), "6b0a90c3a6b1e277"),
+            ("reflecting", ReflectingBoundParams(0.1, 1.0, 0.025, 100), "d65adcc2f48b9c89"),
+        ],
+        ids=["decay", "poisson", "walk_z", "reflecting"],
+    )
+    def test_report_matches_pinned_digest(self, target, params, digest):
+        # sha256 prefixes of the whole report; every point has tail hits, so
+        # a change in the draws, the chunk layout or the parameters the
+        # sampler reads shows
+        rep = monte_carlo_validate(target, params, trials=10_000, seed=6101)
+        blob = json.dumps(rep.to_dict(), sort_keys=True).encode()
+        assert hashlib.sha256(blob).hexdigest()[:16] == digest
 
     def test_trial_floor_enforced(self):
         with pytest.raises(DomainError):

@@ -76,6 +76,22 @@ class TestReports:
         assert report["validation"]["target"] == "walk_z"
         assert report["validation"]["verdict"] == "dominates"
 
+    @pytest.mark.parametrize(
+        "command,flags",
+        [
+            ("decay", "--N --lam --t --delta"),
+            ("poisson", "--lam --n --side"),
+            ("walk", "--f-hat --r-hat --t --eps-hat"),
+            ("reflecting", "--delta-f --lambda-r --delta-r --N"),
+        ],
+    )
+    def test_bounds_required_flags(self, capsys, command, flags):
+        # the flags come from the parameter dataclass fields, so a change to
+        # their order or inheritance would change them silently
+        assert main(["bounds", command]) == 2
+        err = capsys.readouterr().err
+        assert err.split("required: ")[1].strip().split(", ") == flags.split()
+
     def test_constants_json(self, chain_file, capsys):
         rc = main(
             ["--format", "json", "constants", chain_file, "--init", "X1=8",
@@ -266,6 +282,22 @@ class TestErrorPaths:
         argv = [argv_tail[0], str(p), *argv_tail[1:], "--volume", volume]
         assert main(["--out-dir", str(tmp_path), *argv]) == 1
         assert capsys.readouterr().err == "error: volume must be positive and finite\n"
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_checkpoint_exits_1(self, tmp_path, capsys, monkeypatch, bad):
+        # a NaN checkpoint exited 0 and wrote no checkpoints file
+        p = tmp_path / "ab.crn"
+        p.write_text("A + B -> C\nC -> A + B\ninit: A = 3\ninit: B = 2\n")
+
+        def no_events(*args, **kwargs):
+            raise AssertionError("the checkpoints should have been refused before simulating")
+
+        monkeypatch.setattr(kinetics, "_run_core", no_events)
+        monkeypatch.setattr(kinetics, "_run_batch", no_events)
+        argv = ["simulate", str(p), "--t-max", "1", "--checkpoints", f"{bad},0.5"]
+        assert main(["--out-dir", str(tmp_path), *argv]) == 1
+        assert capsys.readouterr().err.startswith("error: checkpoint times must be finite")
+        assert not list(tmp_path.glob("*.csv"))
 
     @pytest.mark.parametrize(
         "command,options",

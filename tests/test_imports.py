@@ -5,7 +5,15 @@ from pathlib import Path
 import crnsim
 
 SRC = Path(crnsim.__file__).resolve().parent
-TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _load_bench(name: str):
+    """A module of the benchmark, loaded by path from ``bench/``."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", ROOT / "bench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_no_module_imports_private_names_of_another():
@@ -24,9 +32,7 @@ def test_no_module_imports_private_names_of_another():
 def test_every_benchmark_probe_names_an_attribute_of_crnsim():
     # the traced benchmark wraps these names; renaming one would silently
     # drop its per-layer rows
-    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    tracer = _load_bench("tracer")
     missing = []
     for where, attr, *_ in tracer.PROBES:
         modname, _, clsname = where.partition(":")
@@ -36,3 +42,13 @@ def test_every_benchmark_probe_names_an_attribute_of_crnsim():
         if owner is None or attr not in vars(owner):
             missing.append(f"{where}.{attr}")
     assert not missing
+
+
+def test_every_benchmark_workload_builds():
+    # workloads call public signatures positionally, e.g.
+    # ReflectingBoundParams(0.1, 1.0, 0.025, 1000); a change to one would
+    # otherwise break only when the benchmark runs
+    workloads = _load_bench("workloads")
+    for name in workloads.WORKLOADS:
+        wl, _, _ = workloads.prepare(name, ROOT, 5, "tiny")
+        assert wl.name == name

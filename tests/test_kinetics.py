@@ -247,6 +247,16 @@ class TestSimulate:
         assert trace.status == "exhausted"
         assert [int(c[0]) for _, c in trace.checkpoints] == [0, 0]
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_checkpoint_time_is_refused(self, bad, monkeypatch):
+        # sorted left a NaN in place and both capture loops stopped at it,
+        # dropping the later checkpoints; an exhausted run wrote a row at inf
+        crn, _ = parse_crn("X -> 0 ; k=5\n")
+        _refuse_to_simulate(monkeypatch)
+        with pytest.raises(DomainError, match="checkpoint times must be finite"):
+            simulate(crn, crn.config({"X": 3}), StopCondition(t_max=1.0), seed=8,
+                     checkpoint_times=[bad, 0.5])
+
     def test_event_budget(self):
         crn, _ = parse_crn("X -> 0 ; k=1\n")
         trace = simulate(

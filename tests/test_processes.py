@@ -11,11 +11,8 @@ from crnsim.processes import (
     DecayParams,
     ReflectingParams,
     WalkParams,
-    sample_decay,
     sample_decay_batch,
-    sample_walk_reflecting,
     sample_walk_reflecting_batch,
-    sample_walk_z,
     sample_walk_z_batch,
 )
 from crnsim.streams import substream
@@ -34,7 +31,7 @@ class TestDecay:
         assert abs(vals.mean() - N * p) < 4 * se
 
     def test_tiny_horizon_keeps_initial_value(self):
-        assert sample_decay(DecayParams(10, 1.0, 1e-9), substream(2)) == 10
+        assert sample_decay_batch(DecayParams(10, 1.0, 1e-9), 1, substream(2)).tolist() == [10]
 
     def test_values_in_range(self):
         vals = sample_decay_batch(DecayParams(50, 0.5, 2.0), 2000, substream(3))
@@ -115,7 +112,8 @@ class TestWalkZ:
         assert np.all(vals == 0)
 
     def test_single_draw(self):
-        assert isinstance(sample_walk_z(WalkParams(1.0, 1.0, 1.0), substream(3)), int)
+        vals = sample_walk_z_batch(WalkParams(1.0, 1.0, 1.0), 1, substream(3))
+        assert vals.shape == (1,) and isinstance(vals.tolist()[0], int)
 
 
 class TestReflecting:
@@ -133,7 +131,8 @@ class TestReflecting:
         assert abs(v.mean() - 1000.0) / 1000.0 < 0.05
 
     def test_tiny_horizon(self):
-        assert sample_walk_reflecting(ReflectingParams(10, 0.5, 1.0, 1e-9), substream(2)) == (0, 0)
+        v, m = sample_walk_reflecting_batch(ReflectingParams(10, 0.5, 1.0, 1e-9), 1, substream(2))
+        assert (v.tolist(), m.tolist()) == ([0], [0])
 
     def test_running_max_dominates_value(self, rng):
         for i in range(10):
