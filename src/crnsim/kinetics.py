@@ -9,7 +9,8 @@ probability proportional to its propensity. Reactions with zero or more
 than two reactants have no propensity and are rejected up front.
 
 Waiting times are sampled by inverse CDF on open-interval uniforms, so
-every inter-event time is finite and strictly positive. A trace records
+every waiting time is finite and strictly positive, though one far below
+the clock's resolution leaves the event time unchanged. A trace records
 (time, reaction index) events compactly; full count vectors are captured
 only at requested checkpoint times.
 
@@ -25,7 +26,10 @@ repeats a stop over independent trials with the batched loop,
 in lockstep; the chunks fan out through ``parallel.map_chunks``, so
 chunk c draws from ``substream(seed, *stream_key, c)``. It returns
 per-trial end times and first-appearance times; the first-production
-statistics and the ``harness`` experiments build on it.
+statistics and the ``harness`` experiments build on it. Each loop tests
+the watch, count and event-budget stops in one place, before it draws:
+the scalar loop at the top of each iteration, the batched loop at the top
+of each sweep. ``t_max`` is tested against the drawn event time.
 """
 
 from __future__ import annotations
@@ -195,20 +199,6 @@ class _Compiled:
                 self.stoich[j, s] = d
 
 
-def _holds_at_start(counts, watch, count_stop, max_events) -> bool:
-    """Whether a stop already holds in ``counts``, before any event.
-
-    Both event loops end a run at time 0 exactly when this is true.
-    """
-    if watch and all(counts[s] > 0 for s in watch):
-        return True
-    if count_stop is not None:
-        sid, thr, direction = count_stop
-        if (counts[sid] - thr) * direction >= 0:
-            return True
-    return max_events == 0
-
-
 def _run_core(
     comp: _Compiled,
     counts: list,
@@ -227,8 +217,10 @@ def _run_core(
     species ids whose first positive-count times are collected
     (already-positive species report 0.0); the run ends once every watched
     species was seen. ``count_stop`` is (sid, threshold, direction) with
-    direction +1 / -1. Returns (time, status, events, checkpoints,
-    watch_times, n_events).
+    direction +1 / -1. These stops and ``max_events`` are tested in one
+    place, at the top of each iteration before its uniforms are drawn, so
+    one that already holds in ``counts`` ends the run at time 0. Returns
+    (time, status, events, checkpoints, watch_times, n_events).
     """
     nrx = comp.n
     table, deltas = comp.table, comp.deltas
@@ -240,23 +232,22 @@ def _run_core(
     cp_rows = []
     cpi = 0
 
-    watch_times = {}
-    pending = set()
-    if watch:
-        for sid in watch:
-            if counts[sid] > 0:
-                watch_times[sid] = 0.0
-            else:
-                pending.add(sid)
-
-    status = None
-    if _holds_at_start(counts, watch, count_stop, max_events):
-        status = STOPPED
+    watch_times = {s: 0.0 for s in watch or () if counts[s] > 0}
+    pending = set(watch or ()) - watch_times.keys()
+    if count_stop is not None:
+        sid, thr, direction = count_stop
 
     ubuf = None
     ui = nbuf = 0
     cum = [0.0] * (nrx + 1)  # cum[j + 1]: the propensities of reactions 0..j, summed in order
-    while status is None:
+    while True:
+        if (
+            (watch and not pending)
+            or (count_stop is not None and (counts[sid] - thr) * direction >= 0)
+            or (max_events is not None and n_events >= max_events)
+        ):
+            status = STOPPED
+            break
         total = 0.0
         j = 1
         for k, a, b, m in table:
@@ -295,6 +286,8 @@ def _run_core(
             counts[s] += d
         n_events += 1
         events.append((t, chosen))
+        # later events can round to this same time, so a checkpoint at it
+        # takes the counts after the first of them
         while cpi < len(cps) and cps[cpi] <= t:
             cp_rows.append((cps[cpi], np.array(counts[:-1], dtype=np.int64)))
             cpi += 1
@@ -303,26 +296,12 @@ def _run_core(
                 if d > 0 and s in pending and counts[s] > 0:
                     watch_times[s] = t
                     pending.discard(s)
-            if not pending:
-                status = STOPPED
-                break
-        if count_stop is not None:
-            sid, thr, direction = count_stop
-            if (counts[sid] - thr) * direction >= 0:
-                status = STOPPED
-                break
-        if max_events is not None and n_events >= max_events:
-            status = STOPPED
-            break
 
-    if status == EXHAUSTED:
-        while cpi < len(cps):  # the process is frozen from here on
-            cp_rows.append((cps[cpi], np.array(counts[:-1], dtype=np.int64)))
-            cpi += 1
-    else:
-        while cpi < len(cps) and cps[cpi] <= t:
-            cp_rows.append((cps[cpi], np.array(counts[:-1], dtype=np.int64)))
-            cpi += 1
+    # an exhausted process is frozen from here on
+    until = math.inf if status == EXHAUSTED else t
+    while cpi < len(cps) and cps[cpi] <= until:
+        cp_rows.append((cps[cpi], np.array(counts[:-1], dtype=np.int64)))
+        cpi += 1
     return t, status, events, cp_rows, watch_times, n_events
 
 
@@ -344,9 +323,11 @@ def _run_batch(
     each active trial's event count. A sweep takes the time uniforms of
     all active trials, then their selection uniforms (none with a single
     reaction), so a one-trial run reads the uniforms ``_run_core`` reads.
-    A trial leaves the active arrays in the sweep where its stop fires, or
-    where its total propensity is zero: it is then exhausted and keeps the
-    time of its last event.
+    The watch, count and event-budget stops are tested at the top of each
+    sweep, before its uniforms are drawn. A trial ends without an event
+    in the sweep where its total propensity is zero (it is then exhausted
+    and keeps the time of its last event) or its next event lies past
+    ``t_max`` (it takes ``t_max``), and retires at the top of the next.
 
     Returns (end times, first-appearance times with one column per
     watched species in id order and NaN where never seen, exhausted
@@ -359,83 +340,75 @@ def _run_batch(
     first[:, init[wcols] > 0] = 0.0
     exhausted = np.zeros(trials, dtype=bool)
     n_events = np.zeros(trials, dtype=np.int64)
-    # every trial starts from the same configuration, so a stop that holds
-    # there ends all of them at once, as does a network without reactions
-    if _holds_at_start(counts, watch, count_stop, max_events):
-        return end, first, exhausted, n_events
     if count_stop is not None:
         sid, thr, direction = count_stop
     nrx = comp.n
-    if nrx == 0:
-        exhausted[:] = True
-        return end, first, exhausted, n_events
-
     coef, ra, rb, minus, stoich = comp.coef, comp.ra, comp.rb, comp.minus, comp.stoich
     draws = 1 if nrx == 1 else 2
     cnt = np.tile(init, (trials, 1))
     t = np.zeros(trials)
     ids = np.arange(trials)
     seen = first.copy()
+    ended = dead = np.zeros(trials, dtype=bool)  # set in a sweep, read at the top of the next
+    fresh = True  # whether a watched species appeared since the watch was last tested
     ubuf, ui = np.empty(0), 0
     sweep = 0
 
-    def retire(gone, at):
-        out = ids[gone]
-        end[out] = at
-        first[out] = seen[gone]
-        n_events[out] = sweep
-        return ~gone
-
     with np.errstate(divide="ignore"):
-        while ids.size:
+        while True:
+            # the one stop test: a trial retires here once its stop holds,
+            # or in the sweep after the one it ended in
+            done = ended
+            if wcols.size and fresh:
+                done = done | ~np.isnan(seen).any(axis=1)
+            if count_stop is not None:
+                done = done | ((cnt[:, sid] - thr) * direction >= 0)
+            if max_events is not None and sweep >= max_events:
+                done = np.ones_like(done)
+            if done.any():
+                out = ids[done]
+                end[out] = t[done]
+                first[out] = seen[done]
+                exhausted[out] = dead[done]
+                n_events[out] = sweep - ended[done]
+                keep = ~done
+                ids, cnt, t, seen = ids[keep], cnt[keep], t[keep], seen[keep]
+                if not ids.size:
+                    break
+            sweep += 1
+            if nrx == 0:  # nothing can fire, so every trial left is exhausted
+                ended = dead = np.ones(ids.size, dtype=bool)
+                continue
             k = ids.size
             rho = coef * cnt.take(ra, axis=1) * (cnt.take(rb, axis=1) - minus)
             cum = rho.cumsum(axis=1)
             total = cum[:, -1]
             need = draws * k
             if ui + need > ubuf.size:
-                fresh = open_uniform_block(rng, max(2 * need, _BLOCK))
-                ubuf, ui = np.concatenate((ubuf[ui:], fresh)), 0
+                block = open_uniform_block(rng, max(2 * need, _BLOCK))
+                ubuf, ui = np.concatenate((ubuf[ui:], block)), 0
             tn = t - np.log(ubuf[ui : ui + k]) / total
             usel = ubuf[ui + k : ui + need]
             ui += need
             # exhaustion is tested on its own: when every propensity is
             # -0.0 (X + X at count 0), total is -0.0 and tn is -inf
-            dead_all = total <= 0.0
-            gone = dead_all if t_max is None else dead_all | (tn > t_max)
-            if gone.any():
-                dead = dead_all[gone]
-                exhausted[ids[gone]] = dead
-                at = t[gone] if t_max is None else np.where(dead, t[gone], t_max)
-                keep = retire(gone, at)
-                ids, cnt, t, seen = ids[keep], cnt[keep], t[keep], seen[keep]
-                cum, total, tn = cum[keep], total[keep], tn[keep]
-                if nrx > 1:
-                    usel = usel[keep]
-                if not ids.size:
-                    break
+            dead = total <= 0.0
+            ended = dead if t_max is None else dead | (tn > t_max)
             if nrx == 1:
-                cnt += stoich[0]
+                step = stoich[0]
             else:
                 # the first j with x < cum[j], or the last reaction when there is none
-                chosen = (cum[:, :-1] <= (usel * total)[:, None]).sum(axis=1)
-                cnt += stoich[chosen]
+                step = stoich[(cum[:, :-1] <= (usel * total)[:, None]).sum(axis=1)]
+            if ended.any():  # an ended trial makes no event
+                step = step * ~ended[:, None]
+                tn = np.where(dead, t, tn if t_max is None else np.minimum(tn, t_max))
+            cnt += step
             t = tn
-            sweep += 1
-
-            done = np.zeros(ids.size, dtype=bool)
             if wcols.size:
                 new = np.isnan(seen) & (cnt.take(wcols, axis=1) > 0)
-                if new.any():  # a trial's watch can only complete when something appears
+                fresh = new.any()  # a trial's watch can only complete when something appears
+                if fresh:
                     seen = np.where(new, t[:, None], seen)
-                    done |= ~np.isnan(seen).any(axis=1)
-            if count_stop is not None:
-                done |= (cnt[:, sid] - thr) * direction >= 0
-            if max_events is not None and sweep >= max_events:
-                done[:] = True
-            if done.any():
-                keep = retire(done, t[done])
-                ids, cnt, t, seen = ids[keep], cnt[keep], t[keep], seen[keep]
     return end, first, exhausted, n_events
 
 
@@ -526,11 +499,12 @@ def simulate(
     The volume defaults to the total initial count. The same (crn, init,
     volume, stop, seed, stream_key) always yields the bit-identical
     trace; ``stream_key`` selects an independent substream, e.g. one per
-    trial of a repeated experiment. Checkpoint times must be finite.
+    trial of a repeated experiment. Checkpoint times must be finite and
+    nonnegative.
     """
     cps = sorted(checkpoint_times) if checkpoint_times else ()
-    if not all(map(math.isfinite, cps)):
-        raise DomainError(f"checkpoint times must be finite, got {cps}")
+    if not all(0 <= x < math.inf for x in cps):
+        raise DomainError(f"checkpoint times must be finite and nonnegative, got {cps}")
     volume, comp, counts, loop_args = _prepare(crn, init, stop, volume)
     t, status, events, cp_rows, _, _ = _run_core(
         comp, counts, substream(seed, *stream_key), checkpoint_times=cps, **loop_args

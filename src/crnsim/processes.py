@@ -30,15 +30,15 @@ from .errors import DomainError
 
 @dataclass(frozen=True)
 class DecayParams:
-    """Initial value N, decay constant lam, horizon t (all positive and finite)."""
+    """Integer initial value N, decay constant lam, horizon t (all positive and finite)."""
 
     N: int
     lam: float
     t: float
 
     def __post_init__(self):
-        if not 1 <= self.N < math.inf:
-            raise DomainError(f"N must be finite and at least 1, got {self.N}")
+        if not (isinstance(self.N, (int, np.integer)) and self.N >= 1):
+            raise DomainError(f"N must be an integer of at least 1, got {self.N}")
         if not all(0 < x < math.inf for x in (self.lam, self.t)):
             raise DomainError("lam and t must be finite and positive")
 
@@ -58,7 +58,7 @@ class WalkParams:
 
 @dataclass(frozen=True)
 class ReflectingParams:
-    """Scale N, forward coefficient delta_f, reverse coefficient lambda_r,
+    """Integer scale N, forward coefficient delta_f, reverse coefficient lambda_r,
     horizon t (all positive and finite)."""
 
     N: int
@@ -67,8 +67,8 @@ class ReflectingParams:
     t: float
 
     def __post_init__(self):
-        if not 1 <= self.N < math.inf:
-            raise DomainError(f"N must be finite and at least 1, got {self.N}")
+        if not (isinstance(self.N, (int, np.integer)) and self.N >= 1):
+            raise DomainError(f"N must be an integer of at least 1, got {self.N}")
         if not all(0 < x < math.inf for x in (self.delta_f, self.lambda_r, self.t)):
             raise DomainError("delta_f, lambda_r and t must be finite and positive")
 

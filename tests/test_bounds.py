@@ -320,6 +320,20 @@ class TestMonteCarlo:
         with pytest.raises(DomainError):
             monte_carlo_validate("poisson", PoissonBoundParams(10.0, 14, "upper"), trials=100)
 
+    @pytest.mark.parametrize(
+        "target,make",
+        [
+            ("decay", lambda: DecayBoundParams(2.5, 1.0, 1.0, 0.5)),
+            ("decay", lambda: DecayBoundParams(100.0, 1.0, 1.0, 0.5)),
+            ("reflecting", lambda: ReflectingBoundParams(0.2, 1.0, 0.05, 500.0)),
+        ],
+        ids=["decay-2.5", "decay-100.0", "reflecting-500.0"],
+    )
+    def test_non_integer_N_is_refused(self, target, make):
+        # the decay sampler raised a TypeError on a float N
+        with pytest.raises(DomainError, match="N must be an integer"):
+            monte_carlo_validate(target, make(), trials=10_000)
+
     def test_hypothesis_violations_propagate(self):
         with pytest.raises(HypothesisViolationError):
             monte_carlo_validate(

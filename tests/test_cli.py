@@ -283,9 +283,10 @@ class TestErrorPaths:
         assert main(["--out-dir", str(tmp_path), *argv]) == 1
         assert capsys.readouterr().err == "error: volume must be positive and finite\n"
 
-    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-1.0"])
     def test_non_finite_checkpoint_exits_1(self, tmp_path, capsys, monkeypatch, bad):
-        # a NaN checkpoint exited 0 and wrote no checkpoints file
+        # a NaN checkpoint exited 0 and wrote no checkpoints file; a negative
+        # one exited 0 and wrote a row of the initial counts at that time
         p = tmp_path / "ab.crn"
         p.write_text("A + B -> C\nC -> A + B\ninit: A = 3\ninit: B = 2\n")
 
@@ -294,7 +295,8 @@ class TestErrorPaths:
 
         monkeypatch.setattr(kinetics, "_run_core", no_events)
         monkeypatch.setattr(kinetics, "_run_batch", no_events)
-        argv = ["simulate", str(p), "--t-max", "1", "--checkpoints", f"{bad},0.5"]
+        # one token, or argparse reads a leading "-" as an option
+        argv = ["simulate", str(p), "--t-max", "1", f"--checkpoints={bad},0.5"]
         assert main(["--out-dir", str(tmp_path), *argv]) == 1
         assert capsys.readouterr().err.startswith("error: checkpoint times must be finite")
         assert not list(tmp_path.glob("*.csv"))

@@ -52,3 +52,27 @@ def test_every_benchmark_workload_builds():
     for name in workloads.WORKLOADS:
         wl, _, _ = workloads.prepare(name, ROOT, 5, "tiny")
         assert wl.name == name
+
+
+def test_benchmark_tracer_reads_run_core_results():
+    # the traced benchmark unpacks _run_core's 6-tuple and reads its
+    # watch keyword; a change to either would silently skew its counts.
+    # At this seed Z has not appeared by t_max, so the trial is censored
+    from crnsim import kinetics
+    from crnsim.model import parse_crn
+
+    crn, _ = parse_crn("X -> Y ; k=1\nY -> Z ; k=1\n")
+    stop = kinetics.StopCondition(t_max=0.3, species_appears=frozenset({"Z"}))
+    tracer = _load_bench("tracer").Tracer()
+    tracer.install()
+    try:
+        trace = kinetics.simulate(crn, crn.config({"X": 5}), stop, seed=5,
+                                  checkpoint_times=[0.1, 0.2, 0.5])
+    finally:
+        tracer.uninstall()
+    z = crn.species.id_of("Z")
+    assert tracer.counts["kinetics.events"] == len(trace.events) > 0
+    assert tracer.counts[f"kinetics.trials.{trace.status}"] == 1
+    assert tracer.counts["kinetics.trials.stopped"] == 1
+    assert tracer.counts["kinetics.checkpoint_rows"] == len(trace.checkpoints) == 2
+    assert tracer.counts["kinetics.trials.censored"] == int(trace.terminal[z] == 0) == 1

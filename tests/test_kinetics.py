@@ -247,10 +247,22 @@ class TestSimulate:
         assert trace.status == "exhausted"
         assert [int(c[0]) for _, c in trace.checkpoints] == [0, 0]
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_checkpoint_at_a_time_shared_by_many_events(self):
+        # after S -> F, F -> F + X fires at rate 1e30, so its waits vanish
+        # against the clock and all 50 events round to one float time; a
+        # checkpoint there reads the counts after the first event at it
+        crn, _ = parse_crn("S -> F ; k=1\nF -> F + X ; k=1e30\n")
+        init, stop = crn.config({"S": 1}), StopCondition(max_events=50)
+        tie = simulate(crn, init, stop, seed=3).events[0][0]
+        trace = simulate(crn, init, stop, seed=3, checkpoint_times=[tie])
+        assert {t for t, _ in trace.events} == {tie} and len(trace.events) == 50
+        assert [(t, c.tolist()) for t, c in trace.checkpoints] == [(tie, [0, 1, 0])]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
     def test_non_finite_checkpoint_time_is_refused(self, bad, monkeypatch):
         # sorted left a NaN in place and both capture loops stopped at it,
-        # dropping the later checkpoints; an exhausted run wrote a row at inf
+        # dropping the later checkpoints; an exhausted run wrote a row at
+        # inf, and a negative time got a row of the initial counts
         crn, _ = parse_crn("X -> 0 ; k=5\n")
         _refuse_to_simulate(monkeypatch)
         with pytest.raises(DomainError, match="checkpoint times must be finite"):
@@ -466,6 +478,41 @@ class TestRunTrials:
         for key in range(5):
             trace = _assert_one_trial_matches_simulate(crn, init, stop, 6, (key,), monkeypatch)
             assert trace.status == "exhausted" and trace.time == trace.events[-1][0]
+
+    def test_batch_outputs_byte_identical_to_pinned_digest(self, rng, monkeypatch):
+        # sha256 prefix of every _run_batch array over two chunks of
+        # trials on random networks, under each kind of stop: a count with
+        # a budget, a watch with a horizon and a budget, a horizon alone
+        # and a budget alone
+        calls = _spy_batch(monkeypatch)
+        for case in range(30):
+            crn = random_crn(rng, kinetics_compatible=True)
+            init = random_config(rng, crn, max_count=20)
+            names = crn.species.names
+            watched = rng.choice(names, size=int(rng.integers(1, len(names) + 1)), replace=False)
+            count_name = names[int(rng.integers(len(names)))]
+            # the first watched species starts absent, so the watch can
+            # complete, run out of time, exhaust or use up its budget; the
+            # volume is given, since that start may hold no molecule
+            absent = init.counts.copy()
+            absent[crn.species.id_of(str(watched[0]))] = 0
+            runs = [
+                (init, StopCondition(count_reaches=(count_name, int(rng.integers(0, 25))),
+                                     max_events=200)),
+                (Configuration(absent), StopCondition(
+                    t_max=2.0, species_appears=frozenset(map(str, watched)), max_events=40)),
+                (init, StopCondition(t_max=0.5)),
+                (init, StopCondition(max_events=int(rng.integers(0, 60)))),
+            ]
+            for start, stop in runs:
+                run_trials(crn, start, stop, 1100, seed=case, volume=float(init.total),
+                           stream_key=(case,))
+        h = hashlib.sha256()
+        for call in calls:
+            for arr in call:
+                h.update(arr.tobytes())
+        assert len(calls) == 240
+        assert h.hexdigest()[:16] == "f07b0fe15aa01ebe"
 
     def test_kernel_law_matches_repeated_simulate(self, rng):
         # on random networks where an absent species is producible, the

@@ -63,6 +63,13 @@ class TestDecay:
             DecayParams(0, 1.0, 1.0)
         with pytest.raises(DomainError):
             DecayParams(5, -1.0, 1.0)
+        # a non-integer N reached the decay sampler, which raised a TypeError
+        for N in (2.5, 100.0):
+            with pytest.raises(DomainError, match="N must be an integer"):
+                DecayParams(N, 1.0, 1.0)
+            with pytest.raises(DomainError, match="N must be an integer"):
+                ReflectingParams(N, 0.5, 1.0, 1.0)
+        assert DecayParams(np.int64(5), 1.0, 1.0).N == 5
 
 
 @pytest.mark.parametrize("bad", [math.inf, math.nan])
