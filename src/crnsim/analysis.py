@@ -21,6 +21,9 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
+
+import numpy as np
 
 from .errors import DomainError
 from .model import Configuration, Crn, support
@@ -102,6 +105,8 @@ def stage_decomposition(crn: Crn, init: Configuration) -> StageDecomposition:
     The chain strictly grows until no reaction over the current set
     produces anything new, so its length is less than the species count.
     """
+    if len(init) != crn.n_species:
+        raise DomainError("initial configuration does not span the species table")
     if init.total == 0:
         raise DomainError("stage decomposition requires a nonzero initial configuration")
     current = support(init)
@@ -331,33 +336,46 @@ def reachable_set(
 ) -> ReachabilityReport:
     """Breadth-first search of the reachability relation from ``init``.
 
-    Configurations are canonicalized as exact count tuples. The search
-    stops cleanly (truncated=True) once ``max_configs`` distinct
-    configurations have been visited or a successor would push some count
-    beyond ``max_count``.
+    Configurations are canonicalized as exact count tuples and visited
+    first in, first out; from each one the reactions are tried in table
+    order. That order decides which configurations a truncated search
+    keeps. The search stops cleanly (truncated=True) once ``max_configs``
+    distinct configurations have been visited; a successor with some
+    count above ``max_count`` is skipped and also marks the search
+    truncated. Both caps must be integers of at least 1.
     """
-    if max_configs <= 0 or max_count <= 0:
-        raise DomainError("reachability caps must be positive")
-    n = crn.n_species
-    deltas = []
-    needs = []
+    for name, cap in (("max_configs", max_configs), ("max_count", max_count)):
+        if not (isinstance(cap, (int, np.integer)) and cap >= 1):
+            raise DomainError(f"{name} must be an integer of at least 1, got {cap}")
+    if len(init) != crn.n_species:
+        raise DomainError("initial configuration does not span the species table")
+    max_configs, max_count = int(max_configs), int(max_count)
+    # per reaction: the (species, count) pairs it consumes, its net change,
+    # and the species that change grows; only a growing species can be
+    # positive in a successor without being positive in its parent
+    moves = []
     for rx in crn.reactions:
-        needs.append(rx.reactants)
-        deltas.append(tuple(p - r for r, p in zip(rx.reactants, rx.products)))
+        delta = tuple(p - r for r, p in zip(rx.reactants, rx.products))
+        need = tuple((i, r) for i, r in enumerate(rx.reactants) if r > 0)
+        grows = tuple(i for i, d in enumerate(delta) if d > 0)
+        moves.append((need, delta, grows))
 
     start = tuple(init.counts.tolist())
     visited = {start}
     queue = deque([start])
-    producible = set(i for i in range(n) if start[i] > 0)
+    producible = set(support(init))
     truncated = False
     while queue:
         cur = queue.popleft()
-        for need, delta in zip(needs, deltas):
-            if all(c >= r for c, r in zip(cur, need)):
-                succ = tuple(c + d for c, d in zip(cur, delta))
+        for need, delta, grows in moves:
+            for i, r in need:
+                if cur[i] < r:
+                    break
+            else:
+                succ = tuple(map(add, cur, delta))
                 if succ in visited:
                     continue
-                if any(c > max_count for c in succ):
+                if max(succ) > max_count:
                     truncated = True
                     continue
                 if len(visited) >= max_configs:
@@ -366,7 +384,7 @@ def reachable_set(
                     break
                 visited.add(succ)
                 queue.append(succ)
-                producible.update(i for i in range(n) if succ[i] > 0)
+                producible.update(grows)
     return ReachabilityReport(frozenset(producible), len(visited), truncated, max_configs, max_count)
 
 

@@ -98,7 +98,8 @@ def log_bound_walk(f_hat: float, r_hat: float, t: float, eps_hat: float) -> floa
 
 def log_bound_reflecting(delta_f: float, lambda_r: float, delta_r: float, N: int) -> float:
     """log2 of 2^(-delta_f*N/22 + 1) after checking the lemma hypotheses."""
-    _check_finite(delta_f=delta_f, lambda_r=lambda_r, delta_r=delta_r, N=N)
+    _check_finite(delta_f=delta_f, lambda_r=lambda_r, delta_r=delta_r)
+    processes.check_integer_N(N)
     if not lambda_r >= 1:
         raise HypothesisViolationError(f"requires lambda_r >= 1, got {lambda_r}")
     if not (delta_f > 0 and delta_r > 0):
@@ -309,6 +310,9 @@ class ReflectingBoundParams:
     lambda_r: float
     delta_r: float
     N: int
+
+    def __post_init__(self):
+        processes.check_integer_N(self.N)
 
 
 def clopper_pearson_upper(hits: int, trials: int, confidence: float = 0.99) -> float:

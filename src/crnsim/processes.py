@@ -28,6 +28,12 @@ import numpy as np
 from .errors import DomainError
 
 
+def check_integer_N(N) -> None:
+    """Refuse a scale ``N`` that is not an ``int`` or numpy integer of at least 1."""
+    if not (isinstance(N, (int, np.integer)) and N >= 1):
+        raise DomainError(f"N must be an integer of at least 1, got {N}")
+
+
 @dataclass(frozen=True)
 class DecayParams:
     """Integer initial value N, decay constant lam, horizon t (all positive and finite)."""
@@ -37,8 +43,7 @@ class DecayParams:
     t: float
 
     def __post_init__(self):
-        if not (isinstance(self.N, (int, np.integer)) and self.N >= 1):
-            raise DomainError(f"N must be an integer of at least 1, got {self.N}")
+        check_integer_N(self.N)
         if not all(0 < x < math.inf for x in (self.lam, self.t)):
             raise DomainError("lam and t must be finite and positive")
 
@@ -67,8 +72,7 @@ class ReflectingParams:
     t: float
 
     def __post_init__(self):
-        if not (isinstance(self.N, (int, np.integer)) and self.N >= 1):
-            raise DomainError(f"N must be an integer of at least 1, got {self.N}")
+        check_integer_N(self.N)
         if not all(0 < x < math.inf for x in (self.delta_f, self.lambda_r, self.t)):
             raise DomainError("delta_f, lambda_r and t must be finite and positive")
 

@@ -1,6 +1,8 @@
+import hashlib
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from crnsim.analysis import (
@@ -205,6 +207,7 @@ class TestReachability:
         rep = reachable_set(crn, crn.config({"A": 2}))
         assert rep.producible == frozenset({0})
         assert rep.visited == 1
+        assert not rep.truncated
 
     def test_chain_needs_two_copies(self):
         crn, _ = parse_crn("X1 -> 0\nX1 + X1 -> X2\n")
@@ -222,6 +225,85 @@ class TestReachability:
         crn, _ = parse_crn("X -> Y\n")
         with pytest.raises(DomainError):
             reachable_set(crn, crn.config({"X": 1}), max_configs=0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 2.5])
+    @pytest.mark.parametrize("cap", ["max_configs", "max_count"])
+    def test_non_integer_caps_refused(self, cap, bad):
+        # a NaN cap compared False against every count, so it switched
+        # that cap off; 2.5 was accepted and echoed in the report
+        crn, _ = parse_crn("X -> 2X\nX -> Y\n")
+        init = crn.config({"X": 1})
+        with pytest.raises(DomainError, match=f"{cap} must be an integer"):
+            reachable_set(crn, init, **{cap: bad})
+        with pytest.raises(DomainError, match=f"{cap} must be an integer"):
+            closure_vs_oracle(crn, init, 1, **{cap: bad})
+
+    def test_both_caps_nan_refused(self):
+        # with both caps off, X -> 2X never terminates
+        crn, _ = parse_crn("X -> 2X\n")
+        with pytest.raises(DomainError):
+            reachable_set(crn, crn.config({"X": 1}), max_configs=math.nan, max_count=math.nan)
+
+    def test_numpy_integer_caps_accepted(self):
+        crn, _ = parse_crn("X -> Y\n")
+        rep = reachable_set(crn, crn.config({"X": 2}), np.int64(3), np.int64(2))
+        assert (rep.visited, rep.truncated) == (3, False)
+        assert (rep.max_configs, rep.max_count) == (3, 2)
+
+    def test_start_above_max_count(self):
+        # every successor of (5, 0) holds a count above 3, even though the
+        # growing species Y stays below it
+        crn, _ = parse_crn("X -> Y\n")
+        rep = reachable_set(crn, crn.config({"X": 5}), max_configs=100, max_count=3)
+        assert (rep.visited, rep.truncated) == (1, True)
+        assert rep.producible == frozenset({0})
+
+    def test_config_cap_filled_exactly_is_not_truncated(self):
+        crn, _ = parse_crn("X -> Y\n")
+        rep = reachable_set(crn, crn.config({"X": 2}), max_configs=3)
+        assert (rep.visited, rep.truncated) == (3, False)
+        assert rep.producible == frozenset({0, 1})
+
+    def test_reaction_without_reactants(self):
+        # 0 -> X fires from the empty configuration; the search fills the
+        # box of counts up to 2 and is truncated at its edge
+        crn, _ = parse_crn("0 -> X\nX -> Y\n")
+        rep = reachable_set(crn, Configuration([0, 0]), max_configs=100, max_count=2)
+        assert (rep.visited, rep.truncated) == (9, True)
+        assert rep.producible == frozenset({0, 1})
+
+    @pytest.mark.parametrize("counts", [[2], [1, 0, 0, 5]], ids=["short", "long"])
+    def test_init_must_span_species_table(self, counts):
+        # a short start gave an internal IndexError; a long one was cut
+        # silently by the BFS and reported as a species id 3 by the stages
+        crn, _ = parse_crn("X -> Y\nY -> Z\n")
+        init = Configuration(counts)
+        for call in (
+            lambda: reachable_set(crn, init),
+            lambda: stage_decomposition(crn, init),
+            lambda: closure_vs_oracle(crn, init, 2),
+        ):
+            with pytest.raises(DomainError, match="does not span the species table"):
+                call()
+
+    def test_reports_match_pinned_digest(self):
+        # sha256 over (visited, truncated, producible) of 300 capped searches
+        # on random networks, taken before the search loop was rewritten.
+        # 242 of them are truncated; the configuration caps of 2 and 3 make
+        # the visiting order (FIFO, reactions in table order) show, and the
+        # starts above a count cap of 1 or 2 show the cap on every species
+        rng = np.random.default_rng(20261018)
+        h = hashlib.sha256()
+        for _ in range(300):
+            crn = random_crn(rng)
+            init = random_config(rng, crn)
+            max_configs = int(rng.choice([2, 3, 5, 50, 500, 5000]))
+            max_count = int(rng.choice([1, 2, 3, 10, 64]))
+            rep = reachable_set(crn, init, max_configs, max_count)
+            h.update(repr((rep.visited, rep.truncated, sorted(rep.producible))).encode())
+        assert h.hexdigest() == (
+            "8b7f8fdc370c59aeef394f36ff7eda1db9063f4d263f8b71c8233dedda24a0c7"
+        )
 
 
 class TestClosureVsOracle:

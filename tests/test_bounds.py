@@ -117,6 +117,19 @@ class TestReflectingBound:
         with pytest.raises(HypothesisViolationError, match="6/delta_f"):
             log_bound_reflecting(0.22, 1.0, 0.05, 20)
 
+    @pytest.mark.parametrize("N", [1000.5, 1000.0, 0, math.inf, math.nan])
+    def test_non_integer_N_is_refused(self, N):
+        # log_bound_reflecting(0.22, 1.0, 0.05, 1000.5) returned -9.005, and
+        # the params class built with N=500.5
+        with pytest.raises(DomainError, match="N must be an integer"):
+            log_bound_reflecting(0.22, 1.0, 0.05, N)
+        with pytest.raises(DomainError, match="N must be an integer"):
+            ReflectingBoundParams(0.2, 1.0, 0.05, N)
+
+    def test_numpy_integer_N_accepted(self):
+        assert log_bound_reflecting(0.22, 1.0, 0.05, np.int64(1000)) == -9.0
+        assert ReflectingBoundParams(0.2, 1.0, 0.05, np.int64(500)).N == 500
+
 
 @pytest.mark.parametrize(
     "evaluator, args",
