@@ -23,9 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
 
-import numpy as np
-
-from .errors import DomainError
+from .errors import DomainError, check_integer
 from .model import Configuration, Crn, support
 
 
@@ -344,9 +342,8 @@ def reachable_set(
     count above ``max_count`` is skipped and also marks the search
     truncated. Both caps must be integers of at least 1.
     """
-    for name, cap in (("max_configs", max_configs), ("max_count", max_count)):
-        if not (isinstance(cap, (int, np.integer)) and cap >= 1):
-            raise DomainError(f"{name} must be an integer of at least 1, got {cap}")
+    check_integer(max_configs, "max_configs")
+    check_integer(max_count, "max_count")
     if len(init) != crn.n_species:
         raise DomainError("initial configuration does not span the species table")
     max_configs, max_count = int(max_configs), int(max_count)

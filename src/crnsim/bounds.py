@@ -38,7 +38,7 @@ import numpy as np
 
 from . import processes
 from .analysis import finite_density_status, stage_decomposition
-from .errors import DomainError, HypothesisViolationError
+from .errors import DomainError, HypothesisViolationError, check_integer
 from .model import Configuration, Crn
 from .parallel import map_chunks
 
@@ -99,7 +99,7 @@ def log_bound_walk(f_hat: float, r_hat: float, t: float, eps_hat: float) -> floa
 def log_bound_reflecting(delta_f: float, lambda_r: float, delta_r: float, N: int) -> float:
     """log2 of 2^(-delta_f*N/22 + 1) after checking the lemma hypotheses."""
     _check_finite(delta_f=delta_f, lambda_r=lambda_r, delta_r=delta_r)
-    processes.check_integer_N(N)
+    check_integer(N, "N")
     if not lambda_r >= 1:
         raise HypothesisViolationError(f"requires lambda_r >= 1, got {lambda_r}")
     if not (delta_f > 0 and delta_r > 0):
@@ -312,7 +312,7 @@ class ReflectingBoundParams:
     N: int
 
     def __post_init__(self):
-        processes.check_integer_N(self.N)
+        check_integer(self.N, "N")
 
 
 def clopper_pearson_upper(hits: int, trials: int, confidence: float = 0.99) -> float:
@@ -432,8 +432,7 @@ def monte_carlo_validate(
     counts tail events exactly as the bound states them, and classifies
     the outcome per :class:`BoundReport`.
     """
-    if trials < 10_000:
-        raise DomainError("validation needs at least 10^4 trials")
+    check_integer(trials, "trials", 10_000)
     target = target.lower()
     entry = TARGETS.get(target)
     if entry is None:

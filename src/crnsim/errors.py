@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one integer-argument check."""
+
+from numbers import Integral
 
 
 class CrnError(Exception):
@@ -38,3 +40,14 @@ class DomainError(CrnError):
 
 class HypothesisViolationError(DomainError):
     """A closed-form bound was requested outside its hypotheses."""
+
+
+def check_integer(value, name: str, minimum: int = 1) -> None:
+    """Refuse a ``value`` that is not an integer (``int`` or numpy) of at least ``minimum``.
+
+    Floats are refused even when integral, and NaN fails every comparison,
+    so ``2.5``, ``100.0``, ``nan`` and ``inf`` all raise here instead of
+    deep inside a sampler or a chunk layout.
+    """
+    if not (isinstance(value, Integral) and value >= minimum):
+        raise DomainError(f"{name} must be an integer of at least {minimum}, got {value}")

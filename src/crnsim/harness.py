@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import is_alpha_dense, stage_decomposition
-from .errors import DomainError
+from .errors import DomainError, check_integer
 from .kinetics import (
     FirstProductionStats,
     StopCondition,
@@ -268,8 +268,7 @@ def constant_time_scan(
     all target species, and the per-species summaries plus the per-n
     all-produced fraction are collected. The time cap defaults to m+1.
     """
-    if trials < 1:
-        raise DomainError("trials must be at least 1")
+    check_integer(trials, "trials")
     n_grid = [int(n) for n in n_grid]
     if not n_grid:
         raise DomainError("n_grid must be nonempty")
@@ -349,8 +348,7 @@ class ExperimentSpec:
             raise DomainError(f"unknown scenario {self.scenario!r}")
         if not self.n_grid:
             raise DomainError("the n grid must be nonempty")
-        if self.trials < 1:
-            raise DomainError("trials must be at least 1")
+        check_integer(self.trials, "trials")
 
     def run(self, crn: Crn | None = None, init: Configuration | None = None,
             threads: int = 1) -> dict:

@@ -42,7 +42,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import DomainError, UnsupportedReactionOrderError
+from .errors import DomainError, UnsupportedReactionOrderError, check_integer
 from .model import Configuration, Crn, apply_reaction
 from .streams import open_uniform_block, substream
 from .parallel import map_chunks
@@ -542,8 +542,7 @@ def run_trials(
     stream_key=(*stream_key, 0))`` does. The volume defaults to the total
     initial count.
     """
-    if trials < 1:
-        raise DomainError("trials must be at least 1")
+    check_integer(trials, "trials")
     _, comp, counts, loop_args = _prepare(crn, init, stop, volume)
     batch = partial(_run_batch, comp, counts, **loop_args)
     parts = map_chunks(batch, trials, _TRIAL_CHUNK, seed, stream_key, threads)

@@ -11,11 +11,13 @@
   state j, tracked together with its running maximum.
 
 Each sampler is called as ``(params, size, rng)`` and vectorizes across
-``size`` draws; ``size=1`` gives one draw. All are exact event simulations
-(the reflecting walk needs its path for the running maximum; the others use
-exact event-count laws). The reflecting sampler can also stop each draw at
-the first passage to a level, which is all a tail event on the running
-maximum needs to know.
+``size`` draws; ``size=1`` gives one draw. Every draw is exact: decay and
+the integer walk draw their value from its exact law (binomial survivors,
+a difference of Poisson event counts) in O(size), and only the reflecting
+walk is simulated event by event, since its running maximum needs the
+path. The reflecting sampler can also stop each draw at the first passage
+to a level, which is all a tail event on the running maximum needs to
+know.
 """
 
 from __future__ import annotations
@@ -25,13 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
-
-
-def check_integer_N(N) -> None:
-    """Refuse a scale ``N`` that is not an ``int`` or numpy integer of at least 1."""
-    if not (isinstance(N, (int, np.integer)) and N >= 1):
-        raise DomainError(f"N must be an integer of at least 1, got {N}")
+from .errors import DomainError, check_integer
 
 
 @dataclass(frozen=True)
@@ -43,7 +39,7 @@ class DecayParams:
     t: float
 
     def __post_init__(self):
-        check_integer_N(self.N)
+        check_integer(self.N, "N")
         if not all(0 < x < math.inf for x in (self.lam, self.t)):
             raise DomainError("lam and t must be finite and positive")
 
@@ -72,7 +68,7 @@ class ReflectingParams:
     t: float
 
     def __post_init__(self):
-        check_integer_N(self.N)
+        check_integer(self.N, "N")
         if not all(0 < x < math.inf for x in (self.delta_f, self.lambda_r, self.t)):
             raise DomainError("delta_f, lambda_r and t must be finite and positive")
 
@@ -80,21 +76,11 @@ class ReflectingParams:
 def sample_decay_batch(p: DecayParams, size: int, rng: np.random.Generator) -> np.ndarray:
     """Values of the decay process at time t for ``size`` independent draws.
 
-    Simulates the event chain: the i-th decay waits an exponential time
-    with rate lam*(N-i+1); the value at t is N minus the number of decays
-    whose cumulative time fits inside t. Marginally the value is
-    Binomial(N, exp(-lam*t)), which tests exploit as an oracle.
+    Each of the N units survives to t on its own with probability
+    exp(-lam*t), so the value is Binomial(N, exp(-lam*t)); one exact
+    binomial draw per sample replaces the N-event chain, in O(size).
     """
-    rates = p.lam * np.arange(p.N, 0, -1, dtype=np.float64)
-    out = np.empty(size, dtype=np.int64)
-    chunk = max(1, min(size, 4_000_000 // p.N))
-    for start in range(0, size, chunk):
-        k = min(chunk, size - start)
-        waits = rng.exponential(1.0, size=(k, p.N)) / rates
-        elapsed = np.cumsum(waits, axis=1)
-        decays = (elapsed <= p.t).sum(axis=1)
-        out[start : start + k] = p.N - decays
-    return out
+    return rng.binomial(p.N, math.exp(-p.lam * p.t), size).astype(np.int64)
 
 
 def sample_walk_z_batch(p: WalkParams, size: int, rng: np.random.Generator) -> np.ndarray:
@@ -118,7 +104,9 @@ def sample_walk_reflecting_batch(
     sweep; a draw retires once its next event would land past the
     horizon, freezing its value. From state 0 the reverse rate is zero,
     so the selection uniform (strictly below 1) always steps forward and
-    the barrier needs no special casing.
+    the barrier needs no special casing. The sweep works on compacted
+    arrays of the active draws (output id, state, running max, time): a
+    retiring draw writes its results once and leaves them.
 
     With an integer level ``stop_at >= 1``, a draw also retires in the
     sweep where its state first reaches that level, so both results are
@@ -134,20 +122,28 @@ def sample_walk_reflecting_batch(
     fwd = p.delta_f * p.N
     state = np.zeros(size, dtype=np.int64)
     vmax = np.zeros(size, dtype=np.int64)
+    ids = np.arange(size)
+    cur = np.zeros(size, dtype=np.int64)
+    top = np.zeros(size, dtype=np.int64)
     tnow = np.zeros(size)
-    idx = np.arange(size)
-    while idx.size:
-        rates = fwd + p.lambda_r * state[idx]
-        tnext = tnow[idx] + rng.exponential(1.0, idx.size) / rates
-        alive = tnext <= p.t
-        live = idx[alive]
-        if live.size == 0:
-            break
-        tnow[live] = tnext[alive]
-        forward = rng.random(live.size) * rates[alive] < fwd
-        state[live] += np.where(forward, 1, -1)
-        vmax[live] = np.maximum(vmax[live], state[live])
+    while ids.size:
+        rates = fwd + p.lambda_r * cur
+        tnow += rng.exponential(1.0, ids.size) / rates
+        done = tnow > p.t
+        if done.any():
+            state[ids[done]] = cur[done]
+            vmax[ids[done]] = top[done]
+            keep = ~done
+            ids, cur, top, tnow, rates = ids[keep], cur[keep], top[keep], tnow[keep], rates[keep]
+            if not ids.size:
+                break
+        cur += np.where(rng.random(ids.size) * rates < fwd, 1, -1)
+        np.maximum(top, cur, out=top)
         if stop_at is not None:
-            live = live[state[live] < stop_at]
-        idx = live
+            done = cur >= stop_at
+            if done.any():
+                state[ids[done]] = stop_at
+                vmax[ids[done]] = stop_at
+                keep = ~done
+                ids, cur, top, tnow = ids[keep], cur[keep], top[keep], tnow[keep]
     return state, vmax

@@ -314,7 +314,7 @@ class TestMonteCarlo:
     @pytest.mark.parametrize(
         "target,params,digest",
         [
-            ("decay", DecayBoundParams(80, 1.0, 0.5, 0.5), "2c55d3e17ee153e9"),
+            ("decay", DecayBoundParams(80, 1.0, 0.5, 0.5), "6ff4d67597b9c42a"),
             ("poisson", PoissonBoundParams(10.0, 14.0, "upper"), "ce6956c537bd6158"),
             ("walk_z", WalkBoundParams(10.0, 5.0, 1.0, 0.5), "6b0a90c3a6b1e277"),
             ("reflecting", ReflectingBoundParams(0.1, 1.0, 0.025, 100), "d65adcc2f48b9c89"),
@@ -324,7 +324,9 @@ class TestMonteCarlo:
     def test_report_matches_pinned_digest(self, target, params, digest):
         # sha256 prefixes of the whole report; every point has tail hits, so
         # a change in the draws, the chunk layout or the parameters the
-        # sampler reads shows
+        # sampler reads shows. The decay pin was taken when the sampler
+        # moved from the N-event chain to one binomial draw per sample:
+        # the same law from fewer random numbers
         rep = monte_carlo_validate(target, params, trials=10_000, seed=6101)
         blob = json.dumps(rep.to_dict(), sort_keys=True).encode()
         assert hashlib.sha256(blob).hexdigest()[:16] == digest
@@ -332,6 +334,18 @@ class TestMonteCarlo:
     def test_trial_floor_enforced(self):
         with pytest.raises(DomainError):
             monte_carlo_validate("poisson", PoissonBoundParams(10.0, 14, "upper"), trials=100)
+
+    @pytest.mark.parametrize("trials", [2.5, 100_000.0, math.nan, math.inf])
+    def test_non_integer_trials_refused(self, trials):
+        # a float trials count raised a TypeError inside the chunk layout
+        with pytest.raises(DomainError, match="trials must be an integer"):
+            monte_carlo_validate("poisson", PoissonBoundParams(10.0, 14, "upper"), trials=trials)
+
+    def test_numpy_integer_trials_accepted(self):
+        rep = monte_carlo_validate(
+            "poisson", PoissonBoundParams(10.0, 14, "upper"), trials=np.int64(10_000), seed=1
+        )
+        assert rep.trials == 10_000
 
     @pytest.mark.parametrize(
         "target,make",

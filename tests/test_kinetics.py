@@ -564,6 +564,21 @@ class TestRunTrials:
         with pytest.raises(DomainError, match="t_max or max_events"):
             run_trials(crn, crn.config({"A": 5}), stop, 3, seed=0)
 
+    @pytest.mark.parametrize("trials", [2.5, 100_000.0, math.nan, math.inf, 0])
+    def test_trials_must_be_a_positive_integer(self, trials, monkeypatch):
+        # a float trials count raised a TypeError inside the chunk layout,
+        # and NaN passed the old ``trials < 1`` check
+        crn, _ = parse_crn("A -> B\n")
+        _refuse_to_simulate(monkeypatch)
+        with pytest.raises(DomainError, match="trials must be an integer"):
+            run_trials(crn, crn.config({"A": 3}), StopCondition(t_max=1.0), trials, seed=0)
+
+    def test_numpy_integer_trials_accepted(self):
+        crn, _ = parse_crn("A -> B\n")
+        stop = StopCondition(t_max=1.0)
+        times, _ = run_trials(crn, crn.config({"A": 3}), stop, np.int64(4), seed=0)
+        assert times.shape == (4,)
+
     @pytest.mark.parametrize("volume", [math.nan, math.inf, -math.inf])
     def test_volume_must_be_finite(self, volume, monkeypatch):
         # a NaN volume made every propensity NaN, so a run with a t_max never ended

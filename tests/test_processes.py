@@ -18,6 +18,56 @@ from crnsim.processes import (
 from crnsim.streams import substream
 
 
+def decay_event_chain(p: DecayParams, size: int, rng: np.random.Generator) -> np.ndarray:
+    """Reference decay sampler in O(size*N): the i-th decay waits an
+    exponential time with rate lam*(N-i+1), and the value at t is N minus
+    the number of decays whose cumulative time fits inside t."""
+    rates = p.lam * np.arange(p.N, 0, -1, dtype=np.float64)
+    waits = rng.exponential(1.0, size=(size, p.N)) / rates
+    return p.N - (np.cumsum(waits, axis=1) <= p.t).sum(axis=1)
+
+
+def two_sample_z(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
+    """z statistics for equal means and equal variances of two samples.
+
+    The variance statistic uses the large-sample variance of a sample
+    variance, (m4 - s^4)/n, with m4 the fourth central moment.
+    """
+
+    def var_of_var(x):
+        s2 = x.var(ddof=1)
+        return (((x - x.mean()) ** 4).mean() - s2**2) / x.size
+
+    z_mean = (a.mean() - b.mean()) / math.sqrt(a.var(ddof=1) / a.size + b.var(ddof=1) / b.size)
+    z_var = (a.var(ddof=1) - b.var(ddof=1)) / math.sqrt(var_of_var(a) + var_of_var(b))
+    return float(z_mean), float(z_var)
+
+
+def reflecting_gather_scatter(p: ReflectingParams, size: int, rng, stop_at=None):
+    """Reference reflecting sweep over full-size arrays indexed by the ids
+    of the active draws; it takes the same random draws in the same order
+    as the compacted sampler, so the two agree bit for bit."""
+    fwd = p.delta_f * p.N
+    state = np.zeros(size, dtype=np.int64)
+    vmax = np.zeros(size, dtype=np.int64)
+    tnow = np.zeros(size)
+    idx = np.arange(size)
+    while idx.size:
+        rates = fwd + p.lambda_r * state[idx]
+        tnext = tnow[idx] + rng.exponential(1.0, idx.size) / rates
+        alive = tnext <= p.t
+        live = idx[alive]
+        if live.size == 0:
+            break
+        tnow[live] = tnext[alive]
+        state[live] += np.where(rng.random(live.size) * rates[alive] < fwd, 1, -1)
+        vmax[live] = np.maximum(vmax[live], state[live])
+        if stop_at is not None:
+            live = live[state[live] < stop_at]
+        idx = live
+    return state, vmax
+
+
 class TestDecay:
     def test_fast_decay_empties(self):
         vals = sample_decay_batch(DecayParams(100, 50.0, 1.0), 500, substream(0))
@@ -57,6 +107,29 @@ class TestDecay:
         var_ref = N * math.exp(-1) * (1 - math.exp(-1))
         assert abs(proc_vals.var(ddof=1) - var_ref) / var_ref < 0.15
         assert abs(sim_vals.var(ddof=1) - var_ref) / var_ref < 0.15
+
+    @pytest.mark.parametrize(
+        "N,lam,t,draws",
+        [(200, 1.0, 0.7, 20_000), (50, 2.0, 0.3, 20_000), (1000, 0.5, 3.0, 5_000)],
+    )
+    def test_matches_event_chain(self, N, lam, t, draws):
+        # the binomial draw and the N-event chain are the same law; with
+        # 3 points x 2 statistics, |z| <= 4 fails a correct sampler with
+        # probability about 4e-4
+        p = DecayParams(N, lam, t)
+        fast = sample_decay_batch(p, draws, substream(31, N)).astype(float)
+        chain = decay_event_chain(p, draws, substream(32, N)).astype(float)
+        z_mean, z_var = two_sample_z(fast, chain)
+        assert abs(z_mean) <= 4 and abs(z_var) <= 4
+
+    def test_cost_is_independent_of_N(self):
+        # the event chain would need a 1000 x 10^9 array of waiting times
+        N, draws = 10**9, 1000
+        vals = sample_decay_batch(DecayParams(N, 1.0, 1.0), draws, substream(6))
+        p = math.exp(-1.0)
+        sd = math.sqrt(N * p * (1 - p))
+        assert vals.dtype == np.int64 and vals.shape == (draws,)
+        assert np.all(np.abs(vals - N * p) < 6 * sd)
 
     def test_param_validation(self):
         with pytest.raises(DomainError):
@@ -166,6 +239,23 @@ class TestReflectingStopped:
             h.update(m.astype("<i8").tobytes())
         assert h.hexdigest()[:16] == "098320bcd03cacf3"
 
+    def test_stopped_draws_match_pinned_digest(self):
+        # two chunks per point; at both levels some draws stop at the level
+        # and the rest pass the horizon first, so retirement on either
+        # ground and the order of the exponential and uniform draws all show
+        h = hashlib.sha256()
+        points = [
+            (ReflectingParams(200, 0.1, 1.0, 1.0), 12),
+            (ReflectingParams(50, 0.5, 2.0, 3.0), 18),
+        ]
+        for i, (p, level) in enumerate(points):
+            for c in range(2):
+                v, m = sample_walk_reflecting_batch(p, 1000, substream(8, i, c), stop_at=level)
+                assert 0 < (m == level).mean() < 1
+                h.update(v.astype("<i8").tobytes())
+                h.update(m.astype("<i8").tobytes())
+        assert h.hexdigest()[:16] == "d865681e2536b298"
+
     def test_tail_frequency_matches_full_paths(self):
         # Pr[max < 12] is about 0.27 here, so both estimates are sharp
         p, thr, draws = ReflectingParams(200, 0.1, 1.0, 1.0), 12, 200_000
@@ -190,6 +280,19 @@ class TestReflectingStopped:
             assert np.all(m <= level)
             assert np.all(v >= 0) and np.all(m >= v)
             assert np.all(v[m == level] == level)
+
+    def test_matches_gather_scatter_reference(self, rng):
+        for i in range(12):
+            p = ReflectingParams(
+                int(rng.integers(1, 300)),
+                float(rng.uniform(0.05, 2.0)),
+                float(rng.uniform(0.5, 3.0)),
+                float(rng.uniform(0.1, 2.0)),
+            )
+            level = None if i % 3 == 0 else int(rng.integers(1, 40))
+            got = sample_walk_reflecting_batch(p, 700, substream(3000 + i), stop_at=level)
+            want = reflecting_gather_scatter(p, 700, substream(3000 + i), stop_at=level)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
     @pytest.mark.parametrize("level", [0, -3, 0.5, 2.5, math.inf, math.nan])
     def test_bad_level_rejected(self, level):
