@@ -47,7 +47,8 @@ def check_integer(value, name: str, minimum: int = 1) -> None:
 
     Floats are refused even when integral, and NaN fails every comparison,
     so ``2.5``, ``100.0``, ``nan`` and ``inf`` all raise here instead of
-    deep inside a sampler or a chunk layout.
+    deep inside a sampler or a chunk layout. ``True`` and ``False`` are
+    refused too, though ``bool`` subclasses ``int``.
     """
-    if not (isinstance(value, Integral) and value >= minimum):
+    if not (isinstance(value, Integral) and not isinstance(value, bool) and value >= minimum):
         raise DomainError(f"{name} must be an integer of at least {minimum}, got {value}")

@@ -23,13 +23,16 @@ event budget none of whose triggers can ever fire. ``simulate`` records
 one trajectory with the scalar loop, ``_run_core``. ``run_trials``
 repeats a stop over independent trials with the batched loop,
 ``_run_batch``, which advances all trials of a chunk of ``_TRIAL_CHUNK``
-in lockstep; the chunks fan out through ``parallel.map_chunks``, so
-chunk c draws from ``substream(seed, *stream_key, c)``. It returns
-per-trial end times and first-appearance times; the first-production
-statistics and the ``harness`` experiments build on it. Each loop tests
-the watch, count and event-budget stops in one place, before it draws:
-the scalar loop at the top of each iteration, the batched loop at the top
-of each sweep. ``t_max`` is tested against the drawn event time.
+in lockstep over species-major arrays (a row per count, a column per
+trial); the chunks fan out through ``parallel.map_chunks``, so chunk c
+draws from ``substream(seed, *stream_key, c)``. It returns per-trial end
+times and first-appearance times; the first-production statistics and
+the ``harness`` experiments build on it. Each loop tests the watch, count
+and event-budget stops in one place, before it draws: the scalar loop at
+the top of each iteration, the batched loop at the top of each sweep.
+The batched loop reads the watched counts only after a sweep that fired a
+reaction raising a watched species. ``t_max`` is tested against the drawn
+event time.
 """
 
 from __future__ import annotations
@@ -323,10 +326,20 @@ def _run_batch(
     each active trial's event count. A sweep takes the time uniforms of
     all active trials, then their selection uniforms (none with a single
     reaction), so a one-trial run reads the uniforms ``_run_core`` reads.
-    The watch, count and event-budget stops are tested at the top of each
-    sweep, before its uniforms are drawn. A trial ends without an event
-    in the sweep where its total propensity is zero (it is then exhausted
-    and keeps the time of its last event) or its next event lies past
+    The state is species-major, with one column per active trial: the
+    counts have a row per species, the entry held at 1, and a row per
+    X + X reaction holding its reactant's count minus 1, and the
+    first-appearance times a row per watched species. The propensities
+    are then one row gather and float products in the scalar loop's
+    order, and the step is one column gather from the transposed
+    stoichiometry. The watch, count and event-budget stops are tested at
+    the top of each sweep, before its uniforms are drawn. The watched
+    counts are read only after a sweep in which some trial fired a
+    reaction that raises a watched species, since no other reaction can
+    make an unseen one positive; the watch's completion is tested only
+    when something new was seen. A trial ends without an event in the
+    sweep where its total propensity is zero (it is then exhausted and
+    keeps the time of its last event) or its next event lies past
     ``t_max`` (it takes ``t_max``), and retires at the top of the next.
 
     Returns (end times, first-appearance times with one column per
@@ -342,15 +355,28 @@ def _run_batch(
     n_events = np.zeros(trials, dtype=np.int64)
     if count_stop is not None:
         sid, thr, direction = count_stop
+        reached = np.greater_equal if direction > 0 else np.less_equal
     nrx = comp.n
-    coef, ra, rb, minus, stoich = comp.coef, comp.ra, comp.rb, comp.minus, comp.stoich
     draws = 1 if nrx == 1 else 2
-    cnt = np.tile(init, (trials, 1))
+    # each X + X reaction reads one more row, which holds its reactant's
+    # count minus 1 and follows that count's changes, in place of c - minus
+    xx = np.flatnonzero(comp.minus)
+    rows = np.concatenate((np.arange(init.size), comp.ra[xx]))
+    rb = comp.rb.copy()
+    rb[xx] = init.size + np.arange(xx.size)
+    rab = np.concatenate((comp.ra, rb))
+    steps = comp.stoich.T[rows]
+    start = init[rows]
+    start[init.size :] -= 1
+    coefk = np.repeat(comp.coef[:, None], trials, axis=1)
+    raises = (comp.stoich[:, wcols] > 0).any(axis=1)
+    cnt = np.repeat(start[:, None], trials, axis=1)
+    seen = first.T.copy()
     t = np.zeros(trials)
     ids = np.arange(trials)
-    seen = first.copy()
     ended = dead = np.zeros(trials, dtype=bool)  # set in a sweep, read at the top of the next
-    fresh = True  # whether a watched species appeared since the watch was last tested
+    any_ended = False
+    fresh = wcols.size > 0  # whether a watched species appeared since the watch was last tested
     ubuf, ui = np.empty(0), 0
     sweep = 0
 
@@ -359,30 +385,38 @@ def _run_batch(
             # the one stop test: a trial retires here once its stop holds,
             # or in the sweep after the one it ended in
             done = ended
-            if wcols.size and fresh:
-                done = done | ~np.isnan(seen).any(axis=1)
+            if fresh:
+                done = done | ~np.isnan(seen).any(axis=0)
             if count_stop is not None:
-                done = done | ((cnt[:, sid] - thr) * direction >= 0)
+                done = done | reached(cnt[sid], thr)
+            retire = any_ended if done is ended else np.count_nonzero(done)
             if max_events is not None and sweep >= max_events:
-                done = np.ones_like(done)
-            if done.any():
+                done, retire = np.ones_like(done), True
+            if retire:
                 out = ids[done]
                 end[out] = t[done]
-                first[out] = seen[done]
+                first[out] = seen[:, done].T
                 exhausted[out] = dead[done]
                 n_events[out] = sweep - ended[done]
                 keep = ~done
-                ids, cnt, t, seen = ids[keep], cnt[keep], t[keep], seen[keep]
+                ids, t, cnt, seen = ids[keep], t[keep], cnt[:, keep], seen[:, keep]
+                coefk = coefk[:, : ids.size]
                 if not ids.size:
                     break
             sweep += 1
             if nrx == 0:  # nothing can fire, so every trial left is exhausted
                 ended = dead = np.ones(ids.size, dtype=bool)
+                any_ended = True
                 continue
             k = ids.size
-            rho = coef * cnt.take(ra, axis=1) * (cnt.take(rb, axis=1) - minus)
-            cum = rho.cumsum(axis=1)
-            total = cum[:, -1]
+            # coef * c[ra] * (c[rb] - minus), the counts cast to float as a
+            # float-by-integer product casts them
+            g = cnt.take(rab, axis=0).astype(np.float64)
+            cum = g[:nrx] * coefk
+            cum *= g[nrx:]
+            if nrx > 1:
+                cum = np.add.accumulate(cum, axis=0)
+            total = cum[-1]
             need = draws * k
             if ui + need > ubuf.size:
                 block = open_uniform_block(rng, max(2 * need, _BLOCK))
@@ -390,25 +424,33 @@ def _run_batch(
             tn = t - np.log(ubuf[ui : ui + k]) / total
             usel = ubuf[ui + k : ui + need]
             ui += need
-            # exhaustion is tested on its own: when every propensity is
-            # -0.0 (X + X at count 0), total is -0.0 and tn is -inf
-            dead = total <= 0.0
-            ended = dead if t_max is None else dead | (tn > t_max)
+            # a zero total makes tn infinite, and -inf when every propensity
+            # is -0.0 (X + X at count 0), so with t_max both show in |tn|;
+            # which ended trials are exhausted is settled only if some ended
+            ended = dead = total <= 0.0 if t_max is None else np.abs(tn) > t_max
             if nrx == 1:
-                step = stoich[0]
+                step = steps
+                rose = raises[0]
             else:
                 # the first j with x < cum[j], or the last reaction when there is none
-                step = stoich[(cum[:, :-1] <= (usel * total)[:, None]).sum(axis=1)]
-            if ended.any():  # an ended trial makes no event
-                step = step * ~ended[:, None]
+                idx = np.add.reduce(cum[:-1] <= usel * total, axis=0)
+                step = steps.take(idx, axis=1)
+                rose = wcols.size and np.count_nonzero(raises.take(idx))
+            any_ended = np.count_nonzero(ended)
+            if any_ended:  # an ended trial makes no event
+                dead = total <= 0.0
+                step = step * ~ended
                 tn = np.where(dead, t, tn if t_max is None else np.minimum(tn, t_max))
             cnt += step
             t = tn
-            if wcols.size:
-                new = np.isnan(seen) & (cnt.take(wcols, axis=1) > 0)
-                fresh = new.any()  # a trial's watch can only complete when something appears
+            # only a reaction that raises a watched species can make an
+            # unseen one positive
+            fresh = False
+            if rose:
+                new = np.isnan(seen) & (cnt.take(wcols, axis=0) > 0)
+                fresh = np.count_nonzero(new)
                 if fresh:
-                    seen = np.where(new, t[:, None], seen)
+                    seen = np.where(new, t, seen)
     return end, first, exhausted, n_events
 
 

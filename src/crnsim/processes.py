@@ -29,10 +29,13 @@ import numpy as np
 
 from .errors import DomainError, check_integer
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
 
 @dataclass(frozen=True)
 class DecayParams:
-    """Integer initial value N, decay constant lam, horizon t (all positive and finite)."""
+    """Integer initial value N below 2^63, decay constant lam, horizon t (all
+    positive and finite)."""
 
     N: int
     lam: float
@@ -40,6 +43,8 @@ class DecayParams:
 
     def __post_init__(self):
         check_integer(self.N, "N")
+        if self.N > _INT64_MAX:  # numpy's binomial sampler takes N as a C long
+            raise DomainError(f"N must be at most {_INT64_MAX}, got {self.N}")
         if not all(0 < x < math.inf for x in (self.lam, self.t)):
             raise DomainError("lam and t must be finite and positive")
 

@@ -352,12 +352,14 @@ class TestMonteCarlo:
         [
             ("decay", lambda: DecayBoundParams(2.5, 1.0, 1.0, 0.5)),
             ("decay", lambda: DecayBoundParams(100.0, 1.0, 1.0, 0.5)),
+            ("decay", lambda: DecayBoundParams(True, 1.0, 1.0, 0.5)),
             ("reflecting", lambda: ReflectingBoundParams(0.2, 1.0, 0.05, 500.0)),
         ],
-        ids=["decay-2.5", "decay-100.0", "reflecting-500.0"],
+        ids=["decay-2.5", "decay-100.0", "decay-True", "reflecting-500.0"],
     )
     def test_non_integer_N_is_refused(self, target, make):
-        # the decay sampler raised a TypeError on a float N
+        # the decay sampler raised a TypeError on a float N, and True built
+        # a decay of one unit
         with pytest.raises(DomainError, match="N must be an integer"):
             monte_carlo_validate(target, make(), trials=10_000)
 

@@ -338,6 +338,14 @@ class TestErrorPaths:
         assert main(argv) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_decay_N_beyond_int64_exits_1(self, capsys):
+        # the binomial sampler takes N as a C long: 2^63 ended in an
+        # OverflowError traceback from Generator.binomial
+        argv = ["bounds", "decay", "--N", str(2**63), "--lam", "1", "--t", "1",
+                "--delta", "0.5", "--validate", "--trials", "10000"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: N must be at most {2**63 - 1}, got {2**63}\n"
+
     def test_constants_without_init(self, tmp_path, capsys):
         p = tmp_path / "noinit.crn"
         p.write_text("X -> Y\n")

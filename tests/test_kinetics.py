@@ -8,6 +8,7 @@ import pytest
 from crnsim import kinetics
 from crnsim.analysis import stage_decomposition
 from crnsim.errors import DomainError, UnsupportedReactionOrderError
+from crnsim.harness import chain_crn, leader_election_experiment
 from crnsim.kinetics import (
     _TRIAL_CHUNK,
     FirstProductionStats,
@@ -514,6 +515,33 @@ class TestRunTrials:
         assert len(calls) == 240
         assert h.hexdigest()[:16] == "f07b0fe15aa01ebe"
 
+    def test_long_runs_with_few_trials_byte_identical_to_pinned_digest(self, monkeypatch):
+        # sha256 prefix of every _run_batch array for runs of over a
+        # thousand sweeps over a few trials on the doubling chain: the
+        # paper's negative example watching X4 to a horizon; a watch on X2,
+        # X3 and X4, where X2 appears and is then consumed, so X4 completes
+        # the watch long after X2 was seen (or the horizon comes first); and
+        # a count stop approached from above
+        chain3, chain2 = chain_crn(3), chain_crn(2)
+        runs = [
+            (chain3, {"X1": 4096}, 4096.0,
+             StopCondition(t_max=4.0, species_appears=frozenset({"X4"})), 30, 11),
+            (chain3, {"X1": 2048}, 512.0,
+             StopCondition(t_max=6.0, species_appears=frozenset({"X2", "X3", "X4"})), 7, 12),
+            (chain2, {"X1": 3000}, None, StopCondition(count_reaches=("X1", 40)), 5, 13),
+        ]
+        calls = _spy_batch(monkeypatch)
+        for crn, init, volume, stop, trials, seed in runs:
+            run_trials(crn, crn.config(init), stop, trials, seed=seed, volume=volume)
+        first = calls[1][1]
+        assert np.isnan(first[:, 1:]).any() and not np.isnan(first[:, 0]).any()
+        assert [int(c[3].min()) for c in calls] == [3765, 1348, 2928]  # all long runs
+        h = hashlib.sha256()
+        for call in calls:
+            for arr in call:
+                h.update(arr.tobytes())
+        assert h.hexdigest()[:16] == "fe4f01cc57001a91"
+
     def test_kernel_law_matches_repeated_simulate(self, rng):
         # on random networks where an absent species is producible, the
         # kernel's mean end time and censored fraction for that species
@@ -564,14 +592,17 @@ class TestRunTrials:
         with pytest.raises(DomainError, match="t_max or max_events"):
             run_trials(crn, crn.config({"A": 5}), stop, 3, seed=0)
 
-    @pytest.mark.parametrize("trials", [2.5, 100_000.0, math.nan, math.inf, 0])
+    @pytest.mark.parametrize("trials", [2.5, 100_000.0, math.nan, math.inf, 0, True])
     def test_trials_must_be_a_positive_integer(self, trials, monkeypatch):
         # a float trials count raised a TypeError inside the chunk layout,
-        # and NaN passed the old ``trials < 1`` check
+        # NaN passed the old ``trials < 1`` check, and True ran one trial,
+        # which the harness then reported as ``trials == True``
         crn, _ = parse_crn("A -> B\n")
         _refuse_to_simulate(monkeypatch)
         with pytest.raises(DomainError, match="trials must be an integer"):
             run_trials(crn, crn.config({"A": 3}), StopCondition(t_max=1.0), trials, seed=0)
+        with pytest.raises(DomainError, match="trials must be an integer"):
+            leader_election_experiment(10, trials, 1)
 
     def test_numpy_integer_trials_accepted(self):
         crn, _ = parse_crn("A -> B\n")

@@ -69,6 +69,12 @@ def reflecting_gather_scatter(p: ReflectingParams, size: int, rng, stop_at=None)
 
 
 class TestDecay:
+    def test_N_beyond_int64_refused(self):
+        vals = sample_decay_batch(DecayParams(2**63 - 1, 1.0, 50.0), 3, substream(4))
+        assert vals.tolist() == [0, 0, 0]
+        with pytest.raises(DomainError, match=f"N must be at most {2**63 - 1}, got {2**63}"):
+            DecayParams(2**63, 1.0, 1.0)
+
     def test_fast_decay_empties(self):
         vals = sample_decay_batch(DecayParams(100, 50.0, 1.0), 500, substream(0))
         assert vals.max() == 0
