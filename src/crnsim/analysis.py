@@ -50,17 +50,23 @@ def _as_fraction(x, name: str) -> Fraction:
 # Production closure and stages
 
 
+def _producers(crn: Crn, present) -> dict[int, int]:
+    """Each species producible by a single reaction whose reactants all lie
+    in ``present``, mapped to the first such reaction in table order
+    (reactions with no reactants qualify unconditionally)."""
+    out: dict[int, int] = {}
+    for ridx, rx in enumerate(crn.reactions):
+        if rx.reactant_support() <= present:
+            for i, (r, p) in enumerate(zip(rx.reactants, rx.products)):
+                if p > r:
+                    out.setdefault(i, ridx)
+    return out
+
+
 def prod_set(crn: Crn, present: frozenset[int] | set) -> frozenset[int]:
     """Species producible by a single reaction whose reactants all lie in
     ``present`` (reactions with no reactants qualify unconditionally)."""
-    present = frozenset(present)
-    out = set()
-    for rx in crn.reactions:
-        if rx.reactant_support() <= present:
-            out.update(
-                i for i in range(len(rx.products)) if rx.products[i] > rx.reactants[i]
-            )
-    return frozenset(out)
+    return frozenset(_producers(crn, present))
 
 
 @dataclass(frozen=True)
@@ -111,16 +117,11 @@ def stage_decomposition(crn: Crn, init: Configuration) -> StageDecomposition:
     stages = [current]
     witnesses: dict[int, int] = {}
     while True:
-        produced = prod_set(crn, current)
-        new = produced - current
+        new = {s: r for s, r in _producers(crn, current).items() if s not in current}
         if not new:
             return StageDecomposition(tuple(stages), witnesses)
-        for sid in new:
-            for ridx, rx in enumerate(crn.reactions):
-                if rx.produces(sid) and rx.reactant_support() <= current:
-                    witnesses[sid] = ridx
-                    break
-        current = current | new
+        witnesses.update(new)
+        current = current.union(new)
         stages.append(current)
 
 
@@ -280,7 +281,7 @@ class FiniteDensityStatus:
 
     kind: str  # "population_protocol" | "mass_conserving" | "unknown"
     c_hat: Fraction | None
-    certificate: ConservationCertificate | None = None
+    certificate: ConservationCertificate | None = None  # None only for population protocols
 
     def to_dict(self, crn: Crn) -> dict:
         d = {"kind": self.kind, "c_hat": None if self.c_hat is None else str(self.c_hat)}
@@ -295,7 +296,7 @@ def finite_density_status(crn: Crn) -> FiniteDensityStatus:
     cert = check_mass_conserving(crn)
     if cert.exists:
         return FiniteDensityStatus("mass_conserving", cert.ratio, cert)
-    return FiniteDensityStatus("unknown", None)
+    return FiniteDensityStatus("unknown", None, cert)
 
 
 # ---------------------------------------------------------------------------
@@ -443,8 +444,7 @@ def closure_vs_oracle(
     1..scale_limit against the stage closure. A truncated search marks
     that scale inconclusive (its subset relation still holds, since BFS
     only ever underestimates)."""
-    if scale_limit < 1:
-        raise DomainError("scale_limit must be at least 1")
+    check_integer(scale_limit, "scale_limit")
     stages = stage_decomposition(crn, init)
     closure = stages.closure
     out = []

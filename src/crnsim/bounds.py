@@ -148,35 +148,15 @@ class TheoremConstants:
     n_thresholds: tuple[tuple[str, float], ...]  # (description, log2 of min n)
     warnings: tuple[str, ...]
 
-    @property
-    def c(self) -> float:
-        """4*e^(lam*(m+1)); may overflow to inf, use log2_c instead."""
-        try:
-            return 2.0**self.log2_c
-        except OverflowError:
-            return math.inf
-
     def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "c_hat_input": self.c_hat_input,
-            "c_hat": self.c_hat,
-            "K_hat": self.K_hat,
-            "k_hat": self.k_hat,
-            "lambda": self.lam,
-            "m": self.m,
-            "n_species": self.n_species,
-            "log2_c": self.log2_c,
-            "log2_delta": list(self.log2_delta),
-            "log2_delta_m_lower": self.log2_delta_m_lower,
-            "log2_epsilon_prime": self.log2_epsilon_prime,
-            "log2_epsilon": self.log2_epsilon,
-            "t": self.t,
-            "n_thresholds": [
-                {"description": d, "log2_n_min": v} for d, v in self.n_thresholds
-            ],
-            "warnings": list(self.warnings),
-        }
+        """Every field by name, tuples as lists; ``lam`` is keyed "lambda"."""
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        d = {k: list(v) if isinstance(v, tuple) else v for k, v in d.items()}
+        d["lambda"] = d.pop("lam")
+        d["n_thresholds"] = [
+            {"description": desc, "log2_n_min": v} for desc, v in self.n_thresholds
+        ]
+        return d
 
 
 def compute_theorem_constants(
@@ -351,17 +331,10 @@ class BoundReport:
         return self.empirical_hits / self.trials
 
     def to_dict(self) -> dict:
-        return {
-            "target": self.target,
-            "params": self.params,
-            "log2_bound": self.log2_bound,
-            "empirical_hits": self.empirical_hits,
-            "trials": self.trials,
-            "empirical_rate": self.empirical_rate,
-            "upper_confidence": self.upper_confidence,
-            "verdict": self.verdict,
-            "vacuous": self.vacuous,
-        }
+        """Every field by name, plus ``empirical_rate``."""
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        d["empirical_rate"] = self.empirical_rate
+        return d
 
 
 def _decay_hits(params: DecayBoundParams, rng: np.random.Generator, size: int) -> int:

@@ -86,7 +86,7 @@ def _cmd_analyze(args) -> int:
     crn, init = _load_crn(args.file, args.init, require_init=True)
     stages = analysis.stage_decomposition(crn, init)
     status = analysis.finite_density_status(crn)
-    cert = analysis.check_mass_conserving(crn)
+    cert = status.certificate or analysis.check_mass_conserving(crn)
     dense = analysis.is_alpha_dense(init, args.alpha) if args.alpha else None
     report = {
         "stages": stages.to_dict(crn),

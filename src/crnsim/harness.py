@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -48,8 +48,7 @@ def chain_crn(m: int) -> Crn:
     X_{i+1}), all at unit rate, so reaching X_{m+1} needs 2^m initial
     copies to survive the decays.
     """
-    if m < 1:
-        raise DomainError("m must be at least 1")
+    check_integer(m, "m")
     lines = [f"species: {' '.join(f'X{i}' for i in range(1, m + 2))}"]
     lines += [f"X{i} -> 0 ; k=1" for i in range(1, m + 1)]
     lines += [f"X{i} + X{i} -> X{i + 1} ; k=1" for i in range(1, m + 1)]
@@ -105,8 +104,7 @@ def leader_election_experiment(
     The j-leaders state fires at rate j(j-1)/(2n); summing expected holds
     from j=n down to 2 telescopes to the reference mean 2(n-1).
     """
-    if n < 2:
-        raise DomainError("n must be at least 2")
+    check_integer(n, "n", 2)
     crn = leader_election_crn()
     times = run_trials(
         crn, crn.config({"L": n}), StopCondition(count_reaches=("L", 1)), trials, seed,
@@ -154,8 +152,7 @@ def chain_experiment(
     m: int, n: int, trials: int, t_cap: float, seed: int, threads: int = 1
 ) -> ChainResult:
     """Produce X_{m+1} from n copies of X1 in volume n, or censor at t_cap."""
-    if n < 2:
-        raise DomainError("n must be at least 2")
+    check_integer(n, "n", 2)
     crn = chain_crn(m)
     init = crn.config({"X1": n})
     stats = first_production_times(
@@ -173,8 +170,7 @@ def scale_configuration(template: Configuration, n: int) -> Configuration:
     total = template.total
     if total == 0:
         raise DomainError("template configuration must be nonzero")
-    if n < 1:
-        raise DomainError("n must be positive")
+    check_integer(n, "n")
     tmpl = template.counts.tolist()
     scaled = [c * n // total for c in tmpl]
     remainder = n - sum(scaled)
@@ -192,6 +188,10 @@ class ScanRow:
     median: float
     p90: float
     mean_uncensored: float
+
+    def values(self, time) -> list:
+        """The fields in order, each float (a time) through ``time``."""
+        return [time(v) if isinstance(v, float) else v for v in astuple(self)]
 
 
 @dataclass
@@ -224,28 +224,13 @@ class ScanResult:
             "n_grid": list(self.n_grid),
             "targets": list(self.targets),
             "all_produced_fraction": {str(k): v for k, v in self.all_produced_fraction.items()},
-            "rows": [
-                {
-                    "n": r.n,
-                    "species": r.species,
-                    "trials": r.trials,
-                    "produced_count": r.produced_count,
-                    "median": json_time(r.median),
-                    "p90": json_time(r.p90),
-                    "mean_uncensored": json_time(r.mean_uncensored),
-                }
-                for r in self.rows
-            ],
+            "rows": [dict(zip(self.CSV_HEADER, r.values(json_time))) for r in self.rows],
         }
 
-    CSV_HEADER = ("n", "species", "trials", "produced_count", "median", "p90", "mean_uncensored")
+    CSV_HEADER = tuple(f.name for f in fields(ScanRow))
 
     def csv_rows(self):
-        return (
-            [r.n, r.species, r.trials, r.produced_count,
-             csv_time(r.median), csv_time(r.p90), csv_time(r.mean_uncensored)]
-            for r in self.rows
-        )
+        return (r.values(csv_time) for r in self.rows)
 
     def to_csv(self, fileobj):
         write_csv(fileobj, [self])
@@ -269,6 +254,8 @@ def constant_time_scan(
     all-produced fraction are collected. The time cap defaults to m+1.
     """
     check_integer(trials, "trials")
+    for n in n_grid:
+        check_integer(n, "n")
     n_grid = [int(n) for n in n_grid]
     if not n_grid:
         raise DomainError("n_grid must be nonempty")

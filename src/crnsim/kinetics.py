@@ -15,19 +15,20 @@ the clock's resolution leaves the event time unchanged. A trace records
 only at requested checkpoint times.
 
 There are two event loops, one per execution shape. Both evaluate the
-propensities above by one formula over one reaction table,
-``_Compiled``, and every :class:`StopCondition` is turned into their
-arguments in one place, ``_prepare``, which also builds that table. It
-refuses, before any event is drawn, a stop without a time horizon or
-event budget none of whose triggers can ever fire. ``simulate`` records
-one trajectory with the scalar loop, ``_run_core``. ``run_trials``
-repeats a stop over independent trials with the batched loop,
-``_run_batch``, which advances all trials of a chunk of ``_TRIAL_CHUNK``
-in lockstep over species-major arrays (a row per count, a column per
-trial); the chunks fan out through ``parallel.map_chunks``, so chunk c
-draws from ``substream(seed, *stream_key, c)``. It returns per-trial end
-times and first-appearance times; the first-production statistics and
-the ``harness`` experiments build on it. Each loop tests the watch, count
+propensities above by one formula over one reaction table of plain
+tuples, ``_Compiled``, and every :class:`StopCondition` is turned into
+their arguments in one place, ``_prepare``, which also builds that
+table. It refuses, before any event is drawn, a stop without a time
+horizon or event budget none of whose triggers can ever fire.
+``simulate`` records one trajectory with the scalar loop, ``_run_core``.
+``run_trials`` repeats a stop over independent trials with the batched
+loop, ``_run_batch``, which advances all trials of a chunk of
+``_TRIAL_CHUNK`` in lockstep over species-major arrays (a row per count,
+a column per trial) that it lays out from that table once per call; the
+chunks fan out through ``parallel.map_chunks``, so chunk c draws from
+``substream(seed, *stream_key, c)``. It returns per-trial end times and
+first-appearance times; the first-production statistics and the
+``harness`` experiments build on it. Each loop tests the watch, count
 and event-budget stops in one place, before it draws: the scalar loop at
 the top of each iteration, the batched loop at the top of each sweep.
 The batched loop reads the watched counts only after a sweep that fired a
@@ -69,7 +70,8 @@ class StopCondition:
     stops once every named species has been seen with positive count.
     ``count_reaches`` is a (species, threshold) pair: the run stops when
     the count reaches the threshold from its initial side. ``max_events``
-    bounds the number of reaction events.
+    bounds the number of reaction events. Counts and the event bound are
+    integers of at least 0.
     """
 
     t_max: float | None = None
@@ -87,10 +89,10 @@ class StopCondition:
             raise DomainError("stop condition must include at least one finite bound")
         if self.t_max is not None and not (self.t_max >= 0 and math.isfinite(self.t_max)):
             raise DomainError("t_max must be finite and nonnegative")
-        if self.max_events is not None and self.max_events < 0:
-            raise DomainError("max_events must be nonnegative")
-        if self.count_reaches is not None and self.count_reaches[1] < 0:
-            raise DomainError("a count threshold must be nonnegative")
+        if self.max_events is not None:
+            check_integer(self.max_events, "max_events", 0)
+        if self.count_reaches is not None:
+            check_integer(self.count_reaches[1], "a count threshold", 0)
         if self.species_appears is not None:
             object.__setattr__(self, "species_appears", frozenset(self.species_appears))
 
@@ -148,14 +150,13 @@ class _Compiled:
     ``coef[j] * c[ra[j]] * (c[rb[j]] - minus[j])``: X -> ... has coef k
     and ``rb`` at the entry held at 1; X + Y -> ... has coef k/v and ``rb``
     at Y; X + X -> ... has coef k/(2v), ``rb`` equal to ``ra`` and
-    ``minus`` 1. ``table`` holds these four values per reaction, which the
-    scalar loop reads; the batched loop reads them as the arrays ``coef``,
-    ``ra``, ``rb`` and ``minus``. Reaction j's net change is ``deltas[j]``,
-    its (species, change) pairs, for the scalar update and ``stoich[j]``,
-    a row over the counts, for the batched one.
+    ``minus`` 1. ``table`` holds these four values per reaction, and
+    ``deltas[j]`` holds reaction j's net change as (species, change) pairs.
+    The scalar loop reads both as they are; the batched loop lays them out
+    once per call over its own species-major rows.
     """
 
-    __slots__ = ("n", "table", "coef", "ra", "rb", "minus", "deltas", "stoich")
+    __slots__ = ("table", "deltas")
 
     def __init__(self, crn: Crn, volume: float):
         if not 0 < volume < math.inf:
@@ -188,18 +189,8 @@ class _Compiled:
             raise DomainError(
                 f"volume {volume!r} takes a rate constant divided by it out of floating-point range"
             )
-        self.n = len(table)
         self.table = tuple(table)
         self.deltas = tuple(deltas)
-        coef, ra, rb, minus = zip(*table) if table else ((), (), (), ())
-        self.coef = np.array(coef, dtype=np.float64)
-        self.ra = np.array(ra, dtype=np.intp)
-        self.rb = np.array(rb, dtype=np.intp)
-        self.minus = np.array(minus, dtype=np.int64)
-        self.stoich = np.zeros((self.n, ones + 1), dtype=np.int64)
-        for j, delta in enumerate(deltas):
-            for s, d in delta:
-                self.stoich[j, s] = d
 
 
 def _run_core(
@@ -225,8 +216,8 @@ def _run_core(
     one that already holds in ``counts`` ends the run at time 0. Returns
     (time, status, events, checkpoints, watch_times, n_events).
     """
-    nrx = comp.n
     table, deltas = comp.table, comp.deltas
+    nrx = len(table)
     t = 0.0
     events = []
     n_events = 0
@@ -329,7 +320,10 @@ def _run_batch(
     The state is species-major, with one column per active trial: the
     counts have a row per species, the entry held at 1, and a row per
     X + X reaction holding its reactant's count minus 1, and the
-    first-appearance times a row per watched species. The propensities
+    first-appearance times a row per watched species. These rows, the
+    reactant rows of each reaction and the step of each reaction over
+    them are built here from ``comp.table`` and ``comp.deltas``, the only
+    place that layout is written. The propensities
     are then one row gather and float products in the scalar loop's
     order, and the step is one column gather from the transposed
     stoichiometry. The watch, count and event-budget stops are tested at
@@ -356,20 +350,27 @@ def _run_batch(
     if count_stop is not None:
         sid, thr, direction = count_stop
         reached = np.greater_equal if direction > 0 else np.less_equal
-    nrx = comp.n
+    nrx = len(comp.table)
     draws = 1 if nrx == 1 else 2
     # each X + X reaction reads one more row, which holds its reactant's
     # count minus 1 and follows that count's changes, in place of c - minus
-    xx = np.flatnonzero(comp.minus)
-    rows = np.concatenate((np.arange(init.size), comp.ra[xx]))
-    rb = comp.rb.copy()
-    rb[xx] = init.size + np.arange(xx.size)
-    rab = np.concatenate((comp.ra, rb))
-    steps = comp.stoich.T[rows]
+    rows = list(range(init.size))
+    rab = [a for _, a, _, _ in comp.table]  # the ra rows, then the rb rows
+    for _, a, b, m in comp.table:
+        if m:
+            b = len(rows)
+            rows.append(a)
+        rab.append(b)
+    rab = np.array(rab, dtype=np.intp)
+    steps = np.zeros((init.size, nrx), dtype=np.int64)
+    for j, delta in enumerate(comp.deltas):
+        for s, d in delta:
+            steps[s, j] = d
+    steps = steps[rows]
     start = init[rows]
     start[init.size :] -= 1
-    coefk = np.repeat(comp.coef[:, None], trials, axis=1)
-    raises = (comp.stoich[:, wcols] > 0).any(axis=1)
+    coefk = np.repeat(np.array([k for k, _, _, _ in comp.table])[:, None], trials, axis=1)
+    raises = (steps[wcols] > 0).any(axis=0)
     cnt = np.repeat(start[:, None], trials, axis=1)
     seen = first.T.copy()
     t = np.zeros(trials)
@@ -475,7 +476,7 @@ def _prepare(crn: Crn, init: Configuration, stop: StopCondition, volume):
         watch = {crn.species.id_of(name) for name in stop.species_appears}
     if stop.count_reaches is not None:
         name, thr = stop.count_reaches
-        sid, thr = crn.species.id_of(name), int(thr)
+        sid = crn.species.id_of(name)
         count_stop = (sid, thr, -1 if counts[sid] > thr else 1)
     # a zero configuration has no propensity and ends at once
     if stop.t_max is None and stop.max_events is None and any(counts):

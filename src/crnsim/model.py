@@ -89,9 +89,6 @@ class Reaction:
     def produces(self, sid: int) -> bool:
         return self.products[sid] - self.reactants[sid] > 0
 
-    def consumes(self, sid: int) -> bool:
-        return self.reactants[sid] - self.products[sid] > 0
-
     def reactant_support(self) -> frozenset[int]:
         return frozenset(i for i, r in enumerate(self.reactants) if r > 0)
 

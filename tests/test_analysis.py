@@ -89,6 +89,11 @@ class TestStages:
                     rx = crn.reactions[st.witnesses[sid]]
                     assert rx.produces(sid)
                     assert rx.reactant_support() <= st.stages[stage_idx - 1]
+                    # the witness is the first such reaction in table order
+                    assert st.witnesses[sid] == next(
+                        j for j, r in enumerate(crn.reactions)
+                        if r.produces(sid) and r.reactant_support() <= st.stages[stage_idx - 1]
+                    )
 
     def test_strictly_increasing_and_bounded(self, rng):
         for _ in range(150):
@@ -191,7 +196,10 @@ class TestFiniteDensityStatus:
 
     def test_unknown(self):
         crn, _ = parse_crn("X -> 2X\n")
-        assert finite_density_status(crn).kind == "unknown"
+        st = finite_density_status(crn)
+        assert st.kind == "unknown"
+        # the failed search is kept, so a caller that reports it need not solve again
+        assert st.certificate == check_mass_conserving(crn) and not st.certificate.exists
 
 
 class TestReachability:
@@ -331,6 +339,13 @@ class TestClosureVsOracle:
         assert cmp.least_equal_scale == 8
         for sc in cmp.scales[:-1]:
             assert not sc.equal
+
+    @pytest.mark.parametrize("scale_limit", [2.5, math.nan, True])
+    def test_scale_limit_must_be_an_integer(self, scale_limit):
+        # 2.5 raised a TypeError from range(), and True compared one scale
+        crn, _ = parse_crn("X + X -> Y\n")
+        with pytest.raises(DomainError, match="scale_limit must be an integer of at least 1"):
+            closure_vs_oracle(crn, crn.config({"X": 1}), scale_limit)
 
     def test_truncated_scale_is_inconclusive(self):
         crn, _ = parse_crn("X -> 2X\nX -> Y\n")

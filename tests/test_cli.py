@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -118,6 +119,53 @@ class TestReports:
         assert main(["--format", "json", "validate", leader_file]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["finite_density"]["kind"] == "population_protocol"
+
+
+DEMO_CRN = Path(__file__).resolve().parents[1] / "demos" / "crn"
+
+
+def _stdout_digest(argvs, capsys) -> str:
+    h = hashlib.sha256()
+    for argv in argvs:
+        assert main(argv) == 0
+        h.update(capsys.readouterr().out.encode())
+    return h.hexdigest()[:16]
+
+
+class TestPinnedReports:
+    """sha256 prefixes of report output on the demo networks: a population
+    protocol (leader), a mass-conserving one (convert) and one with no
+    conservation certificate (chain3)."""
+
+    @pytest.mark.parametrize(
+        "stem, init, extra, digest",
+        [
+            ("chain3", "X1=1000", ["--c-hat", "1"], "19318b6cc434b117"),
+            ("leader", "L=1000", [], "1b527a75ea26a094"),
+            ("convert", "X=1000", [], "1b527a75ea26a094"),
+        ],
+    )
+    def test_constants_json(self, stem, init, extra, digest, capsys):
+        argv = ["--format", "json", "constants", str(DEMO_CRN / f"{stem}.crn"),
+                "--init", init, "--alpha", "0.5", *extra]
+        assert _stdout_digest([argv], capsys) == digest
+
+    def test_analyze_text_and_json(self, capsys):
+        argvs = [
+            ["--format", fmt, "analyze", str(DEMO_CRN / f"{stem}.crn"), "--init", init,
+             "--alpha", "0.5"]
+            for stem, init in (("chain3", "X1=8"), ("leader", "L=8"), ("convert", "X=8"))
+            for fmt in ("text", "json")
+        ]
+        assert _stdout_digest(argvs, capsys) == "63a3dc0376a517b8"
+
+    def test_analyze_solves_the_simplex_once(self, monkeypatch, capsys):
+        calls = []
+        solve = analysis.check_mass_conserving
+        monkeypatch.setattr(analysis, "check_mass_conserving",
+                            lambda crn: calls.append(crn) or solve(crn))
+        assert main(["analyze", str(DEMO_CRN / "chain3.crn"), "--init", "X1=8"]) == 0
+        assert len(calls) == 1
 
 
 class TestBulkOutputs:

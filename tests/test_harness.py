@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from crnsim import kinetics
 from crnsim.errors import DomainError
 from crnsim.harness import (
     ExperimentSpec,
@@ -95,6 +96,48 @@ class TestChain:
         buf = io.StringIO()
         res.to_csv(buf)
         assert "censored" in buf.getvalue()
+
+
+class TestIntegerArguments:
+    """Sizes are refused unless they are integers: a float was simulated at
+    one size and reported at another, or failed deep inside with a
+    ``TypeError``. Simulating fails here, so a size that is not refused
+    fails the test instead of running."""
+
+    @pytest.fixture(autouse=True)
+    def refuse_to_simulate(self, monkeypatch):
+        def no_events(*args, **kwargs):
+            raise AssertionError("the size should have been refused before simulating")
+
+        monkeypatch.setattr(kinetics, "_run_batch", no_events)
+
+    @pytest.mark.parametrize("n", [10.5, 2.0, math.nan])
+    def test_leader_election_n(self, n):
+        # n=10.5 simulated L=10 but reported analytic_mean 19.0
+        with pytest.raises(DomainError, match="n must be an integer of at least 2"):
+            leader_election_experiment(n, 5, 1)
+
+    @pytest.mark.parametrize("n", [64.5, math.inf, math.nan])
+    def test_chain_n(self, n):
+        # n=64.5 started 64 copies in volume 64.5
+        with pytest.raises(DomainError, match="n must be an integer of at least 2"):
+            chain_experiment(1, n, 5, 2.0, 1)
+
+    @pytest.mark.parametrize("m", [2.5, math.nan, True])
+    def test_chain_m(self, m):
+        with pytest.raises(DomainError, match="m must be an integer of at least 1"):
+            chain_crn(m)
+        with pytest.raises(DomainError, match="m must be an integer of at least 1"):
+            chain_experiment(m, 64, 5, 2.0, 1)
+
+    @pytest.mark.parametrize("n", [20.5, math.nan, True])
+    def test_scan_grid(self, n):
+        # n=20.5 scanned n=20
+        crn, _ = parse_crn("X -> Y ; k=1\n")
+        with pytest.raises(DomainError, match="n must be an integer of at least 1"):
+            constant_time_scan(crn, crn.config({"X": 10}), 1.0, [100, n], 5, 0)
+        with pytest.raises(DomainError, match="n must be an integer of at least 1"):
+            scale_configuration(Configuration([3, 1]), n)
 
 
 class TestScaling:

@@ -25,13 +25,9 @@ from conftest import random_config, random_crn
 
 
 def _propensities(comp, counts) -> list:
-    """Every propensity from ``counts`` as the scalar loop computes it,
-    checked against the batched loop's arrays."""
+    """Every propensity from ``counts`` as both event loops compute it."""
     c = [*counts, 1]
-    scalar = [k * c[a] * (c[b] - m) for k, a, b, m in comp.table]
-    col = np.array(c)
-    assert (comp.coef * col[comp.ra] * (col[comp.rb] - comp.minus)).tolist() == scalar
-    return scalar
+    return [k * c[a] * (c[b] - m) for k, a, b, m in comp.table]
 
 
 class TestPropensity:
@@ -304,6 +300,34 @@ class TestSimulate:
         with pytest.raises(DomainError):  # counts never fall below 0
             StopCondition(count_reaches=("X", -1))
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"max_events": math.nan},
+            {"max_events": math.inf},
+            {"max_events": 2.5},
+            {"max_events": True},
+            {"t_max": 1.0, "count_reaches": ("A", math.nan)},
+            {"t_max": 1.0, "count_reaches": ("A", 2.5)},
+            {"t_max": 1.0, "count_reaches": ("A", True)},
+        ],
+        ids=["events-nan", "events-inf", "events-2.5", "events-True",
+             "count-nan", "count-2.5", "count-True"],
+    )
+    def test_stop_sizes_must_be_integers(self, kwargs):
+        # a NaN or infinite budget fails every comparison, so max_events=nan
+        # ran A -> B, B -> A forever; 2.5 ran three events, and a threshold
+        # of 2.5 was truncated to 2
+        with pytest.raises(DomainError, match="must be an integer of at least 0"):
+            StopCondition(**kwargs)
+
+    def test_numpy_integer_stop_sizes_accepted(self):
+        crn, _ = parse_crn("A -> B\nB -> A\n")
+        # A + B = 3 is conserved, so B never reaches 4 and the budget ends the run
+        stop = StopCondition(max_events=np.int64(9), count_reaches=("B", np.int64(4)))
+        trace = simulate(crn, crn.config({"A": 3}), stop, seed=0)
+        assert len(trace.events) == 9
+
     def test_csv_exports(self):
         crn, _ = parse_crn("X -> 0 ; k=1 ; label=decay\n")
         trace = simulate(
@@ -391,6 +415,26 @@ class TestRunTrials:
             ]
             for stop in stops:
                 _assert_one_trial_matches_simulate(crn, init, stop, case, (case, 5), monkeypatch)
+
+    @pytest.mark.parametrize(
+        "text, init",
+        [
+            ("A -> B ; k=1.5\nB -> A ; k=0.5\n", {"A": 7}),
+            ("A + B -> C ; k=2\nC -> A + B ; k=0.5\n", {"A": 5, "B": 3}),
+            ("A + A -> B ; k=2\nB -> A + A ; k=0.5\nA -> C ; k=0.1\n", {"A": 6}),
+        ],
+        ids=["X", "X+Y", "X+X"],
+    )
+    def test_one_trial_matches_simulate_for_each_reaction_shape(self, text, init,
+                                                                monkeypatch):
+        # the batched loop lays out its own rows from the compiled table;
+        # in the X + X case an extra row holds c(A) - 1 and must follow
+        # every change of A, including the +2 of B -> A + A
+        crn, _ = parse_crn(text)
+        stop = StopCondition(t_max=50.0, max_events=60)
+        for key in range(5):
+            _assert_one_trial_matches_simulate(crn, crn.config(init), stop, 7, (key,),
+                                               monkeypatch)
 
     def test_no_reactions_exhausts_every_trial_at_zero(self, monkeypatch):
         crn, _ = parse_crn("species: A B\n")
