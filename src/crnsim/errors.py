@@ -42,13 +42,17 @@ class HypothesisViolationError(DomainError):
     """A closed-form bound was requested outside its hypotheses."""
 
 
-def check_integer(value, name: str, minimum: int = 1) -> None:
-    """Refuse a ``value`` that is not an integer (``int`` or numpy) of at least ``minimum``.
+def check_integer(value, name: str, minimum: int = 1) -> int:
+    """``value`` as a Python ``int``, refused unless it is an integer (``int``
+    or numpy) of at least ``minimum``.
 
     Floats are refused even when integral, and NaN fails every comparison,
     so ``2.5``, ``100.0``, ``nan`` and ``inf`` all raise here instead of
     deep inside a sampler or a chunk layout. ``True`` and ``False`` are
-    refused too, though ``bool`` subclasses ``int``.
+    refused too, though ``bool`` subclasses ``int``. A caller that keeps
+    the value keeps the returned ``int``, which JSON can write and a numpy
+    integer is not.
     """
     if not (isinstance(value, Integral) and not isinstance(value, bool) and value >= minimum):
         raise DomainError(f"{name} must be an integer of at least {minimum}, got {value}")
+    return int(value)

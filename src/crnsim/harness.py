@@ -104,7 +104,7 @@ def leader_election_experiment(
     The j-leaders state fires at rate j(j-1)/(2n); summing expected holds
     from j=n down to 2 telescopes to the reference mean 2(n-1).
     """
-    check_integer(n, "n", 2)
+    n, trials = check_integer(n, "n", 2), check_integer(trials, "trials")
     crn = leader_election_crn()
     times = run_trials(
         crn, crn.config({"L": n}), StopCondition(count_reaches=("L", 1)), trials, seed,
@@ -152,7 +152,7 @@ def chain_experiment(
     m: int, n: int, trials: int, t_cap: float, seed: int, threads: int = 1
 ) -> ChainResult:
     """Produce X_{m+1} from n copies of X1 in volume n, or censor at t_cap."""
-    check_integer(n, "n", 2)
+    m, n = check_integer(m, "m"), check_integer(n, "n", 2)
     crn = chain_crn(m)
     init = crn.config({"X1": n})
     stats = first_production_times(
@@ -253,10 +253,8 @@ def constant_time_scan(
     all target species, and the per-species summaries plus the per-n
     all-produced fraction are collected. The time cap defaults to m+1.
     """
-    check_integer(trials, "trials")
-    for n in n_grid:
-        check_integer(n, "n")
-    n_grid = [int(n) for n in n_grid]
+    trials = check_integer(trials, "trials")
+    n_grid = [check_integer(n, "n") for n in n_grid]
     if not n_grid:
         raise DomainError("n_grid must be nonempty")
     stages = stage_decomposition(crn, init_template)
@@ -335,7 +333,13 @@ class ExperimentSpec:
             raise DomainError(f"unknown scenario {self.scenario!r}")
         if not self.n_grid:
             raise DomainError("the n grid must be nonempty")
-        check_integer(self.trials, "trials")
+        # every size is checked here, so a bad one is refused before any
+        # grid point is simulated or out_dir is created
+        least = 1 if self.scenario == "scan" else 2
+        object.__setattr__(self, "n_grid", tuple(check_integer(n, "n", least) for n in self.n_grid))
+        object.__setattr__(self, "trials", check_integer(self.trials, "trials"))
+        if self.scenario == "chain":
+            object.__setattr__(self, "m", check_integer(self.m, "m"))
 
     def run(self, crn: Crn | None = None, init: Configuration | None = None,
             threads: int = 1) -> dict:

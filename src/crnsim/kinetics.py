@@ -21,14 +21,22 @@ their arguments in one place, ``_prepare``, which also builds that
 table. It refuses, before any event is drawn, a stop without a time
 horizon or event budget none of whose triggers can ever fire.
 ``simulate`` records one trajectory with the scalar loop, ``_run_core``.
-``run_trials`` repeats a stop over independent trials with the batched
-loop, ``_run_batch``, which advances all trials of a chunk of
-``_TRIAL_CHUNK`` in lockstep over species-major arrays (a row per count,
-a column per trial) that it lays out from that table once per call; the
-chunks fan out through ``parallel.map_chunks``, so chunk c draws from
-``substream(seed, *stream_key, c)``. It returns per-trial end times and
-first-appearance times; the first-production statistics and the
-``harness`` experiments build on it. Each loop tests the watch, count
+That loop is straight-line Python generated from the shape of the run:
+the table's reactant rows and net changes, the species count, and which
+stops are given and on which species. The source is compiled once per
+shape and kept in a bounded cache, ``_kernel``; the counts are its
+locals, the propensities one expression each, and the choice of reaction
+an ``if``/``elif`` chain. Only integers go into that source: the rate
+coefficients, thresholds and checkpoint times are arguments, so no
+float, species name or label is ever compiled, and a run at another
+volume reuses the kernel. ``run_trials`` repeats a stop over independent
+trials with the batched loop, ``_run_batch``, which advances all trials
+of a chunk of ``_TRIAL_CHUNK`` in lockstep over species-major arrays (a
+row per count, a column per trial) that it lays out from that table once
+per call; the chunks fan out through ``parallel.map_chunks``, so chunk c
+draws from ``substream(seed, *stream_key, c)``. It returns per-trial end
+times and first-appearance times; the first-production statistics and
+the ``harness`` experiments build on it. Each loop tests the watch, count
 and event-budget stops in one place, before it draws: the scalar loop at
 the top of each iteration, the batched loop at the top of each sweep.
 The batched loop reads the watched counts only after a sweep that fired a
@@ -39,10 +47,12 @@ event time.
 from __future__ import annotations
 
 import csv
+import itertools
+import linecache
 import math
-from bisect import bisect_right
+import weakref
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -52,9 +62,11 @@ from .streams import open_uniform_block, substream
 from .parallel import map_chunks
 
 _BLOCK = 4096  # uniforms buffered per refill inside the event loops
-# the first refill of a scalar run is small, since many runs stop after a
-# few events. Every uniform of open_uniform_block takes one 64-bit draw, so
-# how a run splits its refills leaves the sequence of uniforms unchanged.
+# a scalar run's first refill takes _FIRST_BLOCK and each later one twice
+# the last, up to _BLOCK, since many runs stop after a few events and a
+# uniform drawn but never read is waste. Every uniform of open_uniform_block
+# takes one 64-bit draw, so how a run splits its refills leaves the
+# sequence of uniforms unchanged.
 _FIRST_BLOCK = 64
 # trials per substream in run_trials; fixed so that results do not depend
 # on the thread count
@@ -90,9 +102,12 @@ class StopCondition:
         if self.t_max is not None and not (self.t_max >= 0 and math.isfinite(self.t_max)):
             raise DomainError("t_max must be finite and nonnegative")
         if self.max_events is not None:
-            check_integer(self.max_events, "max_events", 0)
+            object.__setattr__(self, "max_events", check_integer(self.max_events, "max_events", 0))
         if self.count_reaches is not None:
-            check_integer(self.count_reaches[1], "a count threshold", 0)
+            name, thr = self.count_reaches
+            object.__setattr__(
+                self, "count_reaches", (name, check_integer(thr, "a count threshold", 0))
+            )
         if self.species_appears is not None:
             object.__setattr__(self, "species_appears", frozenset(self.species_appears))
 
@@ -128,17 +143,17 @@ class Trace:
             cfg = apply_reaction(cfg, crn.reactions[ridx])
             yield cfg
 
+    # the csv module writes a float as its repr
     def to_csv(self, crn: Crn, fileobj):
         w = csv.writer(fileobj)
         w.writerow(["event_index", "time", "reaction_label"])
-        for i, (t, ridx) in enumerate(self.events):
-            w.writerow([i, repr(t), crn.reaction_label(ridx)])
+        labels = [crn.reaction_label(j) for j in range(len(crn.reactions))]
+        w.writerows([i, t, labels[ridx]] for i, (t, ridx) in enumerate(self.events))
 
     def checkpoints_to_csv(self, crn: Crn, fileobj):
         w = csv.writer(fileobj)
-        w.writerow(["time"] + list(crn.species.names))
-        for t, counts in self.checkpoints:
-            w.writerow([repr(t)] + [int(c) for c in counts])
+        w.writerow(["time", *crn.species.names])
+        w.writerows([t, *counts.tolist()] for t, counts in self.checkpoints)
 
 
 class _Compiled:
@@ -215,88 +230,181 @@ def _run_core(
     place, at the top of each iteration before its uniforms are drawn, so
     one that already holds in ``counts`` ends the run at time 0. Returns
     (time, status, events, checkpoints, watch_times, n_events).
+
+    The loop itself is the kernel ``_kernel`` generated for the shape of
+    this run: the reactant rows and net changes of ``comp``, the species
+    count, the watched ids, the count stop's species and direction, and
+    whether ``t_max`` and ``max_events`` are given. The rate coefficients,
+    the thresholds and the checkpoint times are its arguments, so runs at
+    another volume or horizon reuse it.
     """
-    table, deltas = comp.table, comp.deltas
-    nrx = len(table)
-    t = 0.0
-    events = []
-    n_events = 0
-
-    cps = list(checkpoint_times)
-    cp_rows = []
-    cpi = 0
-
+    kernel = _kernel(
+        tuple(row[1:] for row in comp.table),
+        comp.deltas,
+        len(counts) - 1,
+        tuple(sorted(watch or ())),
+        None if count_stop is None else count_stop[::2],
+        t_max is not None,
+        max_events is not None,
+    )
     watch_times = {s: 0.0 for s in watch or () if counts[s] > 0}
-    pending = set(watch or ()) - watch_times.keys()
-    if count_stop is not None:
-        sid, thr, direction = count_stop
+    return kernel(
+        comp.table,
+        counts,
+        rng,
+        open_uniform_block,
+        t_max,
+        None if count_stop is None else count_stop[1],
+        max_events,
+        checkpoint_times,
+        watch_times,
+    )
 
-    ubuf = None
-    ui = nbuf = 0
-    cum = [0.0] * (nrx + 1)  # cum[j + 1]: the propensities of reactions 0..j, summed in order
-    while True:
-        if (
-            (watch and not pending)
-            or (count_stop is not None and (counts[sid] - thr) * direction >= 0)
-            or (max_events is not None and n_events >= max_events)
-        ):
-            status = STOPPED
-            break
-        total = 0.0
-        j = 1
-        for k, a, b, m in table:
-            total += k * counts[a] * (counts[b] - m)
-            cum[j] = total
-            j += 1
-        if total <= 0.0:
-            status = EXHAUSTED
-            break
-        if ui >= nbuf:
-            nbuf = _FIRST_BLOCK if ubuf is None else _BLOCK
-            ubuf = open_uniform_block(rng, nbuf).tolist()
-            ui = 0
-        u = ubuf[ui]
-        ui += 1
-        tn = t - math.log(u) / total
-        if t_max is not None and tn > t_max:
-            t = t_max
-            status = STOPPED
-            break
-        while cpi < len(cps) and cps[cpi] < tn:
-            cp_rows.append((cps[cpi], np.array(counts[:-1], dtype=np.int64)))
-            cpi += 1
-        t = tn
-        if nrx == 1:
-            chosen = 0
-        else:
-            if ui >= nbuf:  # the time draw above already filled the buffer once
-                nbuf = _BLOCK
-                ubuf = open_uniform_block(rng, nbuf).tolist()
-                ui = 0
-            # the first j with x < cum[j + 1], or the last reaction when there is none
-            chosen = min(bisect_right(cum, ubuf[ui] * total, 1), nrx) - 1
-            ui += 1
-        for s, d in deltas[chosen]:
-            counts[s] += d
-        n_events += 1
-        events.append((t, chosen))
+
+# all that a generated kernel reads besides its arguments. Its source holds
+# no float, so the clock's start comes from here; a checkpoint cursor past
+# the last checkpoint reads nan, which fails both capture tests even when
+# an event time has overflowed to inf
+_KERNEL_GLOBALS = {
+    "log": math.log,
+    "np": np,
+    "inf": math.inf,
+    "nan": math.nan,
+    "ZERO": 0.0,
+    "STOPPED": STOPPED,
+    "EXHAUSTED": EXHAUSTED,
+}
+_KERNEL_FILES = itertools.count()
+
+
+@lru_cache(maxsize=256)
+def _kernel(rows, deltas, n_species, watched, count_key, timed, budget):
+    """The scalar event loop for one shape of run, compiled once and cached.
+
+    ``rows`` holds each reaction's (ra, rb, minus) and ``deltas`` its net
+    change, as in ``_Compiled``; ``watched`` is the sorted watched ids,
+    ``count_key`` the count stop's (sid, direction) or None, and ``timed``
+    and ``budget`` whether ``t_max`` and ``max_events`` are given. The
+    source is registered with ``linecache`` under its own file name, so a
+    traceback through the kernel shows its lines; the entry goes when the
+    kernel does.
+    """
+    src = _kernel_source(rows, deltas, n_species, watched, count_key, timed, budget)
+    filename = f"<crnsim kernel {next(_KERNEL_FILES)}>"
+    namespace = dict(_KERNEL_GLOBALS)
+    exec(compile(src, filename, "exec"), namespace)
+    kernel = namespace.pop("kernel")
+    linecache.cache[filename] = (len(src), None, src.splitlines(True), filename)
+    weakref.finalize(kernel, linecache.cache.pop, filename, None)
+    return kernel
+
+
+def _kernel_source(rows, deltas, n_species, watched, count_key, timed, budget) -> str:
+    """Python source of the event loop ``_kernel`` compiles; see ``_run_core``.
+
+    The counts live in locals ``c0``, ``c1``, ... and the coefficients in
+    ``k0``, ``k1``, ..., unpacked from the table argument. Reaction j's
+    propensity is ``k_j * c_a * (c_b - m)``, without the factor for the
+    entry held at 1 and without a ``- 0``, and ``s_j`` sums the first j in
+    table order, so ``s`` of the last is the total. The reaction is chosen
+    by a chain ``if x < s1 ... elif ... else`` over those sums: the first j
+    with x < s_(j+1), or the last reaction when there is none. Each branch
+    applies its own changes and marks the watched species it raises as
+    seen. Only the stops that are given are tested, in one place at the
+    top of the loop. Uniforms are read two at a time (one without a
+    choice to make), and a refill keeps the unread ones. The source holds
+    only integers and local names.
+    """
+    nrx = len(rows)
+    need = 1 if nrx == 1 else 2
+    names = [f"c{s}" for s in range(n_species)]
+    state = ", ".join(names)
+    capture = [
+        f"cp_rows.append((cp, np.array([{state}], dtype=np.int64)))",
+        "cpi += 1",
+        "cp = cps[cpi] if cpi < ncp else nan",
+    ]
+    out = ["def kernel(table, counts, rng, draw, t_max, thr, max_events, cps, wt):"]
+
+    def emit(depth, *lines):
+        out.extend("    " * depth + line for line in lines)
+
+    if nrx:
+        emit(1, "[" + ", ".join(f"[k{j}, _, _, _]" for j in range(nrx)) + "] = table")
+    emit(1, f"[{', '.join([*names, '_'])}] = counts")
+    for s in watched:
+        emit(1, f"p{s} = c{s} <= 0")
+    if watched:
+        emit(1, "pending = " + " + ".join(f"p{s}" for s in watched))
+    if budget:
+        emit(1, "n = 0")
+    emit(1, "t = ZERO", "events = []", "record = events.append", "cp_rows = []",
+         "ncp = len(cps)", "cpi = 0", "cp = cps[0] if ncp else nan",
+         "ubuf = []", f"size = {_FIRST_BLOCK}", "ui = 0", "last = -1", "while True:")
+    stops = []
+    if watched:
+        stops.append("not pending")
+    if count_key is not None:
+        sid, direction = count_key
+        stops.append(f"c{sid} {'>=' if direction > 0 else '<='} thr")
+    if budget:
+        stops.append("n >= max_events")
+    if stops:
+        emit(2, f"if {' or '.join(stops)}:")
+        emit(3, "status = STOPPED", "break")
+    if not nrx:
+        emit(2, "status = EXHAUSTED", "break")
+    else:
+        for j, (a, b, m) in enumerate(rows):
+            prop = f"k{j} * c{a}"
+            if b != n_species:
+                prop += f" * (c{b} - {m})" if m else f" * c{b}"
+            emit(2, f"s{j + 1} = {f's{j} + ' if j else ''}{prop}")
+        total = f"s{nrx}"
+        emit(2, f"if {total} <= 0:")
+        emit(3, "status = EXHAUSTED", "break")
+        emit(2, "if ui > last:")
+        emit(3, "ubuf = ubuf[ui:] + draw(rng, size).tolist()", f"size = min(2 * size, {_BLOCK})",
+             "ui = 0", f"last = len(ubuf) - {need}")
+        emit(2, f"tn = t - log(ubuf[ui]) / {total}")
+        if timed:
+            emit(2, "if tn > t_max:")
+            emit(3, "t = t_max", "status = STOPPED", "break")
+        emit(2, "while cp < tn:")
+        emit(3, *capture)
+        emit(2, "t = tn")
+        if nrx > 1:
+            emit(2, f"x = ubuf[ui + 1] * {total}")
+        emit(2, f"ui += {need}")
+        for j, delta in enumerate(deltas):
+            depth = 2
+            if nrx > 1:
+                depth = 3
+                if j == 0:
+                    emit(2, "if x < s1:")
+                elif j < nrx - 1:
+                    emit(2, f"elif x < s{j + 1}:")
+                else:
+                    emit(2, "else:")
+            for s, d in delta:
+                emit(depth, f"c{s} {'+' if d > 0 else '-'}= {abs(d)}")
+            emit(depth, f"record((t, {j}))")
+            for s, d in delta:
+                if d > 0 and s in watched:
+                    emit(depth, f"if p{s} and c{s} > 0:")
+                    emit(depth + 1, f"p{s} = False", f"wt[{s}] = t", "pending -= 1")
+        if budget:
+            emit(2, "n += 1")
         # later events can round to this same time, so a checkpoint at it
         # takes the counts after the first of them
-        while cpi < len(cps) and cps[cpi] <= t:
-            cp_rows.append((cps[cpi], np.array(counts[:-1], dtype=np.int64)))
-            cpi += 1
-        if pending:
-            for s, d in deltas[chosen]:
-                if d > 0 and s in pending and counts[s] > 0:
-                    watch_times[s] = t
-                    pending.discard(s)
-
+        emit(2, "while cp <= t:")
+        emit(3, *capture)
+    emit(1, f"counts[:{n_species}] = [{state}]")
     # an exhausted process is frozen from here on
-    until = math.inf if status == EXHAUSTED else t
-    while cpi < len(cps) and cps[cpi] <= until:
-        cp_rows.append((cps[cpi], np.array(counts[:-1], dtype=np.int64)))
-        cpi += 1
-    return t, status, events, cp_rows, watch_times, n_events
+    emit(1, "until = inf if status == EXHAUSTED else t", "while cp <= until:")
+    emit(2, *capture)
+    emit(1, "return t, status, events, cp_rows, wt, len(events)")
+    return "\n".join(out) + "\n"
 
 
 def _run_batch(

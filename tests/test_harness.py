@@ -140,6 +140,37 @@ class TestIntegerArguments:
             scale_configuration(Configuration([3, 1]), n)
 
 
+class TestNumpyIntegerArguments:
+    """numpy integers pass ``check_integer``, and the results keep the
+    Python ``int`` it returns, so their reports can be written as JSON."""
+
+    def test_leader_election(self):
+        res = leader_election_experiment(np.int64(10), np.int64(5), 0)
+        report = json.loads(json.dumps(res.to_dict()))
+        assert (report["n"], report["trials"]) == (10, 5)
+
+    def test_chain(self):
+        res = chain_experiment(np.int64(1), np.int64(16), 5, 2.0, 0)
+        report = json.loads(json.dumps(res.to_dict()))
+        assert (report["m"], report["n"]) == (1, 16)
+
+    def test_scan(self):
+        crn, _ = parse_crn("X -> Y ; k=1\n")
+        scan = constant_time_scan(crn, crn.config({"X": 10}), 1.0, [np.int64(20)],
+                                  np.int64(5), 0)
+        rows = json.loads(json.dumps(scan.to_dict()))["rows"]
+        assert [(r["n"], r["trials"]) for r in rows] == [(20, 5)]
+
+    def test_experiment_spec_run(self, tmp_path):
+        spec = ExperimentSpec(scenario="leader", n_grid=(np.int64(10),), trials=np.int64(5),
+                              seed=0, out_dir=str(tmp_path))
+        report = spec.run()
+        assert json.loads((tmp_path / "leader.json").read_text()) == {
+            k: v for k, v in report.items() if k != "json"
+        }
+        assert report["results"]["10"]["trials"] == 5
+
+
 class TestScaling:
     def test_exact_scaling_preserves_proportions(self):
         template = Configuration([3, 1])
@@ -237,6 +268,26 @@ class TestExperimentSpec:
             ExperimentSpec(scenario="leader", n_grid=(), trials=5, seed=0)
         with pytest.raises(DomainError):
             ExperimentSpec(scenario="leader", n_grid=(10,), trials=0, seed=0)
+
+    @pytest.mark.parametrize(
+        "scenario, n_grid, m",
+        [("leader", (1000, 10.5), 3), ("chain", (64, 1), 3), ("chain", (64,), 2.5),
+         ("scan", (100, math.nan), 3)],
+        ids=["leader-grid", "chain-grid", "chain-m", "scan-grid"],
+    )
+    def test_every_size_refused_before_running(self, scenario, n_grid, m, tmp_path,
+                                               monkeypatch):
+        # a bad grid point was refused only when run reached it: the leader
+        # case simulated n=1000 and created out_dir first
+        def no_events(*args, **kwargs):
+            raise AssertionError("the size should have been refused before simulating")
+
+        monkeypatch.setattr(kinetics, "_run_batch", no_events)
+        out = tmp_path / "out"
+        with pytest.raises(DomainError, match="must be an integer of at least"):
+            ExperimentSpec(scenario=scenario, n_grid=n_grid, trials=1000, seed=0,
+                           out_dir=str(out), m=m)
+        assert not out.exists()
 
     def test_leader_grid_run(self, tmp_path):
         spec = ExperimentSpec(

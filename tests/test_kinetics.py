@@ -1,6 +1,10 @@
+import gc
 import hashlib
 import io
+import linecache
 import math
+import tokenize
+import traceback
 
 import numpy as np
 import pytest
@@ -215,6 +219,87 @@ class TestSimulate:
             buf.write(f"{trace.status},{trace.time!r},{trace.terminal.counts.tolist()}\n")
             h.update(buf.getvalue().encode())
         assert h.hexdigest()[:16] == digest
+
+    def test_random_networks_byte_identical_to_pinned_digest(self):
+        # sha256 prefix of the event and checkpoint CSVs, status, end time
+        # and terminal counts of every stop on each of 60 random networks.
+        # All stops of a network share one stream, so each run is a prefix
+        # of the t_max run, and a checkpoint at the time most of that run's
+        # events share ties with an event in every run that gets that far.
+        # Odd cases shrink the volume until bimolecular waits vanish against
+        # the clock, so that many events share one time. Each watch holds a
+        # species present at the start and one absent species, so a watch
+        # ends its run at the event that first raises that species; the
+        # count stop is approached from each side.
+        rng = np.random.default_rng(1313)
+        h = hashlib.sha256()
+        for case in range(60):
+            crn = random_crn(rng, kinetics_compatible=True)
+            full = random_config(rng, crn, max_count=60 if case % 2 else 20).counts
+            # about half the species start absent, so that the watches have targets
+            init = Configuration(full * (rng.random(full.size) < 0.5))
+            if not init.total:
+                init = Configuration(full)
+            names, counts = crn.species.names, init.counts.tolist()
+            volume = 1e-18 if case % 2 else None
+            present = next(s for s, c in zip(names, counts) if c > 0)
+            absent = [s for s, c in zip(names, counts) if c == 0] or [present]
+            sid = int(rng.integers(len(names)))
+            stops = [
+                StopCondition(t_max=1.5, max_events=400),
+                *(StopCondition(t_max=1.5, species_appears=frozenset({present, other}),
+                                max_events=400) for other in absent),
+                StopCondition(count_reaches=(names[sid], counts[sid] + 3), max_events=400),
+                StopCondition(count_reaches=(names[sid], max(counts[sid] - 2, 0)),
+                              max_events=400),
+                StopCondition(t_max=1.5, max_events=0),
+            ]
+            times = [t for t, _ in simulate(crn, init, stops[0], seed=case, volume=volume).events]
+            tie = max(times, key=times.count) if times else 0.5
+            cps = [3.0, tie, 0.0, 0.3, tie]
+            for stop in stops:
+                trace = simulate(crn, init, stop, seed=case, volume=volume,
+                                 checkpoint_times=cps)
+                buf = io.StringIO()
+                trace.to_csv(crn, buf)
+                trace.checkpoints_to_csv(crn, buf)
+                buf.write(f"{trace.status},{trace.time!r},{trace.terminal.counts.tolist()}\n")
+                h.update(buf.getvalue().encode())
+        assert h.hexdigest()[:16] == "7f13a878246308d9"
+
+    def test_species_in_no_reaction_keeps_its_count(self):
+        # no table row reads C, the last species, and with only bimolecular
+        # reactions none reads the entry held at 1 either, so the state must
+        # be sized from the species count
+        crn, _ = parse_crn("species: A B C\nA + B -> B + B ; k=1\n")
+        trace = simulate(crn, crn.config({"A": 5, "B": 1, "C": 4}), StopCondition(t_max=50.0),
+                         seed=2, checkpoint_times=[0.0, 60.0])
+        assert trace.status == "exhausted" and len(trace.events) == 5
+        assert trace.terminal.counts.tolist() == [0, 6, 4]
+        assert [c.tolist() for _, c in trace.checkpoints] == [[5, 1, 4], [0, 6, 4]]
+
+    @pytest.mark.parametrize(
+        "stop",
+        [
+            StopCondition(t_max=1.0, species_appears=frozenset({"A", "B"})),
+            StopCondition(count_reaches=("A", 9), max_events=5),
+        ],
+        ids=["watch", "count"],
+    )
+    def test_no_reactions_fills_every_checkpoint(self, stop):
+        crn, _ = parse_crn("species: A B\n")
+        trace = simulate(crn, crn.config({"A": 3}), stop, seed=0, checkpoint_times=[0.0, 7.0])
+        assert (trace.status, trace.time, trace.events) == ("exhausted", 0.0, [])
+        assert [(t, c.tolist()) for t, c in trace.checkpoints] == [(0.0, [3, 0]), (7.0, [3, 0])]
+
+    def test_event_time_that_overflows_to_infinity(self):
+        # a propensity of 1e-320 makes the wait overflow to inf; the
+        # checkpoints all come before that event, and none is taken twice
+        crn, _ = parse_crn("X -> 0 ; k=1e-320\n")
+        trace = simulate(crn, crn.config({"X": 1}), StopCondition(max_events=1), seed=0,
+                         checkpoint_times=[1.0, 2.0])
+        assert trace.events == [(math.inf, 0)] and trace.time == math.inf
+        assert [(t, c.tolist()) for t, c in trace.checkpoints] == [(1.0, [1]), (2.0, [1])]
 
     def test_checkpoints_match_replayed_states(self):
         crn, _ = parse_crn("X -> 0 ; k=1\n")
@@ -784,11 +869,87 @@ class TestFirstProduction:
         assert stats.mean == pytest.approx(0.2)
 
 
+_KERNEL = kinetics._kernel
+
+
+def _spy_kernels(monkeypatch) -> list:
+    """Record every kernel that ``_run_core`` looks up."""
+    kernels = []
+
+    def spy(*shape):
+        kernels.append(_KERNEL(*shape))
+        return kernels[-1]
+
+    monkeypatch.setattr(kinetics, "_kernel", spy)
+    return kernels
+
+
+class TestKernel:
+    """The scalar loop is generated once per shape of run and cached."""
+
+    def test_volumes_share_one_kernel(self, monkeypatch):
+        # the coefficients are an argument, not part of the source: the
+        # first wait scales with the volume through the kernel both share
+        kernels = _spy_kernels(monkeypatch)
+        crn, _ = parse_crn("A + B -> C ; k=1.5\n")
+        init, stop = crn.config({"A": 4, "B": 3}), StopCondition(max_events=1)
+        small = simulate(crn, init, stop, seed=6, volume=2.0)
+        large = simulate(crn, init, stop, seed=6, volume=5.0)
+        assert len(kernels) == 2 and kernels[0] is kernels[1]
+        assert large.time / small.time == pytest.approx(2.5, rel=1e-12, abs=0)
+
+    def test_generated_frame_shows_in_traceback(self, monkeypatch):
+        def no_uniforms(rng, size):
+            raise RuntimeError("no uniforms")
+
+        monkeypatch.setattr(kinetics, "open_uniform_block", no_uniforms)
+        crn, _ = parse_crn("X -> Y ; k=1\n")
+        with pytest.raises(RuntimeError, match="no uniforms") as info:
+            simulate(crn, crn.config({"X": 3}), StopCondition(t_max=1.0), seed=0)
+        frames = [f for f in traceback.extract_tb(info.tb)
+                  if f.filename.startswith("<crnsim kernel")]
+        assert len(frames) == 1 and "draw(rng" in frames[0].line
+
+    def test_source_holds_only_integers_and_local_names(self, monkeypatch):
+        kernels = _spy_kernels(monkeypatch)
+        crn, _ = parse_crn(
+            "species: Alpha Beta Gamma\n"
+            "Alpha + Beta -> Gamma ; k=1.25 ; label=bind\nGamma -> Alpha + Beta ; k=0.5\n"
+            "Beta + Beta -> Alpha ; k=3\n"
+        )
+        stop = StopCondition(t_max=0.5, species_appears=frozenset({"Gamma"}),
+                             count_reaches=("Beta", 2), max_events=50)
+        simulate(crn, crn.config({"Alpha": 5, "Beta": 9}), stop, seed=1,
+                 checkpoint_times=[0.25])
+        src = "".join(linecache.getlines(kernels[-1].__code__.co_filename))
+        tokens = list(tokenize.generate_tokens(io.StringIO(src).readline))
+        assert all(t.string.isdigit() for t in tokens if t.type == tokenize.NUMBER)
+        assert not any(t.type == tokenize.STRING for t in tokens)
+        names = {t.string for t in tokens if t.type == tokenize.NAME}
+        assert not names & {"Alpha", "Beta", "Gamma", "bind"}
+        assert {"s1", "s2", "s3", "c0", "c2", "k2"} <= names
+
+    def test_source_leaves_linecache_with_its_kernel(self):
+        crn, _ = parse_crn("X -> 0 ; k=1\n")
+        comp = _Compiled(crn, 1.0)
+        shape = (tuple(row[1:] for row in comp.table), comp.deltas, 1, (), None, True, False)
+        kernel = _KERNEL.__wrapped__(*shape)
+        filename = kernel.__code__.co_filename
+        assert filename in linecache.cache
+        del kernel
+        gc.collect()
+        assert filename not in linecache.cache
+
+
 def test_small_first_refill_keeps_the_uniform_sequence():
-    # the event loop refills 64 uniforms first, then 4096 at a time; each
-    # uniform takes one 64-bit draw, so the split cannot change any run
+    # the scalar loop refills 64 uniforms first, then twice the last refill
+    # up to 4096; each uniform takes one 64-bit draw, so the split cannot
+    # change any run
     for s, k in [(0, 0), (3, 17), (2012, 5)]:
         one = open_uniform_block(substream(s, k), 4096)
         rng = substream(s, k)
         split = np.concatenate([open_uniform_block(rng, 64), open_uniform_block(rng, 4032)])
         assert np.array_equal(one, split)
+        rng = substream(s, k)
+        doubling = np.concatenate([open_uniform_block(rng, 64 << i) for i in range(6)])
+        assert np.array_equal(one[:4032], doubling)
