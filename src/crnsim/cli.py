@@ -21,9 +21,17 @@ import typing
 from pathlib import Path
 
 from . import analysis, bounds, harness, kinetics, model
-from .errors import CrnError
+from .errors import CrnError, check_integer
 
 DEFAULT_SEED = 2012
+
+
+def _parse(kind, text: str, message: str):
+    """``kind(text)``, with a ``ValueError`` reported as a ``CrnError`` (exit 1)."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise CrnError(message) from None
 
 
 def _load_crn(path: str, init_spec: str | None, require_init: bool):
@@ -35,10 +43,8 @@ def _load_crn(path: str, init_spec: str | None, require_init: bool):
             if "=" not in part:
                 raise CrnError(f"bad --init entry {part!r}; expected NAME=COUNT")
             name, _, value = part.partition("=")
-            try:
-                counts[name.strip()] = int(value)
-            except ValueError:
-                raise CrnError(f"bad --init count {value!r} for {name!r}") from None
+            count = _parse(int, value, f"bad --init count {value!r} for {name!r}")
+            counts[name.strip()] = check_integer(count, f"--init count of {name.strip()}", 0)
         init = crn.config(counts)
     if require_init and init is None:
         raise CrnError(
@@ -133,10 +139,8 @@ def _parse_stop(args) -> kinetics.StopCondition:
     count_reaches = None
     if args.stop_count:
         name, _, value = args.stop_count.partition("=")
-        try:
-            count_reaches = (name.strip(), int(value))
-        except ValueError:
-            raise CrnError(f"bad --stop-count {args.stop_count!r}; expected NAME=COUNT") from None
+        message = f"bad --stop-count {args.stop_count!r}; expected NAME=COUNT"
+        count_reaches = (name.strip(), _parse(int, value, message))
     return kinetics.StopCondition(
         t_max=args.t_max,
         species_appears=species,
@@ -148,7 +152,10 @@ def _parse_stop(args) -> kinetics.StopCondition:
 def _cmd_simulate(args) -> int:
     crn, init = _load_crn(args.file, args.init, require_init=True)
     stop = _parse_stop(args)
-    checkpoints = [float(x) for x in args.checkpoints.split(",")] if args.checkpoints else None
+    checkpoints = None
+    if args.checkpoints:
+        checkpoints = [_parse(float, x, f"bad --checkpoints entry {x!r}")
+                       for x in args.checkpoints.split(",")]
     trace = kinetics.simulate(
         crn, init, stop, seed=args.seed, volume=args.volume, checkpoint_times=checkpoints
     )
@@ -255,46 +262,44 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_demo(args) -> int:
-    crn = init = None
+    # each experiment refuses a bad size before it simulates, and the files
+    # are written only once it has returned
     if args.scenario == "scan":
         crn, init = _load_crn(args.file, args.init, require_init=True)
-        n_grid = tuple(int(x) for x in args.n_grid.split(","))
-        spec = harness.ExperimentSpec(
-            scenario="scan", n_grid=n_grid, trials=args.trials, seed=args.seed,
-            out_dir=args.out_dir, alpha=args.alpha, t_cap=args.t_cap,
-        )
-    elif args.scenario == "leader":
-        spec = harness.ExperimentSpec(
-            scenario="leader", n_grid=(args.n,), trials=args.trials,
-            seed=args.seed, out_dir=args.out_dir,
-        )
-    else:
-        spec = harness.ExperimentSpec(
-            scenario="chain", n_grid=(args.n,), trials=args.trials,
-            seed=args.seed, out_dir=args.out_dir, m=args.m, t_cap=args.t_cap,
-        )
-    report = spec.run(crn=crn, init=init, threads=args.threads)
-    lines = [f"{args.scenario} experiment over n in {list(spec.n_grid)}:"]
-    if args.scenario == "scan":
-        for row in report["results"]["rows"]:
+        n_grid = [_parse(int, x, f"bad --n-grid entry {x!r}") for x in args.n_grid.split(",")]
+        result = harness.constant_time_scan(crn, init, args.alpha, n_grid, args.trials,
+                                            args.seed, t_cap=args.t_cap, threads=args.threads)
+        name, summary, lines = "scan", result.to_dict(), []
+        for row in summary["rows"]:
             med = "censored" if row["median"] is None else f"{row['median']:.6g}"
             lines.append(
                 f"  n={row['n']} {row['species']}: produced "
                 f"{row['produced_count']}/{row['trials']}, median {med}"
             )
     else:
-        for n, summary in sorted(report["results"].items(), key=lambda kv: int(kv[0])):
-            if args.scenario == "leader":
-                lines.append(
-                    f"  n={n}: mean time {summary['mean']:.4g} "
-                    f"(analytic {summary['analytic_mean']:.4g})"
-                )
-            else:
-                lines.append(
-                    f"  n={n}: produced fraction {summary['produced_fraction']:.1%}"
-                )
-    lines.append(f"rows written to {report['csv']}")
-    lines.append(f"summary written to {report['json']}")
+        n_grid, seed = [args.n], args.seed + args.n
+        if args.scenario == "leader":
+            result = harness.leader_election_experiment(args.n, args.trials, seed,
+                                                        threads=args.threads)
+            name = "leader"
+            lines = [f"  n={args.n}: mean time {result.mean:.4g} "
+                     f"(analytic {result.analytic_mean:.4g})"]
+        else:
+            t_cap = float(args.m + 1) if args.t_cap is None else args.t_cap
+            result = harness.chain_experiment(args.m, args.n, args.trials, t_cap, seed,
+                                              threads=args.threads)
+            name = f"chain_m{args.m}"
+            lines = [f"  n={args.n}: produced fraction {result.produced_fraction:.1%}"]
+        summary = {str(args.n): result.to_dict()}
+    csv_path = _out_path(args, f"{name}.csv")
+    with open(csv_path, "w", newline="") as f:
+        result.to_csv(f)
+    report = {"scenario": args.scenario, "results": summary, "csv": str(csv_path)}
+    json_path = _out_path(args, f"{name}.json")
+    json_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    report["json"] = str(json_path)
+    lines = [f"{args.scenario} experiment over n in {n_grid}:", *lines,
+             f"rows written to {csv_path}", f"summary written to {json_path}"]
     _emit(args, report, lines)
     return 0
 

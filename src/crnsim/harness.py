@@ -14,10 +14,8 @@ Three scenarios:
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import astuple, dataclass, field, fields
-from pathlib import Path
 
 import numpy as np
 
@@ -61,10 +59,16 @@ class LeaderElectionResult:
     """Per-trial times to reach a single leader, plus summary statistics."""
 
     n: int
-    trials: int
     seed: int
     times: np.ndarray
-    analytic_mean: float
+
+    @property
+    def trials(self) -> int:
+        return self.times.size
+
+    @property
+    def analytic_mean(self) -> float:
+        return 2.0 * (self.n - 1)
 
     @property
     def mean(self) -> float:
@@ -105,14 +109,13 @@ def leader_election_experiment(
     from j=n down to 2 telescopes to the reference mean 2(n-1).
     """
     n, trials = check_integer(n, "n", 2), check_integer(trials, "trials")
+    seed = check_integer(seed, "seed", 0)
     crn = leader_election_crn()
     times = run_trials(
         crn, crn.config({"L": n}), StopCondition(count_reaches=("L", 1)), trials, seed,
         threads=threads,
     )[0]
-    return LeaderElectionResult(
-        n=n, trials=trials, seed=seed, times=times, analytic_mean=2.0 * (n - 1)
-    )
+    return LeaderElectionResult(n=n, seed=seed, times=times)
 
 
 @dataclass
@@ -121,9 +124,15 @@ class ChainResult:
 
     m: int
     n: int
-    t_cap: float
-    seed: int
     stats: FirstProductionStats
+
+    @property
+    def t_cap(self) -> float:
+        return self.stats.t_cap
+
+    @property
+    def seed(self) -> int:
+        return self.stats.seed
 
     @property
     def produced_fraction(self) -> float:
@@ -158,7 +167,7 @@ def chain_experiment(
     stats = first_production_times(
         crn, init, f"X{m + 1}", t_cap, trials, seed, volume=float(n), threads=threads
     )
-    return ChainResult(m=m, n=n, t_cap=t_cap, seed=seed, stats=stats)
+    return ChainResult(m=m, n=n, stats=stats)
 
 
 def scale_configuration(template: Configuration, n: int) -> Configuration:
@@ -253,7 +262,7 @@ def constant_time_scan(
     all target species, and the per-species summaries plus the per-n
     all-produced fraction are collected. The time cap defaults to m+1.
     """
-    trials = check_integer(trials, "trials")
+    trials, seed = check_integer(trials, "trials"), check_integer(seed, "seed", 0)
     n_grid = [check_integer(n, "n") for n in n_grid]
     if not n_grid:
         raise DomainError("n_grid must be nonempty")
@@ -307,71 +316,3 @@ def constant_time_scan(
             produced_all &= ~np.isnan(stats.times)
         result.all_produced_fraction[n] = float(produced_all.mean())
     return result
-
-
-@dataclass(frozen=True)
-class ExperimentSpec:
-    """Declarative description of one prebuilt experiment run.
-
-    ``scenario`` is "leader", "chain" or "scan"; the grid supplies the
-    population sizes, ``m`` applies to the chain and ``alpha``/``t_cap``
-    to the scan. ``run`` executes every grid cell, writes one CSV plus a
-    JSON summary per scenario under ``out_dir``, and returns the summary.
-    """
-
-    scenario: str
-    n_grid: tuple[int, ...]
-    trials: int
-    seed: int
-    out_dir: str = "."
-    m: int = 3
-    alpha: float = 1.0
-    t_cap: float | None = None
-
-    def __post_init__(self):
-        if self.scenario not in ("leader", "chain", "scan"):
-            raise DomainError(f"unknown scenario {self.scenario!r}")
-        if not self.n_grid:
-            raise DomainError("the n grid must be nonempty")
-        # every size is checked here, so a bad one is refused before any
-        # grid point is simulated or out_dir is created
-        least = 1 if self.scenario == "scan" else 2
-        object.__setattr__(self, "n_grid", tuple(check_integer(n, "n", least) for n in self.n_grid))
-        object.__setattr__(self, "trials", check_integer(self.trials, "trials"))
-        if self.scenario == "chain":
-            object.__setattr__(self, "m", check_integer(self.m, "m"))
-
-    def run(self, crn: Crn | None = None, init: Configuration | None = None,
-            threads: int = 1) -> dict:
-        out = Path(self.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        if self.scenario == "leader":
-            results = [
-                leader_election_experiment(n, self.trials, seed=self.seed + n, threads=threads)
-                for n in self.n_grid
-            ]
-            name, summary = "leader", {str(r.n): r.to_dict() for r in results}
-        elif self.scenario == "chain":
-            t_cap = float(self.m + 1) if self.t_cap is None else self.t_cap
-            results = [
-                chain_experiment(self.m, n, self.trials, t_cap,
-                                 seed=self.seed + n, threads=threads)
-                for n in self.n_grid
-            ]
-            name, summary = f"chain_m{self.m}", {str(r.n): r.to_dict() for r in results}
-        else:
-            if crn is None or init is None:
-                raise DomainError("the scan scenario needs a network and an init")
-            scan = constant_time_scan(
-                crn, init, self.alpha, list(self.n_grid), self.trials,
-                seed=self.seed, t_cap=self.t_cap, threads=threads,
-            )
-            results, name, summary = [scan], "scan", scan.to_dict()
-        csv_path = out / f"{name}.csv"
-        with open(csv_path, "w", newline="") as f:
-            write_csv(f, results)
-        report = {"scenario": self.scenario, "results": summary, "csv": str(csv_path)}
-        json_path = csv_path.with_suffix(".json")
-        json_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-        report["json"] = str(json_path)
-        return report

@@ -811,6 +811,7 @@ def first_production_times(
     """
     if not 0 < t_cap < math.inf:
         raise DomainError("t_cap must be finite and positive")
+    seed = check_integer(seed, "seed", 0)
     stop = StopCondition(t_max=t_cap, species_appears=frozenset({target}))
     times = run_trials(crn, init, stop, trials, seed, volume=volume, threads=threads)[1][target]
     return FirstProductionStats(target=target, t_cap=t_cap, times=times, seed=seed)

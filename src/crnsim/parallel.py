@@ -11,12 +11,19 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 
+from .errors import check_integer
 from .streams import substream
 
 
 def map_ordered(fn, items, threads: int = 1) -> list:
+    """``[fn(x) for x in items]``, on a pool of up to ``threads`` threads.
+
+    ``threads`` must be an integer of at least 1; every fan-out in the
+    package goes through here, so this is the one place it is checked.
+    """
+    threads = check_integer(threads, "threads")
     items = list(items)
-    if threads <= 1 or len(items) <= 1:
+    if threads == 1 or len(items) <= 1:
         return [fn(x) for x in items]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, items))

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import check_integer
+
 # uniforms are built from the top 53 bits of each 64-bit draw, and the
 # one integer that would round to 1.0 is clamped below it, so they lie
 # strictly inside (0, 1) and -log(u) is always finite and positive.
@@ -20,8 +22,14 @@ _BELOW_ONE = 1.0 - _INV53
 
 
 def substream(seed: int, *key: int) -> np.random.Generator:
-    """Return the generator for (seed, key), independent of creation order."""
-    ss = np.random.SeedSequence(int(seed), spawn_key=tuple(int(k) for k in key))
+    """Return the generator for (seed, key), independent of creation order.
+
+    ``seed`` must be an integer of at least 0; a float is refused, not
+    truncated.
+    """
+    ss = np.random.SeedSequence(
+        check_integer(seed, "seed", 0), spawn_key=tuple(int(k) for k in key)
+    )
     return np.random.default_rng(ss)
 
 

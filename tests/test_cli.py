@@ -214,6 +214,8 @@ class TestBulkOutputs:
         rows = (tmp_path / "chain_m1.csv").read_text().strip().splitlines()
         assert rows[0] == "m,n,trial,time_or_censored"
         assert len(rows) == 21
+        # the time cap defaults to m + 1
+        assert json.loads((tmp_path / "chain_m1.json").read_text())["results"]["64"]["t_cap"] == 2.0
 
     def test_demo_scan(self, convert_file, tmp_path, capsys):
         rc = main(
@@ -248,6 +250,67 @@ class TestBulkOutputs:
         assert (tmp_path / "envout" / "trace.csv").exists()
 
 
+class TestDemo:
+    """``crnsim demo`` runs one experiment, then writes ``<name>.csv`` and
+    ``<name>.json`` under ``--out-dir``."""
+
+    @pytest.mark.parametrize(
+        "argv, name, files_digest, stdout_digest",
+        [
+            (["--seed", "1", "demo", "leader", "--n", "12", "--trials", "6"], "leader",
+             "2e7d810eb2bd2682", "3eefe692b90b888c"),
+            (["--seed", "2", "demo", "chain", "--m", "1", "--n", "16", "--trials", "8",
+              "--t-cap", "0.6"], "chain_m1", "50522e819518b558", "f29ce092e9bf833d"),
+            (["--seed", "2", "demo", "chain", "--m", "2", "--n", "16", "--trials", "6"],
+             "chain_m2", "3a4432e1fa65ce03", "c6b75ac897f7b901"),
+            (["--seed", "3", "demo", "scan", "net.crn", "--init", "X=5", "--alpha", "1.0",
+              "--n-grid", "20,60", "--trials", "7", "--t-cap", "0.12"], "scan",
+             "51dae522e2718f94", "ba3a91e12c8596c2"),
+        ],
+        ids=["leader", "chain", "chain-default-t-cap", "scan"],
+    )
+    def test_outputs_byte_identical_to_pinned_digest(
+        self, argv, name, files_digest, stdout_digest, tmp_path, monkeypatch, capsys
+    ):
+        # sha256 prefixes of the CSV and JSON bytes, and of stdout in text
+        # and JSON; leader and chain run at seed --seed + n, and the chain's
+        # time cap defaults to m + 1
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "net.crn").write_text("X -> Y ; k=1\nY -> Z ; k=2\n")
+        stdout = hashlib.sha256()
+        for fmt in ("text", "json"):
+            assert main(["--format", fmt, "--out-dir", "out", *argv]) == 0
+            stdout.update(capsys.readouterr().out.encode())
+        files = hashlib.sha256()
+        for suffix in (".csv", ".json"):
+            files.update((tmp_path / "out" / f"{name}{suffix}").read_bytes())
+        assert (files.hexdigest()[:16], stdout.hexdigest()[:16]) == (files_digest, stdout_digest)
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["leader", "--n", "1"], "n must be an integer of at least 2, got 1"),
+            (["leader", "--trials", "0"], "trials must be an integer of at least 1, got 0"),
+            (["chain", "--m", "0"], "m must be an integer of at least 1, got 0"),
+            (["chain", "--n", "1"], "n must be an integer of at least 2, got 1"),
+            (["scan", "{net}", "--n-grid", "100,0"], "n must be an integer of at least 1, got 0"),
+        ],
+        ids=["leader-n", "leader-trials", "chain-m", "chain-n", "scan-grid"],
+    )
+    def test_every_size_refused_before_running(self, argv, message, convert_file, tmp_path,
+                                               monkeypatch, capsys):
+        # the scan's grid is refused whole: n=100 is not simulated first
+        def no_events(*args, **kwargs):
+            raise AssertionError("the size should have been refused before simulating")
+
+        monkeypatch.setattr(kinetics, "_run_batch", no_events)
+        out = tmp_path / "out"
+        argv = [a.format(net=convert_file) for a in argv]
+        assert main(["--out-dir", str(out), "demo", *argv]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+
 class TestErrorPaths:
     def test_usage_error_exits_2(self, capsys):
         assert main([]) == 2
@@ -268,6 +331,37 @@ class TestErrorPaths:
         p.write_text(content)
         assert main(argv_tail + [str(p)]) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["analyze", "{net}", "--init", "X=-5"],
+             "--init count of X must be an integer of at least 0, got -5"),
+            (["simulate", "{net}", "--t-max", "1", "--checkpoints", "0.5,abc"],
+             "bad --checkpoints entry 'abc'"),
+            (["demo", "scan", "{net}", "--n-grid", "10,abc"], "bad --n-grid entry 'abc'"),
+            (["--seed", "-1", "simulate", "{net}", "--t-max", "1"],
+             "seed must be an integer of at least 0, got -1"),
+            (["--threads", "0", "first-production", "{net}", "--target", "Y"],
+             "threads must be an integer of at least 1, got 0"),
+            (["--threads", "-3", "demo", "leader", "--n", "10", "--trials", "5"],
+             "threads must be an integer of at least 1, got -3"),
+            (["demo", "scan", "{noinit}", "--n-grid", "10"], "declares no init: lines"),
+        ],
+        ids=["negative-init", "checkpoint", "n-grid", "seed", "threads-0", "threads-neg",
+             "scan-no-init"],
+    )
+    def test_malformed_input_exits_1_without_traceback(self, argv, message, convert_file,
+                                                       tmp_path):
+        # each of the first six ended in a Python traceback
+        noinit = tmp_path / "noinit.crn"
+        noinit.write_text("X -> Y\n")
+        argv = [a.format(net=convert_file, noinit=noinit) for a in argv]
+        proc = _run_cli(["--out-dir", str(tmp_path / "out"), *argv])
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr.startswith("error: ") and message in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "out").exists()
 
     def test_missing_file_exits_1(self, capsys):
         assert main(["validate", "does-not-exist.crn"]) == 1
@@ -428,10 +522,19 @@ class TestErrorPaths:
         assert "Nope" in capsys.readouterr().err
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    # a fresh interpreter: this test session has imported scipy.stats already
+def _fresh_interpreter(args, **kwargs) -> subprocess.CompletedProcess:
+    """Run ``python *args`` with this checkout's package importable."""
     src = str(Path(crnsim.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run([sys.executable, *args], env=env, timeout=120, **kwargs)
+
+
+def _run_cli(argv) -> subprocess.CompletedProcess:
+    return _fresh_interpreter(["-m", "crnsim.cli", *argv], capture_output=True, text=True)
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # a fresh interpreter: this test session has imported scipy.stats already
     code = "import sys, crnsim.cli; sys.exit('scipy.stats' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0
+    assert _fresh_interpreter(["-c", code]).returncode == 0

@@ -1,7 +1,7 @@
-import hashlib
 import io
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -9,7 +9,8 @@ import pytest
 from crnsim import kinetics
 from crnsim.errors import DomainError
 from crnsim.harness import (
-    ExperimentSpec,
+    ChainResult,
+    LeaderElectionResult,
     chain_crn,
     chain_experiment,
     constant_time_scan,
@@ -70,6 +71,22 @@ class TestLeaderElection:
         a = leader_election_experiment(n=30, trials=40, seed=7)
         b = leader_election_experiment(n=30, trials=40, seed=7, threads=4)
         assert np.array_equal(a.times, b.times)
+
+
+class TestResultFields:
+    """Each result stores a value once; what follows from it is a property."""
+
+    def test_leader_election(self):
+        res = leader_election_experiment(n=7, trials=4, seed=1)
+        assert [f.name for f in fields(LeaderElectionResult)] == ["n", "seed", "times"]
+        assert (res.trials, res.analytic_mean) == (4, 12.0)
+        assert res.to_dict()["trials"] == 4 and res.to_dict()["analytic_mean"] == 12.0
+
+    def test_chain(self):
+        res = chain_experiment(m=1, n=8, trials=4, t_cap=0.7, seed=2)
+        assert [f.name for f in fields(ChainResult)] == ["m", "n", "stats"]
+        assert (res.t_cap, res.seed) == (res.stats.t_cap, res.stats.seed) == (0.7, 2)
+        assert res.to_dict()["t_cap"] == 0.7 and res.to_dict()["seed"] == 2
 
 
 class TestChain:
@@ -139,6 +156,26 @@ class TestIntegerArguments:
         with pytest.raises(DomainError, match="n must be an integer of at least 1"):
             scale_configuration(Configuration([3, 1]), n)
 
+    def test_scan_grid_nonempty(self):
+        crn, _ = parse_crn("X -> Y ; k=1\n")
+        with pytest.raises(DomainError, match="n_grid must be nonempty"):
+            constant_time_scan(crn, crn.config({"X": 10}), 1.0, [], 5, 0)
+
+    @pytest.mark.parametrize("seed", [1.7, -1, math.nan, True])
+    def test_seed(self, seed):
+        # 1.7 ran as seed 1 but was reported as 1.7; -1 failed in SeedSequence
+        crn, _ = parse_crn("X -> Y ; k=1\n")
+        init = crn.config({"X": 10})
+        calls = [
+            lambda: leader_election_experiment(10, 5, seed),
+            lambda: chain_experiment(1, 16, 5, 2.0, seed),
+            lambda: constant_time_scan(crn, init, 1.0, [20], 5, seed),
+            lambda: kinetics.first_production_times(crn, init, "Y", 1.0, 5, seed),
+        ]
+        for call in calls:
+            with pytest.raises(DomainError, match="seed must be an integer of at least 0"):
+                call()
+
 
 class TestNumpyIntegerArguments:
     """numpy integers pass ``check_integer``, and the results keep the
@@ -161,14 +198,18 @@ class TestNumpyIntegerArguments:
         rows = json.loads(json.dumps(scan.to_dict()))["rows"]
         assert [(r["n"], r["trials"]) for r in rows] == [(20, 5)]
 
-    def test_experiment_spec_run(self, tmp_path):
-        spec = ExperimentSpec(scenario="leader", n_grid=(np.int64(10),), trials=np.int64(5),
-                              seed=0, out_dir=str(tmp_path))
-        report = spec.run()
-        assert json.loads((tmp_path / "leader.json").read_text()) == {
-            k: v for k, v in report.items() if k != "json"
-        }
-        assert report["results"]["10"]["trials"] == 5
+    def test_seeds(self):
+        # a numpy seed was stored as given, and json.dumps refused the report
+        leader = leader_election_experiment(10, 5, np.int64(3))
+        chain = chain_experiment(1, 16, 5, 2.0, np.int64(3))
+        crn, _ = parse_crn("X -> Y ; k=1\n")
+        scan = constant_time_scan(crn, crn.config({"X": 10}), 1.0, [20], 5, np.int64(3))
+        stats = kinetics.first_production_times(crn, crn.config({"X": 10}), "Y", 1.0, 5,
+                                                np.int64(3))
+        for res in (leader, chain, scan, stats):
+            assert json.loads(json.dumps(res.to_dict()))["seed"] == 3
+            assert type(res.seed) is int
+        assert np.array_equal(leader.times, leader_election_experiment(10, 5, 3).times)
 
 
 class TestScaling:
@@ -258,90 +299,3 @@ class TestScan:
         res.to_csv(buf)
         header = buf.getvalue().splitlines()[0]
         assert header == "n,species,trials,produced_count,median,p90,mean_uncensored"
-
-
-class TestExperimentSpec:
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            ExperimentSpec(scenario="bogus", n_grid=(10,), trials=5, seed=0)
-        with pytest.raises(DomainError):
-            ExperimentSpec(scenario="leader", n_grid=(), trials=5, seed=0)
-        with pytest.raises(DomainError):
-            ExperimentSpec(scenario="leader", n_grid=(10,), trials=0, seed=0)
-
-    @pytest.mark.parametrize(
-        "scenario, n_grid, m",
-        [("leader", (1000, 10.5), 3), ("chain", (64, 1), 3), ("chain", (64,), 2.5),
-         ("scan", (100, math.nan), 3)],
-        ids=["leader-grid", "chain-grid", "chain-m", "scan-grid"],
-    )
-    def test_every_size_refused_before_running(self, scenario, n_grid, m, tmp_path,
-                                               monkeypatch):
-        # a bad grid point was refused only when run reached it: the leader
-        # case simulated n=1000 and created out_dir first
-        def no_events(*args, **kwargs):
-            raise AssertionError("the size should have been refused before simulating")
-
-        monkeypatch.setattr(kinetics, "_run_batch", no_events)
-        out = tmp_path / "out"
-        with pytest.raises(DomainError, match="must be an integer of at least"):
-            ExperimentSpec(scenario=scenario, n_grid=n_grid, trials=1000, seed=0,
-                           out_dir=str(out), m=m)
-        assert not out.exists()
-
-    def test_leader_grid_run(self, tmp_path):
-        spec = ExperimentSpec(
-            scenario="leader", n_grid=(5, 10), trials=8, seed=1, out_dir=str(tmp_path)
-        )
-        report = spec.run()
-        assert set(report["results"]) == {"5", "10"}
-        rows = (tmp_path / "leader.csv").read_text().strip().splitlines()
-        assert len(rows) == 1 + 2 * 8
-        assert json.loads((tmp_path / "leader.json").read_text())["scenario"] == "leader"
-
-    def test_chain_defaults_horizon(self, tmp_path):
-        spec = ExperimentSpec(
-            scenario="chain", n_grid=(32,), trials=5, seed=2, out_dir=str(tmp_path), m=1
-        )
-        report = spec.run()
-        assert report["results"]["32"]["t_cap"] == 2.0
-
-    def test_scan_requires_network(self, tmp_path):
-        spec = ExperimentSpec(
-            scenario="scan", n_grid=(50,), trials=5, seed=3, out_dir=str(tmp_path)
-        )
-        with pytest.raises(DomainError):
-            spec.run()
-        crn, _ = parse_crn("X -> Y ; k=1\n")
-        report = spec.run(crn=crn, init=crn.config({"X": 5}))
-        assert (tmp_path / "scan.csv").exists()
-        assert report["results"]["rows"][0]["n"] == 50
-
-    @pytest.mark.parametrize(
-        "spec, network, digest",
-        [
-            (ExperimentSpec("leader", (5, 12), 6, seed=1, out_dir="out"), None,
-             "5e4f15c7d3e6e9dd"),
-            (ExperimentSpec("chain", (4, 16), 8, seed=2, out_dir="out", m=1, t_cap=0.6), None,
-             "38f71195a76a5f4b"),
-            (ExperimentSpec("scan", (20, 60), 7, seed=3, out_dir="out", t_cap=0.12),
-             "X -> Y ; k=1\nY -> Z ; k=2\n", "51dae522e2718f94"),
-        ],
-        ids=["leader", "chain", "scan"],
-    )
-    def test_outputs_byte_identical_to_pinned_digest(
-        self, spec, network, digest, tmp_path, monkeypatch
-    ):
-        # sha256 prefixes of the CSV and JSON bytes, with trials drawn by
-        # the batched kernel from one substream per chunk of trials; chain
-        # and scan mix censored and finite times
-        monkeypatch.chdir(tmp_path)
-        crn = init = None
-        if network is not None:
-            crn, _ = parse_crn(network)
-            init = crn.config({"X": 5})
-        report = spec.run(crn=crn, init=init)
-        h = hashlib.sha256()
-        for path in (report["csv"], report["json"]):
-            h.update((tmp_path / path).read_bytes())
-        assert h.hexdigest()[:16] == digest

@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from crnsim.errors import DomainError
 from crnsim.streams import open_uniform_block, substream
 
 
@@ -27,3 +30,11 @@ def test_top_integer_stays_below_one():
     u = open_uniform_block(_TopRaw(), 3)
     assert np.all(u == 1.0 - 2.0**-53)
     assert np.all(-np.log(u) > 0.0)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.7, 2.0, math.nan, True, "3"])
+def test_seed_must_be_an_integer_of_at_least_zero(seed):
+    # 1.7 and 2.0 were truncated, and -1 failed inside SeedSequence
+    with pytest.raises(DomainError, match="seed must be an integer of at least 0"):
+        substream(seed, 0)
+
