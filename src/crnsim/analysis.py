@@ -21,7 +21,6 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
 
 from .errors import DomainError, check_integer
 from .model import Configuration, Crn, support
@@ -327,6 +326,38 @@ class ReachabilityReport:
         }
 
 
+class _Packing:
+    """Counts of ``n`` species packed into one ``int``, ``width`` bits a species.
+
+    Species ``i`` owns bits ``i*width`` up to ``(i+1)*width``. A packed
+    configuration holds its count in the low ``width - 1`` bits of that
+    field and a set guard bit on top; a packed change (what a reaction
+    consumes or produces) holds only the counts. As long as every count
+    and every count plus a coefficient stays below the guard, one
+    subtraction or addition of two packed ints acts on each field on its
+    own, and a count that goes below zero clears only its own guard.
+    """
+
+    def __init__(self, n: int, width: int):
+        self.n, self.width = n, width
+        self.guard = 1 << (width - 1)
+        self.guards = self.spread(self.guard)
+
+    def spread(self, value: int) -> int:
+        """``value`` (below ``2**width``) in every field."""
+        return sum(value << (i * self.width) for i in range(self.n))
+
+    def change(self, counts) -> int:
+        return sum(c << (i * self.width) for i, c in enumerate(counts))
+
+    def pack(self, counts) -> int:
+        return self.change(counts) + self.guards
+
+    def unpack(self, packed: int) -> tuple[int, ...]:
+        mask = self.guard - 1
+        return tuple((packed >> (i * self.width)) & mask for i in range(self.n))
+
+
 def reachable_set(
     crn: Crn,
     init: Configuration,
@@ -335,54 +366,74 @@ def reachable_set(
 ) -> ReachabilityReport:
     """Breadth-first search of the reachability relation from ``init``.
 
-    Configurations are canonicalized as exact count tuples and visited
-    first in, first out; from each one the reactions are tried in table
-    order. That order decides which configurations a truncated search
-    keeps. The search stops cleanly (truncated=True) once ``max_configs``
-    distinct configurations have been visited; a successor with some
-    count above ``max_count`` is skipped and also marks the search
-    truncated. Both caps must be integers of at least 1.
+    Configurations are visited first in, first out; from each one the
+    reactions are tried in table order. That order decides which
+    configurations a truncated search keeps. The search stops cleanly
+    (truncated=True) once ``max_configs`` distinct configurations have
+    been visited; a successor with some count above ``max_count`` is
+    skipped and also marks the search truncated. Both caps must be
+    integers of at least 1.
+
+    Each configuration is one ``int`` (see ``_Packing``) whose species
+    fields are ``w = (max(max_count, largest initial count) + largest
+    stoichiometric coefficient).bit_length() + 1`` bits wide, so no count
+    the search meets, nor such a count plus a coefficient, reaches a guard
+    bit. A reaction is then three int operations on all species at once:
+    ``rest = cur - need``; it is enabled iff every guard survives,
+    ``rest & guards == guards``, since a count below its need borrows only
+    from its own guard; and its successor is ``succ = rest + gain``. Some
+    count of ``succ`` exceeds ``max_count`` iff ``((succ & ~guards) + over)
+    & guards`` is nonzero, with ``guard - 1 - max_count`` in every field of
+    ``over``. Python ints have no width limit, so any cap and species
+    count is exact.
     """
     check_integer(max_configs, "max_configs")
     check_integer(max_count, "max_count")
     if len(init) != crn.n_species:
         raise DomainError("initial configuration does not span the species table")
     max_configs, max_count = int(max_configs), int(max_count)
-    # per reaction: the (species, count) pairs it consumes, its net change,
-    # and the species that change grows; only a growing species can be
-    # positive in a successor without being positive in its parent
-    moves = []
-    for rx in crn.reactions:
-        delta = tuple(p - r for r, p in zip(rx.reactants, rx.products))
-        need = tuple((i, r) for i, r in enumerate(rx.reactants) if r > 0)
-        grows = tuple(i for i, d in enumerate(delta) if d > 0)
-        moves.append((need, delta, grows))
+    start = init.counts.tolist()
+    largest = max((c for rx in crn.reactions for c in (*rx.reactants, *rx.products)), default=0)
+    width = (max(max_count, *start, 0) + largest).bit_length() + 1
+    packing = _Packing(crn.n_species, width)
+    guards = packing.guards
+    # (succ & ~guards) + over, in one subtraction: each field becomes
+    # guard + v - (max_count + 1), which keeps its guard iff v > max_count
+    # and never borrows, since max_count < guard
+    lift = packing.spread(max_count + 1)
+    # per reaction: what it consumes and what it produces
+    moves = [(packing.change(rx.reactants), packing.change(rx.products), j)
+             for j, rx in enumerate(crn.reactions)]
 
-    start = tuple(init.counts.tolist())
-    visited = {start}
-    queue = deque([start])
-    producible = set(support(init))
+    first = packing.pack(start)
+    visited = {first}
+    queue = deque([first])
+    fired = set()  # reactions that added a configuration
     truncated = False
     while queue:
         cur = queue.popleft()
-        for need, delta, grows in moves:
-            for i, r in need:
-                if cur[i] < r:
-                    break
-            else:
-                succ = tuple(map(add, cur, delta))
-                if succ in visited:
-                    continue
-                if max(succ) > max_count:
-                    truncated = True
-                    continue
-                if len(visited) >= max_configs:
-                    truncated = True
-                    queue.clear()
-                    break
-                visited.add(succ)
-                queue.append(succ)
-                producible.update(grows)
+        for need, gain, j in moves:
+            rest = cur - need
+            if rest & guards != guards:
+                continue
+            succ = rest + gain
+            if succ in visited:
+                continue
+            if (succ - lift) & guards:
+                truncated = True
+                continue
+            if len(visited) >= max_configs:
+                truncated = True
+                queue.clear()
+                break
+            visited.add(succ)
+            queue.append(succ)
+            fired.add(j)
+    # a species is positive in some visited configuration iff it starts
+    # positive or a reaction that added a configuration grows it
+    producible = set(support(init))
+    for j in fired:
+        producible.update(i for i in range(crn.n_species) if crn.reactions[j].produces(i))
     return ReachabilityReport(frozenset(producible), len(visited), truncated, max_configs, max_count)
 
 

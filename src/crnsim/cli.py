@@ -412,6 +412,7 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return 0 if e.code in (0, None) else 2
     try:
+        check_integer(args.threads, "threads")
         return args.fn(args)
     except (CrnError, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)

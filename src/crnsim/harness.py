@@ -260,7 +260,8 @@ def constant_time_scan(
     For each n the template is rescaled (and re-verified alpha-dense, with
     the species support unchanged), each trial runs in volume n watching
     all target species, and the per-species summaries plus the per-n
-    all-produced fraction are collected. The time cap defaults to m+1.
+    all-produced fraction are collected. The time cap defaults to m+1 and
+    must be finite and positive.
     """
     trials, seed = check_integer(trials, "trials"), check_integer(seed, "seed", 0)
     n_grid = [check_integer(n, "n") for n in n_grid]
@@ -269,6 +270,8 @@ def constant_time_scan(
     stages = stage_decomposition(crn, init_template)
     if t_cap is None:
         t_cap = float(stages.m + 1)
+    elif not 0 < t_cap < math.inf:
+        raise DomainError("t_cap must be finite and positive")
     base_support = support(init_template)
     target_ids = sorted(stages.closure - base_support)
     targets = tuple(crn.species.name_of(i) for i in target_ids)

@@ -1,11 +1,15 @@
 import hashlib
 import math
+from collections import deque
 from fractions import Fraction
+from operator import add
 
 import numpy as np
 import pytest
 
 from crnsim.analysis import (
+    ReachabilityReport,
+    _Packing,
     check_mass_conserving,
     closure_vs_oracle,
     finite_density_status,
@@ -14,11 +18,89 @@ from crnsim.analysis import (
     reachable_set,
     stage_decomposition,
 )
-from crnsim.errors import DomainError
+from crnsim.errors import DomainError, check_integer
 from crnsim.kinetics import StopCondition, simulate
-from crnsim.model import Configuration, parse_crn
+from crnsim.model import Configuration, Crn, Reaction, SpeciesTable, parse_crn, support
 
 from conftest import random_config, random_crn
+
+
+# The search loop as it stood before configurations were packed into one
+# int: count tuples, one comparison per reactant and max() over every
+# successor. Kept only as a reference for the packed search.
+def tuple_reachable_set(
+    crn: Crn,
+    init: Configuration,
+    max_configs: int = 100_000,
+    max_count: int = 1_000_000,
+) -> ReachabilityReport:
+    """Breadth-first search of the reachability relation from ``init``.
+
+    Configurations are canonicalized as exact count tuples and visited
+    first in, first out; from each one the reactions are tried in table
+    order. That order decides which configurations a truncated search
+    keeps. The search stops cleanly (truncated=True) once ``max_configs``
+    distinct configurations have been visited; a successor with some
+    count above ``max_count`` is skipped and also marks the search
+    truncated. Both caps must be integers of at least 1.
+    """
+    check_integer(max_configs, "max_configs")
+    check_integer(max_count, "max_count")
+    if len(init) != crn.n_species:
+        raise DomainError("initial configuration does not span the species table")
+    max_configs, max_count = int(max_configs), int(max_count)
+    # per reaction: the (species, count) pairs it consumes, its net change,
+    # and the species that change grows; only a growing species can be
+    # positive in a successor without being positive in its parent
+    moves = []
+    for rx in crn.reactions:
+        delta = tuple(p - r for r, p in zip(rx.reactants, rx.products))
+        need = tuple((i, r) for i, r in enumerate(rx.reactants) if r > 0)
+        grows = tuple(i for i, d in enumerate(delta) if d > 0)
+        moves.append((need, delta, grows))
+
+    start = tuple(init.counts.tolist())
+    visited = {start}
+    queue = deque([start])
+    producible = set(support(init))
+    truncated = False
+    while queue:
+        cur = queue.popleft()
+        for need, delta, grows in moves:
+            for i, r in need:
+                if cur[i] < r:
+                    break
+            else:
+                succ = tuple(map(add, cur, delta))
+                if succ in visited:
+                    continue
+                if max(succ) > max_count:
+                    truncated = True
+                    continue
+                if len(visited) >= max_configs:
+                    truncated = True
+                    queue.clear()
+                    break
+                visited.add(succ)
+                queue.append(succ)
+                producible.update(grows)
+    return ReachabilityReport(frozenset(producible), len(visited), truncated, max_configs, max_count)
+
+
+def wide_network(rng) -> Crn:
+    """Up to 4 species and 5 reactions; each side names up to 2 species with
+    coefficients 1 to 4, so about a third of the reactions need nothing
+    (``0 -> X``)."""
+    ns, nr = int(rng.integers(1, 5)), int(rng.integers(1, 6))
+    reactions = []
+    while len(reactions) < nr:
+        sides = [[0] * ns, [0] * ns]
+        for side in sides:
+            for _ in range(int(rng.integers(0, 3))):
+                side[int(rng.integers(ns))] = int(rng.integers(1, 5))
+        if sides[0] != sides[1]:
+            reactions.append(Reaction(tuple(sides[0]), tuple(sides[1])))
+    return Crn(SpeciesTable(tuple(f"S{i}" for i in range(ns))), tuple(reactions))
 
 
 class TestProdSet:
@@ -312,6 +394,49 @@ class TestReachability:
         assert h.hexdigest() == (
             "8b7f8fdc370c59aeef394f36ff7eda1db9063f4d263f8b71c8233dedda24a0c7"
         )
+
+
+class TestPackedSearch:
+    CAPS = (1, 2, 3, 64, 1_000_000, 2**70)
+
+    def test_matches_tuple_search_on_random_networks(self):
+        # (visited, truncated, producible) of the packed search equal those
+        # of the tuple loop. Coefficients up to 4 and starts above or just
+        # below the count cap put counts next to the field's guard bit
+        rng = np.random.default_rng(20261019)
+        seen = {"coefficient 4": 0, "0 -> X": 0, "start above max_count": 0,
+                "truncated": 0, "closed": 0}
+        for _ in range(400):
+            crn = wide_network(rng)
+            max_count = self.CAPS[int(rng.integers(len(self.CAPS)))]
+            near = min(max_count, 2**62)
+            counts = [int(rng.integers(0, 6)) if rng.random() < 0.8
+                      else max(0, near + int(rng.integers(-4, 3)))
+                      for _ in range(crn.n_species)]
+            init = Configuration(counts)
+            max_configs = int(rng.choice([1, 2, 3, 5, 50, 500, 3000]))
+            got = reachable_set(crn, init, max_configs, max_count)
+            want = tuple_reachable_set(crn, init, max_configs, max_count)
+            assert (got.visited, got.truncated, got.producible) == (
+                want.visited, want.truncated, want.producible), (crn, counts, max_configs,
+                                                                 max_count)
+            seen["coefficient 4"] += any(4 in (*rx.reactants, *rx.products)
+                                         for rx in crn.reactions)
+            seen["0 -> X"] += any(not any(rx.reactants) for rx in crn.reactions)
+            seen["start above max_count"] += max(counts) > max_count
+            seen["truncated"] += got.truncated
+            seen["closed"] += not got.truncated
+        assert min(seen.values()) >= 30, seen
+
+    @pytest.mark.parametrize("n, width", [(1, 2), (3, 4), (4, 73)])
+    def test_pack_round_trip(self, n, width):
+        rng = np.random.default_rng(width)
+        packing = _Packing(n, width)
+        for _ in range(50):
+            counts = tuple(int(rng.integers(0, 2 ** min(width - 1, 62))) for _ in range(n))
+            packed = packing.pack(counts)
+            assert packing.unpack(packed) == counts
+            assert packed & packing.guards == packing.guards
 
 
 class TestClosureVsOracle:

@@ -159,6 +159,37 @@ class TestPinnedReports:
         ]
         assert _stdout_digest(argvs, capsys) == "63a3dc0376a517b8"
 
+    def test_reachable_text_and_json(self, capsys):
+        # default caps: chain3 closes at 3396 configurations, leader starts
+        # above max_count and convert fills max_configs, so the last two
+        # searches are truncated
+        argvs = [
+            ["--format", fmt, "reachable", str(DEMO_CRN / f"{stem}.crn"), "--init", init]
+            for stem, init in (("chain3", "X1=40"), ("leader", "L=1000002"),
+                               ("convert", "X=1000001"))
+            for fmt in ("text", "json")
+        ]
+        assert _stdout_digest(argvs, capsys) == "a2f1e3d13dc9a9d3"
+
+    def test_reachable_compare_closure_text_and_json(self, capsys):
+        # the last three comparisons truncate at least one scale: by
+        # max_configs at scale 1 and by max_count at scale 2 (leader,
+        # convert), and by max_configs at scales 2 and 3 (chain3)
+        argvs = [
+            ["--format", fmt, "reachable", str(DEMO_CRN / f"{stem}.crn"), "--init", init,
+             "--compare-closure", *extra]
+            for stem, init, extra in (
+                ("leader", "L=2", []),
+                ("convert", "X=1", []),
+                ("chain3", "X1=1", []),
+                ("leader", "L=500001", ["--scale-limit", "2", "--max-configs", "1000"]),
+                ("convert", "X=600000", ["--scale-limit", "2", "--max-configs", "1000"]),
+                ("chain3", "X1=20", ["--scale-limit", "3", "--max-configs", "2000"]),
+            )
+            for fmt in ("text", "json")
+        ]
+        assert _stdout_digest(argvs, capsys) == "59709db32b53ddca"
+
     def test_analyze_solves_the_simplex_once(self, monkeypatch, capsys):
         calls = []
         solve = analysis.check_mass_conserving
@@ -347,13 +378,23 @@ class TestErrorPaths:
             (["--threads", "-3", "demo", "leader", "--n", "10", "--trials", "5"],
              "threads must be an integer of at least 1, got -3"),
             (["demo", "scan", "{noinit}", "--n-grid", "10"], "declares no init: lines"),
+            (["--threads", "0", "simulate", "{net}", "--t-max", "1"],
+             "threads must be an integer of at least 1, got 0"),
+            (["--threads", "0", "analyze", "{net}"],
+             "threads must be an integer of at least 1, got 0"),
+            (["--threads", "0", "reachable", "{net}"],
+             "threads must be an integer of at least 1, got 0"),
+            (["demo", "scan", "{net}", "--t-cap", "0", "--n-grid", "10", "--trials", "5"],
+             "t_cap must be finite and positive"),
         ],
         ids=["negative-init", "checkpoint", "n-grid", "seed", "threads-0", "threads-neg",
-             "scan-no-init"],
+             "scan-no-init", "threads-0-simulate", "threads-0-analyze", "threads-0-reachable",
+             "scan-t-cap-0"],
     )
     def test_malformed_input_exits_1_without_traceback(self, argv, message, convert_file,
                                                        tmp_path):
-        # each of the first six ended in a Python traceback
+        # each of the first six ended in a Python traceback; --threads 0 on
+        # a command that never fans out, and a scan capped at time 0, exited 0
         noinit = tmp_path / "noinit.crn"
         noinit.write_text("X -> Y\n")
         argv = [a.format(net=convert_file, noinit=noinit) for a in argv]

@@ -273,6 +273,17 @@ class TestScan:
         )
         assert res.t_cap == 3.0  # m = 2
 
+    @pytest.mark.parametrize("t_cap", [0.0, -1.0, math.nan, math.inf])
+    def test_time_cap_must_be_finite_and_positive(self, t_cap, monkeypatch):
+        # t_cap=0 censored every trial at time 0 and reported produced 0/n
+        def no_events(*args, **kwargs):
+            raise AssertionError("the time cap should have been refused before simulating")
+
+        monkeypatch.setattr(kinetics, "_run_batch", no_events)
+        crn, _ = parse_crn("X -> Y ; k=1\n")
+        with pytest.raises(DomainError, match="t_cap must be finite and positive"):
+            constant_time_scan(crn, crn.config({"X": 5}), 1.0, [10], 5, 0, t_cap=t_cap)
+
     def test_alpha_density_failure(self):
         crn, _ = parse_crn("A -> B\n")
         template = crn.config({"A": 99, "B": 1})  # B present but very thin

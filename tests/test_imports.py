@@ -44,6 +44,22 @@ def test_every_benchmark_probe_names_an_attribute_of_crnsim():
     assert not missing
 
 
+def test_closure_vs_oracle_searches_through_the_probed_attribute(monkeypatch):
+    # the traced benchmark counts analysis.reachable.calls by wrapping the
+    # module attribute; a per-scale search that bypassed it would drop
+    # those counts without a word
+    from crnsim import analysis
+    from crnsim.model import parse_crn
+
+    calls = []
+    search = analysis.reachable_set
+    monkeypatch.setattr(analysis, "reachable_set",
+                        lambda *args, **kw: calls.append(args) or search(*args, **kw))
+    crn, _ = parse_crn("X + X -> Y\n")
+    analysis.closure_vs_oracle(crn, crn.config({"X": 1}), scale_limit=3)
+    assert len(calls) == 3
+
+
 def test_every_benchmark_workload_builds():
     # workloads call public signatures positionally, e.g.
     # ReflectingBoundParams(0.1, 1.0, 0.025, 1000); a change to one would
