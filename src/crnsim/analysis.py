@@ -163,7 +163,7 @@ class ConservationCertificate:
 
     @property
     def ratio(self) -> Fraction | None:
-        return max(self.mass) if self.mass else None
+        return None if self.mass is None else max(self.mass, default=Fraction(1))
 
     def to_dict(self, crn: Crn) -> dict:
         if self.mass is None:
@@ -273,29 +273,31 @@ class FiniteDensityStatus:
     """Sufficient-condition classification of count growth.
 
     ``population_protocol`` when every reaction has exactly two reactants
-    and two products (total count invariant, inflation factor 1);
-    ``mass_conserving`` when a conservation certificate exists (inflation
-    bounded by its ratio); otherwise ``unknown``.
+    and two products (total count invariant, so the certificate is the unit
+    mass); ``mass_conserving`` when another conservation certificate exists;
+    otherwise ``unknown``. ``c_hat``, the certificate's ratio, bounds count
+    inflation.
     """
 
     kind: str  # "population_protocol" | "mass_conserving" | "unknown"
-    c_hat: Fraction | None
-    certificate: ConservationCertificate | None = None  # None only for population protocols
+    certificate: ConservationCertificate
+
+    @property
+    def c_hat(self) -> Fraction | None:
+        return self.certificate.ratio
 
     def to_dict(self, crn: Crn) -> dict:
         d = {"kind": self.kind, "c_hat": None if self.c_hat is None else str(self.c_hat)}
-        if self.certificate is not None and self.certificate.exists:
+        if self.kind == "mass_conserving":
             d["certificate"] = self.certificate.to_dict(crn)
         return d
 
 
 def finite_density_status(crn: Crn) -> FiniteDensityStatus:
-    if all(sum(rx.reactants) == 2 and sum(rx.products) == 2 for rx in crn.reactions):
-        return FiniteDensityStatus("population_protocol", Fraction(1))
     cert = check_mass_conserving(crn)
-    if cert.exists:
-        return FiniteDensityStatus("mass_conserving", cert.ratio, cert)
-    return FiniteDensityStatus("unknown", None, cert)
+    if all(sum(rx.reactants) == 2 and sum(rx.products) == 2 for rx in crn.reactions):
+        return FiniteDensityStatus("population_protocol", cert)
+    return FiniteDensityStatus("mass_conserving" if cert.exists else "unknown", cert)
 
 
 # ---------------------------------------------------------------------------
@@ -458,6 +460,8 @@ class ClosureComparison:
 
     stages: StageDecomposition
     scales: tuple[ScaleComparison, ...]
+    max_configs: int
+    max_count: int
 
     @property
     def least_equal_scale(self) -> int | None:
@@ -471,6 +475,7 @@ class ClosureComparison:
         return {
             "closure": sorted(names[i] for i in self.stages.closure),
             "least_equal_scale": self.least_equal_scale,
+            "caps": {"max_configs": self.max_configs, "max_count": self.max_count},
             "scales": [
                 {
                     "scale": sc.scale,
@@ -510,4 +515,4 @@ def closure_vs_oracle(
                 inconclusive=rep.truncated,
             )
         )
-    return ClosureComparison(stages, tuple(out))
+    return ClosureComparison(stages, tuple(out), rep.max_configs, rep.max_count)

@@ -192,8 +192,8 @@ def compute_theorem_constants(
             )
         c_hat = float(status.c_hat)
         c_hat_input = c_hat
-    if c_hat <= 0:
-        raise DomainError("c_hat must be positive")
+    if not 0 < c_hat < math.inf:
+        raise DomainError("c_hat must be positive and finite")
 
     K_hat = math.fsum(rx.rate_constant for rx in crn.reactions)
     k_hat = min(rx.rate_constant for rx in crn.reactions)

@@ -2,12 +2,16 @@
 
 Subcommands: validate, analyze, constants, simulate, first-production,
 reachable, bounds (decay|poisson|walk|reflecting), demo (leader|chain|scan).
-Exit codes: 0 success, 1 domain error, 2 usage error. Identical arguments
-and seed always yield byte-identical outputs: multi-trial commands draw
-one substream per chunk of trials and Monte Carlo validation one per
-chunk of draws, so --threads only caps parallelism. Bulk results go to
-CSV files (default directory "." or $CRNSIM_OUTDIR); --format json
-switches the report on stdout to JSON.
+Each ``_cmd_*`` takes the parsed arguments and the loaded network and
+initial configuration (None for a command without a file) and returns its
+report and text lines; it neither loads a file nor prints. ``main`` loads
+the network, runs the command and prints the report once, as text lines
+or, with --format json, as one JSON document. Exit codes: 0 success,
+1 domain error, 2 usage error. Identical arguments and seed always yield
+byte-identical outputs: multi-trial commands draw one substream per chunk
+of trials and Monte Carlo validation one per chunk of draws, so --threads
+only caps parallelism. Bulk results go to CSV files (default directory
+"." or $CRNSIM_OUTDIR).
 """
 
 from __future__ import annotations
@@ -34,31 +38,20 @@ def _parse(kind, text: str, message: str):
         raise CrnError(message) from None
 
 
-def _load_crn(path: str, init_spec: str | None, require_init: bool):
-    text = Path(path).read_text(encoding="utf-8")
-    crn, init = model.parse_crn(text)
-    if init_spec:
+def _load_crn(args):
+    crn, init = model.parse_crn(Path(args.file).read_text(encoding="utf-8"))
+    if args.init:
         counts = {}
-        for part in init_spec.replace(",", " ").split():
+        for part in args.init.replace(",", " ").split():
             if "=" not in part:
                 raise CrnError(f"bad --init entry {part!r}; expected NAME=COUNT")
             name, _, value = part.partition("=")
             count = _parse(int, value, f"bad --init count {value!r} for {name!r}")
             counts[name.strip()] = check_integer(count, f"--init count of {name.strip()}", 0)
         init = crn.config(counts)
-    if require_init and init is None:
-        raise CrnError(
-            f"{path} declares no init: lines; pass --init \"NAME=COUNT ...\""
-        )
+    if args.require_init and init is None:
+        raise CrnError(f"{args.file} declares no init: lines; pass --init \"NAME=COUNT ...\"")
     return crn, init
-
-
-def _emit(args, report: dict, text_lines: list[str]):
-    if args.format == "json":
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        for line in text_lines:
-            print(line)
 
 
 def _out_path(args, name: str) -> Path:
@@ -67,8 +60,12 @@ def _out_path(args, name: str) -> Path:
     return base / name
 
 
-def _cmd_validate(args) -> int:
-    crn, init = _load_crn(args.file, args.init, require_init=False)
+def _density_line(status) -> str:
+    c_hat = "" if status.c_hat is None else f" (c_hat = {status.c_hat})"
+    return f"finite density: {status.kind}{c_hat}"
+
+
+def _cmd_validate(args, crn, init):
     status = analysis.finite_density_status(crn)
     report = {
         "file": args.file,
@@ -79,21 +76,18 @@ def _cmd_validate(args) -> int:
     }
     lines = [
         f"{args.file}: {crn.n_species} species, {len(crn.reactions)} reactions",
-        f"finite density: {status.kind}"
-        + (f" (c_hat = {status.c_hat})" if status.c_hat is not None else ""),
+        _density_line(status),
     ]
     if init is not None:
         lines.append(f"init total: {init.total}")
-    _emit(args, report, lines)
-    return 0
+    return report, lines
 
 
-def _cmd_analyze(args) -> int:
-    crn, init = _load_crn(args.file, args.init, require_init=True)
+def _cmd_analyze(args, crn, init):
     stages = analysis.stage_decomposition(crn, init)
     status = analysis.finite_density_status(crn)
-    cert = status.certificate or analysis.check_mass_conserving(crn)
-    dense = analysis.is_alpha_dense(init, args.alpha) if args.alpha else None
+    cert = status.certificate
+    dense = None if args.alpha is None else analysis.is_alpha_dense(init, args.alpha)
     report = {
         "stages": stages.to_dict(crn),
         "finite_density": status.to_dict(crn),
@@ -104,20 +98,17 @@ def _cmd_analyze(args) -> int:
     lines = [f"stages (m = {stages.m}):"]
     for i, stage in enumerate(stages.to_dict(crn)["stages"]):
         lines.append(f"  stage {i}: {{{', '.join(stage)}}}")
-    lines.append(f"finite density: {status.kind}"
-                 + (f" (c_hat = {status.c_hat})" if status.c_hat is not None else ""))
+    lines.append(_density_line(status))
     lines.append(
         "mass certificate: "
         + (f"mass = {cert.to_dict(crn)['mass']}, ratio = {cert.ratio}" if cert.exists else "none")
     )
     if dense is not None:
         lines.append(f"alpha-dense at alpha={args.alpha}: {dense}")
-    _emit(args, report, lines)
-    return 0
+    return report, lines
 
 
-def _cmd_constants(args) -> int:
-    crn, init = _load_crn(args.file, args.init, require_init=True)
+def _cmd_constants(args, crn, init):
     tc = bounds.compute_theorem_constants(crn, init, args.alpha, args.c_hat)
     report = tc.to_dict()
     lines = [
@@ -130,8 +121,7 @@ def _cmd_constants(args) -> int:
     ]
     lines += [f"  {d}: {v:.6g}" for d, v in tc.n_thresholds]
     lines += [f"warning: {w}" for w in tc.warnings]
-    _emit(args, report, lines)
-    return 0
+    return report, lines
 
 
 def _parse_stop(args) -> kinetics.StopCondition:
@@ -149,8 +139,7 @@ def _parse_stop(args) -> kinetics.StopCondition:
     )
 
 
-def _cmd_simulate(args) -> int:
-    crn, init = _load_crn(args.file, args.init, require_init=True)
+def _cmd_simulate(args, crn, init):
     stop = _parse_stop(args)
     checkpoints = None
     if args.checkpoints:
@@ -182,12 +171,10 @@ def _cmd_simulate(args) -> int:
     ]
     if cp_path is not None:
         lines.append(f"checkpoints written to {cp_path}")
-    _emit(args, report, lines)
-    return 0
+    return report, lines
 
 
-def _cmd_first_production(args) -> int:
-    crn, init = _load_crn(args.file, args.init, require_init=True)
+def _cmd_first_production(args, crn, init):
     stats = kinetics.first_production_times(
         crn,
         init,
@@ -208,12 +195,10 @@ def _cmd_first_production(args) -> int:
         f"mean = {d['mean']}, median = {d['median']}, p90 = {d['p90']}",
         f"per-trial times written to {out}",
     ]
-    _emit(args, report, lines)
-    return 0
+    return report, lines
 
 
-def _cmd_reachable(args) -> int:
-    crn, init = _load_crn(args.file, args.init, require_init=True)
+def _cmd_reachable(args, crn, init):
     if args.compare_closure:
         cmp = analysis.closure_vs_oracle(
             crn, init, args.scale_limit, args.max_configs, args.max_count
@@ -224,19 +209,17 @@ def _cmd_reachable(args) -> int:
             rel = "inconclusive" if sc["inconclusive"] else ("equal" if sc["equal"] else "proper subset")
             lines.append(f"  scale {sc['scale']}: {{{', '.join(sc['producible'])}}} ({rel})")
         lines.append(f"least coinciding scale: {report['least_equal_scale']}")
-        _emit(args, report, lines)
-        return 0
+        return report, lines
     rep = analysis.reachable_set(crn, init, args.max_configs, args.max_count)
     report = rep.to_dict(crn)
     lines = [
         f"producible: {{{', '.join(report['producible'])}}}",
         f"visited {rep.visited} configurations" + (" (truncated)" if rep.truncated else ""),
     ]
-    _emit(args, report, lines)
-    return 0
+    return report, lines
 
 
-def _cmd_bounds(args) -> int:
+def _cmd_bounds(args, crn, init):
     target = bounds.TARGETS[args.bound]
     values = {f.name: getattr(args, f.name) for f in dataclasses.fields(target.params)}
     log2_bound = target.log2_bound(**values)
@@ -257,15 +240,13 @@ def _cmd_bounds(args) -> int:
             f"validation: {rep.verdict} (hits {rep.empirical_hits}/{rep.trials}, "
             f"99% upper {rep.upper_confidence:.3g} vs bound 2^{rep.log2_bound:.4g})"
         )
-    _emit(args, report, lines)
-    return 0
+    return report, lines
 
 
-def _cmd_demo(args) -> int:
+def _cmd_demo(args, crn, init):
     # each experiment refuses a bad size before it simulates, and the files
     # are written only once it has returned
     if args.scenario == "scan":
-        crn, init = _load_crn(args.file, args.init, require_init=True)
         n_grid = [_parse(int, x, f"bad --n-grid entry {x!r}") for x in args.n_grid.split(",")]
         result = harness.constant_time_scan(crn, init, args.alpha, n_grid, args.trials,
                                             args.seed, t_cap=args.t_cap, threads=args.threads)
@@ -277,16 +258,16 @@ def _cmd_demo(args) -> int:
                 f"{row['produced_count']}/{row['trials']}, median {med}"
             )
     else:
-        n_grid, seed = [args.n], args.seed + args.n
+        n_grid = [args.n]
         if args.scenario == "leader":
-            result = harness.leader_election_experiment(args.n, args.trials, seed,
+            result = harness.leader_election_experiment(args.n, args.trials, args.seed,
                                                         threads=args.threads)
             name = "leader"
             lines = [f"  n={args.n}: mean time {result.mean:.4g} "
                      f"(analytic {result.analytic_mean:.4g})"]
         else:
             t_cap = float(args.m + 1) if args.t_cap is None else args.t_cap
-            result = harness.chain_experiment(args.m, args.n, args.trials, t_cap, seed,
+            result = harness.chain_experiment(args.m, args.n, args.trials, t_cap, args.seed,
                                               threads=args.threads)
             name = f"chain_m{args.m}"
             lines = [f"  n={args.n}: produced fraction {result.produced_fraction:.1%}"]
@@ -300,8 +281,7 @@ def _cmd_demo(args) -> int:
     report["json"] = str(json_path)
     lines = [f"{args.scenario} experiment over n in {n_grid}:", *lines,
              f"rows written to {csv_path}", f"summary written to {json_path}"]
-    _emit(args, report, lines)
-    return 0
+    return report, lines
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -318,12 +298,14 @@ def build_parser() -> argparse.ArgumentParser:
                         help="directory for bulk outputs (default $CRNSIM_OUTDIR or .)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_file(p, init_help="override or supply initial counts, e.g. \"X=1000 Y=5\""):
+    def add_file(p, require_init=True):
         p.add_argument("file", help="CRN text file")
-        p.add_argument("--init", default=None, help=init_help)
+        p.add_argument("--init", default=None,
+                       help="override or supply initial counts, e.g. \"X=1000 Y=5\"")
+        p.set_defaults(require_init=require_init)
 
     p = sub.add_parser("validate", help="parse a file and classify count growth")
-    add_file(p)
+    add_file(p, require_init=False)
     p.set_defaults(fn=_cmd_validate)
 
     p = sub.add_parser("analyze", help="stages, density, conservation certificate")
@@ -395,8 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     dp.add_argument("--t-cap", type=float, default=None, help="default: m+1")
     dp.set_defaults(fn=_cmd_demo)
     dp = dsub.add_parser("scan")
-    dp.add_argument("file", help="CRN text file")
-    dp.add_argument("--init", default=None)
+    add_file(dp)
     dp.add_argument("--alpha", type=float, default=0.5)
     dp.add_argument("--n-grid", default="100,1000,10000")
     dp.add_argument("--trials", type=int, default=1000)
@@ -413,10 +394,14 @@ def main(argv=None) -> int:
         return 0 if e.code in (0, None) else 2
     try:
         check_integer(args.threads, "threads")
-        return args.fn(args)
+        crn, init = _load_crn(args) if "file" in args else (None, None)
+        report, lines = args.fn(args, crn, init)
     except (CrnError, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    print(json.dumps(report, indent=2, sort_keys=True) if args.format == "json"
+          else "\n".join(lines))
+    return 0
 
 
 if __name__ == "__main__":

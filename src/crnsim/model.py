@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NotApplicableError, ParseError, UnknownSpeciesError
+from .errors import DomainError, NotApplicableError, ParseError, UnknownSpeciesError
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
 _INT_RE = re.compile(r"\d+")
@@ -98,20 +98,24 @@ class Configuration:
 
     Value semantics: instances are immutable; arithmetic produces new
     configurations. Counts are held as int64, which covers the intended
-    scale of ~1e9 molecules with ample headroom.
+    scale of ~1e9 molecules with ample headroom; a count beyond that range
+    is refused with ``DomainError``.
     """
 
     __slots__ = ("counts", "total")
 
     def __init__(self, counts):
-        arr = np.array(counts, dtype=np.int64, copy=True)
+        try:
+            arr = np.array(counts, dtype=np.int64, copy=True)
+        except OverflowError:
+            raise DomainError("a count overflows the 64-bit count range") from None
         if arr.ndim != 1:
             raise ValueError("counts must be one-dimensional")
         if arr.size and arr.min() < 0:
             raise ValueError("counts must be nonnegative")
         arr.setflags(write=False)
         self.counts = arr
-        self.total = int(arr.sum())
+        self.total = sum(arr.tolist())
 
     def __len__(self):
         return self.counts.size
@@ -133,7 +137,7 @@ class Configuration:
         return f"Configuration({self.counts.tolist()})"
 
     def scale(self, factor: int) -> "Configuration":
-        return Configuration(self.counts * int(factor))
+        return Configuration([c * int(factor) for c in self.counts.tolist()])
 
     def to_dict(self, species: SpeciesTable, skip_zero: bool = True) -> dict:
         return {

@@ -270,11 +270,31 @@ class TestFiniteDensityStatus:
         assert st.kind == "population_protocol"
         assert st.c_hat == 1
 
+    def test_random_population_protocols_have_the_unit_mass(self, rng):
+        # every reaction keeps the total count, so the one certificate
+        # search finds the unit mass and c_hat is its ratio, 1
+        for _ in range(120):
+            ns = int(rng.integers(2, 6))
+            reactions = []
+            for _ in range(int(rng.integers(1, 7))):
+                r = p = ()
+                while r == p:
+                    r, p = [0] * ns, [0] * ns
+                    for side in (r, r, p, p):
+                        side[int(rng.integers(ns))] += 1
+                reactions.append(Reaction(tuple(r), tuple(p), 1.0))
+            crn = Crn(SpeciesTable(tuple(f"S{i}" for i in range(ns))), tuple(reactions))
+            st = finite_density_status(crn)
+            assert (st.kind, st.c_hat) == ("population_protocol", 1)
+            assert st.certificate.mass == (1,) * ns
+            assert "certificate" not in st.to_dict(crn)
+
     def test_mass_conserving_ratio(self):
         crn, _ = parse_crn("A + 2B -> A + 3C\n")
         st = finite_density_status(crn)
         assert st.kind == "mass_conserving"
         assert st.c_hat == st.certificate.ratio
+        assert st.to_dict(crn)["certificate"] == st.certificate.to_dict(crn)
 
     def test_unknown(self):
         crn, _ = parse_crn("X -> 2X\n")
@@ -464,6 +484,16 @@ class TestClosureVsOracle:
         assert cmp.least_equal_scale == 8
         for sc in cmp.scales[:-1]:
             assert not sc.equal
+
+    def test_scale_beyond_int64_is_refused(self):
+        crn, _ = parse_crn("X -> Y\n")
+        with pytest.raises(DomainError, match="overflows the 64-bit count range"):
+            closure_vs_oracle(crn, crn.config({"X": 2**62}), scale_limit=2)
+
+    def test_caps_are_reported(self):
+        crn, _ = parse_crn("X + X -> Y\n")
+        cmp = closure_vs_oracle(crn, crn.config({"X": 1}), 2, max_configs=7, max_count=9)
+        assert cmp.to_dict(crn)["caps"] == {"max_configs": 7, "max_count": 9}
 
     @pytest.mark.parametrize("scale_limit", [2.5, math.nan, True])
     def test_scale_limit_must_be_an_integer(self, scale_limit):

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -9,7 +10,7 @@ import pytest
 
 import crnsim
 from crnsim import analysis, kinetics
-from crnsim.cli import main
+from crnsim.cli import build_parser, main
 
 LEADER = "L + L -> L + N ; k=1\ninit: L = 1000\n"
 CHAIN3 = (
@@ -121,6 +122,52 @@ class TestReports:
         assert report["finite_density"]["kind"] == "population_protocol"
 
 
+def _leaf_commands(parser, path=()):
+    """Every runnable command path under ``parser``, e.g. ``("bounds", "decay")``."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return [path]
+    return [leaf for name, sub in subs[0].choices.items()
+            for leaf in _leaf_commands(sub, (*path, name))]
+
+
+# small arguments for every command; a command missing here fails the test below
+SMALL_INPUTS = {
+    ("validate",): [["{leader}"]],
+    ("analyze",): [["{chain}", "--init", "X1=8", "--alpha", "0.5"]],
+    ("constants",): [["{chain}", "--init", "X1=8", "--alpha", "1", "--c-hat", "1"]],
+    ("simulate",): [["{convert}", "--t-max", "0.5", "--checkpoints", "0.25"]],
+    ("first-production",): [["{convert}", "--target", "Y", "--trials", "20", "--t-cap", "5"]],
+    ("reachable",): [["{chain}", "--init", "X1=4"],
+                     ["{chain}", "--init", "X1=1", "--compare-closure", "--scale-limit", "3"]],
+    ("bounds", "decay"): [["--N", "80", "--lam", "1", "--t", "0.5", "--delta", "0.1",
+                           "--validate", "--trials", "10000"]],
+    ("bounds", "poisson"): [["--lam", "10", "--n", "14", "--side", "upper"]],
+    ("bounds", "walk"): [["--f-hat", "100", "--r-hat", "25", "--t", "1", "--eps-hat", "0.6667"]],
+    ("bounds", "reflecting"): [["--delta-f", "0.22", "--lambda-r", "1", "--delta-r", "0.05",
+                                "--N", "1000"]],
+    ("demo", "leader"): [["--n", "10", "--trials", "5"]],
+    ("demo", "chain"): [["--m", "1", "--n", "16", "--trials", "4"]],
+    ("demo", "scan"): [["{convert}", "--alpha", "1.0", "--n-grid", "20", "--trials", "5"]],
+}
+
+
+@pytest.mark.parametrize("leaf", _leaf_commands(build_parser()), ids=" ".join)
+def test_every_command_prints_one_json_document(leaf, leader_file, chain_file, convert_file,
+                                               tmp_path, capsys):
+    # main is the one place that prints a report
+    for tail in SMALL_INPUTS[leaf]:
+        tail = [a.format(leader=leader_file, chain=chain_file, convert=convert_file)
+                for a in tail]
+        assert main(["--format", "json", "--out-dir", str(tmp_path), *leaf, *tail]) == 0
+        out = capsys.readouterr().out
+        assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
+def test_small_inputs_name_only_commands():
+    assert set(SMALL_INPUTS) == set(_leaf_commands(build_parser()))
+
+
 DEMO_CRN = Path(__file__).resolve().parents[1] / "demos" / "crn"
 
 
@@ -188,7 +235,20 @@ class TestPinnedReports:
             )
             for fmt in ("text", "json")
         ]
-        assert _stdout_digest(argvs, capsys) == "59709db32b53ddca"
+        assert _stdout_digest(argvs, capsys) == "76338809913ba03d"
+
+    def test_compare_closure_json_reports_its_caps(self, capsys):
+        # both searches truncate every scale, so only the caps tell them apart
+        reports = []
+        for cap in ("1000", "100000"):
+            assert main(["--format", "json", "reachable", str(DEMO_CRN / "leader.crn"),
+                         "--init", "L=500001", "--compare-closure", "--scale-limit", "2",
+                         "--max-configs", cap]) == 0
+            reports.append(json.loads(capsys.readouterr().out))
+        assert [r["caps"] for r in reports] == [
+            {"max_configs": 1000, "max_count": 1_000_000},
+            {"max_configs": 100_000, "max_count": 1_000_000},
+        ]
 
     def test_analyze_solves_the_simplex_once(self, monkeypatch, capsys):
         calls = []
@@ -289,11 +349,11 @@ class TestDemo:
         "argv, name, files_digest, stdout_digest",
         [
             (["--seed", "1", "demo", "leader", "--n", "12", "--trials", "6"], "leader",
-             "2e7d810eb2bd2682", "3eefe692b90b888c"),
+             "d676125959c567fc", "ccee3dd30f9ccb35"),
             (["--seed", "2", "demo", "chain", "--m", "1", "--n", "16", "--trials", "8",
-              "--t-cap", "0.6"], "chain_m1", "50522e819518b558", "f29ce092e9bf833d"),
+              "--t-cap", "0.6"], "chain_m1", "2d02ed78c1627f34", "12e16eed0f24d9ca"),
             (["--seed", "2", "demo", "chain", "--m", "2", "--n", "16", "--trials", "6"],
-             "chain_m2", "3a4432e1fa65ce03", "c6b75ac897f7b901"),
+             "chain_m2", "2b6c23b7c5edd9fc", "7a7913c6feb469c1"),
             (["--seed", "3", "demo", "scan", "net.crn", "--init", "X=5", "--alpha", "1.0",
               "--n-grid", "20,60", "--trials", "7", "--t-cap", "0.12"], "scan",
              "51dae522e2718f94", "ba3a91e12c8596c2"),
@@ -304,8 +364,8 @@ class TestDemo:
         self, argv, name, files_digest, stdout_digest, tmp_path, monkeypatch, capsys
     ):
         # sha256 prefixes of the CSV and JSON bytes, and of stdout in text
-        # and JSON; leader and chain run at seed --seed + n, and the chain's
-        # time cap defaults to m + 1
+        # and JSON; every demo runs at --seed itself, and the chain's time
+        # cap defaults to m + 1
         monkeypatch.chdir(tmp_path)
         (tmp_path / "net.crn").write_text("X -> Y ; k=1\nY -> Z ; k=2\n")
         stdout = hashlib.sha256()
@@ -316,6 +376,24 @@ class TestDemo:
         for suffix in (".csv", ".json"):
             files.update((tmp_path / "out" / f"{name}{suffix}").read_bytes())
         assert (files.hexdigest()[:16], stdout.hexdigest()[:16]) == (files_digest, stdout_digest)
+
+    @pytest.mark.parametrize(
+        "argv, key",
+        [(["leader", "--n", "100", "--trials", "10"], "100"),
+         (["chain", "--m", "1", "--n", "16", "--trials", "4"], "16")],
+        ids=["leader", "chain"],
+    )
+    def test_runs_at_the_seed_itself(self, argv, key, tmp_path, capsys):
+        assert main(["--format", "json", "--out-dir", str(tmp_path), "--seed", "2012",
+                     "demo", *argv]) == 0
+        assert json.loads(capsys.readouterr().out)["results"][key]["seed"] == 2012
+
+    def test_negative_seed_refused(self, tmp_path, capsys):
+        argv = ["--out-dir", str(tmp_path / "out"), "--seed", "-1",
+                "demo", "leader", "--n", "10", "--trials", "5"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: seed must be an integer of at least 0, got -1\n"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -386,10 +464,17 @@ class TestErrorPaths:
              "threads must be an integer of at least 1, got 0"),
             (["demo", "scan", "{net}", "--t-cap", "0", "--n-grid", "10", "--trials", "5"],
              "t_cap must be finite and positive"),
+            (["analyze", "{net}", "--init", "X=8", "--alpha", "0"], "alpha must lie in (0, 1]"),
+            (["constants", "{leader}", "--init", "L=10", "--alpha", "1", "--c-hat", "nan"],
+             "c_hat must be positive and finite"),
+            (["constants", "{leader}", "--init", "L=10", "--alpha", "1", "--c-hat", "inf"],
+             "c_hat must be positive and finite"),
+            (["analyze", "{net}", "--init", "X=99999999999999999999"],
+             "overflows the 64-bit count range"),
         ],
         ids=["negative-init", "checkpoint", "n-grid", "seed", "threads-0", "threads-neg",
              "scan-no-init", "threads-0-simulate", "threads-0-analyze", "threads-0-reachable",
-             "scan-t-cap-0"],
+             "scan-t-cap-0", "alpha-0", "c-hat-nan", "c-hat-inf", "init-beyond-int64"],
     )
     def test_malformed_input_exits_1_without_traceback(self, argv, message, convert_file,
                                                        tmp_path):
@@ -397,7 +482,8 @@ class TestErrorPaths:
         # a command that never fans out, and a scan capped at time 0, exited 0
         noinit = tmp_path / "noinit.crn"
         noinit.write_text("X -> Y\n")
-        argv = [a.format(net=convert_file, noinit=noinit) for a in argv]
+        leader = DEMO_CRN / "leader.crn"
+        argv = [a.format(net=convert_file, noinit=noinit, leader=leader) for a in argv]
         proc = _run_cli(["--out-dir", str(tmp_path / "out"), *argv])
         assert (proc.returncode, proc.stdout) == (1, "")
         assert proc.stderr.startswith("error: ") and message in proc.stderr

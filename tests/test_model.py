@@ -1,6 +1,6 @@
 import pytest
 
-from crnsim.errors import NotApplicableError, ParseError
+from crnsim.errors import DomainError, NotApplicableError, ParseError
 from crnsim.model import (
     Configuration,
     Crn,
@@ -183,6 +183,19 @@ class TestOperations:
     def test_configuration_rejects_negative(self):
         with pytest.raises(ValueError):
             Configuration([1, -1])
+
+    def test_configuration_refuses_counts_beyond_int64(self):
+        with pytest.raises(DomainError, match="overflows the 64-bit count range"):
+            Configuration([1, 2**63])
+
+    def test_total_is_exact(self):
+        assert Configuration([2**62, 2**62]).total == 2**63
+
+    def test_scale_is_exact_or_refused(self):
+        assert Configuration([2**62 - 1, 0, 5]).scale(2) == Configuration([2**63 - 2, 0, 10])
+        for counts, factor in (([2**63 - 1], 3), ([1, 2**62], 2)):
+            with pytest.raises(DomainError, match="overflows the 64-bit count range"):
+                Configuration(counts).scale(factor)
 
     def test_crn_rejects_noop_reaction(self):
         with pytest.raises(ValueError, match="no-op"):
