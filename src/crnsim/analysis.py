@@ -62,12 +62,6 @@ def _producers(crn: Crn, present) -> dict[int, int]:
     return out
 
 
-def prod_set(crn: Crn, present: frozenset[int] | set) -> frozenset[int]:
-    """Species producible by a single reaction whose reactants all lie in
-    ``present`` (reactions with no reactants qualify unconditionally)."""
-    return frozenset(_producers(crn, present))
-
-
 @dataclass(frozen=True)
 class StageDecomposition:
     """The strictly increasing chain of species sets built by repeatedly

@@ -295,15 +295,15 @@ class ReflectingBoundParams:
         check_integer(self.N, "N")
 
 
-def clopper_pearson_upper(hits: int, trials: int, confidence: float = 0.99) -> float:
-    """One-sided exact upper confidence limit on a binomial proportion."""
+def clopper_pearson_upper(hits: int, trials: int) -> float:
+    """One-sided exact 99% upper confidence limit on a binomial proportion."""
     if hits >= trials:
         return 1.0
     # imported here: scipy.stats takes about a second to import, and only
     # validation needs it
     from scipy.stats import beta
 
-    return float(beta.ppf(confidence, hits + 1, trials - hits))
+    return float(beta.ppf(0.99, hits + 1, trials - hits))
 
 
 @dataclass(frozen=True)

@@ -54,10 +54,15 @@ def _load_crn(args):
     return crn, init
 
 
-def _out_path(args, name: str) -> Path:
+def _write(args, name: str, write) -> Path:
+    """Create --out-dir, open ``name`` in it, pass the file to ``write`` and
+    return its path."""
     base = Path(args.out_dir)
     base.mkdir(parents=True, exist_ok=True)
-    return base / name
+    path = base / name
+    with open(path, "w", newline="") as f:
+        write(f)
+    return path
 
 
 def _density_line(status) -> str:
@@ -148,14 +153,10 @@ def _cmd_simulate(args, crn, init):
     trace = kinetics.simulate(
         crn, init, stop, seed=args.seed, volume=args.volume, checkpoint_times=checkpoints
     )
-    trace_path = _out_path(args, args.trace_out)
-    with open(trace_path, "w", newline="") as f:
-        trace.to_csv(crn, f)
+    trace_path = _write(args, args.trace_out, lambda f: trace.to_csv(crn, f))
     cp_path = None
     if trace.checkpoints:
-        cp_path = _out_path(args, args.checkpoints_out)
-        with open(cp_path, "w", newline="") as f:
-            trace.checkpoints_to_csv(crn, f)
+        cp_path = _write(args, args.checkpoints_out, lambda f: trace.checkpoints_to_csv(crn, f))
     report = {
         "status": trace.status,
         "time": trace.time,
@@ -185,9 +186,7 @@ def _cmd_first_production(args, crn, init):
         volume=args.volume,
         threads=args.threads,
     )
-    out = _out_path(args, args.out)
-    with open(out, "w", newline="") as f:
-        stats.to_csv(f)
+    out = _write(args, args.out, lambda f: kinetics.write_csv(f, stats))
     d = stats.to_dict()
     report = dict(d, csv=str(out))
     lines = [
@@ -272,12 +271,10 @@ def _cmd_demo(args, crn, init):
             name = f"chain_m{args.m}"
             lines = [f"  n={args.n}: produced fraction {result.produced_fraction:.1%}"]
         summary = {str(args.n): result.to_dict()}
-    csv_path = _out_path(args, f"{name}.csv")
-    with open(csv_path, "w", newline="") as f:
-        result.to_csv(f)
+    csv_path = _write(args, f"{name}.csv", lambda f: kinetics.write_csv(f, result))
     report = {"scenario": args.scenario, "results": summary, "csv": str(csv_path)}
-    json_path = _out_path(args, f"{name}.json")
-    json_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    json_path = _write(args, f"{name}.json",
+                       lambda f: f.write(json.dumps(report, indent=2, sort_keys=True) + "\n"))
     report["json"] = str(json_path)
     lines = [f"{args.scenario} experiment over n in {n_grid}:", *lines,
              f"rows written to {csv_path}", f"summary written to {json_path}"]

@@ -10,14 +10,10 @@ class CrnError(Exception):
 class ParseError(CrnError):
     """Syntax or semantic error in a CRN text document."""
 
-    def __init__(self, message, line=None, column=None):
+    def __init__(self, message, line, column):
         self.line = line
         self.column = column
-        if line is not None and column is not None:
-            message = f"line {line}, column {column}: {message}"
-        elif line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
+        super().__init__(f"line {line}, column {column}: {message}")
 
 
 class UnknownSpeciesError(CrnError, KeyError):

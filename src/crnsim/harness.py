@@ -28,7 +28,6 @@ from .kinetics import (
     first_production_times,
     json_time,
     run_trials,
-    write_csv,
 )
 from .model import Configuration, Crn, parse_crn, support
 
@@ -94,10 +93,7 @@ class LeaderElectionResult:
     CSV_HEADER = ("n", "trial", "time")
 
     def csv_rows(self):
-        return ([self.n, i, repr(t)] for i, t in enumerate(self.times.tolist()))
-
-    def to_csv(self, fileobj):
-        write_csv(fileobj, [self])
+        return ([self.n, i, csv_time(t)] for i, t in enumerate(self.times.tolist()))
 
 
 def leader_election_experiment(
@@ -153,9 +149,6 @@ class ChainResult:
     def csv_rows(self):
         return ([self.m, self.n, *row] for row in self.stats.csv_rows())
 
-    def to_csv(self, fileobj):
-        write_csv(fileobj, [self])
-
 
 def chain_experiment(
     m: int, n: int, trials: int, t_cap: float, seed: int, threads: int = 1
@@ -164,9 +157,7 @@ def chain_experiment(
     m, n = check_integer(m, "m"), check_integer(n, "n", 2)
     crn = chain_crn(m)
     init = crn.config({"X1": n})
-    stats = first_production_times(
-        crn, init, f"X{m + 1}", t_cap, trials, seed, volume=float(n), threads=threads
-    )
+    stats = first_production_times(crn, init, f"X{m + 1}", t_cap, trials, seed, threads=threads)
     return ChainResult(m=m, n=n, stats=stats)
 
 
@@ -241,9 +232,6 @@ class ScanResult:
     def csv_rows(self):
         return (r.values(csv_time) for r in self.rows)
 
-    def to_csv(self, fileobj):
-        write_csv(fileobj, [self])
-
 
 def constant_time_scan(
     crn: Crn,
@@ -260,13 +248,15 @@ def constant_time_scan(
     For each n the template is rescaled (and re-verified alpha-dense, with
     the species support unchanged), each trial runs in volume n watching
     all target species, and the per-species summaries plus the per-n
-    all-produced fraction are collected. The time cap defaults to m+1 and
-    must be finite and positive.
+    all-produced fraction are collected. The grid must not repeat a size.
+    The time cap defaults to m+1 and must be finite and positive.
     """
     trials, seed = check_integer(trials, "trials"), check_integer(seed, "seed", 0)
     n_grid = [check_integer(n, "n") for n in n_grid]
     if not n_grid:
         raise DomainError("n_grid must be nonempty")
+    if len(set(n_grid)) < len(n_grid):
+        raise DomainError("n_grid must not repeat a size")
     stages = stage_decomposition(crn, init_template)
     if t_cap is None:
         t_cap = float(stages.m + 1)
@@ -296,10 +286,8 @@ def constant_time_scan(
             result.all_produced_fraction[n] = 1.0
             continue
         stop = StopCondition(t_max=t_cap, species_appears=frozenset(targets))
-        per_target = run_trials(
-            crn, init_n, stop, trials, seed, volume=float(n), threads=threads,
-            stream_key=(gi,),
-        )[1]
+        per_target = run_trials(crn, init_n, stop, trials, seed, threads=threads,
+                                stream_key=(gi,))[1]
         produced_all = np.ones(trials, dtype=bool)
         for name in targets:
             stats = FirstProductionStats(

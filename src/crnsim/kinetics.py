@@ -78,8 +78,9 @@ class StopCondition:
     """Bounds that end a run; the first one reached wins.
 
     ``t_max`` stops at a time horizon (the clock is advanced to exactly
-    ``t_max`` and the pending event is discarded). ``species_appears``
-    stops once every named species has been seen with positive count.
+    ``t_max`` and the pending event is discarded). ``species_appears``, a
+    nonempty collection of names (not a bare string), stops once every
+    named species has been seen with positive count.
     ``count_reaches`` is a (species, threshold) pair: the run stops when
     the count reaches the threshold from its initial side. ``max_events``
     bounds the number of reaction events. Counts and the event bound are
@@ -109,7 +110,11 @@ class StopCondition:
                 self, "count_reaches", (name, check_integer(thr, "a count threshold", 0))
             )
         if self.species_appears is not None:
-            object.__setattr__(self, "species_appears", frozenset(self.species_appears))
+            # a str would watch each of its letters, and an empty set never fires
+            names = () if isinstance(self.species_appears, str) else self.species_appears
+            object.__setattr__(self, "species_appears", frozenset(names))
+            if not self.species_appears:
+                raise DomainError("species_appears must be a nonempty set of species names")
 
 
 STOPPED = "stopped"
@@ -717,12 +722,11 @@ def json_time(x: float) -> float | None:
     return x if math.isfinite(x) else None
 
 
-def write_csv(fileobj, results):
-    """The ``CSV_HEADER`` of the first result, then the ``csv_rows()`` of every result."""
+def write_csv(fileobj, result):
+    """The ``CSV_HEADER`` of ``result``, then its ``csv_rows()``."""
     w = csv.writer(fileobj)
-    w.writerow(results[0].CSV_HEADER)
-    for res in results:
-        w.writerows(res.csv_rows())
+    w.writerow(result.CSV_HEADER)
+    w.writerows(result.csv_rows())
 
 
 @dataclass
@@ -787,9 +791,6 @@ class FirstProductionStats:
 
     def csv_rows(self):
         return ([i, csv_time(t)] for i, t in enumerate(self.times.tolist()))
-
-    def to_csv(self, fileobj):
-        write_csv(fileobj, [self])
 
 
 def first_production_times(

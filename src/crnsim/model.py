@@ -139,12 +139,9 @@ class Configuration:
     def scale(self, factor: int) -> "Configuration":
         return Configuration([c * int(factor) for c in self.counts.tolist()])
 
-    def to_dict(self, species: SpeciesTable, skip_zero: bool = True) -> dict:
-        return {
-            name: int(c)
-            for name, c in zip(species.names, self.counts.tolist())
-            if c or not skip_zero
-        }
+    def to_dict(self, species: SpeciesTable) -> dict:
+        """The nonzero counts by species name."""
+        return {name: c for name, c in zip(species.names, self.counts.tolist()) if c}
 
 
 @dataclass(frozen=True)
@@ -255,7 +252,6 @@ class _Builder:
         self.index: dict[str, int] = {}
         self.reactions: list[tuple] = []  # (line, reactants, products, k, label)
         self.init_counts: dict[int, int] = {}
-        self.has_init = False
 
     def intern(self, name: str) -> int:
         sid = self.index.get(name)
@@ -338,7 +334,6 @@ def _parse_init_line(cur: _Cursor, builder: _Builder):
     if sid in builder.init_counts:
         cur.fail(f"duplicate species {name!r} in init")
     builder.init_counts[sid] = count
-    builder.has_init = True
 
 
 def _parse_species_line(cur: _Cursor, builder: _Builder):
@@ -387,7 +382,7 @@ def parse_crn(text: str) -> tuple[Crn, Configuration | None]:
     crn = Crn(table, tuple(reactions))
 
     init = None
-    if builder.has_init:
+    if builder.init_counts:
         init = Configuration([builder.init_counts.get(i, 0) for i in range(n)])
     return crn, init
 

@@ -33,7 +33,7 @@ from crnsim.harness import (
     leader_election_crn,
     leader_election_experiment,
 )
-from crnsim.kinetics import StopCondition, simulate
+from crnsim.kinetics import StopCondition, simulate, write_csv
 from crnsim.model import Configuration, parse_crn
 from crnsim.parallel import map_ordered
 
@@ -121,7 +121,7 @@ def _run_criterion3(threads, outdir):
     for name, scan in scans.items():
         p = Path(outdir) / f"criterion3_scan_{name}.csv"
         with open(p, "w", newline="") as f:
-            scan.to_csv(f)
+            write_csv(f, scan)
         pj = Path(outdir) / f"criterion3_scan_{name}.json"
         pj.write_text(json.dumps(scan.to_dict(), sort_keys=True, indent=2))
         files += [p, pj]

@@ -490,6 +490,19 @@ class TestErrorPaths:
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "out").exists()
 
+    def test_repeated_grid_size_exits_1(self, convert_file, tmp_path, monkeypatch, capsys):
+        # --n-grid 20,20 reported two rows for n=20 but one all-produced fraction
+        def no_events(*args, **kwargs):
+            raise AssertionError("the grid should have been refused before simulating")
+
+        monkeypatch.setattr(kinetics, "_run_batch", no_events)
+        out = tmp_path / "out"
+        argv = ["--out-dir", str(out), "demo", "scan", convert_file, "--n-grid", "20,20",
+                "--alpha", "1", "--trials", "5"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: n_grid must not repeat a size\n"
+        assert not out.exists()
+
     def test_missing_file_exits_1(self, capsys):
         assert main(["validate", "does-not-exist.crn"]) == 1
 

@@ -18,6 +18,7 @@ from crnsim.harness import (
     leader_election_experiment,
     scale_configuration,
 )
+from crnsim.kinetics import write_csv
 from crnsim.model import Configuration, parse_crn
 
 
@@ -62,7 +63,7 @@ class TestLeaderElection:
     def test_csv_layout(self):
         res = leader_election_experiment(n=5, trials=3, seed=3)
         buf = io.StringIO()
-        res.to_csv(buf)
+        write_csv(buf, res)
         lines = buf.getvalue().strip().splitlines()
         assert lines[0] == "n,trial,time"
         assert len(lines) == 4
@@ -111,7 +112,7 @@ class TestChain:
     def test_csv_marks_censoring(self):
         res = chain_experiment(m=2, n=4, trials=30, t_cap=0.5, seed=3)
         buf = io.StringIO()
-        res.to_csv(buf)
+        write_csv(buf, res)
         assert "censored" in buf.getvalue()
 
 
@@ -155,6 +156,12 @@ class TestIntegerArguments:
             constant_time_scan(crn, crn.config({"X": 10}), 1.0, [100, n], 5, 0)
         with pytest.raises(DomainError, match="n must be an integer of at least 1"):
             scale_configuration(Configuration([3, 1]), n)
+
+    def test_scan_grid_repeats_no_size(self):
+        # n_grid=[20, 20] reported two rows for n=20 but one all-produced fraction
+        crn, _ = parse_crn("X -> Y ; k=1\n")
+        with pytest.raises(DomainError, match="n_grid must not repeat a size"):
+            constant_time_scan(crn, crn.config({"X": 10}), 1.0, [20, 100, np.int64(20)], 5, 0)
 
     def test_scan_grid_nonempty(self):
         crn, _ = parse_crn("X -> Y ; k=1\n")
@@ -307,6 +314,6 @@ class TestScan:
         crn, _ = parse_crn("X -> Y ; k=1\n")
         res = constant_time_scan(crn, crn.config({"X": 5}), 1.0, [20], trials=10, seed=7)
         buf = io.StringIO()
-        res.to_csv(buf)
+        write_csv(buf, res)
         header = buf.getvalue().splitlines()[0]
         assert header == "n,species,trials,produced_count,median,p90,mean_uncensored"

@@ -406,6 +406,17 @@ class TestSimulate:
         with pytest.raises(DomainError, match="must be an integer of at least 0"):
             StopCondition(**kwargs)
 
+    @pytest.mark.parametrize("names", [frozenset(), (), iter([]), "AB", "A"],
+                             ids=["empty-frozenset", "empty-tuple", "empty-iterator", "str",
+                                  "one-letter-str"])
+    def test_watch_must_name_species(self, names):
+        # an empty watch never fires: from A=1, A -> B, B -> A ran forever in
+        # simulate and run_trials; "AB" watched A and B, and a run stopped
+        # when B appeared while AB was still 0
+        for t_max in (None, 1.0):
+            with pytest.raises(DomainError, match="species_appears must be a nonempty set"):
+                StopCondition(t_max=t_max, species_appears=names)
+
     def test_numpy_integer_stop_sizes_accepted(self):
         crn, _ = parse_crn("A -> B\nB -> A\n")
         # A + B = 3 is conserved, so B never reaches 4 and the budget ends the run
