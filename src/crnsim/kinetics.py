@@ -24,24 +24,35 @@ horizon or event budget none of whose triggers can ever fire.
 That loop is straight-line Python generated from the shape of the run:
 the table's reactant rows and net changes, the species count, and which
 stops are given and on which species. The source is compiled once per
-shape and kept in a bounded cache, ``_kernel``; the counts are its
-locals, the propensities one expression each, and the choice of reaction
-an ``if``/``elif`` chain. Only integers go into that source: the rate
-coefficients, thresholds and checkpoint times are arguments, so no
-float, species name or label is ever compiled, and a run at another
-volume reuses the kernel. ``run_trials`` repeats a stop over independent
-trials with the batched loop, ``_run_batch``, which advances all trials
-of a chunk of ``_TRIAL_CHUNK`` in lockstep over species-major arrays (a
-row per count, a column per trial) that it lays out from that table once
-per call; the chunks fan out through ``parallel.map_chunks``, so chunk c
+shape and kept in a bounded cache, ``_kernel``; the counts and the
+propensities are its locals, the choice of reaction an ``if``/``elif``
+chain, and each branch of it recomputes only the propensities of the
+reactions that read a species it changes. Its uniforms come in blocks,
+and a checkpoint costs one test per event. Only integers go into that
+source: the rate coefficients, thresholds and checkpoint times are
+arguments, so no float, species name or label is ever compiled, and a
+run at another volume reuses the kernel. ``run_trials`` repeats a stop
+over independent trials with the batched loop, ``_run_batch``, which
+advances all trials of a chunk of ``_TRIAL_CHUNK`` in lockstep over
+species-major arrays (a row per count, a column per trial) that it lays
+out from that table once per call; the chunks fan out through ``parallel.map_chunks``, so chunk c
 draws from ``substream(seed, *stream_key, c)``. It returns per-trial end
 times and first-appearance times; the first-production statistics and
-the ``harness`` experiments build on it. Each loop tests the watch, count
-and event-budget stops in one place, before it draws: the scalar loop at
-the top of each iteration, the batched loop at the top of each sweep.
-The batched loop reads the watched counts only after a sweep that fired a
-reaction raising a watched species. ``t_max`` is tested against the drawn
-event time.
+the ``harness`` experiments build on it. Each loop tests the watch and
+count stops in one place, before it draws: the scalar loop at the top of
+each event, the batched loop at the top of each sweep. The batched loop
+tests the event budget there too; the scalar loop tests it once per
+block of uniforms, when it cuts the block to the uniforms the events
+left can read. The batched loop reads the watched counts only after a
+sweep that fired a reaction raising a watched species. ``t_max`` is
+tested against the drawn event time.
+
+The scalar loop takes ``math.log`` of its uniforms and the batched loop
+``np.log``. numpy may dispatch ``log`` to a path for the host CPU (with
+numpy 2.4, an AVX-512 one) that differs from ``math.log`` in the last
+bit on a fraction of uniforms, so the batched loop's times, and any
+digest of them, can depend on the host CPU; a one-trial ``run_trials``
+matches ``simulate`` to 1e-12 relative.
 """
 
 from __future__ import annotations
@@ -53,6 +64,7 @@ import math
 import weakref
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -66,8 +78,20 @@ _BLOCK = 4096  # uniforms buffered per refill inside the event loops
 # the last, up to _BLOCK, since many runs stop after a few events and a
 # uniform drawn but never read is waste. Every uniform of open_uniform_block
 # takes one 64-bit draw, so how a run splits its refills leaves the
-# sequence of uniforms unchanged.
+# sequence of uniforms unchanged. With an event budget a block is cut to
+# the uniforms the events left can read. Both sizes are even, and so is a
+# cut block of a loop that reads two uniforms per event, so an event's
+# (time, selection) pair never straddles two blocks.
 _FIRST_BLOCK = 64
+assert _FIRST_BLOCK % 2 == 0 and _BLOCK % 2 == 0
+# a reaction that reads a species more reactions than this read has its
+# propensity computed in the scalar loop's running sums at every event,
+# not kept and recomputed by the branches that change it; each branch then
+# recomputes at most this many propensities per species it changes, so the
+# source stays linear in the size of the reaction table
+_MAX_READERS = 16
+# event rows joined per write in Trace.to_csv, which bounds its memory
+_CSV_CHUNK = 4096
 # trials per substream in run_trials; fixed so that results do not depend
 # on the thread count
 _TRIAL_CHUNK = 1024
@@ -148,12 +172,28 @@ class Trace:
             cfg = apply_reaction(cfg, crn.reactions[ridx])
             yield cfg
 
-    # the csv module writes a float as its repr
     def to_csv(self, crn: Crn, fileobj):
-        w = csv.writer(fileobj)
-        w.writerow(["event_index", "time", "reaction_label"])
-        labels = [crn.reaction_label(j) for j in range(len(crn.reactions))]
-        w.writerows([i, t, labels[ridx]] for i, (t, ridx) in enumerate(self.events))
+        """The events as CSV rows (index, time, reaction label).
+
+        Each label is quoted once by the csv module; a row is then the
+        index, the time's repr (as the csv module writes a float) and that
+        cell, written in chunks of ``_CSV_CHUNK`` rows.
+        """
+        # each label is quoted as the field after an empty one, since the
+        # csv module quotes a lone empty field; writerow makes one write
+        # call per row
+        rows = []
+        quote = csv.writer(SimpleNamespace(write=rows.append)).writerow
+        for j in range(len(crn.reactions)):
+            quote(["", crn.reaction_label(j)])
+        cells = [row[1:-2] for row in rows]
+        fileobj.write("event_index,time,reaction_label\r\n")
+        events = self.events
+        for lo in range(0, len(events), _CSV_CHUNK):
+            fileobj.write("".join(
+                f"{i},{t!r},{cells[j]}\r\n"
+                for i, (t, j) in enumerate(events[lo : lo + _CSV_CHUNK], lo)
+            ))
 
     def checkpoints_to_csv(self, crn: Crn, fileobj):
         w = csv.writer(fileobj)
@@ -231,10 +271,11 @@ def _run_core(
     species ids whose first positive-count times are collected
     (already-positive species report 0.0); the run ends once every watched
     species was seen. ``count_stop`` is (sid, threshold, direction) with
-    direction +1 / -1. These stops and ``max_events`` are tested in one
-    place, at the top of each iteration before its uniforms are drawn, so
-    one that already holds in ``counts`` ends the run at time 0. Returns
-    (time, status, events, checkpoints, watch_times, n_events).
+    direction +1 / -1. These stops are tested in one place, at the top of
+    each event before its uniforms are read, and ``max_events`` when a
+    block of uniforms is drawn, so a stop that already holds in ``counts``
+    ends the run at time 0. Returns (time, status, events, checkpoints,
+    watch_times, n_events).
 
     The loop itself is the kernel ``_kernel`` generated for the shape of
     this run: the reactant rows and net changes of ``comp``, the species
@@ -309,16 +350,27 @@ def _kernel_source(rows, deltas, n_species, watched, count_key, timed, budget) -
 
     The counts live in locals ``c0``, ``c1``, ... and the coefficients in
     ``k0``, ``k1``, ..., unpacked from the table argument. Reaction j's
-    propensity is ``k_j * c_a * (c_b - m)``, without the factor for the
-    entry held at 1 and without a ``- 0``, and ``s_j`` sums the first j in
-    table order, so ``s`` of the last is the total. The reaction is chosen
+    propensity ``a_j`` is ``k_j * c_a * (c_b - m)``, without the factor for
+    the entry held at 1 and without a ``- 0``. Each ``a_j`` is computed
+    once before the loop; after that, each branch recomputes, by the same
+    expression, only those of the reactions that read a species it
+    changes. A reaction that reads a species with more than
+    ``_MAX_READERS`` readers has no ``a_j``: the sums compute its
+    propensity at every event, which keeps the source linear in the size
+    of the table. At the top of each event ``s_j`` sums the first j in table
+    order, so ``s`` of the last is the total, and the reaction is chosen
     by a chain ``if x < s1 ... elif ... else`` over those sums: the first j
     with x < s_(j+1), or the last reaction when there is none. Each branch
     applies its own changes and marks the watched species it raises as
-    seen. Only the stops that are given are tested, in one place at the
-    top of the loop. Uniforms are read two at a time (one without a
-    choice to make), and a refill keeps the unread ones. The source holds
-    only integers and local names.
+    seen. The watch and count stops are tested at the top of each event.
+    Uniforms come in blocks, read one (a single reaction) or two (time,
+    then selection) per event, and the event budget is tested once per
+    block, when the block is sized to the events left in it. Checkpoints
+    take one test per event, before the event: the ones before its time,
+    and one at the previous event's time when the two times are equal.
+    A checkpoint at an event time is thus taken with the counts after the
+    first event at that time, at the next test or after the loop. The
+    source holds only integers and local names.
     """
     nrx = len(rows)
     need = 1 if nrx == 1 else 2
@@ -334,6 +386,23 @@ def _kernel_source(rows, deltas, n_species, watched, count_key, timed, budget) -
     def emit(depth, *lines):
         out.extend("    " * depth + line for line in lines)
 
+    def propensity(j):
+        a, b, m = rows[j]
+        prop = f"k{j} * c{a}"
+        if b != n_species:
+            prop += f" * (c{b} - {m})" if m else f" * c{b}"
+        return prop
+
+    # the reactions that read each species; none changes the entry held at 1
+    readers = [[] for _ in range(n_species + 1)]
+    for j, (a, b, _) in enumerate(rows):
+        for s in {a, b} - {n_species}:
+            readers[s].append(j)
+    # locals a0, a1, ... hold the propensities of the reactions that read no
+    # species with more than _MAX_READERS readers; the sums compute the rest
+    kept = {j for j, (a, b, _) in enumerate(rows)
+            if max(len(readers[a]), len(readers[b])) <= _MAX_READERS}
+
     if nrx:
         emit(1, "[" + ", ".join(f"[k{j}, _, _, _]" for j in range(nrx)) + "] = table")
     emit(1, f"[{', '.join([*names, '_'])}] = counts")
@@ -341,69 +410,80 @@ def _kernel_source(rows, deltas, n_species, watched, count_key, timed, budget) -
         emit(1, f"p{s} = c{s} <= 0")
     if watched:
         emit(1, "pending = " + " + ".join(f"p{s}" for s in watched))
-    if budget:
-        emit(1, "n = 0")
     emit(1, "t = ZERO", "events = []", "record = events.append", "cp_rows = []",
-         "ncp = len(cps)", "cpi = 0", "cp = cps[0] if ncp else nan",
-         "ubuf = []", f"size = {_FIRST_BLOCK}", "ui = 0", "last = -1", "while True:")
+         "ncp = len(cps)", "cpi = 0", "cp = cps[0] if ncp else nan")
     stops = []
     if watched:
         stops.append("not pending")
     if count_key is not None:
         sid, direction = count_key
         stops.append(f"c{sid} {'>=' if direction > 0 else '<='} thr")
-    if budget:
-        stops.append("n >= max_events")
-    if stops:
-        emit(2, f"if {' or '.join(stops)}:")
-        emit(3, "status = STOPPED", "break")
     if not nrx:
-        emit(2, "status = EXHAUSTED", "break")
+        if budget:
+            stops.append("max_events <= 0")
+        emit(1, f"status = STOPPED if {' or '.join(stops)} else EXHAUSTED" if stops
+             else "status = EXHAUSTED")
     else:
-        for j, (a, b, m) in enumerate(rows):
-            prop = f"k{j} * c{a}"
-            if b != n_species:
-                prop += f" * (c{b} - {m})" if m else f" * c{b}"
-            emit(2, f"s{j + 1} = {f's{j} + ' if j else ''}{prop}")
-        total = f"s{nrx}"
-        emit(2, f"if {total} <= 0:")
-        emit(3, "status = EXHAUSTED", "break")
-        emit(2, "if ui > last:")
-        emit(3, "ubuf = ubuf[ui:] + draw(rng, size).tolist()", f"size = min(2 * size, {_BLOCK})",
-             "ui = 0", f"last = len(ubuf) - {need}")
-        emit(2, f"tn = t - log(ubuf[ui]) / {total}")
+        emit(1, *(f"a{j} = {propensity(j)}" for j in sorted(kept)), f"size = {_FIRST_BLOCK}",
+             "while True:")
+        if budget:
+            emit(2, "left = max_events - len(events)", "if left <= 0:")
+            emit(3, "status = STOPPED", "break")
+            emit(2, f"block = draw(rng, min(size, {need} * left)).tolist()")
+        else:
+            emit(2, "block = draw(rng, size).tolist()")
+        emit(2, f"size = min(2 * size, {_BLOCK})")
+        if need == 1:
+            emit(2, "for u in block:")
+        else:
+            emit(2, "it = iter(block)", "for u, v in zip(it, it):")
+        if stops:
+            emit(3, f"if {' or '.join(stops)}:")
+            emit(4, "status = STOPPED", "break")
+        if nrx == 1:
+            total = "a0"
+        else:
+            for j in range(nrx):
+                prop = f"a{j}" if j in kept else propensity(j)
+                emit(3, f"s{j + 1} = {f's{j} + ' if j else ''}{prop}")
+            total = f"s{nrx}"
+        emit(3, f"if {total} <= 0:")
+        emit(4, "status = EXHAUSTED", "break")
+        emit(3, f"tn = t - log(u) / {total}")
         if timed:
-            emit(2, "if tn > t_max:")
-            emit(3, "t = t_max", "status = STOPPED", "break")
-        emit(2, "while cp < tn:")
-        emit(3, *capture)
-        emit(2, "t = tn")
+            emit(3, "if tn > t_max:")
+            emit(4, "t = t_max", "status = STOPPED", "break")
+        # every checkpoint before t was taken at an earlier test, so this
+        # takes those in [t, tn), or the one at t when tn rounds to t and
+        # an event happened at t (at the start, t is no event's time)
+        emit(3, "if cp <= tn:")
+        emit(4, "while cp < tn or cp == t and events:")
+        emit(5, *capture)
+        emit(3, "t = tn")
         if nrx > 1:
-            emit(2, f"x = ubuf[ui + 1] * {total}")
-        emit(2, f"ui += {need}")
+            emit(3, f"x = v * {total}")
         for j, delta in enumerate(deltas):
-            depth = 2
+            depth = 3
             if nrx > 1:
-                depth = 3
+                depth = 4
                 if j == 0:
-                    emit(2, "if x < s1:")
+                    emit(3, "if x < s1:")
                 elif j < nrx - 1:
-                    emit(2, f"elif x < s{j + 1}:")
+                    emit(3, f"elif x < s{j + 1}:")
                 else:
-                    emit(2, "else:")
+                    emit(3, "else:")
             for s, d in delta:
                 emit(depth, f"c{s} {'+' if d > 0 else '-'}= {abs(d)}")
             emit(depth, f"record((t, {j}))")
+            affected = {i for s, _ in delta for i in readers[s] if i in kept}
+            emit(depth, *(f"a{i} = {propensity(i)}" for i in sorted(affected)))
             for s, d in delta:
                 if d > 0 and s in watched:
                     emit(depth, f"if p{s} and c{s} > 0:")
                     emit(depth + 1, f"p{s} = False", f"wt[{s}] = t", "pending -= 1")
-        if budget:
-            emit(2, "n += 1")
-        # later events can round to this same time, so a checkpoint at it
-        # takes the counts after the first of them
-        emit(2, "while cp <= t:")
-        emit(3, *capture)
+        emit(2, "else:")
+        emit(3, "continue")
+        emit(2, "break")
     emit(1, f"counts[:{n_species}] = [{state}]")
     # an exhausted process is frozen from here on
     emit(1, "until = inf if status == EXHAUSTED else t", "while cp <= until:")

@@ -1,3 +1,5 @@
+import bisect
+import csv
 import gc
 import hashlib
 import io
@@ -22,10 +24,19 @@ from crnsim.kinetics import (
     run_trials,
     simulate,
 )
-from crnsim.model import Configuration, parse_crn
+from crnsim.model import Configuration, Crn, Reaction, SpeciesTable, parse_crn
 from crnsim.streams import open_uniform_block, substream
 
 from conftest import random_config, random_crn
+
+
+# The event CSV writer as it stood before rows were joined in chunks: one
+# csv.writer row per event. Kept only as a reference for Trace.to_csv.
+def row_by_row_to_csv(trace, crn, fileobj):
+    w = csv.writer(fileobj)
+    w.writerow(["event_index", "time", "reaction_label"])
+    labels = [crn.reaction_label(j) for j in range(len(crn.reactions))]
+    w.writerows([i, t, labels[ridx]] for i, (t, ridx) in enumerate(trace.events))
 
 
 def _propensities(comp, counts) -> list:
@@ -340,6 +351,42 @@ class TestSimulate:
         assert {t for t, _ in trace.events} == {tie} and len(trace.events) == 50
         assert [(t, c.tolist()) for t, c in trace.checkpoints] == [(tie, [0, 1, 0])]
 
+    def test_checkpoint_at_zero_when_the_first_wait_rounds_to_zero(self):
+        # the total propensity overflows to inf, so every wait is 0; as at
+        # any event time, a checkpoint at 0 reads the counts after the first
+        # event at 0, not the initial ones
+        crn, _ = parse_crn("X -> 0 ; k=1e308\n")
+        trace = simulate(crn, crn.config({"X": 3}), StopCondition(max_events=2), seed=0,
+                         checkpoint_times=[0.0])
+        assert trace.events == [(0.0, 0), (0.0, 0)]
+        assert [(t, c.tolist()) for t, c in trace.checkpoints] == [(0.0, [2])]
+
+    def test_checkpoints_match_replay_on_random_networks(self):
+        # checkpoints at 0, at every event time of a first run, between its
+        # events and past its end; a row holds the counts after the last
+        # event at or before its time, and a run that stopped takes none
+        # past its end. The second run stops by its budget halfway, so the
+        # checkpoint at its last event time is taken after the loop.
+        rng = np.random.default_rng(1919)
+        for case in range(40):
+            crn = random_crn(rng, kinetics_compatible=True)
+            init = random_config(rng, crn, max_count=30)
+            stop = StopCondition(t_max=2.0, max_events=300)
+            first = simulate(crn, init, stop, seed=case)
+            times = [t for t, _ in first.events]
+            assert all(a < b for a, b in zip(times, times[1:]))  # no two events share a time
+            mids = [(a + b) / 2 for a, b in zip(times, times[1:])]
+            cps = [0.0, *times, *mids, first.time + 1.0, first.time + 7.5]
+            for run in (stop, StopCondition(max_events=len(times) // 2)):
+                trace = simulate(crn, init, run, seed=case, checkpoint_times=cps)
+                states = [c.counts.tolist() for c in trace.replay(crn)]
+                ends = [t for t, _ in trace.events]
+                reached = [x for x in sorted(cps)
+                           if trace.status == "exhausted" or x <= trace.time]
+                assert [t for t, _ in trace.checkpoints] == reached
+                for x, counts in trace.checkpoints:
+                    assert counts.tolist() == states[bisect.bisect_right(ends, x)]
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
     def test_non_finite_checkpoint_time_is_refused(self, bad, monkeypatch):
         # sorted left a NaN in place and both capture loops stopped at it,
@@ -358,6 +405,33 @@ class TestSimulate:
         )
         assert len(trace.events) == 7
         assert trace.terminal[0] == 93
+
+    @pytest.mark.parametrize(
+        "text,start,budgets",
+        [
+            ("X -> 0 ; k=1\n", {"X": 500}, (1, 63, 64, 65, 191, 192, 193)),
+            ("X -> 0 ; k=1\n", {"X": 150}, (1, 63, 64, 65, 191, 192, 193)),
+            ("A -> B ; k=1\nB -> A ; k=2\n", {"A": 40}, (31, 32, 33, 95, 96, 97)),
+            ("A -> B ; k=1\nB -> 0 ; k=1\n", {"A": 20}, (31, 32, 33, 95, 96, 97)),
+        ],
+        ids=["one-reaction", "one-reaction-exhausts", "two-reactions", "two-reactions-exhausts"],
+    )
+    def test_budget_at_block_boundaries(self, text, start, budgets):
+        # the budget is tested once per block of uniforms, of 64 and then
+        # 128; a one-reaction loop reads one uniform per event, so those
+        # blocks end after events 64 and 192, and a two-reaction loop reads
+        # two, so they end after events 32 and 96
+        crn, _ = parse_crn(text)
+        init = crn.config(start)
+        full = simulate(crn, init, StopCondition(t_max=30.0), seed=19, stream_key=(2,))
+        for budget in budgets:
+            trace = simulate(crn, init, StopCondition(max_events=budget), seed=19,
+                             stream_key=(2,))
+            if budget <= len(full.events):
+                assert (trace.status, len(trace.events)) == ("stopped", budget)
+            else:
+                assert full.status == trace.status == "exhausted"
+            assert trace.events == full.events[:budget]
 
     def test_species_appears_stop(self):
         crn, _ = parse_crn("X -> Y ; k=1\n")
@@ -441,6 +515,30 @@ class TestSimulate:
         buf2 = io.StringIO()
         trace.checkpoints_to_csv(crn, buf2)
         assert buf2.getvalue().splitlines()[0] == "time,X"
+
+    @pytest.mark.parametrize(
+        "labels,rates,start,stop",
+        [
+            (('a,"b"', "line\nbreak"), (1.0, 2.0), {"A": 5}, StopCondition(t_max=3.0)),
+            (("", None), (1.0, 2.0), {"A": 5}, StopCondition(t_max=3.0)),
+            ((None, "back"), (1.0, 2.0), {"A": 60},
+             StopCondition(max_events=2 * kinetics._CSV_CHUNK + 5)),
+            ((None, None), (1.0, 2.0), {"A": 5}, StopCondition(max_events=0)),
+            ((None, None), (1e-320, 2.0), {"A": 1}, StopCondition(max_events=1)),
+        ],
+        ids=["quoted-labels", "empty-and-default-labels", "longer-than-a-chunk", "no-events",
+             "infinite-time"],
+    )
+    def test_trace_csv_equals_row_by_row_writer(self, labels, rates, start, stop):
+        crn = Crn(SpeciesTable(("A", "B")), (
+            Reaction((1, 0), (0, 1), rates[0], labels[0]),
+            Reaction((0, 1), (1, 0), rates[1], labels[1]),
+        ))
+        trace = simulate(crn, crn.config(start), stop, seed=5)
+        fast, slow = io.StringIO(), io.StringIO()
+        trace.to_csv(crn, fast)
+        row_by_row_to_csv(trace, crn, slow)
+        assert fast.getvalue() == slow.getvalue()
 
 
 def _no_events(*args, **kwargs):
@@ -653,6 +751,11 @@ class TestRunTrials:
             for arr in call:
                 h.update(arr.tobytes())
         assert len(calls) == 240
+        # this digest depends on the host CPU: _run_batch takes np.log,
+        # which numpy 2.4 dispatches to an AVX-512 path where the CPU has
+        # one, and that path differs from math.log on about 0.35% of
+        # uniforms; with NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL
+        # AVX512_SPR" the digest reads 38c8aa4fad669d38
         assert h.hexdigest()[:16] == "f07b0fe15aa01ebe"
 
     def test_long_runs_with_few_trials_byte_identical_to_pinned_digest(self, monkeypatch):
@@ -895,6 +998,13 @@ def _spy_kernels(monkeypatch) -> list:
     return kernels
 
 
+def _source(crn, budget=False) -> str:
+    """The kernel source of a ``t_max`` run of ``crn`` with no watch or count stop."""
+    comp = _Compiled(crn, 1.0)
+    return kinetics._kernel_source(tuple(row[1:] for row in comp.table), comp.deltas,
+                                   crn.n_species, (), None, True, budget)
+
+
 class TestKernel:
     """The scalar loop is generated once per shape of run and cached."""
 
@@ -939,6 +1049,42 @@ class TestKernel:
         names = {t.string for t in tokens if t.type == tokenize.NAME}
         assert not names & {"Alpha", "Beta", "Gamma", "bind"}
         assert {"s1", "s2", "s3", "c0", "c2", "k2"} <= names
+
+    def test_source_is_linear_in_the_reactions(self):
+        # every X + Y_i -> Y_i reads X and every branch changes it, so
+        # recomputing each affected propensity in each branch would take
+        # n lines in each of n branches; the budget is read once, when a
+        # block of uniforms is sized, and no event counts against it
+        lines = {}
+        for n in (40, 80):
+            crn, _ = parse_crn("".join(f"X + Y{i} -> Y{i}\n" for i in range(n)))
+            src = _source(crn, budget=True)
+            assert [line.strip() for line in src.splitlines()[1:] if "max_events" in line] == [
+                "left = max_events - len(events)"]
+            lines[n] = len(src.splitlines())
+        assert lines[80] < 2.1 * lines[40]
+
+    def test_propensities_in_the_sums_match_kept_ones(self, monkeypatch):
+        # X is read by 21 reactions, more than _MAX_READERS, so their
+        # propensities are computed in the sums at every event; keeping
+        # them in locals instead gives the same trace, bit for bit
+        crn, _ = parse_crn(
+            "".join(f"X + Y{i} -> Y{i} + Z ; k={1 + i / 7}\n" for i in range(20))
+            + "Z -> X ; k=3\nX + X -> Z ; k=0.5\nZ + Y0 -> Y0 ; k=0.25\n"
+        )
+        init = crn.config({"X": 40, "Z": 5, **{f"Y{i}": 1 + i % 3 for i in range(20)}})
+        stop = StopCondition(t_max=2.0, max_events=3000)
+        assert "a0 =" not in _source(crn) and "a20 =" in _source(crn)
+        runs = []
+        for readers in (kinetics._MAX_READERS, 10**9):
+            monkeypatch.setattr(kinetics, "_MAX_READERS", readers)
+            monkeypatch.setattr(kinetics, "_kernel", _KERNEL.__wrapped__)
+            runs.append(simulate(crn, init, stop, seed=4, checkpoint_times=[0.01, 0.5]))
+            assert len(runs[-1].events) > 100
+        dense, kept = runs
+        assert dense.events == kept.events and dense.terminal == kept.terminal
+        assert [(t, c.tolist()) for t, c in dense.checkpoints] == [
+            (t, c.tolist()) for t, c in kept.checkpoints]
 
     def test_source_leaves_linecache_with_its_kernel(self):
         crn, _ = parse_crn("X -> 0 ; k=1\n")
