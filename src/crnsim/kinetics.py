@@ -25,9 +25,10 @@ That loop is straight-line Python generated from the shape of the run:
 the table's reactant rows and net changes, the species count, and which
 stops are given and on which species. The source is compiled once per
 shape and kept in a bounded cache, ``_kernel``; the counts and the
-propensities are its locals, the choice of reaction an ``if``/``elif``
-chain, and each branch of it recomputes only the propensities of the
-reactions that read a species it changes. Its uniforms come in blocks,
+propensities it keeps are its locals, the choice of reaction an
+``if``/``elif`` chain, and each branch of it recomputes only the kept
+propensities of the reactions that read a species it changes; the
+running sums compute the others. Its uniforms come in blocks,
 and a checkpoint costs one test per event. Only integers go into that
 source: the rate coefficients, thresholds and checkpoint times are
 arguments, so no float, species name or label is ever compiled, and a
@@ -84,12 +85,20 @@ _BLOCK = 4096  # uniforms buffered per refill inside the event loops
 # (time, selection) pair never straddles two blocks.
 _FIRST_BLOCK = 64
 assert _FIRST_BLOCK % 2 == 0 and _BLOCK % 2 == 0
-# a reaction that reads a species more reactions than this read has its
-# propensity computed in the scalar loop's running sums at every event,
-# not kept and recomputed by the branches that change it; each branch then
-# recomputes at most this many propensities per species it changes, so the
-# source stays linear in the size of the reaction table
-_MAX_READERS = 16
+# which propensities the scalar loop keeps in locals. A kept one costs a
+# product and a store in each branch that changes a species its reaction
+# reads, and saves a product in every event's sums. Timed on networks where
+# one species is read by 2 to 32 reactions, keeping them took 11% to 52%
+# less time per event while at most half of the branches recompute each
+# one, -7% to +9% at three quarters, and 2% to 18% more when every branch
+# does; so a propensity is kept only while at most this share of the
+# branches recompute it
+_KEEP_SHARE = 0.5
+# ... and, fewest recomputing branches first, only while the branches hold
+# at most this many recomputations per reaction in all, which keeps the
+# source linear in the size of the reaction table (a source line takes
+# about 12 us to compile on a 2-vCPU x86 host)
+_RECOMPUTE_LINES = 8
 # event rows joined per write in Trace.to_csv, which bounds its memory
 _CSV_CHUNK = 4096
 # trials per substream in run_trials; fixed so that results do not depend
@@ -351,26 +360,27 @@ def _kernel_source(rows, deltas, n_species, watched, count_key, timed, budget) -
     The counts live in locals ``c0``, ``c1``, ... and the coefficients in
     ``k0``, ``k1``, ..., unpacked from the table argument. Reaction j's
     propensity ``a_j`` is ``k_j * c_a * (c_b - m)``, without the factor for
-    the entry held at 1 and without a ``- 0``. Each ``a_j`` is computed
+    the entry held at 1 and without a ``- 0``. A kept ``a_j`` is computed
     once before the loop; after that, each branch recomputes, by the same
-    expression, only those of the reactions that read a species it
-    changes. A reaction that reads a species with more than
-    ``_MAX_READERS`` readers has no ``a_j``: the sums compute its
-    propensity at every event, which keeps the source linear in the size
-    of the table. At the top of each event ``s_j`` sums the first j in table
-    order, so ``s`` of the last is the total, and the reaction is chosen
-    by a chain ``if x < s1 ... elif ... else`` over those sums: the first j
-    with x < s_(j+1), or the last reaction when there is none. Each branch
-    applies its own changes and marks the watched species it raises as
-    seen. The watch and count stops are tested at the top of each event.
-    Uniforms come in blocks, read one (a single reaction) or two (time,
-    then selection) per event, and the event budget is tested once per
-    block, when the block is sized to the events left in it. Checkpoints
-    take one test per event, before the event: the ones before its time,
-    and one at the previous event's time when the two times are equal.
-    A checkpoint at an event time is thus taken with the counts after the
-    first event at that time, at the next test or after the loop. The
-    source holds only integers and local names.
+    expression, only the kept ones of the reactions that read a species it
+    changes. ``a_j`` is kept only while at most ``_KEEP_SHARE`` of the
+    branches recompute it, fewest first, and while the branches hold at most
+    ``_RECOMPUTE_LINES`` recomputations per reaction, which keeps the source
+    linear in the size of the table; the sums compute every other propensity
+    at every event. At the top of each event ``s_j`` sums the first j in
+    table order, so ``s`` of the last is the total, and the reaction is
+    chosen by a chain ``if x < s1 ... elif ... else`` over those sums: the
+    first j with x < s_(j+1), or the last reaction when there is none. Each
+    branch applies its own changes and marks the watched species it raises
+    as seen. The watch and count stops are tested at the top of each event.
+    Uniforms come in blocks, read one (a single reaction) or two (time, then
+    selection) per event, and the event budget is tested once per block,
+    when the block is sized to the events left in it. Checkpoints take one
+    test per event, before the event: the ones before its time, and one at
+    the previous event's time when the two times are equal. A checkpoint at
+    an event time is thus taken with the counts after the first event at
+    that time, at the next test or after the loop. The source holds only
+    integers and local names.
     """
     nrx = len(rows)
     need = 1 if nrx == 1 else 2
@@ -393,15 +403,24 @@ def _kernel_source(rows, deltas, n_species, watched, count_key, timed, budget) -
             prop += f" * (c{b} - {m})" if m else f" * c{b}"
         return prop
 
-    # the reactions that read each species; none changes the entry held at 1
+    # the reactions that read each species and the branches that change it;
+    # none changes the entry held at 1
     readers = [[] for _ in range(n_species + 1)]
     for j, (a, b, _) in enumerate(rows):
         for s in {a, b} - {n_species}:
             readers[s].append(j)
-    # locals a0, a1, ... hold the propensities of the reactions that read no
-    # species with more than _MAX_READERS readers; the sums compute the rest
-    kept = {j for j, (a, b, _) in enumerate(rows)
-            if max(len(readers[a]), len(readers[b])) <= _MAX_READERS}
+    writers = [set() for _ in range(n_species + 1)]
+    for i, delta in enumerate(deltas):
+        for s, _ in delta:
+            writers[s].add(i)
+    # locals a0, a1, ... hold the kept propensities (see _KEEP_SHARE); the
+    # sums compute the rest
+    kept, lines = set(), 0
+    for w, j in sorted((len(writers[a] | writers[b]), j) for j, (a, b, _) in enumerate(rows)):
+        if w > _KEEP_SHARE * nrx or lines + w > _RECOMPUTE_LINES * nrx:
+            break
+        kept.add(j)
+        lines += w
 
     if nrx:
         emit(1, "[" + ", ".join(f"[k{j}, _, _, _]" for j in range(nrx)) + "] = table")
@@ -440,7 +459,7 @@ def _kernel_source(rows, deltas, n_species, watched, count_key, timed, budget) -
         if stops:
             emit(3, f"if {' or '.join(stops)}:")
             emit(4, "status = STOPPED", "break")
-        if nrx == 1:
+        if nrx == 1 and kept:
             total = "a0"
         else:
             for j in range(nrx):

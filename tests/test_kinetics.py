@@ -1051,40 +1051,50 @@ class TestKernel:
         assert {"s1", "s2", "s3", "c0", "c2", "k2"} <= names
 
     def test_source_is_linear_in_the_reactions(self):
-        # every X + Y_i -> Y_i reads X and every branch changes it, so
-        # recomputing each affected propensity in each branch would take
-        # n lines in each of n branches; the budget is read once, when a
-        # block of uniforms is sized, and no event counts against it
+        # every X + Y_i -> Y_i reads X and changes it, and U_i -> V_i touches
+        # neither, so a quarter of the branches change X: keeping every
+        # propensity of X's readers would take n lines in each of n
+        # branches. The budget is read once, when a block of uniforms is
+        # sized, and no event counts against it
         lines = {}
         for n in (40, 80):
-            crn, _ = parse_crn("".join(f"X + Y{i} -> Y{i}\n" for i in range(n)))
+            crn, _ = parse_crn("".join(f"X + Y{i} -> Y{i}\n" for i in range(n))
+                               + "".join(f"U{i} -> V{i}\n" for i in range(3 * n)))
             src = _source(crn, budget=True)
+            assert "a0 =" in src and f"a{n - 1} =" not in src
             assert [line.strip() for line in src.splitlines()[1:] if "max_events" in line] == [
                 "left = max_events - len(events)"]
             lines[n] = len(src.splitlines())
         assert lines[80] < 2.1 * lines[40]
 
     def test_propensities_in_the_sums_match_kept_ones(self, monkeypatch):
-        # X is read by 21 reactions, more than _MAX_READERS, so their
-        # propensities are computed in the sums at every event; keeping
-        # them in locals instead gives the same trace, bit for bit
+        # X is read by 21 reactions and changed by 22 of the 26 branches,
+        # more than _KEEP_SHARE of them, so their propensities are computed
+        # in the sums at every event, while the U, V pairs keep theirs;
+        # keeping every propensity, or none, gives the same trace, bit for bit
         crn, _ = parse_crn(
             "".join(f"X + Y{i} -> Y{i} + Z ; k={1 + i / 7}\n" for i in range(20))
             + "Z -> X ; k=3\nX + X -> Z ; k=0.5\nZ + Y0 -> Y0 ; k=0.25\n"
+            + "U -> V ; k=2\nV -> U ; k=1.5\nU + V -> U + U ; k=0.75\n"
         )
-        init = crn.config({"X": 40, "Z": 5, **{f"Y{i}": 1 + i % 3 for i in range(20)}})
+        init = crn.config({"X": 40, "Z": 5, "U": 7, "V": 3,
+                           **{f"Y{i}": 1 + i % 3 for i in range(20)}})
         stop = StopCondition(t_max=2.0, max_events=3000)
-        assert "a0 =" not in _source(crn) and "a20 =" in _source(crn)
-        runs = []
-        for readers in (kinetics._MAX_READERS, 10**9):
-            monkeypatch.setattr(kinetics, "_MAX_READERS", readers)
+        runs, kept = [], []
+        for share, lines in ((kinetics._KEEP_SHARE, kinetics._RECOMPUTE_LINES), (1, 10**9),
+                             (1, 0)):
+            monkeypatch.setattr(kinetics, "_KEEP_SHARE", share)
+            monkeypatch.setattr(kinetics, "_RECOMPUTE_LINES", lines)
             monkeypatch.setattr(kinetics, "_kernel", _KERNEL.__wrapped__)
+            src = _source(crn)
+            kept.append(("a0 =" in src, "a20 =" in src, "a23 =" in src))
             runs.append(simulate(crn, init, stop, seed=4, checkpoint_times=[0.01, 0.5]))
             assert len(runs[-1].events) > 100
-        dense, kept = runs
-        assert dense.events == kept.events and dense.terminal == kept.terminal
-        assert [(t, c.tolist()) for t, c in dense.checkpoints] == [
-            (t, c.tolist()) for t, c in kept.checkpoints]
+        assert kept == [(False, False, True), (True, True, True), (False, False, False)]
+        for other in runs[1:]:
+            assert other.events == runs[0].events and other.terminal == runs[0].terminal
+            assert [(t, c.tolist()) for t, c in other.checkpoints] == [
+                (t, c.tolist()) for t, c in runs[0].checkpoints]
 
     def test_source_leaves_linecache_with_its_kernel(self):
         crn, _ = parse_crn("X -> 0 ; k=1\n")
