@@ -30,23 +30,27 @@ propensities it keeps are its locals, the choice of reaction an
 propensities of the reactions that read a species it changes; the
 running sums compute the others. Its uniforms come in blocks,
 and a checkpoint costs one test per event. Only integers go into that
-source: the rate coefficients, thresholds and checkpoint times are
-arguments, so no float, species name or label is ever compiled, and a
-run at another volume reuses the kernel. ``run_trials`` repeats a stop
-over independent trials with the batched loop, ``_run_batch``, which
-advances all trials of a chunk of ``_TRIAL_CHUNK`` in lockstep over
-species-major arrays (a row per count, a column per trial) that it lays
-out from that table once per call; the chunks fan out through ``parallel.map_chunks``, so chunk c
-draws from ``substream(seed, *stream_key, c)``. It returns per-trial end
-times and first-appearance times; the first-production statistics and
-the ``harness`` experiments build on it. Each loop tests the watch and
+source: the rate coefficients, thresholds, event budget and checkpoint
+times are arguments, so no float, species name or label is ever
+compiled, and a run at another volume reuses the kernel. ``run_trials``
+repeats a stop over independent trials with the batched loop,
+``_run_batch``, which advances all trials of a chunk of ``_TRIAL_CHUNK``
+in lockstep over species-major arrays (a row per count, a column per
+trial) that it lays out from that table once per call; the chunks fan
+out through ``parallel.map_chunks``, so chunk c draws from
+``substream(seed, *stream_key, c)``. It returns per-trial end times and
+first-appearance times; the first-production statistics and the
+``harness`` experiments build on it. Each loop tests the watch and
 count stops in one place, before it draws: the scalar loop at the top of
-each event, the batched loop at the top of each sweep. The batched loop
-tests the event budget there too; the scalar loop tests it once per
-block of uniforms, when it cuts the block to the uniforms the events
-left can read. The batched loop reads the watched counts only after a
-sweep that fired a reaction raising a watched species. ``t_max`` is
-tested against the drawn event time.
+each event, the batched loop at the top of each sweep. Every run carries
+an event budget, ``_NO_BUDGET`` when the stop gives none, so each loop
+has one shape: the batched loop tests the budget at the top of each
+sweep, and the scalar loop once per block of uniforms, when it cuts the
+block to the uniforms the events left can read. The batched loop reads
+the watched counts only after a sweep that fired a reaction raising a
+watched species. ``t_max`` is tested against the drawn event time. One
+writer, ``_write_csv``, writes every CSV file; species names and labels
+are identifiers (see ``model``), so no cell needs quoting.
 
 The scalar loop takes ``math.log`` of its uniforms and the batched loop
 ``np.log``. numpy may dispatch ``log`` to a path for the host CPU (with
@@ -58,14 +62,12 @@ matches ``simulate`` to 1e-12 relative.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import linecache
 import math
 import weakref
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -99,8 +101,10 @@ _KEEP_SHARE = 0.5
 # source linear in the size of the reaction table (a source line takes
 # about 12 us to compile on a 2-vCPU x86 host)
 _RECOMPUTE_LINES = 8
-# event rows joined per write in Trace.to_csv, which bounds its memory
+# rows joined per write by _write_csv, which bounds its memory
 _CSV_CHUNK = 4096
+# the event budget of a run without max_events, which no run reaches
+_NO_BUDGET = 2**63 - 1
 # trials per substream in run_trials; fixed so that results do not depend
 # on the thread count
 _TRIAL_CHUNK = 1024
@@ -182,32 +186,28 @@ class Trace:
             yield cfg
 
     def to_csv(self, crn: Crn, fileobj):
-        """The events as CSV rows (index, time, reaction label).
-
-        Each label is quoted once by the csv module; a row is then the
-        index, the time's repr (as the csv module writes a float) and that
-        cell, written in chunks of ``_CSV_CHUNK`` rows.
-        """
-        # each label is quoted as the field after an empty one, since the
-        # csv module quotes a lone empty field; writerow makes one write
-        # call per row
-        rows = []
-        quote = csv.writer(SimpleNamespace(write=rows.append)).writerow
-        for j in range(len(crn.reactions)):
-            quote(["", crn.reaction_label(j)])
-        cells = [row[1:-2] for row in rows]
-        fileobj.write("event_index,time,reaction_label\r\n")
-        events = self.events
-        for lo in range(0, len(events), _CSV_CHUNK):
-            fileobj.write("".join(
-                f"{i},{t!r},{cells[j]}\r\n"
-                for i, (t, j) in enumerate(events[lo : lo + _CSV_CHUNK], lo)
-            ))
+        """The events as CSV rows (index, time's repr, reaction label)."""
+        labels = [crn.reaction_label(j) for j in range(len(crn.reactions))]
+        _write_csv(fileobj, ("event_index", "time", "reaction_label"),
+                   (f"{i},{t!r},{labels[j]}\r\n" for i, (t, j) in enumerate(self.events)))
 
     def checkpoints_to_csv(self, crn: Crn, fileobj):
-        w = csv.writer(fileobj)
-        w.writerow(["time", *crn.species.names])
-        w.writerows([t, *counts.tolist()] for t, counts in self.checkpoints)
+        """The checkpoints as CSV rows (time, then each species' count)."""
+        _write_csv(fileobj, ("time", *crn.species.names),
+                   (_csv_line([t, *counts.tolist()]) for t, counts in self.checkpoints))
+
+
+def _csv_line(cells) -> str:
+    return ",".join(map(str, cells)) + "\r\n"
+
+
+def _write_csv(fileobj, header, lines):
+    """The ``header`` row, then ``lines``, rows that end in CRLF, joined in
+    chunks of ``_CSV_CHUNK``."""
+    fileobj.write(_csv_line(header))
+    lines = iter(lines)
+    while chunk := "".join(itertools.islice(lines, _CSV_CHUNK)):
+        fileobj.write(chunk)
 
 
 class _Compiled:
@@ -222,7 +222,9 @@ class _Compiled:
     ``minus`` 1. ``table`` holds these four values per reaction, and
     ``deltas[j]`` holds reaction j's net change as (species, change) pairs.
     The scalar loop reads both as they are; the batched loop lays them out
-    once per call over its own species-major rows.
+    once per call over its own species-major rows. A coefficient that
+    underflows to 0 is refused, and so is a table whose total propensity
+    could leave the float range at counts below 2**63.
     """
 
     __slots__ = ("table", "deltas")
@@ -252,11 +254,21 @@ class _Compiled:
                     if p != r
                 )
             )
-        # k/v overflowing to inf makes inf * 0 a NaN propensity, and a NaN
-        # total neither exhausts a run nor passes its t_max
-        if not all(0.0 < k < math.inf for k, _, _, _ in table):
+        # k/v underflowing to 0 silently removes its reaction
+        if not all(k > 0.0 for k, _, _, _ in table):
             raise DomainError(
                 f"volume {volume!r} takes a rate constant divided by it out of floating-point range"
+            )
+        # a total propensity of inf makes every wait 0 and picks reactions
+        # whose reactants are gone (k/v of inf makes inf * 0 a NaN one); the
+        # counts stay below 2**63, so a propensity of order o stays below
+        # coef * 2**(63 o), and plain sum overflows to inf where fsum raises
+        reach = [k * 2.0 ** (63 * rx.order) for (k, _, _, _), rx in zip(table, crn.reactions)]
+        if not math.isfinite(sum(reach)):
+            k = crn.reactions[reach.index(max(reach))].rate_constant
+            raise DomainError(
+                f"rate constant {k!r} at volume {volume!r} can take the total propensity "
+                "out of floating-point range"
             )
         self.table = tuple(table)
         self.deltas = tuple(deltas)
@@ -270,7 +282,7 @@ def _run_core(
     t_max=None,
     watch=None,
     count_stop=None,
-    max_events=None,
+    max_events=_NO_BUDGET,
     checkpoint_times=(),
 ):
     """Scalar event loop: one recorded run.
@@ -289,9 +301,9 @@ def _run_core(
     The loop itself is the kernel ``_kernel`` generated for the shape of
     this run: the reactant rows and net changes of ``comp``, the species
     count, the watched ids, the count stop's species and direction, and
-    whether ``t_max`` and ``max_events`` are given. The rate coefficients,
-    the thresholds and the checkpoint times are its arguments, so runs at
-    another volume or horizon reuse it.
+    whether ``t_max`` is given. The rate coefficients, the thresholds, the
+    event budget and the checkpoint times are its arguments, so runs at
+    another volume, horizon or budget reuse it.
     """
     kernel = _kernel(
         tuple(row[1:] for row in comp.table),
@@ -300,7 +312,6 @@ def _run_core(
         tuple(sorted(watch or ())),
         None if count_stop is None else count_stop[::2],
         t_max is not None,
-        max_events is not None,
     )
     watch_times = {s: 0.0 for s in watch or () if counts[s] > 0}
     return kernel(
@@ -333,18 +344,17 @@ _KERNEL_FILES = itertools.count()
 
 
 @lru_cache(maxsize=256)
-def _kernel(rows, deltas, n_species, watched, count_key, timed, budget):
+def _kernel(rows, deltas, n_species, watched, count_key, timed):
     """The scalar event loop for one shape of run, compiled once and cached.
 
     ``rows`` holds each reaction's (ra, rb, minus) and ``deltas`` its net
     change, as in ``_Compiled``; ``watched`` is the sorted watched ids,
     ``count_key`` the count stop's (sid, direction) or None, and ``timed``
-    and ``budget`` whether ``t_max`` and ``max_events`` are given. The
-    source is registered with ``linecache`` under its own file name, so a
-    traceback through the kernel shows its lines; the entry goes when the
-    kernel does.
+    whether ``t_max`` is given. The source is registered with ``linecache``
+    under its own file name, so a traceback through the kernel shows its
+    lines; the entry goes when the kernel does.
     """
-    src = _kernel_source(rows, deltas, n_species, watched, count_key, timed, budget)
+    src = _kernel_source(rows, deltas, n_species, watched, count_key, timed)
     filename = f"<crnsim kernel {next(_KERNEL_FILES)}>"
     namespace = dict(_KERNEL_GLOBALS)
     exec(compile(src, filename, "exec"), namespace)
@@ -354,7 +364,7 @@ def _kernel(rows, deltas, n_species, watched, count_key, timed, budget):
     return kernel
 
 
-def _kernel_source(rows, deltas, n_species, watched, count_key, timed, budget) -> str:
+def _kernel_source(rows, deltas, n_species, watched, count_key, timed) -> str:
     """Python source of the event loop ``_kernel`` compiles; see ``_run_core``.
 
     The counts live in locals ``c0``, ``c1``, ... and the coefficients in
@@ -373,9 +383,10 @@ def _kernel_source(rows, deltas, n_species, watched, count_key, timed, budget) -
     first j with x < s_(j+1), or the last reaction when there is none. Each
     branch applies its own changes and marks the watched species it raises
     as seen. The watch and count stops are tested at the top of each event.
-    Uniforms come in blocks, read one (a single reaction) or two (time, then
-    selection) per event, and the event budget is tested once per block,
-    when the block is sized to the events left in it. Checkpoints take one
+    With no reaction the total is ``0``. Uniforms come in blocks, read one
+    (at most one reaction) or two (time, then selection) per event, and the
+    event budget is tested once per block, when the block is sized to the
+    events left in it. Checkpoints take one
     test per event, before the event: the ones before its time, and one at
     the previous event's time when the two times are equal. A checkpoint at
     an event time is thus taken with the counts after the first event at
@@ -383,7 +394,7 @@ def _kernel_source(rows, deltas, n_species, watched, count_key, timed, budget) -
     integers and local names.
     """
     nrx = len(rows)
-    need = 1 if nrx == 1 else 2
+    need = 1 if nrx < 2 else 2
     names = [f"c{s}" for s in range(n_species)]
     state = ", ".join(names)
     capture = [
@@ -437,72 +448,63 @@ def _kernel_source(rows, deltas, n_species, watched, count_key, timed, budget) -
     if count_key is not None:
         sid, direction = count_key
         stops.append(f"c{sid} {'>=' if direction > 0 else '<='} thr")
-    if not nrx:
-        if budget:
-            stops.append("max_events <= 0")
-        emit(1, f"status = STOPPED if {' or '.join(stops)} else EXHAUSTED" if stops
-             else "status = EXHAUSTED")
+    emit(1, *(f"a{j} = {propensity(j)}" for j in sorted(kept)), f"size = {_FIRST_BLOCK}",
+         "while True:")
+    emit(2, "left = max_events - len(events)", "if left <= 0:")
+    emit(3, "status = STOPPED", "break")
+    emit(2, f"block = draw(rng, min(size, {need} * left)).tolist()")
+    emit(2, f"size = min(2 * size, {_BLOCK})")
+    if need == 1:
+        emit(2, "for u in block:")
     else:
-        emit(1, *(f"a{j} = {propensity(j)}" for j in sorted(kept)), f"size = {_FIRST_BLOCK}",
-             "while True:")
-        if budget:
-            emit(2, "left = max_events - len(events)", "if left <= 0:")
-            emit(3, "status = STOPPED", "break")
-            emit(2, f"block = draw(rng, min(size, {need} * left)).tolist()")
-        else:
-            emit(2, "block = draw(rng, size).tolist()")
-        emit(2, f"size = min(2 * size, {_BLOCK})")
-        if need == 1:
-            emit(2, "for u in block:")
-        else:
-            emit(2, "it = iter(block)", "for u, v in zip(it, it):")
-        if stops:
-            emit(3, f"if {' or '.join(stops)}:")
-            emit(4, "status = STOPPED", "break")
-        if nrx == 1 and kept:
-            total = "a0"
-        else:
-            for j in range(nrx):
-                prop = f"a{j}" if j in kept else propensity(j)
-                emit(3, f"s{j + 1} = {f's{j} + ' if j else ''}{prop}")
-            total = f"s{nrx}"
-        emit(3, f"if {total} <= 0:")
-        emit(4, "status = EXHAUSTED", "break")
-        emit(3, f"tn = t - log(u) / {total}")
-        if timed:
-            emit(3, "if tn > t_max:")
-            emit(4, "t = t_max", "status = STOPPED", "break")
-        # every checkpoint before t was taken at an earlier test, so this
-        # takes those in [t, tn), or the one at t when tn rounds to t and
-        # an event happened at t (at the start, t is no event's time)
-        emit(3, "if cp <= tn:")
-        emit(4, "while cp < tn or cp == t and events:")
-        emit(5, *capture)
-        emit(3, "t = tn")
+        emit(2, "it = iter(block)", "for u, v in zip(it, it):")
+    if stops:
+        emit(3, f"if {' or '.join(stops)}:")
+        emit(4, "status = STOPPED", "break")
+    if nrx == 1 and kept:
+        total = "a0"
+    else:
+        for j in range(nrx):
+            prop = f"a{j}" if j in kept else propensity(j)
+            emit(3, f"s{j + 1} = {f's{j} + ' if j else ''}{prop}")
+        total = f"s{nrx}" if nrx else "0"
+    emit(3, f"if {total} <= 0:")
+    emit(4, "status = EXHAUSTED", "break")
+    emit(3, f"tn = t - log(u) / {total}")
+    if timed:
+        emit(3, "if tn > t_max:")
+        emit(4, "t = t_max", "status = STOPPED", "break")
+    # every checkpoint before t was taken at an earlier test, so this
+    # takes those in [t, tn), or the one at t when tn rounds to t and
+    # an event happened at t (at the start, t is no event's time)
+    emit(3, "if cp <= tn:")
+    emit(4, "while cp < tn or cp == t and events:")
+    emit(5, *capture)
+    emit(3, "t = tn")
+    if nrx > 1:
+        emit(3, f"x = v * {total}")
+    for j, delta in enumerate(deltas):
+        depth = 3
         if nrx > 1:
-            emit(3, f"x = v * {total}")
-        for j, delta in enumerate(deltas):
-            depth = 3
-            if nrx > 1:
-                depth = 4
-                if j == 0:
-                    emit(3, "if x < s1:")
-                elif j < nrx - 1:
-                    emit(3, f"elif x < s{j + 1}:")
-                else:
-                    emit(3, "else:")
-            for s, d in delta:
-                emit(depth, f"c{s} {'+' if d > 0 else '-'}= {abs(d)}")
-            emit(depth, f"record((t, {j}))")
-            affected = {i for s, _ in delta for i in readers[s] if i in kept}
-            emit(depth, *(f"a{i} = {propensity(i)}" for i in sorted(affected)))
-            for s, d in delta:
-                if d > 0 and s in watched:
-                    emit(depth, f"if p{s} and c{s} > 0:")
-                    emit(depth + 1, f"p{s} = False", f"wt[{s}] = t", "pending -= 1")
-        emit(2, "else:")
-        emit(3, "continue")
-        emit(2, "break")
+            depth = 4
+            if j == 0:
+                emit(3, "if x < s1:")
+            elif j < nrx - 1:
+                emit(3, f"elif x < s{j + 1}:")
+            else:
+                emit(3, "else:")
+        for s, d in delta:
+            emit(depth, f"c{s} {'+' if d > 0 else '-'}= {abs(d)}")
+        emit(depth, f"record((t, {j}))")
+        affected = {i for s, _ in delta for i in readers[s] if i in kept}
+        emit(depth, *(f"a{i} = {propensity(i)}" for i in sorted(affected)))
+        for s, d in delta:
+            if d > 0 and s in watched:
+                emit(depth, f"if p{s} and c{s} > 0:")
+                emit(depth + 1, f"p{s} = False", f"wt[{s}] = t", "pending -= 1")
+    emit(2, "else:")
+    emit(3, "continue")
+    emit(2, "break")
     emit(1, f"counts[:{n_species}] = [{state}]")
     # an exhausted process is frozen from here on
     emit(1, "until = inf if status == EXHAUSTED else t", "while cp <= until:")
@@ -520,7 +522,7 @@ def _run_batch(
     t_max=None,
     watch=None,
     count_stop=None,
-    max_events=None,
+    max_events=_NO_BUDGET,
 ):
     """``trials`` independent runs of ``_run_core`` from ``counts``, in lockstep.
 
@@ -603,7 +605,7 @@ def _run_batch(
             if count_stop is not None:
                 done = done | reached(cnt[sid], thr)
             retire = any_ended if done is ended else np.count_nonzero(done)
-            if max_events is not None and sweep >= max_events:
+            if sweep >= max_events:
                 done, retire = np.ones_like(done), True
             if retire:
                 out = ids[done]
@@ -700,7 +702,7 @@ def _prepare(crn: Crn, init: Configuration, stop: StopCondition, volume):
         "t_max": stop.t_max,
         "watch": watch,
         "count_stop": count_stop,
-        "max_events": stop.max_events,
+        "max_events": _NO_BUDGET if stop.max_events is None else stop.max_events,
     }
 
 
@@ -754,10 +756,10 @@ def simulate(
     The volume defaults to the total initial count. The same (crn, init,
     volume, stop, seed, stream_key) always yields the bit-identical
     trace; ``stream_key`` selects an independent substream, e.g. one per
-    trial of a repeated experiment. Checkpoint times must be finite and
-    nonnegative.
+    trial of a repeated experiment. Checkpoint times, a sequence or a numpy
+    array, must be finite and nonnegative.
     """
-    cps = sorted(checkpoint_times) if checkpoint_times else ()
+    cps = () if checkpoint_times is None else sorted(checkpoint_times)
     if not all(0 <= x < math.inf for x in cps):
         raise DomainError(f"checkpoint times must be finite and nonnegative, got {cps}")
     volume, comp, counts, loop_args = _prepare(crn, init, stop, volume)
@@ -823,9 +825,7 @@ def json_time(x: float) -> float | None:
 
 def write_csv(fileobj, result):
     """The ``CSV_HEADER`` of ``result``, then its ``csv_rows()``."""
-    w = csv.writer(fileobj)
-    w.writerow(result.CSV_HEADER)
-    w.writerows(result.csv_rows())
+    _write_csv(fileobj, result.CSV_HEADER, map(_csv_line, result.csv_rows()))
 
 
 @dataclass

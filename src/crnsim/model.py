@@ -14,8 +14,9 @@ The text format is line oriented:
     X -> 0                    (empty side is written "0")
     init: A = 100
 
-``parse_crn`` and ``format_crn`` round-trip exactly: species order,
-reaction order, rate constants and labels are all preserved.
+``parse_crn`` and ``format_crn`` round-trip every network exactly: species
+order, reaction order, rate constants and labels are all preserved, since
+every species name and label is an identifier (``_IDENT_RE``).
 """
 
 from __future__ import annotations
@@ -34,6 +35,11 @@ _FLOAT_RE = re.compile(r"(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?")
 _MAX_COUNT = 2**63 - 1
 
 
+def _check_identifier(name, what: str):
+    if not (isinstance(name, str) and _IDENT_RE.fullmatch(name)):
+        raise ValueError(f"{what} {name!r} is not an identifier")
+
+
 @dataclass(frozen=True)
 class SpeciesTable:
     """Ordered, immutable table of species names with dense integer ids."""
@@ -44,6 +50,7 @@ class SpeciesTable:
     def __post_init__(self):
         index = {}
         for i, name in enumerate(self.names):
+            _check_identifier(name, "species name")
             if name in index:
                 raise ValueError(f"duplicate species name {name!r}")
             index[name] = i
@@ -163,6 +170,8 @@ class Crn:
                 raise ValueError(f"reaction {i} has nonpositive rate constant {k}")
             if rx.reactants == rx.products:
                 raise ValueError(f"reaction {i} is a no-op (reactants equal products)")
+            if rx.label is not None:
+                _check_identifier(rx.label, f"reaction {i} label")
 
     @property
     def n_species(self) -> int:

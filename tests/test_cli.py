@@ -565,6 +565,16 @@ class TestErrorPaths:
         assert main(["--out-dir", str(tmp_path), *argv]) == 1
         assert capsys.readouterr().err == "error: volume must be positive and finite\n"
 
+    def test_rate_that_can_overflow_exits_1(self, tmp_path, capsys):
+        # the total propensity overflowed to inf and the run died with a
+        # traceback when Y -> X fired at Y = 0
+        p = tmp_path / "huge.crn"
+        p.write_text("X -> Y ; k=1e308\nX -> Z ; k=1e308\nY -> X\ninit: X = 3\n")
+        argv = ["simulate", str(p), "--max-events", "3"]
+        assert main(["--out-dir", str(tmp_path), *argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: rate constant 1e+308 at volume 3.0") and err.count("\n") == 1
+
     @pytest.mark.parametrize("bad", ["nan", "inf", "-1.0"])
     def test_non_finite_checkpoint_exits_1(self, tmp_path, capsys, monkeypatch, bad):
         # a NaN checkpoint exited 0 and wrote no checkpoints file; a negative

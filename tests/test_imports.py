@@ -29,6 +29,21 @@ def test_no_module_imports_private_names_of_another():
     assert not found
 
 
+def test_no_module_imports_csv():
+    # every CSV file goes through kinetics._write_csv; a module that imports
+    # csv would be a second writer
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                found += [f"{path.name}: import {a.name}" for a in node.names
+                          if a.name.partition(".")[0] == "csv"]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                if (node.module or "").partition(".")[0] == "csv":
+                    found.append(f"{path.name}: from {node.module} import ...")
+    assert not found
+
+
 def test_every_benchmark_probe_names_an_attribute_of_crnsim():
     # the traced benchmark wraps these names; renaming one would silently
     # drop its per-layer rows

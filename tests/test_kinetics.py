@@ -5,6 +5,7 @@ import hashlib
 import io
 import linecache
 import math
+import re
 import tokenize
 import traceback
 
@@ -303,6 +304,24 @@ class TestSimulate:
         assert (trace.status, trace.time, trace.events) == ("exhausted", 0.0, [])
         assert [(t, c.tolist()) for t, c in trace.checkpoints] == [(0.0, [3, 0]), (7.0, [3, 0])]
 
+    @pytest.mark.parametrize(
+        "stop",
+        [
+            StopCondition(max_events=0),
+            StopCondition(count_reaches=("A", 3)),
+            StopCondition(t_max=1.0, species_appears=frozenset({"A"})),
+        ],
+        ids=["no-budget-left", "count-met", "watch-met"],
+    )
+    def test_no_reactions_stops_at_zero_when_the_stop_holds(self, stop):
+        # a network with no reactions runs through the same block loop as
+        # any other, whose stop test comes before its total of 0 is read
+        crn, _ = parse_crn("species: A B\n")
+        assert "while True:" in _source(crn)
+        trace = simulate(crn, crn.config({"A": 3}), stop, seed=0, checkpoint_times=[0.0, 7.0])
+        assert (trace.status, trace.time, trace.events) == ("stopped", 0.0, [])
+        assert [(t, c.tolist()) for t, c in trace.checkpoints] == [(0.0, [3, 0])]
+
     def test_event_time_that_overflows_to_infinity(self):
         # a propensity of 1e-320 makes the wait overflow to inf; the
         # checkpoints all come before that event, and none is taken twice
@@ -351,15 +370,32 @@ class TestSimulate:
         assert {t for t, _ in trace.events} == {tie} and len(trace.events) == 50
         assert [(t, c.tolist()) for t, c in trace.checkpoints] == [(tie, [0, 1, 0])]
 
-    def test_checkpoint_at_zero_when_the_first_wait_rounds_to_zero(self):
-        # the total propensity overflows to inf, so every wait is 0; as at
-        # any event time, a checkpoint at 0 reads the counts after the first
-        # event at 0, not the initial ones
-        crn, _ = parse_crn("X -> 0 ; k=1e308\n")
-        trace = simulate(crn, crn.config({"X": 3}), StopCondition(max_events=2), seed=0,
-                         checkpoint_times=[0.0])
+    def test_checkpoint_at_zero_when_the_first_wait_rounds_to_zero(self, monkeypatch):
+        # a total propensity near the float maximum and a uniform of
+        # 1 - 2**-53 make each wait round to 0; as at any event time, a
+        # checkpoint at 0 reads the counts after the first event at 0, not
+        # the initial ones
+        monkeypatch.setattr(kinetics, "open_uniform_block",
+                            lambda rng, size: np.full(size, 1 - 2**-53))
+        crn, _ = parse_crn("X -> 0 ; k=1.9e289\n")
+        trace = simulate(crn, crn.config({"X": 9 * 10**18}), StopCondition(max_events=2),
+                         seed=0, checkpoint_times=[0.0])
         assert trace.events == [(0.0, 0), (0.0, 0)]
-        assert [(t, c.tolist()) for t, c in trace.checkpoints] == [(0.0, [2])]
+        assert [(t, c.tolist()) for t, c in trace.checkpoints] == [
+            (0.0, [8999999999999999999])]
+
+    def test_checkpoint_times_may_be_a_numpy_array(self):
+        # an array used to fail the truth test of an empty checkpoint list
+        crn, _ = parse_crn("X -> 0 ; k=1\n")
+        init, stop = crn.config({"X": 50}), StopCondition(t_max=2.0)
+        runs = [simulate(crn, init, stop, seed=7, checkpoint_times=cps)
+                for cps in ([1.0, 0.5], np.array([1.0, 0.5]))]
+        rows = [[(t, c.tolist()) for t, c in run.checkpoints] for run in runs]
+        assert rows[0] == rows[1] and [t for t, _ in rows[0]] == [0.5, 1.0]
+        files = [io.StringIO() for _ in runs]
+        for run, f in zip(runs, files):
+            run.checkpoints_to_csv(crn, f)
+        assert files[0].getvalue() == files[1].getvalue()
 
     def test_checkpoints_match_replay_on_random_networks(self):
         # checkpoints at 0, at every event time of a first run, between its
@@ -519,26 +555,36 @@ class TestSimulate:
     @pytest.mark.parametrize(
         "labels,rates,start,stop",
         [
-            (('a,"b"', "line\nbreak"), (1.0, 2.0), {"A": 5}, StopCondition(t_max=3.0)),
-            (("", None), (1.0, 2.0), {"A": 5}, StopCondition(t_max=3.0)),
             ((None, "back"), (1.0, 2.0), {"A": 60},
              StopCondition(max_events=2 * kinetics._CSV_CHUNK + 5)),
             ((None, None), (1.0, 2.0), {"A": 5}, StopCondition(max_events=0)),
             ((None, None), (1e-320, 2.0), {"A": 1}, StopCondition(max_events=1)),
         ],
-        ids=["quoted-labels", "empty-and-default-labels", "longer-than-a-chunk", "no-events",
-             "infinite-time"],
+        ids=["longer-than-a-chunk", "no-events", "infinite-time"],
     )
     def test_trace_csv_equals_row_by_row_writer(self, labels, rates, start, stop):
-        crn = Crn(SpeciesTable(("A", "B")), (
-            Reaction((1, 0), (0, 1), rates[0], labels[0]),
-            Reaction((0, 1), (1, 0), rates[1], labels[1]),
-        ))
+        crn = _swap_crn(labels, rates)
         trace = simulate(crn, crn.config(start), stop, seed=5)
         fast, slow = io.StringIO(), io.StringIO()
         trace.to_csv(crn, fast)
         row_by_row_to_csv(trace, crn, slow)
         assert fast.getvalue() == slow.getvalue()
+
+    @pytest.mark.parametrize("labels", [('a,"b"', "line\nbreak"), ("", None)],
+                             ids=["quoted-labels", "empty-and-default-labels"])
+    def test_trace_csv_refuses_labels_that_need_quoting(self, labels):
+        # a label the text format cannot hold is refused when the network
+        # is built, so no cell of a trace CSV needs quoting
+        with pytest.raises(ValueError, match="is not an identifier"):
+            _swap_crn(labels, (1.0, 2.0))
+
+
+def _swap_crn(labels, rates) -> Crn:
+    """A -> B and B -> A with the given labels and rate constants."""
+    return Crn(SpeciesTable(("A", "B")), (
+        Reaction((1, 0), (0, 1), rates[0], labels[0]),
+        Reaction((0, 1), (1, 0), rates[1], labels[1]),
+    ))
 
 
 def _no_events(*args, **kwargs):
@@ -880,6 +926,28 @@ class TestRunTrials:
             run_trials(crn, init, stop, 3, seed=0, volume=volume)
 
     @pytest.mark.parametrize(
+        "text,start,k",
+        [
+            ("X -> Y ; k=1e308\nX -> Z ; k=1e308\nY -> X\n", {"X": 3}, 1e308),
+            ("A + B -> C ; k=1e308\nA -> B\n", {"A": 10}, 1e308),
+            ("A + B -> C ; k=1e280\n", {"A": 1, "B": 1}, 1e280),
+        ],
+        ids=["unimolecular", "bimolecular", "second-count"],
+    )
+    def test_rate_that_can_overflow_the_total_is_refused(self, text, start, k, monkeypatch):
+        # an infinite total propensity made every wait 0, so Y -> X fired at
+        # Y = 0, and made the events of the second network land at time nan;
+        # k=1e280 times counts below 2**63 stays finite for one count, not two
+        crn, _ = parse_crn(text)
+        init, stop = crn.config(start), StopCondition(max_events=3)
+        _refuse_to_simulate(monkeypatch)
+        message = re.escape(f"rate constant {k!r} at volume 1.0 can take the total propensity")
+        with pytest.raises(DomainError, match=message):
+            simulate(crn, init, stop, seed=0, volume=1.0)
+        with pytest.raises(DomainError, match=message):
+            run_trials(crn, init, stop, 3, seed=0, volume=1.0)
+
+    @pytest.mark.parametrize(
         "stop",
         [
             StopCondition(species_appears=frozenset({"B"})),
@@ -998,11 +1066,11 @@ def _spy_kernels(monkeypatch) -> list:
     return kernels
 
 
-def _source(crn, budget=False) -> str:
+def _source(crn) -> str:
     """The kernel source of a ``t_max`` run of ``crn`` with no watch or count stop."""
     comp = _Compiled(crn, 1.0)
     return kinetics._kernel_source(tuple(row[1:] for row in comp.table), comp.deltas,
-                                   crn.n_species, (), None, True, budget)
+                                   crn.n_species, (), None, True)
 
 
 class TestKernel:
@@ -1060,7 +1128,7 @@ class TestKernel:
         for n in (40, 80):
             crn, _ = parse_crn("".join(f"X + Y{i} -> Y{i}\n" for i in range(n))
                                + "".join(f"U{i} -> V{i}\n" for i in range(3 * n)))
-            src = _source(crn, budget=True)
+            src = _source(crn)
             assert "a0 =" in src and f"a{n - 1} =" not in src
             assert [line.strip() for line in src.splitlines()[1:] if "max_events" in line] == [
                 "left = max_events - len(events)"]
@@ -1099,7 +1167,7 @@ class TestKernel:
     def test_source_leaves_linecache_with_its_kernel(self):
         crn, _ = parse_crn("X -> 0 ; k=1\n")
         comp = _Compiled(crn, 1.0)
-        shape = (tuple(row[1:] for row in comp.table), comp.deltas, 1, (), None, True, False)
+        shape = (tuple(row[1:] for row in comp.table), comp.deltas, 1, (), None, True)
         kernel = _KERNEL.__wrapped__(*shape)
         filename = kernel.__code__.co_filename
         assert filename in linecache.cache

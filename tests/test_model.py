@@ -1,3 +1,7 @@
+import dataclasses
+import string
+
+import numpy as np
 import pytest
 
 from crnsim.errors import DomainError, NotApplicableError, ParseError
@@ -133,12 +137,27 @@ class TestRoundtrip:
         assert format_crn(crn) == "# crn\n"
 
     def test_random_crns_roundtrip(self, rng):
+        # labels come from their own stream, so the networks stay as drawn
+        names = np.random.default_rng(135)
         for _ in range(100):
             crn = random_crn(rng, max_species=5, max_reactions=6)
+            crn = Crn(crn.species, tuple(
+                dataclasses.replace(rx, label=_random_identifier(names))
+                if names.random() < 0.7 else rx
+                for rx in crn.reactions
+            ))
             init = random_config(rng, crn, nonzero=False)
             crn2, init2 = parse_crn(format_crn(crn, init))
             assert crn2 == crn
             assert init2 == init
+
+
+def _random_identifier(rng) -> str:
+    """A random full match of the text format's identifier pattern."""
+    first = string.ascii_letters + "_"
+    rest = first + string.digits + "'"
+    return "".join([rng.choice(list(first)),
+                    *rng.choice(list(rest), size=int(rng.integers(0, 6)))])
 
 
 class TestOperations:
@@ -200,6 +219,23 @@ class TestOperations:
     def test_crn_rejects_noop_reaction(self):
         with pytest.raises(ValueError, match="no-op"):
             Crn(SpeciesTable(("A",)), (Reaction((1,), (1,)),))
+
+    @pytest.mark.parametrize("name", ["", "a b", 'a,"b"', "x\ny", "1x", "#c", 7, None],
+                             ids=["empty", "space", "comma-quote", "newline", "digit-first",
+                                  "comment", "int", "none"])
+    def test_names_and_labels_must_be_identifiers(self, name):
+        # format_crn wrote such a name or label as text parse_crn refused,
+        # and a CSV cell of it needed quoting
+        with pytest.raises(ValueError, match="is not an identifier"):
+            SpeciesTable(("A", name))
+        if name is not None:  # a label of None is the default label
+            with pytest.raises(ValueError, match="is not an identifier"):
+                Crn(SpeciesTable(("A", "B")), (Reaction((1, 0), (0, 1), 1.0, name),))
+
+    @pytest.mark.parametrize("name", ["X'", "_a1"])
+    def test_identifier_names_and_labels_are_accepted(self, name):
+        crn = Crn(SpeciesTable(("A", name)), (Reaction((1, 0), (0, 1), 1.0, name),))
+        assert parse_crn(format_crn(crn)) == (crn, None)
 
     def test_crn_rejects_bad_rate(self):
         with pytest.raises(ValueError, match="rate"):
