@@ -237,6 +237,23 @@ class TestPinnedReports:
         ]
         assert _stdout_digest(argvs, capsys) == "76338809913ba03d"
 
+    def test_bounds_text_and_json(self, capsys):
+        # every subcommand at a point with tail hits, each bare and validated
+        points = [
+            ["decay", "--N", "80", "--lam", "1", "--t", "0.5", "--delta", "0.5"],
+            ["poisson", "--lam", "10", "--n", "14", "--side", "upper"],
+            ["walk", "--f-hat", "10", "--r-hat", "5", "--t", "1", "--eps-hat", "0.5"],
+            ["reflecting", "--delta-f", "0.1", "--lambda-r", "1", "--delta-r", "0.025",
+             "--N", "100"],
+        ]
+        argvs = [
+            ["--format", fmt, "--seed", "6101", "bounds", *point, *validate]
+            for point in points
+            for validate in ([], ["--validate", "--trials", "10000"])
+            for fmt in ("text", "json")
+        ]
+        assert _stdout_digest(argvs, capsys) == "d9255c29cc5b270a"
+
     def test_compare_closure_json_reports_its_caps(self, capsys):
         # both searches truncate every scale, so only the caps tell them apart
         reports = []
