@@ -2,9 +2,11 @@
 
 Three auxiliary processes back the production-time analysis: exponential
 decay, a biased walk on the integers, and a reflecting walk whose pull
-toward zero grows with its height. Each has a closed-form tail bound
-(evaluated in log2 space); here we sample each process and check that a
-99% upper confidence limit on the empirical tail stays below the bound.
+toward zero grows with its height. Each has a closed-form tail bound,
+and one parameter class per bound checks a point once, evaluates its
+bound in log2 space (``log2_bound()``) and counts tail draws
+(``hits``); here we sample each process and check that a 99% upper
+confidence limit on the empirical tail stays below the bound.
 """
 
 from crnsim.bounds import (
@@ -12,9 +14,6 @@ from crnsim.bounds import (
     PoissonBoundParams,
     ReflectingBoundParams,
     WalkBoundParams,
-    log_bound_decay,
-    log_bound_reflecting,
-    log_bound_walk,
     monte_carlo_validate,
 )
 from crnsim.processes import (
@@ -42,9 +41,14 @@ def main():
 
     # closed-form bounds, log2 scale
     print("\nlog2 tail bounds:")
-    print("  decay   Pr[D(1) < 0.1*100]         <", f"2^{log_bound_decay(100, 1, 1, 0.1):.2f}")
-    print("  walk    Pr[U(1) < (1/3)*75]        <", f"2^{log_bound_walk(100, 25, 1, 2/3):.2f}")
-    print("  reflect Pr[max W < 0.05*1000]      <", f"2^{log_bound_reflecting(0.22, 1, 0.05, 1000):.2f}")
+    bounds = [
+        ("decay   Pr[D(1) < 0.1*100]   ", DecayBoundParams(N=100, lam=1, t=1, delta=0.1)),
+        ("walk    Pr[U(1) < (1/3)*75]  ", WalkBoundParams(f_hat=100, r_hat=25, t=1, eps_hat=2 / 3)),
+        ("reflect Pr[max W < 0.05*1000]",
+         ReflectingBoundParams(delta_f=0.22, lambda_r=1, delta_r=0.05, N=1000)),
+    ]
+    for event, params in bounds:
+        print(f"  {event}      < 2^{params.log2_bound():.2f}")
 
     # empirical dominance at 10^5 trials per point
     cases = [

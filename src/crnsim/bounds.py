@@ -1,7 +1,7 @@
 """Closed-form tail bounds, the staged-production constant calculus, and
 Monte Carlo dominance validation.
 
-Evaluators return base-2 logarithms of probability bounds:
+Each target's ``log2_bound()`` is the base-2 log of its probability bound:
 
 * decay:       Pr[D(t) < delta*N]           < (2*delta*e^(lam*t))^(delta*N-1)
 * poisson:     Pr[P(lam) >=/<= n]           <= e^(-lam) * (e*lam/n)^n
@@ -17,22 +17,20 @@ underflow any float almost immediately.
 ``monte_carlo_validate`` samples the matching process and checks that a
 99% Clopper-Pearson upper confidence limit on the empirical tail
 frequency stays below the analytic bound. ``TARGETS`` is the one table of
-validatable bounds: each entry holds the parameter dataclass, the log2
-evaluator and the tail hit counter, and the CLI builds its ``bounds``
-subcommands from it. The decay and walk parameter classes extend the
-``processes`` ones by the tail threshold alone, so their counters hand
-them to the sampler as they are. Counters sample only what decides the
-tail event: a reflecting draw stops at the first passage of its running
-maximum to the level ceil(delta_r*N), after which ``max W < delta_r*N``
-is settled.
+validatable bounds, and the CLI builds its ``bounds`` subcommands from
+it. It maps each target name to its parameter dataclass, which checks its
+point once, evaluates the bound (``log2_bound()``) and counts the draws in
+the tail (``hits(rng, size)``). The decay and walk classes extend the
+``processes`` ones by the tail threshold alone, so they are handed to the
+sampler as they are. Counters sample only what decides the tail event: a
+reflecting draw stops at the first passage of its running maximum to the
+level ceil(delta_r*N), after which ``max W < delta_r*N`` is settled.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
-from functools import partial
-from typing import Callable
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -55,62 +53,129 @@ def _check_finite(**values: float) -> None:
             raise DomainError(f"{name} must be finite, got {value}")
 
 
-def log_bound_decay(N: int, lam: float, t: float, delta: float) -> float:
-    """log2 of the decay tail bound (2*delta*e^(lam*t))^(delta*N - 1)."""
-    processes.DecayParams(N, lam, t)
-    if not 0 < delta < 1:
-        raise DomainError("delta must lie in (0, 1)")
-    log2_base = 1.0 + math.log2(delta) + lam * t * LOG2_E
-    return (delta * N - 1.0) * log2_base
+@dataclass(frozen=True)
+class DecayBoundParams(processes.DecayParams):
+    """Pr[D(t) < delta*N], with delta in (0, 1)."""
+
+    delta: float
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not 0 < self.delta < 1:
+            raise DomainError("delta must lie in (0, 1)")
+
+    def log2_bound(self) -> float:
+        """log2 of (2*delta*e^(lam*t))^(delta*N - 1)."""
+        log2_base = 1.0 + math.log2(self.delta) + self.lam * self.t * LOG2_E
+        return (self.delta * self.N - 1.0) * log2_base
+
+    def hits(self, rng: np.random.Generator, size: int) -> int:
+        vals = processes.sample_decay_batch(self, size, rng)
+        return int((vals < self.delta * self.N).sum())
 
 
-def log_bound_poisson(lam: float, n: float, side: str) -> float:
-    """log2 of e^(-lam) * (e*lam/n)^n.
+@dataclass(frozen=True)
+class PoissonBoundParams:
+    """Pr[P(lam) >= n] (``side`` "upper", needs n > lam) or Pr[P(lam) <= n]
+    (``side`` "lower", needs 0 < n < lam); ``side`` is stored lower-case."""
 
-    ``side`` is "upper" for the right tail Pr[P(lam) >= n] (needs n > lam)
-    or "lower" for the left tail Pr[P(lam) <= n] (needs 0 < n < lam).
-    """
-    _check_finite(lam=lam, n=n)
-    if not lam > 0:
-        raise DomainError("lam must be positive")
-    side = side.lower()
-    if side == "upper":
-        if not n > lam:
+    lam: float
+    n: float
+    side: str = field(metadata={"choices": ("upper", "lower")})
+
+    def __post_init__(self):
+        processes.python_numbers(self)
+        _check_finite(lam=self.lam, n=self.n)
+        if not self.lam > 0:
+            raise DomainError("lam must be positive")
+        object.__setattr__(self, "side", self.side.lower())
+        if self.side not in ("upper", "lower"):
+            raise DomainError(f"side must be 'upper' or 'lower', got {self.side!r}")
+        if self.side == "upper" and not self.n > self.lam:
             raise DomainError("upper tail requires n > lam")
-    elif side == "lower":
-        if not 0 < n < lam:
+        if self.side == "lower" and not 0 < self.n < self.lam:
             raise DomainError("lower tail requires 0 < n < lam")
-    else:
-        raise DomainError(f"side must be 'upper' or 'lower', got {side!r}")
-    return (-lam + n * (1.0 + math.log(lam) - math.log(n))) * LOG2_E
+
+    def log2_bound(self) -> float:
+        """log2 of e^(-lam) * (e*lam/n)^n."""
+        return (-self.lam + self.n * (1.0 + math.log(self.lam) - math.log(self.n))) * LOG2_E
+
+    def hits(self, rng: np.random.Generator, size: int) -> int:
+        vals = rng.poisson(self.lam, size)
+        tail = vals >= self.n if self.side == "upper" else vals <= self.n
+        return int(tail.sum())
 
 
-def log_bound_walk(f_hat: float, r_hat: float, t: float, eps_hat: float) -> float:
-    """log2 of 2*exp(-eps_hat^2 * (f_hat-r_hat)^2 * t / (8*f_hat))."""
-    processes.WalkParams(f_hat, r_hat, t)
-    if not f_hat > r_hat:
-        raise DomainError("requires f_hat > r_hat > 0")
-    if not 0 < eps_hat < math.inf:
-        raise DomainError(f"eps_hat must be finite and positive, got {eps_hat}")
-    exponent = eps_hat**2 * (f_hat - r_hat) ** 2 * t / (8.0 * f_hat)
-    return 1.0 - LOG2_E * exponent
+@dataclass(frozen=True)
+class WalkBoundParams(processes.WalkParams):
+    """Pr[U(t) < (1-eps_hat)(f_hat-r_hat)t], with f_hat > r_hat and eps_hat > 0."""
+
+    eps_hat: float
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not self.f_hat > self.r_hat:
+            raise DomainError("requires f_hat > r_hat > 0")
+        if not 0 < self.eps_hat < math.inf:
+            raise DomainError(f"eps_hat must be finite and positive, got {self.eps_hat}")
+
+    def log2_bound(self) -> float:
+        """log2 of 2*exp(-eps_hat^2 * (f_hat-r_hat)^2 * t / (8*f_hat))."""
+        exponent = self.eps_hat**2 * (self.f_hat - self.r_hat) ** 2 * self.t / (8.0 * self.f_hat)
+        return 1.0 - LOG2_E * exponent
+
+    def hits(self, rng: np.random.Generator, size: int) -> int:
+        thr = (1.0 - self.eps_hat) * (self.f_hat - self.r_hat) * self.t
+        vals = processes.sample_walk_z_batch(self, size, rng)
+        return int((vals < thr).sum())
 
 
-def log_bound_reflecting(delta_f: float, lambda_r: float, delta_r: float, N: int) -> float:
-    """log2 of 2^(-delta_f*N/22 + 1) after checking the lemma hypotheses."""
-    _check_finite(delta_f=delta_f, lambda_r=lambda_r, delta_r=delta_r)
-    check_integer(N, "N")
-    if not lambda_r >= 1:
-        raise HypothesisViolationError(f"requires lambda_r >= 1, got {lambda_r}")
-    if not (delta_f > 0 and delta_r > 0):
-        raise DomainError("delta_f and delta_r must be positive")
-    if not delta_r <= delta_f / (4.0 * lambda_r):
-        raise HypothesisViolationError(
-            f"requires delta_r <= delta_f/(4*lambda_r) = {delta_f / (4 * lambda_r)}, got {delta_r}"
-        )
-    if not N >= 6.0 / delta_f:
-        raise HypothesisViolationError(f"requires N >= 6/delta_f = {6.0 / delta_f}, got {N}")
-    return -delta_f * N / 22.0 + 1.0
+@dataclass(frozen=True)
+class ReflectingBoundParams:
+    """Pr[max W over [0,1] < delta_r*N], under the lemma's hypotheses."""
+
+    delta_f: float
+    lambda_r: float
+    delta_r: float
+    N: int
+
+    def __post_init__(self):
+        processes.python_numbers(self)
+        _check_finite(delta_f=self.delta_f, lambda_r=self.lambda_r, delta_r=self.delta_r)
+        object.__setattr__(self, "N", check_integer(self.N, "N"))
+        delta_f, lambda_r, delta_r, N = self.delta_f, self.lambda_r, self.delta_r, self.N
+        if not lambda_r >= 1:
+            raise HypothesisViolationError(f"requires lambda_r >= 1, got {lambda_r}")
+        if not (delta_f > 0 and delta_r > 0):
+            raise DomainError("delta_f and delta_r must be positive")
+        if not delta_r <= delta_f / (4.0 * lambda_r):
+            raise HypothesisViolationError(
+                f"requires delta_r <= delta_f/(4*lambda_r) = {delta_f / (4 * lambda_r)}, "
+                f"got {delta_r}"
+            )
+        if not N >= 6.0 / delta_f:
+            raise HypothesisViolationError(f"requires N >= 6/delta_f = {6.0 / delta_f}, got {N}")
+
+    def log2_bound(self) -> float:
+        """log2 of 2^(-delta_f*N/22 + 1)."""
+        return -self.delta_f * self.N / 22.0 + 1.0
+
+    def hits(self, rng: np.random.Generator, size: int) -> int:
+        # the reflecting bound is stated for the unit horizon. The running max
+        # is an integer, so it stays below thr exactly when the walk never
+        # reaches ceil(thr); a draw that gets there is out of the tail and stops.
+        proc = processes.ReflectingParams(self.N, self.delta_f, self.lambda_r, 1.0)
+        thr = self.delta_r * self.N
+        _, vmax = processes.sample_walk_reflecting_batch(proc, size, rng, stop_at=math.ceil(thr))
+        return int((vmax < thr).sum())
+
+
+TARGETS: dict[str, type] = {
+    "decay": DecayBoundParams,
+    "poisson": PoissonBoundParams,
+    "walk_z": WalkBoundParams,
+    "reflecting": ReflectingBoundParams,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -150,8 +215,7 @@ class TheoremConstants:
 
     def to_dict(self) -> dict:
         """Every field by name, tuples as lists; ``lam`` is keyed "lambda"."""
-        d = {f.name: getattr(self, f.name) for f in fields(self)}
-        d = {k: list(v) if isinstance(v, tuple) else v for k, v in d.items()}
+        d = {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()}
         d["lambda"] = d.pop("lam")
         d["n_thresholds"] = [
             {"description": desc, "log2_n_min": v} for desc, v in self.n_thresholds
@@ -183,7 +247,6 @@ def compute_theorem_constants(
         raise DomainError(
             "an initial configuration support is required to determine the stages"
         )
-    c_hat_input = c_hat
     if c_hat is None:
         status = finite_density_status(crn)
         if status.c_hat is None:
@@ -191,37 +254,40 @@ def compute_theorem_constants(
                 "count growth is unclassified for this network; pass c_hat explicitly"
             )
         c_hat = float(status.c_hat)
-        c_hat_input = c_hat
+    c_hat_input = c_hat
     if not 0 < c_hat < math.inf:
         raise DomainError("c_hat must be positive and finite")
 
-    K_hat = math.fsum(rx.rate_constant for rx in crn.reactions)
-    k_hat = min(rx.rate_constant for rx in crn.reactions)
-    c_hat_adj = max(c_hat, 1.0, 1.0 / K_hat)
-    lam = c_hat_adj * K_hat
-
-    stages = stage_decomposition(crn, init)
-    m = stages.m
+    m = stage_decomposition(crn, init).m
     size = crn.n_species
+    out_of_range = f"the theorem constants leave the float range for this network ({size} species)"
 
-    log2_c = 2.0 + lam * (m + 1) * LOG2_E
-    # ladder: log2 delta_{i+1} = 2*log2 delta_i + log2(k_hat/(16*lam*c))
-    step_term = math.log2(k_hat) - (4.0 + math.log2(lam) + log2_c)
-    ladder = [math.log2(alpha) - log2_c]
-    for _ in range(m):
-        ladder.append(2.0 * ladder[-1] + step_term)
+    try:  # math.fsum and the powers of two raise where the other steps reach inf
+        K_hat = math.fsum(rx.rate_constant for rx in crn.reactions)
+        k_hat = min(rx.rate_constant for rx in crn.reactions)
+        c_hat_adj = max(c_hat, 1.0, 1.0 / K_hat)
+        lam = c_hat_adj * K_hat
 
-    # closed-form floor: (alpha*k_hat/(16*lam*c^2))^(2^(size-1))
-    log2_base = math.log2(alpha) + math.log2(k_hat) - (4.0 + math.log2(lam) + 2.0 * log2_c)
-    log2_delta_m_lower = (2.0 ** (size - 1)) * log2_base
+        log2_c = 2.0 + lam * (m + 1) * LOG2_E
+        # ladder: log2 delta_{i+1} = 2*log2 delta_i + log2(k_hat/(16*lam*c))
+        step_term = math.log2(k_hat) - (4.0 + math.log2(lam) + log2_c)
+        ladder = [math.log2(alpha) - log2_c]
+        for _ in range(m):
+            ladder.append(2.0 * ladder[-1] + step_term)
 
-    # epsilon' = (k_hat/88) * (alpha*k_hat / (256*lam*e^(2*lam*size)))^(2^size)
-    log2_inner = (
-        math.log2(alpha)
-        + math.log2(k_hat)
-        - (8.0 + math.log2(lam) + 2.0 * lam * size * LOG2_E)
-    )
-    log2_epsilon_prime = math.log2(k_hat) - math.log2(88.0) + (2.0**size) * log2_inner
+        # closed-form floor: (alpha*k_hat/(16*lam*c^2))^(2^(size-1))
+        log2_base = math.log2(alpha) + math.log2(k_hat) - (4.0 + math.log2(lam) + 2.0 * log2_c)
+        log2_delta_m_lower = (2.0 ** (size - 1)) * log2_base
+
+        # epsilon' = (k_hat/88) * (alpha*k_hat / (256*lam*e^(2*lam*size)))^(2^size)
+        log2_inner = (
+            math.log2(alpha)
+            + math.log2(k_hat)
+            - (8.0 + math.log2(lam) + 2.0 * lam * size * LOG2_E)
+        )
+        log2_epsilon_prime = math.log2(k_hat) - math.log2(88.0) + (2.0**size) * log2_inner
+    except OverflowError:
+        raise DomainError(out_of_range) from None
     log2_epsilon = log2_epsilon_prime - 1.0
 
     thresholds = [
@@ -234,6 +300,9 @@ def compute_theorem_constants(
             math.log2(2.0 + 2.0 * math.log2(size)) - log2_epsilon_prime,
         )
     )
+    # finite thresholds imply a finite ladder, epsilon' and lambda
+    if not all(math.isfinite(v) for v in [log2_delta_m_lower, *(v for _, v in thresholds)]):
+        raise DomainError(out_of_range)
     warnings = (
         "the source derivation also states a large-n threshold equal to the "
         "delta_m floor itself, a quantity below 1 and therefore vacuous; its "
@@ -265,34 +334,6 @@ def compute_theorem_constants(
 
 # ---------------------------------------------------------------------------
 # Monte Carlo dominance validation
-
-
-@dataclass(frozen=True)
-class DecayBoundParams(processes.DecayParams):
-    delta: float
-
-
-@dataclass(frozen=True)
-class PoissonBoundParams:
-    lam: float
-    n: float
-    side: str = field(metadata={"choices": ("upper", "lower")})
-
-
-@dataclass(frozen=True)
-class WalkBoundParams(processes.WalkParams):
-    eps_hat: float
-
-
-@dataclass(frozen=True)
-class ReflectingBoundParams:
-    delta_f: float
-    lambda_r: float
-    delta_r: float
-    N: int
-
-    def __post_init__(self):
-        check_integer(self.N, "N")
 
 
 def clopper_pearson_upper(hits: int, trials: int) -> float:
@@ -332,62 +373,7 @@ class BoundReport:
 
     def to_dict(self) -> dict:
         """Every field by name, plus ``empirical_rate``."""
-        d = {f.name: getattr(self, f.name) for f in fields(self)}
-        d["empirical_rate"] = self.empirical_rate
-        return d
-
-
-def _decay_hits(params: DecayBoundParams, rng: np.random.Generator, size: int) -> int:
-    vals = processes.sample_decay_batch(params, size, rng)
-    return int((vals < params.delta * params.N).sum())
-
-
-def _poisson_hits(params: PoissonBoundParams, rng: np.random.Generator, size: int) -> int:
-    vals = rng.poisson(params.lam, size)
-    tail = vals >= params.n if params.side.lower() == "upper" else vals <= params.n
-    return int(tail.sum())
-
-
-def _walk_z_hits(params: WalkBoundParams, rng: np.random.Generator, size: int) -> int:
-    thr = (1.0 - params.eps_hat) * (params.f_hat - params.r_hat) * params.t
-    vals = processes.sample_walk_z_batch(params, size, rng)
-    return int((vals < thr).sum())
-
-
-def _reflecting_hits(params: ReflectingBoundParams, rng: np.random.Generator, size: int) -> int:
-    # the reflecting bound is stated for the unit horizon. The running max
-    # is an integer, so it stays below thr exactly when the walk never
-    # reaches ceil(thr); a draw that gets there is out of the tail and stops.
-    proc = processes.ReflectingParams(params.N, params.delta_f, params.lambda_r, 1.0)
-    thr = params.delta_r * params.N
-    _, vmax = processes.sample_walk_reflecting_batch(proc, size, rng, stop_at=math.ceil(thr))
-    return int((vmax < thr).sum())
-
-
-@dataclass(frozen=True)
-class BoundTarget:
-    """One validatable bound.
-
-    ``command`` names the CLI subcommand; ``params`` is the parameter
-    dataclass, whose field names are also the keyword arguments of the
-    ``log2_bound`` evaluator; ``hits(params, rng, size)`` draws ``size``
-    samples of the process and counts those in the bounded tail.
-    """
-
-    command: str
-    params: type
-    log2_bound: Callable[..., float]
-    hits: Callable[..., int]
-
-
-TARGETS: dict[str, BoundTarget] = {
-    "decay": BoundTarget("decay", DecayBoundParams, log_bound_decay, _decay_hits),
-    "poisson": BoundTarget("poisson", PoissonBoundParams, log_bound_poisson, _poisson_hits),
-    "walk_z": BoundTarget("walk", WalkBoundParams, log_bound_walk, _walk_z_hits),
-    "reflecting": BoundTarget(
-        "reflecting", ReflectingBoundParams, log_bound_reflecting, _reflecting_hits
-    ),
-}
+        return {**asdict(self), "empirical_rate": self.empirical_rate}
 
 
 def monte_carlo_validate(
@@ -405,19 +391,16 @@ def monte_carlo_validate(
     counts tail events exactly as the bound states them, and classifies
     the outcome per :class:`BoundReport`.
     """
-    check_integer(trials, "trials", 10_000)
+    trials = check_integer(trials, "trials", 10_000)
     target = target.lower()
-    entry = TARGETS.get(target)
-    if entry is None:
+    cls = TARGETS.get(target)
+    if cls is None:
         raise DomainError(f"unknown target {target!r}; expected one of {', '.join(TARGETS)}")
-    if not isinstance(params, entry.params):
-        raise DomainError(
-            f"target {target!r} takes {entry.params.__name__}, got {type(params).__name__}"
-        )
-    values = {f.name: getattr(params, f.name) for f in fields(params)}
-    log2_bound = entry.log2_bound(**values)
+    if not isinstance(params, cls):
+        raise DomainError(f"target {target!r} takes {cls.__name__}, got {type(params).__name__}")
+    log2_bound = params.log2_bound()
 
-    hits = int(sum(map_chunks(partial(entry.hits, params), trials, _CHUNK, seed, threads=threads)))
+    hits = int(sum(map_chunks(params.hits, trials, _CHUNK, seed, threads=threads)))
     upper = clopper_pearson_upper(hits, trials)
     vacuous = log2_bound >= 0.0
     bound_prob = 2.0**log2_bound if log2_bound < 1024 else math.inf
@@ -429,7 +412,7 @@ def monte_carlo_validate(
         verdict = "violated"
     return BoundReport(
         target=target,
-        params=values,
+        params=asdict(params),
         log2_bound=log2_bound,
         empirical_hits=hits,
         trials=trials,

@@ -7,7 +7,7 @@ initial configuration (None for a command without a file) and returns its
 report and text lines; it neither loads a file nor prints. ``main`` loads
 the network, runs the command and prints the report once, as text lines
 or, with --format json, as one JSON document. Exit codes: 0 success,
-1 domain error, 2 usage error. Identical arguments and seed always yield
+1 domain or file error, 2 usage error. Identical arguments and seed always yield
 byte-identical outputs: multi-trial commands draw one substream per chunk
 of trials and Monte Carlo validation one per chunk of draws, so --threads
 only caps parallelism. Bulk results go to CSV files (default directory
@@ -39,7 +39,13 @@ def _parse(kind, text: str, message: str):
 
 
 def _load_crn(args):
-    crn, init = model.parse_crn(Path(args.file).read_text(encoding="utf-8"))
+    try:
+        text = Path(args.file).read_text(encoding="utf-8")
+    except OSError as e:
+        raise CrnError(f"{args.file}: {e.strerror or e}") from None
+    except UnicodeDecodeError as e:
+        raise CrnError(f"{args.file}: {e}") from None
+    crn, init = model.parse_crn(text)
     if args.init:
         counts = {}
         for part in args.init.replace(",", " ").split():
@@ -58,10 +64,13 @@ def _write(args, name: str, write) -> Path:
     """Create --out-dir, open ``name`` in it, pass the file to ``write`` and
     return its path."""
     base = Path(args.out_dir)
-    base.mkdir(parents=True, exist_ok=True)
     path = base / name
-    with open(path, "w", newline="") as f:
-        write(f)
+    try:
+        base.mkdir(parents=True, exist_ok=True)
+        with open(path, "w", newline="") as f:
+            write(f)
+    except OSError as e:  # the file, or the directory when it cannot be made
+        raise CrnError(f"{e.filename or path}: {e.strerror or e}") from None
     return path
 
 
@@ -219,21 +228,15 @@ def _cmd_reachable(args, crn, init):
 
 
 def _cmd_bounds(args, crn, init):
-    target = bounds.TARGETS[args.bound]
-    values = {f.name: getattr(args, f.name) for f in dataclasses.fields(target.params)}
-    log2_bound = target.log2_bound(**values)
+    cls = bounds.TARGETS[args.bound]
+    params = cls(*(getattr(args, f.name) for f in dataclasses.fields(cls)))
+    log2_bound = params.log2_bound()
     vacuous = log2_bound >= 0
-    report = {
-        "process": args.process,
-        "log2_bound": log2_bound,
-        "vacuous": vacuous,
-    }
+    report = {"process": args.process, "log2_bound": log2_bound, "vacuous": vacuous}
     lines = [f"log2 bound = {log2_bound:.6g}" + (" (vacuous: bound >= 1)" if vacuous else "")]
     if args.validate:
-        rep = bounds.monte_carlo_validate(
-            args.bound, target.params(**values), trials=args.trials, seed=args.seed,
-            threads=args.threads,
-        )
+        rep = bounds.monte_carlo_validate(args.bound, params, trials=args.trials,
+                                          seed=args.seed, threads=args.threads)
         report["validation"] = rep.to_dict()
         lines.append(
             f"validation: {rep.verdict} (hits {rep.empirical_hits}/{rep.trials}, "
@@ -351,10 +354,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bounds", help="closed-form tail bounds, optionally validated")
     bsub = p.add_subparsers(dest="process", required=True)
 
-    for name, target in bounds.TARGETS.items():
-        bp = bsub.add_parser(target.command)
-        types = typing.get_type_hints(target.params)
-        for f in dataclasses.fields(target.params):
+    for name, cls in bounds.TARGETS.items():
+        bp = bsub.add_parser(name.removesuffix("_z"))  # the walk_z target is `bounds walk`
+        types = typing.get_type_hints(cls)
+        for f in dataclasses.fields(cls):
             bp.add_argument("--" + f.name.replace("_", "-"), type=types[f.name], required=True,
                             choices=f.metadata.get("choices"))
         bp.add_argument("--validate", action="store_true", help="Monte Carlo dominance check")
@@ -393,7 +396,7 @@ def main(argv=None) -> int:
         check_integer(args.threads, "threads")
         crn, init = _load_crn(args) if "file" in args else (None, None)
         report, lines = args.fn(args, crn, init)
-    except (CrnError, FileNotFoundError) as e:
+    except CrnError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     print(json.dumps(report, indent=2, sort_keys=True) if args.format == "json"

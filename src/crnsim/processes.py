@@ -23,13 +23,20 @@ know.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import DomainError, check_integer
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def python_numbers(params) -> None:
+    """Store each numpy scalar field of ``params`` as its ``.item()``, which JSON can write."""
+    for f in fields(params):
+        if isinstance(value := getattr(params, f.name), np.generic):
+            object.__setattr__(params, f.name, value.item())
 
 
 @dataclass(frozen=True)
@@ -42,7 +49,8 @@ class DecayParams:
     t: float
 
     def __post_init__(self):
-        check_integer(self.N, "N")
+        python_numbers(self)
+        object.__setattr__(self, "N", check_integer(self.N, "N"))
         if self.N > _INT64_MAX:  # numpy's binomial sampler takes N as a C long
             raise DomainError(f"N must be at most {_INT64_MAX}, got {self.N}")
         if not all(0 < x < math.inf for x in (self.lam, self.t)):
@@ -58,6 +66,7 @@ class WalkParams:
     t: float
 
     def __post_init__(self):
+        python_numbers(self)
         if not all(0 < x < math.inf for x in (self.f_hat, self.r_hat, self.t)):
             raise DomainError("f_hat, r_hat and t must be finite and positive")
 
@@ -73,7 +82,8 @@ class ReflectingParams:
     t: float
 
     def __post_init__(self):
-        check_integer(self.N, "N")
+        python_numbers(self)
+        object.__setattr__(self, "N", check_integer(self.N, "N"))
         if not all(0 < x < math.inf for x in (self.delta_f, self.lambda_r, self.t)):
             raise DomainError("delta_f, lambda_r and t must be finite and positive")
 

@@ -21,10 +21,6 @@ from crnsim.bounds import (
     ReflectingBoundParams,
     WalkBoundParams,
     compute_theorem_constants,
-    log_bound_decay,
-    log_bound_poisson,
-    log_bound_reflecting,
-    log_bound_walk,
     monte_carlo_validate,
 )
 from crnsim.harness import (
@@ -137,9 +133,9 @@ def _decay_grid():
                 continue
             for target in (-2.0, -6.0, -11.0):
                 n = max(2, round((target / base + 1.0) / delta))
-                lb = log_bound_decay(n, 1.0, t, delta)
-                if BOUND_WINDOW[0] <= lb <= BOUND_WINDOW[1]:
-                    pts.append(DecayBoundParams(n, 1.0, t, delta))
+                p = DecayBoundParams(n, 1.0, t, delta)
+                if BOUND_WINDOW[0] <= p.log2_bound() <= BOUND_WINDOW[1]:
+                    pts.append(p)
     return pts
 
 
@@ -147,13 +143,13 @@ def _poisson_grid():
     pts = []
     for lam in (5.0, 10.0, 20.0, 40.0):
         for gamma in (1.3, 1.6, 2.0, 2.6):
-            lb = log_bound_poisson(lam, gamma * lam, "upper")
-            if BOUND_WINDOW[0] <= lb <= BOUND_WINDOW[1]:
-                pts.append(PoissonBoundParams(lam, gamma * lam, "upper"))
+            p = PoissonBoundParams(lam, gamma * lam, "upper")
+            if BOUND_WINDOW[0] <= p.log2_bound() <= BOUND_WINDOW[1]:
+                pts.append(p)
         for gamma in (0.3, 0.5, 0.6):
-            lb = log_bound_poisson(lam, gamma * lam, "lower")
-            if BOUND_WINDOW[0] <= lb <= BOUND_WINDOW[1]:
-                pts.append(PoissonBoundParams(lam, gamma * lam, "lower"))
+            p = PoissonBoundParams(lam, gamma * lam, "lower")
+            if BOUND_WINDOW[0] <= p.log2_bound() <= BOUND_WINDOW[1]:
+                pts.append(p)
     return pts
 
 
@@ -164,9 +160,9 @@ def _walk_grid():
     for f, r, eps in combos:
         for target_exp in (2.0, 5.0, 8.0):
             t = 8.0 * f * target_exp / (eps**2 * (f - r) ** 2)
-            lb = log_bound_walk(f, r, t, eps)
-            if BOUND_WINDOW[0] <= lb <= BOUND_WINDOW[1]:
-                pts.append(WalkBoundParams(f, r, t, eps))
+            p = WalkBoundParams(f, r, t, eps)
+            if BOUND_WINDOW[0] <= p.log2_bound() <= BOUND_WINDOW[1]:
+                pts.append(p)
     return pts
 
 
@@ -181,9 +177,9 @@ def _reflecting_grid():
     ]
     for lambda_r, delta_f, delta_r, ns in families:
         for n in ns:
-            lb = log_bound_reflecting(delta_f, lambda_r, delta_r, n)
-            if BOUND_WINDOW[0] <= lb <= BOUND_WINDOW[1]:
-                pts.append(ReflectingBoundParams(delta_f, lambda_r, delta_r, n))
+            p = ReflectingBoundParams(delta_f, lambda_r, delta_r, n)
+            if BOUND_WINDOW[0] <= p.log2_bound() <= BOUND_WINDOW[1]:
+                pts.append(p)
     return pts
 
 

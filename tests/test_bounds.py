@@ -13,10 +13,6 @@ from crnsim.bounds import (
     WalkBoundParams,
     clopper_pearson_upper,
     compute_theorem_constants,
-    log_bound_decay,
-    log_bound_poisson,
-    log_bound_reflecting,
-    log_bound_walk,
     monte_carlo_validate,
 )
 from crnsim.errors import DomainError, HypothesisViolationError
@@ -29,36 +25,36 @@ from conftest import random_config, random_crn
 class TestDecayBound:
     def test_worked_value(self):
         # (delta*N - 1) * log2(2*delta*e^(lam*t)) at N=100, lam=t=1, delta=0.1
-        assert log_bound_decay(100, 1.0, 1.0, 0.1) == pytest.approx(
-            9 * math.log2(0.2 * math.e), rel=1e-12
-        )
-        assert log_bound_decay(100, 1.0, 1.0, 0.1) == pytest.approx(-7.9130974859, rel=1e-9)
+        got = DecayBoundParams(100, 1.0, 1.0, 0.1).log2_bound()
+        assert got == pytest.approx(9 * math.log2(0.2 * math.e), rel=1e-12)
+        assert got == pytest.approx(-7.9130974859, rel=1e-9)
 
     def test_vacuous_when_base_exceeds_one(self):
-        assert log_bound_decay(100, 1.0, 1.0, 0.5) > 0
+        assert DecayBoundParams(100, 1.0, 1.0, 0.5).log2_bound() > 0
 
     def test_strictly_decreasing_in_n(self):
-        vals = [log_bound_decay(n, 1.0, 1.0, 0.1) for n in (50, 100, 200, 400)]
+        vals = [DecayBoundParams(n, 1.0, 1.0, 0.1).log2_bound() for n in (50, 100, 200, 400)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            log_bound_decay(0, 1.0, 1.0, 0.1)
+            DecayBoundParams(0, 1.0, 1.0, 0.1).log2_bound()
         with pytest.raises(DomainError):
-            log_bound_decay(10, 1.0, 1.0, 1.0)
+            DecayBoundParams(10, 1.0, 1.0, 1.0).log2_bound()
 
 
 class TestPoissonBound:
     def test_worked_value_upper(self):
         # e^(-10) * (e/2)^20 in log2
         expect = (-10 + 20 * (1 - math.log(2.0))) / math.log(2.0)
-        assert log_bound_poisson(10.0, 20.0, "upper") == pytest.approx(expect, rel=1e-12)
-        assert log_bound_poisson(10.0, 20.0, "upper") == pytest.approx(-5.5730495911, rel=1e-9)
+        got = PoissonBoundParams(10.0, 20.0, "upper").log2_bound()
+        assert got == pytest.approx(expect, rel=1e-12)
+        assert got == pytest.approx(-5.5730495911, rel=1e-9)
 
     def test_degenerates_at_the_mean(self):
         for eps in (1e-3, 1e-6):
-            assert abs(log_bound_poisson(10.0, 10.0 * (1 + eps), "upper")) < 1e-3
-            assert abs(log_bound_poisson(10.0, 10.0 * (1 - eps), "lower")) < 1e-3
+            assert abs(PoissonBoundParams(10.0, 10.0 * (1 + eps), "upper").log2_bound()) < 1e-3
+            assert abs(PoissonBoundParams(10.0, 10.0 * (1 - eps), "lower").log2_bound()) < 1e-3
 
     def test_gamma_form_identity(self):
         # e^(-lam) (e lam/n)^n with n = gamma*lam equals (e^(1-1/gamma)/gamma)^(gamma*lam)
@@ -66,87 +62,88 @@ class TestPoissonBound:
         for _ in range(50):
             lam = float(rng.uniform(0.5, 50.0))
             gamma = float(rng.uniform(1.05, 4.0))
-            direct = log_bound_poisson(lam, gamma * lam, "upper")
+            direct = PoissonBoundParams(lam, gamma * lam, "upper").log2_bound()
             gamma_form = gamma * lam * math.log2(math.exp(1 - 1 / gamma) / gamma)
             assert direct == pytest.approx(gamma_form, rel=1e-12, abs=1e-12)
             gamma = float(rng.uniform(0.2, 0.95))
-            direct = log_bound_poisson(lam, gamma * lam, "lower")
+            direct = PoissonBoundParams(lam, gamma * lam, "lower").log2_bound()
             gamma_form = gamma * lam * math.log2(math.exp(1 - 1 / gamma) / gamma)
             assert direct == pytest.approx(gamma_form, rel=1e-12, abs=1e-12)
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            log_bound_poisson(10.0, 5.0, "upper")
+            PoissonBoundParams(10.0, 5.0, "upper").log2_bound()
         with pytest.raises(DomainError):
-            log_bound_poisson(10.0, 15.0, "lower")
+            PoissonBoundParams(10.0, 15.0, "lower").log2_bound()
         with pytest.raises(DomainError):
-            log_bound_poisson(10.0, 15.0, "sideways")
+            PoissonBoundParams(10.0, 15.0, "sideways").log2_bound()
 
 
 class TestWalkBound:
     def test_worked_values(self):
-        assert log_bound_walk(2.0, 1.0, 8.0, 1.0) == pytest.approx(
+        assert WalkBoundParams(2.0, 1.0, 8.0, 1.0).log2_bound() == pytest.approx(
             1 - 0.5 * math.log2(math.e), rel=1e-12
         )
-        assert log_bound_walk(100.0, 25.0, 1.0, 2.0 / 3.0) == pytest.approx(
+        assert WalkBoundParams(100.0, 25.0, 1.0, 2.0 / 3.0).log2_bound() == pytest.approx(
             -3.5084220028, rel=1e-9
         )
 
     def test_linear_in_t(self):
-        base = log_bound_walk(10.0, 5.0, 1.0, 0.5)
-        scaled = log_bound_walk(10.0, 5.0, 4.0, 0.5)
+        base = WalkBoundParams(10.0, 5.0, 1.0, 0.5).log2_bound()
+        scaled = WalkBoundParams(10.0, 5.0, 4.0, 0.5).log2_bound()
         assert scaled - 1 == pytest.approx(4 * (base - 1), rel=1e-12)
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            log_bound_walk(1.0, 2.0, 1.0, 0.5)
+            WalkBoundParams(1.0, 2.0, 1.0, 0.5).log2_bound()
 
 
 class TestReflectingBound:
     def test_worked_value(self):
-        assert log_bound_reflecting(0.22, 1.0, 0.05, 1000) == -9.0
+        assert ReflectingBoundParams(0.22, 1.0, 0.05, 1000).log2_bound() == -9.0
 
     def test_vacuous_at_small_scale(self):
-        assert log_bound_reflecting(0.22, 1.0, 0.05, 100) == 0.0
+        assert ReflectingBoundParams(0.22, 1.0, 0.05, 100).log2_bound() == 0.0
 
     def test_hypothesis_violations_are_named(self):
         with pytest.raises(HypothesisViolationError, match="lambda_r"):
-            log_bound_reflecting(0.22, 0.5, 0.05, 1000)
+            ReflectingBoundParams(0.22, 0.5, 0.05, 1000).log2_bound()
         with pytest.raises(HypothesisViolationError, match="delta_r"):
-            log_bound_reflecting(0.22, 1.0, 0.06, 1000)
+            ReflectingBoundParams(0.22, 1.0, 0.06, 1000).log2_bound()
         with pytest.raises(HypothesisViolationError, match="6/delta_f"):
-            log_bound_reflecting(0.22, 1.0, 0.05, 20)
+            ReflectingBoundParams(0.22, 1.0, 0.05, 20).log2_bound()
 
     @pytest.mark.parametrize("N", [1000.5, 1000.0, 0, math.inf, math.nan])
     def test_non_integer_N_is_refused(self, N):
-        # log_bound_reflecting(0.22, 1.0, 0.05, 1000.5) returned -9.005, and
-        # the params class built with N=500.5
+        # N=1000.5 gave a bound of 2^-9.005, and the params class built with
+        # N=500.5
         with pytest.raises(DomainError, match="N must be an integer"):
-            log_bound_reflecting(0.22, 1.0, 0.05, N)
-        with pytest.raises(DomainError, match="N must be an integer"):
-            ReflectingBoundParams(0.2, 1.0, 0.05, N)
+            ReflectingBoundParams(0.22, 1.0, 0.05, N)
 
     def test_numpy_integer_N_accepted(self):
-        assert log_bound_reflecting(0.22, 1.0, 0.05, np.int64(1000)) == -9.0
+        assert ReflectingBoundParams(0.22, 1.0, 0.05, np.int64(1000)).log2_bound() == -9.0
         assert ReflectingBoundParams(0.2, 1.0, 0.05, np.int64(500)).N == 500
 
 
 @pytest.mark.parametrize(
-    "evaluator, args",
+    "cls, args",
     [
-        (log_bound_decay, (100, math.inf, 1.0, 0.1)),
-        (log_bound_decay, (100, 1.0, math.nan, 0.1)),
-        (log_bound_poisson, (math.inf, 3.0, "lower")),
-        (log_bound_poisson, (10.0, math.inf, "upper")),
-        (log_bound_walk, (2.0, 1.0, math.inf, 0.5)),
-        (log_bound_walk, (math.inf, 1.0, 1.0, 0.5)),
-        (log_bound_reflecting, (0.22, math.inf, 0.05, 1000)),
-        (log_bound_reflecting, (math.nan, 1.0, 0.05, 1000)),
+        (DecayBoundParams, (100, math.inf, 1.0, 0.1)),
+        (DecayBoundParams, (100, 1.0, math.nan, 0.1)),
+        (PoissonBoundParams, (math.inf, 3.0, "lower")),
+        (PoissonBoundParams, (10.0, math.inf, "upper")),
+        (WalkBoundParams, (2.0, 1.0, math.inf, 0.5)),
+        (WalkBoundParams, (math.inf, 1.0, 1.0, 0.5)),
+        (ReflectingBoundParams, (0.22, math.inf, 0.05, 1000)),
+        (ReflectingBoundParams, (math.nan, 1.0, 0.05, 1000)),
     ],
+    # each id names the log2 bound whose point is refused
+    ids=[f"log_bound_{name}-args{i}" for i, name in enumerate(
+        ["decay", "decay", "poisson", "poisson", "walk", "walk", "reflecting", "reflecting"])],
 )
-def test_non_finite_parameters_refused(evaluator, args):
+def test_non_finite_parameters_refused(cls, args):
     with pytest.raises(DomainError, match="must be finite"):
-        evaluator(*args)
+        cls(*args)
 
 
 class TestPrecision:
@@ -161,7 +158,7 @@ class TestPrecision:
             lam = float(rng.uniform(0.1, 3.0))
             t = float(rng.uniform(0.1, 3.0))
             delta = float(rng.uniform(0.01, 0.45))
-            got = log_bound_decay(N, lam, t, delta)
+            got = DecayBoundParams(N, lam, t, delta).log2_bound()
             hp = float(
                 (mpmath.mpf(delta) * N - 1)
                 * mpmath.log(2 * mpmath.mpf(delta) * mpmath.e ** (mpmath.mpf(lam) * t), 2)
@@ -169,7 +166,7 @@ class TestPrecision:
             assert got == pytest.approx(hp, rel=1e-9, abs=1e-9)
 
             gamma = float(rng.uniform(1.1, 5.0))
-            got = log_bound_poisson(lam * 10, gamma * lam * 10, "upper")
+            got = PoissonBoundParams(lam * 10, gamma * lam * 10, "upper").log2_bound()
             lam_mp = mpmath.mpf(lam) * 10
             n_mp = gamma * lam_mp
             hp = float(mpmath.log(mpmath.e ** (-lam_mp) * (mpmath.e * lam_mp / n_mp) ** n_mp, 2))
@@ -178,7 +175,7 @@ class TestPrecision:
             f = float(rng.uniform(2.0, 100.0))
             r = f * float(rng.uniform(0.1, 0.9))
             eps = float(rng.uniform(0.1, 1.5))
-            got = log_bound_walk(f, r, t, eps)
+            got = WalkBoundParams(f, r, t, eps).log2_bound()
             hp = float(
                 1
                 - mpmath.log(mpmath.e, 2)
@@ -262,6 +259,25 @@ class TestTheoremConstants:
                 assert l2d > (2.0**i) * base
 
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # 2^1022 times the floor's negative base leaves the float range,
+            # and 2^1029 overflows on its own
+            "species: " + " ".join(f"S{i}" for i in range(1023)) + "\nS0 -> S1\n",
+            "species: " + " ".join(f"S{i}" for i in range(1030)) + "\nS0 -> S1\n",
+            "X -> Y ; k=1e308\nY -> X ; k=1e308\n",  # the rate sum overflows
+        ],
+        ids=["1023-species", "1030-species", "rate-sum"],
+    )
+    def test_constants_beyond_the_float_range_refused(self, text):
+        # the first printed -Infinity, the other two died with an OverflowError
+        crn, _ = parse_crn(text)
+        init = crn.config({crn.species.names[0]: 10})
+        with pytest.raises(DomainError, match="leave the float range"):
+            compute_theorem_constants(crn, init, alpha=0.5, c_hat=1.0)
+
+
 class TestMonteCarlo:
     def test_vacuous_decay_bound_dominates(self):
         rep = monte_carlo_validate(
@@ -330,6 +346,32 @@ class TestMonteCarlo:
         rep = monte_carlo_validate(target, params, trials=10_000, seed=6101)
         blob = json.dumps(rep.to_dict(), sort_keys=True).encode()
         assert hashlib.sha256(blob).hexdigest()[:16] == digest
+
+    @pytest.mark.parametrize(
+        "target, numpy_params, python_params",
+        [
+            ("decay", lambda: DecayBoundParams(np.int64(80), 1.0, 0.5, 0.5),
+             lambda: DecayBoundParams(80, 1.0, 0.5, 0.5)),
+            ("poisson", lambda: PoissonBoundParams(10.0, np.int64(14), "upper"),
+             lambda: PoissonBoundParams(10.0, 14, "upper")),
+            ("walk_z", lambda: WalkBoundParams(np.float32(10.0), 5.0, 1.0, np.float64(0.5)),
+             lambda: WalkBoundParams(10.0, 5.0, 1.0, 0.5)),
+            ("reflecting", lambda: ReflectingBoundParams(0.2, 1.0, 0.05, np.int64(500)),
+             lambda: ReflectingBoundParams(0.2, 1.0, 0.05, 500)),
+        ],
+        ids=["decay", "poisson", "walk_z", "reflecting"],
+    )
+    def test_report_from_numpy_scalars_is_json(self, target, numpy_params, python_params):
+        # json.dumps raised "Object of type int64 is not JSON serializable"
+        a = monte_carlo_validate(target, numpy_params(), trials=np.int64(10_000), seed=7)
+        b = monte_carlo_validate(target, python_params(), trials=10_000, seed=7)
+        assert json.dumps(a.to_dict(), sort_keys=True) == json.dumps(b.to_dict(), sort_keys=True)
+
+    def test_fields_are_stored_as_python_numbers(self):
+        assert type(DecayBoundParams(np.int64(80), 1.0, 0.5, 0.5).N) is int
+        assert type(ReflectingBoundParams(0.2, 1.0, 0.05, np.int64(500)).N) is int
+        p = PoissonBoundParams(np.float32(10.0), 14, "UPPER")
+        assert (type(p.lam), type(p.n), p.side) == (float, int, "upper")
 
     def test_trial_floor_enforced(self):
         with pytest.raises(DomainError):

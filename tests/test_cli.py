@@ -523,6 +523,41 @@ class TestErrorPaths:
     def test_missing_file_exits_1(self, capsys):
         assert main(["validate", "does-not-exist.crn"]) == 1
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["validate", "{dir}"], "{dir}: Is a directory"),
+            (["validate", "{latin1}"], "{latin1}: 'utf-8' codec can't decode byte 0xe9"),
+            (["--out-dir", "{file}", "demo", "leader", "--n", "10", "--trials", "5"],
+             "{file}: File exists"),
+        ],
+        ids=["directory", "not-utf8", "out-dir-is-a-file"],
+    )
+    def test_file_errors_exit_1_naming_the_path(self, argv, message, tmp_path, capsys):
+        # each ended in a traceback: IsADirectoryError, UnicodeDecodeError
+        # and FileExistsError
+        latin1 = tmp_path / "latin1.crn"
+        latin1.write_bytes("X -> Y\n# caf\u00e9\n".encode("latin-1"))
+        (tmp_path / "file").write_text("")
+        paths = {"dir": tmp_path, "latin1": latin1, "file": tmp_path / "file"}
+        assert main([a.format(**paths) for a in argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message.format(**paths)}") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("n_species", [1023, 1030])
+    def test_constants_beyond_the_float_range_exit_1(self, n_species, tmp_path, capsys):
+        # 1023 species printed -Infinity for log2_epsilon and 1030 died with
+        # an OverflowError traceback
+        p = tmp_path / "wide.crn"
+        species = " ".join(f"S{i}" for i in range(n_species))
+        p.write_text(f"species: {species}\nS0 -> S1\ninit: S0 = 10\n")
+        argv = ["--format", "json", "constants", str(p), "--alpha", "0.5", "--c-hat", "1"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: the theorem constants leave the float range for this network "
+            f"({n_species} species)\n"
+        )
+
     def test_unsupported_order_via_simulate(self, tmp_path, capsys):
         p = tmp_path / "ter.crn"
         p.write_text("A + 2B -> A + 3C\ninit: A = 1\ninit: B = 2\n")

@@ -75,14 +75,20 @@ def test_closure_vs_oracle_searches_through_the_probed_attribute(monkeypatch):
     assert len(calls) == 3
 
 
-def test_every_benchmark_workload_builds():
+def test_every_benchmark_workload_builds(tmp_path):
     # workloads call public signatures positionally, e.g.
     # ReflectingBoundParams(0.1, 1.0, 0.025, 1000); a change to one would
-    # otherwise break only when the benchmark runs
+    # otherwise break only when the benchmark runs, as a failed run or a
+    # failed output check
     workloads = _load_bench("workloads")
     for name in workloads.WORKLOADS:
         wl, _, _ = workloads.prepare(name, ROOT, 5, "tiny")
         assert wl.name == name
+        out_dir = tmp_path / name
+        out_dir.mkdir()
+        b = wl.batch(out_dir)
+        assert b.errors == []
+        assert [label for label, ok in wl.checks(b) if not ok] == []
 
 
 def test_benchmark_tracer_reads_run_core_results():
