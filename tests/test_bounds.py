@@ -78,6 +78,12 @@ class TestPoissonBound:
         with pytest.raises(DomainError):
             PoissonBoundParams(10.0, 15.0, "sideways").log2_bound()
 
+    @pytest.mark.parametrize("side", [None, 3])
+    def test_non_string_side_refused(self, side):
+        # raised AttributeError from side.lower()
+        with pytest.raises(DomainError, match=f"side must be 'upper' or 'lower', got {side}"):
+            PoissonBoundParams(10.0, 14.0, side)
+
 
 class TestWalkBound:
     def test_worked_values(self):
@@ -426,3 +432,26 @@ def test_clopper_pearson_known_values():
     assert clopper_pearson_upper(0, n) == pytest.approx(1 - 0.01 ** (1 / n), rel=1e-9)
     assert clopper_pearson_upper(n, n) == 1.0
     assert 0.5 < clopper_pearson_upper(500, 1000) < 0.55
+
+
+@pytest.mark.parametrize(
+    "hits,trials",
+    [(-1, 100), (101, 100), (3.5, 100), (True, 10), (0, 0), (5, 100.0)],
+    ids=["negative", "above-trials", "float-hits", "bool-hits", "no-trials", "float-trials"],
+)
+def test_clopper_pearson_refuses_invalid_counts(hits, trials):
+    # these returned nan, 1.0, 0.104 and 0.504 instead of raising
+    with pytest.raises(DomainError):
+        clopper_pearson_upper(hits, trials)
+
+
+@pytest.mark.parametrize("n", [10**4, 10**5 + 1, 10**6, 10**9])
+def test_clopper_pearson_equals_scipy_stats_beta_ppf(n):
+    # The pinned bounds reports (test_report_matches_pinned_digest and
+    # test_cli.py's TestPinnedReports::test_bounds_text_and_json) hold only
+    # while this equality does: the limit comes from scipy.special, and the
+    # reports were pinned when it came from scipy.stats.beta.ppf.
+    rng = np.random.default_rng(22)
+    grid = [*range(200), *range(n - 200, n), *(int(h) for h in rng.integers(0, n, 200))]
+    for h in grid:
+        assert clopper_pearson_upper(h, n) == float(scipy_stats.beta.ppf(0.99, h + 1, n - h)), h

@@ -740,3 +740,29 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     # a fresh interpreter: this test session has imported scipy.stats already
     code = "import sys, crnsim.cli; sys.exit('scipy.stats' in sys.modules)"
     assert _fresh_interpreter(["-c", code]).returncode == 0
+
+
+_VALIDATE_ALL_TARGETS = """
+import sys
+from crnsim import bounds, cli
+points = {
+    "decay": bounds.DecayBoundParams(80, 1.0, 0.5, 0.1),
+    "poisson": bounds.PoissonBoundParams(10.0, 14.0, "upper"),
+    "walk_z": bounds.WalkBoundParams(10.0, 5.0, 1.0, 0.5),
+    "reflecting": bounds.ReflectingBoundParams(0.1, 1.0, 0.025, 100),
+}
+assert points.keys() == bounds.TARGETS.keys()
+for target, params in points.items():
+    bounds.monte_carlo_validate(target, params, trials=10_000, seed=1)
+argv = ["bounds", "decay", "--N", "80", "--lam", "1", "--t", "0.5", "--delta", "0.1",
+        "--validate", "--trials", "10000"]
+assert cli.main(argv) == 0
+sys.exit('scipy.stats' in sys.modules)
+"""
+
+
+def test_validation_leaves_scipy_stats_unloaded():
+    # every target's Monte Carlo check and a CLI --validate run, in a fresh
+    # interpreter: the confidence limit needs scipy.special only
+    proc = _fresh_interpreter(["-c", _VALIDATE_ALL_TARGETS], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
