@@ -56,6 +56,12 @@ def _check_finite(**values: float) -> None:
             raise DomainError(f"{name} must be finite, got {value}")
 
 
+def _check_bound(params, target: str) -> None:
+    """Refuse a point whose ``log2_bound()`` is not finite: JSON cannot write it."""
+    if not math.isfinite(params.log2_bound()):
+        raise DomainError(f"the {target} bound leaves the float range at this point")
+
+
 @dataclass(frozen=True)
 class DecayBoundParams(processes.DecayParams):
     """Pr[D(t) < delta*N], with delta in (0, 1)."""
@@ -66,6 +72,7 @@ class DecayBoundParams(processes.DecayParams):
         super().__post_init__()
         if not 0 < self.delta < 1:
             raise DomainError("delta must lie in (0, 1)")
+        _check_bound(self, "decay")
 
     def log2_bound(self) -> float:
         """log2 of (2*delta*e^(lam*t))^(delta*N - 1)."""
@@ -99,6 +106,7 @@ class PoissonBoundParams:
             raise DomainError("upper tail requires n > lam")
         if self.side == "lower" and not 0 < self.n < self.lam:
             raise DomainError("lower tail requires 0 < n < lam")
+        _check_bound(self, "poisson")
 
     def log2_bound(self) -> float:
         """log2 of e^(-lam) * (e*lam/n)^n."""
@@ -122,10 +130,13 @@ class WalkBoundParams(processes.WalkParams):
             raise DomainError("requires f_hat > r_hat > 0")
         if not 0 < self.eps_hat < math.inf:
             raise DomainError(f"eps_hat must be finite and positive, got {self.eps_hat}")
+        _check_bound(self, "walk_z")
 
     def log2_bound(self) -> float:
         """log2 of 2*exp(-eps_hat^2 * (f_hat-r_hat)^2 * t / (8*f_hat))."""
-        exponent = self.eps_hat**2 * (self.f_hat - self.r_hat) ** 2 * self.t / (8.0 * self.f_hat)
+        # products, not **, which raises OverflowError where a product reaches inf
+        eps, gap = self.eps_hat, self.f_hat - self.r_hat
+        exponent = (eps * eps) * (gap * gap) * self.t / (8.0 * self.f_hat)
         return 1.0 - LOG2_E * exponent
 
     def hits(self, rng: np.random.Generator, size: int) -> int:
@@ -159,6 +170,7 @@ class ReflectingBoundParams:
             )
         if not N >= 6.0 / delta_f:
             raise HypothesisViolationError(f"requires N >= 6/delta_f = {6.0 / delta_f}, got {N}")
+        _check_bound(self, "reflecting")
 
     def log2_bound(self) -> float:
         """log2 of 2^(-delta_f*N/22 + 1)."""

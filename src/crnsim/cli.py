@@ -10,14 +10,17 @@ or, with --format json, as one JSON document. Exit codes: 0 success,
 1 domain or file error, 2 usage error. Identical arguments and seed always yield
 byte-identical outputs: multi-trial commands draw one substream per chunk
 of trials and Monte Carlo validation one per chunk of draws, so --threads
-only caps parallelism. Bulk results go to CSV files (default directory
-"." or $CRNSIM_OUTDIR).
+only caps parallelism. Bulk results go to CSV files in --out-dir, which
+defaults to $CRNSIM_OUTDIR, else ".". ``main`` builds its parser once per
+process, on its first call (importing this module builds none), and reads
+$CRNSIM_OUTDIR on each call.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -53,7 +56,10 @@ def _load_crn(args):
                 raise CrnError(f"bad --init entry {part!r}; expected NAME=COUNT")
             name, _, value = part.partition("=")
             count = _parse(int, value, f"bad --init count {value!r} for {name!r}")
-            counts[name.strip()] = check_integer(count, f"--init count of {name.strip()}", 0)
+            name = name.strip()
+            if name in counts:
+                raise CrnError(f"duplicate species {name!r} in --init")
+            counts[name] = check_integer(count, f"--init count of {name}", 0)
         init = crn.config(counts)
     if args.require_init and init is None:
         raise CrnError(f"{args.file} declares no init: lines; pass --init \"NAME=COUNT ...\"")
@@ -294,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--threads", type=int, default=1,
                         help="parallelism cap; never changes results")
     parser.add_argument("--format", choices=["text", "json"], default="text")
-    parser.add_argument("--out-dir", default=os.environ.get("CRNSIM_OUTDIR", "."),
+    parser.add_argument("--out-dir", default=None,
                         help="directory for bulk outputs (default $CRNSIM_OUTDIR or .)")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -386,12 +392,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses: built on the first call, then reused."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         return 0 if e.code in (0, None) else 2
+    if args.out_dir is None:  # read on every call, so a later change takes effect
+        args.out_dir = os.environ.get("CRNSIM_OUTDIR", ".")
     try:
         check_integer(args.threads, "threads")
         crn, init = _load_crn(args) if "file" in args else (None, None)

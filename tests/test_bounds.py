@@ -152,6 +152,23 @@ def test_non_finite_parameters_refused(cls, args):
         cls(*args)
 
 
+@pytest.mark.parametrize(
+    "cls, args, target",
+    [
+        (WalkBoundParams, (1e300, 1.0, 1e300, 0.5), "walk_z"),  # raised OverflowError
+        (WalkBoundParams, (1e300, 1.0, 1e300, 1e-200), "walk_z"),  # 0 * inf: nan
+        (DecayBoundParams, (10**9, 1e300, 1e300, 0.5), "decay"),
+        (PoissonBoundParams, (1e300, 1.7e308, "upper"), "poisson"),
+        (ReflectingBoundParams, (1e300, 1.0, 0.5, 10**9), "reflecting"),
+    ],
+    ids=["walk-overflow", "walk-nan", "decay", "poisson", "reflecting"],
+)
+def test_bound_outside_the_float_range_refused(cls, args, target):
+    # finite fields whose log2 bound is inf, -inf or nan, which JSON cannot write
+    with pytest.raises(DomainError, match=f"the {target} bound leaves the float range"):
+        cls(*args)
+
+
 class TestPrecision:
     def test_evaluators_stable_at_higher_precision(self):
         # recompute with 80-bit mantissas; float64 results agree to 1e-9

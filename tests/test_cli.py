@@ -690,6 +690,28 @@ class TestErrorPaths:
         assert main(argv) == 1
         assert capsys.readouterr().err == f"error: N must be at most {2**63 - 1}, got {2**63}\n"
 
+    @pytest.mark.parametrize(
+        "argv, target",
+        [
+            (["bounds", "walk", "--f-hat", "1e300", "--r-hat", "1", "--t", "1e300",
+              "--eps-hat", "0.5"], "walk_z"),
+            (["--format", "json", "bounds", "decay", "--N", "1000000000", "--lam", "1e300",
+              "--t", "1e300", "--delta", "0.5", "--validate", "--trials", "10000"], "decay"),
+            (["--format", "json", "bounds", "poisson", "--lam", "1e300", "--n", "1.7e308",
+              "--side", "upper"], "poisson"),
+            (["--format", "json", "bounds", "reflecting", "--delta-f", "1e300",
+              "--lambda-r", "1", "--delta-r", "0.5", "--N", "1000000000"], "reflecting"),
+        ],
+        ids=["walk", "decay", "poisson", "reflecting"],
+    )
+    def test_bound_outside_the_float_range_exits_1(self, argv, target, capsys):
+        # walk ended in an OverflowError traceback; the others printed a
+        # log2_bound of Infinity or -Infinity, which is not JSON, and decay
+        # validated to "dominates"
+        assert main(argv) == 1
+        message = f"the {target} bound leaves the float range at this point"
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
     def test_constants_without_init(self, tmp_path, capsys):
         p = tmp_path / "noinit.crn"
         p.write_text("X -> Y\n")
@@ -708,6 +730,13 @@ class TestErrorPaths:
     def test_bad_init_spec(self, convert_file, capsys):
         assert main(["analyze", convert_file, "--init", "X:5"]) == 1
         assert main(["analyze", convert_file, "--init", "Q=5"]) == 1
+
+    @pytest.mark.parametrize("init", ["X=1 X=2", "X=1,X=1"])
+    def test_repeated_init_name_exits_1(self, init, capsys):
+        # "X=1 X=2" kept the last count and reported init total 2; a file
+        # that repeats a species in its init refuses it
+        assert main(["validate", str(DEMO_CRN / "convert.crn"), "--init", init]) == 1
+        assert capsys.readouterr() == ("", "error: duplicate species 'X' in --init\n")
 
     def test_bad_stop_count(self, convert_file, tmp_path, capsys):
         rc = main(
@@ -766,3 +795,76 @@ def test_validation_leaves_scipy_stats_unloaded():
     # interpreter: the confidence limit needs scipy.special only
     proc = _fresh_interpreter(["-c", _VALIDATE_ALL_TARGETS], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+_PARSER_ONCE = """
+import argparse, contextlib, io, json, os, sys
+
+built = 0
+init = argparse.ArgumentParser.__init__
+
+
+def counting_init(self, *args, **kwargs):
+    global built
+    built += 1
+    init(self, *args, **kwargs)
+
+
+argparse.ArgumentParser.__init__ = counting_init
+from crnsim import cli
+
+
+def run(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    return [code, out.getvalue()]
+
+
+counts = {"import": built}
+net, out_a, out_b = sys.argv[1:]
+run(["validate", net])
+counts["first"] = built
+for _ in range(4):
+    run(["validate", net])
+counts["five"] = built
+runs = [run(["bounds", "poisson", "--lam", "1", "--n", "3", "--side", "UPPER"]), run(["--help"])]
+os.environ["CRNSIM_OUTDIR"] = out_a
+runs.append(run(["simulate", net, "--t-max", "0.1"]))
+landed = [os.listdir(out_a), os.path.exists(out_b)]
+os.environ["CRNSIM_OUTDIR"] = out_b
+runs.append(run(["simulate", net, "--t-max", "0.1"]))
+landed.append(os.listdir(out_b))
+runs.append(run(["--format", "json", "analyze", net]))
+print(json.dumps({"counts": counts, "runs": runs, "landed": landed}))
+"""
+
+
+def test_main_builds_its_parser_once(convert_file, tmp_path, monkeypatch):
+    # a fresh interpreter counts every ArgumentParser built, from the import on
+    out_a, out_b = str(tmp_path / "A"), str(tmp_path / "B")
+    proc = _fresh_interpreter(["-c", _PARSER_ONCE, convert_file, out_a, out_b],
+                              capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    counts = got["counts"]
+    assert counts["import"] == 0 and counts["first"] > 0
+    assert counts["five"] == counts["first"]
+    # each trace lands where $CRNSIM_OUTDIR pointed when its call began
+    assert got["landed"] == [["trace.csv"], False, ["trace.csv"]]
+    # exit codes and stdout equal those of a fresh process per call
+    argvs = [
+        (["bounds", "poisson", "--lam", "1", "--n", "3", "--side", "UPPER"], None),
+        (["--help"], None),
+        (["simulate", convert_file, "--t-max", "0.1"], out_a),
+        (["simulate", convert_file, "--t-max", "0.1"], out_b),
+        (["--format", "json", "analyze", convert_file], None),
+    ]
+    want = []
+    for argv, out_dir in argvs:
+        if out_dir is not None:
+            monkeypatch.setenv("CRNSIM_OUTDIR", out_dir)
+        proc = _run_cli(argv)
+        want.append([proc.returncode, proc.stdout])
+    assert [code for code, _ in want] == [2, 0, 0, 0, 0]
+    assert got["runs"] == want
