@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 from collections import deque
 from fractions import Fraction
@@ -264,6 +265,29 @@ class TestMassConservation:
                         m * p for m, p in zip(cert.mass, rx.products)
                     )
         assert feasible > 0  # the generator does produce conserving networks
+
+    def test_certificates_match_pinned_digest(self):
+        # sha256 of the JSON certificate of 400 random networks, taken with
+        # the Fraction tableau. Any valid certificate verifies, so this pin is
+        # what fixes the pivot sequence: a change of entering variable, ratio
+        # test or tie-break moves the printed masses. Reactions with an empty
+        # side are redrawn, since they alone make a network infeasible
+        rng = np.random.default_rng(20261020)
+        h = hashlib.sha256()
+        seen = {"infeasible": 0, "unit": 0, "weighted": 0}
+        for _ in range(400):
+            while True:
+                crn = random_crn(rng, max_species=6, max_reactions=8, max_side_total=3)
+                if all(any(rx.reactants) and any(rx.products) for rx in crn.reactions):
+                    break
+            d = check_mass_conserving(crn).to_dict(crn)
+            h.update(json.dumps(d, sort_keys=True).encode())
+            seen["infeasible" if not d["exists"] else "unit" if d["ratio"] == "1"
+                 else "weighted"] += 1
+        assert seen == {"infeasible": 250, "unit": 60, "weighted": 90}
+        assert h.hexdigest() == (
+            "79ddf5409728aabdc577e33f5631f67bd5bc489399e5105a92784e6c06bf3906"
+        )
 
 
 class TestFiniteDensityStatus:
