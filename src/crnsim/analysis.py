@@ -11,14 +11,14 @@ Covers four questions about a network that need no simulation:
 * the exact set of producible species for small instances, by capped
   breadth-first search over the reachability relation.
 
-Density and mass certificates use exact rational arithmetic throughout;
-floating point never decides a feasibility question here.
+Density and mass certificates use exact arithmetic throughout (the
+certificate simplex pivots a tableau of integers); floating point never
+decides a feasibility question here.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -169,12 +169,25 @@ class ConservationCertificate:
         }
 
 
-def _simplex_feasible(rows: list[list[Fraction]], rhs: list[Fraction]):
-    """Phase-1 simplex over exact rationals.
+def _primitive(row: list[int]) -> list[int]:
+    """``row`` divided by the gcd of its entries (a positive factor)."""
+    g = math.gcd(*row)
+    return [x // g for x in row] if g > 1 else row
 
-    Finds u >= 0 with rows * u = rhs, or returns None when infeasible.
-    Bland's rule keeps the pivot sequence finite; all arithmetic is exact,
-    so degenerate systems cannot be mislabeled.
+
+def _simplex_feasible(rows: list[list[int]], rhs: list[int]):
+    """Phase-1 simplex over an integer tableau.
+
+    Finds u >= 0 with rows * u = rhs, or returns None when infeasible;
+    each component of u is a ``Fraction``. Every tableau row and the
+    reduced-cost row are Python ints, each the rational row times its own
+    unstated positive factor (fraction-free pivoting, Bareiss 1968). Such
+    a factor changes no sign and no ratio of two entries of one row, so
+    Bland's rule (Bland 1977) enters, leaves and breaks ties exactly as on
+    rationals, and degenerate systems cannot be mislabeled. A pivot on
+    entry ``p = prow[k] > 0`` replaces each other row by ``row * p -
+    row[k] * prow``, divided by the gcd of its entries to keep the ints
+    small.
     """
     m = len(rows)
     n = len(rows[0]) if m else 0
@@ -182,52 +195,49 @@ def _simplex_feasible(rows: list[list[Fraction]], rhs: list[Fraction]):
     # variable per row and minimize the sum of artificials
     tab = []
     for i in range(m):
-        row = list(rows[i])
-        b = rhs[i]
+        row, b = rows[i], rhs[i]
         if b < 0:
-            row = [-x for x in row]
-            b = -b
-        tab.append(row + [Fraction(0)] * m + [b])
-        tab[i][n + i] = Fraction(1)
-    basis = [n + i for i in range(m)]
+            row, b = [-x for x in row], -b
+        art = [0] * m
+        art[i] = 1
+        tab.append([*row, *art, b])
+    basis = list(range(n, n + m))
     # reduced costs for cost vector (0,...,0 | 1,...,1), artificials basic
-    red = [-sum(tab[i][j] for i in range(m)) for j in range(n)]
-    red += [Fraction(0)] * m
-    value = sum(tab[i][-1] for i in range(m))
+    red = [-sum(col) for col in zip(*tab)][:n] + [0] * m
 
     while True:
-        enter = next((j for j in range(n + m) if red[j] < 0), None)
+        enter = next((j for j, r in enumerate(red) if r < 0), None)
         if enter is None:
             break
-        best = None
-        for i in range(m):
-            a = tab[i][enter]
+        # ratio test: b_i / a_i < b_l / a_l iff b_i * a_l < b_l * a_i, as
+        # both a are positive; a tie goes to the smaller basis index
+        leave = None
+        for i, row in enumerate(tab):
+            a = row[enter]
             if a > 0:
-                ratio = tab[i][-1] / a
-                if best is None or ratio < best[0] or (ratio == best[0] and basis[i] < basis[best[1]]):
-                    best = (ratio, i)
-        if best is None:
+                b = row[-1]
+                if leave is None or b * a_l < b_l * a or (
+                        b * a_l == b_l * a and basis[i] < basis[leave]):
+                    leave, a_l, b_l = i, a, b
+        if leave is None:
             raise AssertionError("phase-1 objective cannot be unbounded")
-        _, leave = best
-        piv = tab[leave][enter]
-        tab[leave] = [x / piv for x in tab[leave]]
-        for i in range(m):
-            if i != leave and tab[i][enter] != 0:
-                f = tab[i][enter]
-                tab[i] = [a - f * b for a, b in zip(tab[i], tab[leave])]
+        prow = tab[leave]
+        p = prow[enter]
+        for i, row in enumerate(tab):
+            f = row[enter]
+            if f and i != leave:
+                tab[i] = _primitive([x * p - f * y for x, y in zip(row, prow)])
         f = red[enter]
-        if f != 0:
-            value += f * tab[leave][-1]
-            for j in range(n + m):
-                red[j] -= f * tab[leave][j]
+        red = _primitive([x * p - f * y for x, y in zip(red, prow)])
         basis[leave] = enter
 
-    if value != 0:  # leftover artificial mass: the system is infeasible
+    # the artificials sum to zero iff none that is still basic is nonzero
+    if any(var >= n and row[-1] for var, row in zip(basis, tab)):
         return None
     u = [Fraction(0)] * n
-    for i, var in enumerate(basis):
+    for var, row in zip(basis, tab):
         if var < n:
-            u[var] = tab[i][-1]
+            u[var] = Fraction(row[-1], row[var])
     return u
 
 
@@ -238,18 +248,13 @@ def check_mass_conserving(crn: Crn) -> ConservationCertificate:
     n = crn.n_species
     if n == 0:
         return ConservationCertificate(())
-    rows = []
-    rhs = []
-    for rx in crn.reactions:
-        row = [Fraction(rx.products[i] - rx.reactants[i]) for i in range(n)]
-        # substitute mass = 1 + u with u >= 0:  row . u = -row . 1
-        rows.append(row)
-        rhs.append(-sum(row, Fraction(0)))
+    rows = [[p - r for r, p in zip(rx.reactants, rx.products)] for rx in crn.reactions]
     if rows:
-        u = _simplex_feasible(rows, rhs)
+        # substitute mass = 1 + u with u >= 0:  row . u = -row . 1
+        u = _simplex_feasible(rows, [-sum(row) for row in rows])
         if u is None:
             return ConservationCertificate(None)
-        mass = [Fraction(1) + x for x in u]
+        mass = [1 + x for x in u]
     else:
         mass = [Fraction(1)] * n
     low = min(mass)
@@ -362,13 +367,15 @@ def reachable_set(
 ) -> ReachabilityReport:
     """Breadth-first search of the reachability relation from ``init``.
 
-    Configurations are visited first in, first out; from each one the
-    reactions are tried in table order. That order decides which
-    configurations a truncated search keeps. The search stops cleanly
-    (truncated=True) once ``max_configs`` distinct configurations have
-    been visited; a successor with some count above ``max_count`` is
-    skipped and also marks the search truncated. Both caps must be
-    integers of at least 1.
+    Configurations are visited first in, first out: the search walks a
+    list and appends each new configuration to it, so the list is both the
+    queue and, at the end, every visited configuration in visiting order.
+    From each configuration the reactions are tried in table order. That
+    order decides which configurations a truncated search keeps. The
+    search stops cleanly (truncated=True) when a new configuration is met
+    after ``max_configs`` have been visited; a successor with some count
+    above ``max_count`` is skipped and also marks the search truncated.
+    Both caps must be integers of at least 1.
 
     Each configuration is one ``int`` (see ``_Packing``) whose species
     fields are ``w = (max(max_count, largest initial count) + largest
@@ -377,7 +384,8 @@ def reachable_set(
     bit. A reaction is then three int operations on all species at once:
     ``rest = cur - need``; it is enabled iff every guard survives,
     ``rest & guards == guards``, since a count below its need borrows only
-    from its own guard; and its successor is ``succ = rest + gain``. Some
+    from its own guard; and its successor is ``succ = cur + delta``, with
+    the net change ``delta = gain - need`` packed once per reaction. Some
     count of ``succ`` exceeds ``max_count`` iff ``((succ & ~guards) + over)
     & guards`` is nonzero, with ``guard - 1 - max_count`` in every field of
     ``over``. Python ints have no width limit, so any cap and species
@@ -397,40 +405,45 @@ def reachable_set(
     # guard + v - (max_count + 1), which keeps its guard iff v > max_count
     # and never borrows, since max_count < guard
     lift = packing.spread(max_count + 1)
-    # per reaction: what it consumes and what it produces
-    moves = [(packing.change(rx.reactants), packing.change(rx.products), j)
-             for j, rx in enumerate(crn.reactions)]
+    # per reaction: what it consumes and its net change
+    moves = []
+    for j, rx in enumerate(crn.reactions):
+        need = packing.change(rx.reactants)
+        moves.append((need, packing.change(rx.products) - need, j))
 
     first = packing.pack(start)
     visited = {first}
-    queue = deque([first])
-    fired = set()  # reactions that added a configuration
+    queue = [first]  # every visited configuration, in visiting order
+    left = max_configs - 1  # configurations that may still be added
+    fired = [False] * len(moves)  # reactions that added a configuration
     truncated = False
-    while queue:
-        cur = queue.popleft()
-        for need, gain, j in moves:
-            rest = cur - need
-            if rest & guards != guards:
+    for cur in queue:  # the loop also reaches the configurations appended
+        for need, delta, j in moves:
+            if (cur - need) & guards != guards:
                 continue
-            succ = rest + gain
+            succ = cur + delta
             if succ in visited:
                 continue
             if (succ - lift) & guards:
                 truncated = True
                 continue
-            if len(visited) >= max_configs:
+            if not left:
                 truncated = True
-                queue.clear()
                 break
+            left -= 1
             visited.add(succ)
             queue.append(succ)
-            fired.add(j)
+            fired[j] = True
+        else:
+            continue
+        break  # the configuration cap was reached
     # a species is positive in some visited configuration iff it starts
     # positive or a reaction that added a configuration grows it
     producible = set(support(init))
-    for j in fired:
-        producible.update(i for i in range(crn.n_species) if crn.reactions[j].produces(i))
-    return ReachabilityReport(frozenset(producible), len(visited), truncated, max_configs, max_count)
+    for hit, rx in zip(fired, crn.reactions):
+        if hit:
+            producible.update(i for i in range(crn.n_species) if rx.produces(i))
+    return ReachabilityReport(frozenset(producible), len(queue), truncated, max_configs, max_count)
 
 
 @dataclass(frozen=True)
