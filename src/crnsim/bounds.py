@@ -113,6 +113,7 @@ class PoissonBoundParams:
         return (-self.lam + self.n * (1.0 + math.log(self.lam) - math.log(self.n))) * LOG2_E
 
     def hits(self, rng: np.random.Generator, size: int) -> int:
+        processes.check_poisson_rate(self.lam, "lam")
         vals = rng.poisson(self.lam, size)
         tail = vals >= self.n if self.side == "upper" else vals <= self.n
         return int(tail.sum())

@@ -30,6 +30,18 @@ import numpy as np
 from .errors import DomainError, check_integer
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
+# numpy's Poisson sampler refuses a mean above the int64 maximum less ten
+# of its square roots, since draws must fit an int64
+POISSON_RATE_MAX = float(_INT64_MAX) - math.sqrt(_INT64_MAX) * 10
+
+
+def check_poisson_rate(rate: float, name: str) -> None:
+    """Refuse a Poisson mean that numpy's sampler cannot draw from, before any draw."""
+    if rate > POISSON_RATE_MAX:
+        raise DomainError(
+            f"the Poisson rate {name} = {rate:.6g} exceeds the sampler's limit of "
+            f"{POISSON_RATE_MAX:.6g}"
+        )
 
 
 def python_numbers(params) -> None:
@@ -103,8 +115,11 @@ def sample_walk_z_batch(p: WalkParams, size: int, rng: np.random.Generator) -> n
 
     Both rates are state-independent, so the counts of forward and
     reverse events over [0, t] are independent Poisson variables with
-    means f_hat*t and r_hat*t; the walk value is their difference.
+    means f_hat*t and r_hat*t; the walk value is their difference. A mean
+    above ``POISSON_RATE_MAX`` raises ``DomainError``.
     """
+    check_poisson_rate(p.f_hat * p.t, "f_hat*t")
+    check_poisson_rate(p.r_hat * p.t, "r_hat*t")
     fwd = rng.poisson(p.f_hat * p.t, size).astype(np.int64)
     rev = rng.poisson(p.r_hat * p.t, size).astype(np.int64)
     return fwd - rev

@@ -324,6 +324,19 @@ class TestMonteCarlo:
         assert rep.verdict == "dominates"
         assert rep.upper_confidence <= 2.0**rep.log2_bound
 
+    @pytest.mark.parametrize(
+        "target, params, rate",
+        [
+            ("walk_z", WalkBoundParams(1e10, 1.0, 1e10, 0.5), "f_hat\\*t"),
+            ("poisson", PoissonBoundParams(1e19, 2e19, "upper"), "lam"),
+        ],
+        ids=["walk_z", "poisson"],
+    )
+    def test_rate_beyond_the_poisson_sampler_refused(self, target, params, rate):
+        # the bound is finite, but numpy cannot draw a Poisson mean above 9.2e18
+        with pytest.raises(DomainError, match=f"Poisson rate {rate} = .* exceeds"):
+            monte_carlo_validate(target, params, trials=10_000, threads=2)
+
     def test_poisson_empirical_rate_matches_exact_tail(self):
         lam, n = 10.0, 14
         rep = monte_carlo_validate(

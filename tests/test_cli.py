@@ -712,6 +712,25 @@ class TestErrorPaths:
         message = f"the {target} bound leaves the float range at this point"
         assert capsys.readouterr() == ("", f"error: {message}\n")
 
+    @pytest.mark.parametrize(
+        "argv, rate",
+        [
+            (["bounds", "walk", "--f-hat", "1e10", "--r-hat", "1", "--t", "1e10",
+              "--eps-hat", "0.5"], "f_hat*t = 1e+20"),
+            (["bounds", "poisson", "--lam", "1e19", "--n", "2e19", "--side", "upper"],
+             "lam = 1e+19"),
+        ],
+        ids=["walk", "poisson"],
+    )
+    def test_poisson_rate_beyond_the_sampler_exits_1(self, argv, rate, capsys):
+        # numpy's Poisson sampler refuses a mean above 9.2e18: validation
+        # ended in a "ValueError: lam value too large" traceback
+        assert main(argv) == 0
+        assert capsys.readouterr().out.startswith("log2 bound = ")
+        assert main([*argv, "--validate", "--trials", "10000"]) == 1
+        assert capsys.readouterr() == (
+            "", f"error: the Poisson rate {rate} exceeds the sampler's limit of 9.22337e+18\n")
+
     def test_constants_without_init(self, tmp_path, capsys):
         p = tmp_path / "noinit.crn"
         p.write_text("X -> Y\n")

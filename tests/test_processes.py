@@ -8,6 +8,7 @@ from crnsim.errors import DomainError
 from crnsim.kinetics import StopCondition, simulate
 from crnsim.model import parse_crn
 from crnsim.processes import (
+    POISSON_RATE_MAX,
     DecayParams,
     ReflectingParams,
     WalkParams,
@@ -200,6 +201,21 @@ class TestWalkZ:
     def test_single_draw(self):
         vals = sample_walk_z_batch(WalkParams(1.0, 1.0, 1.0), 1, substream(3))
         assert vals.shape == (1,) and isinstance(vals.tolist()[0], int)
+
+    def test_rate_limit_is_numpys(self):
+        # the largest mean numpy's Poisson sampler takes, and the next float
+        rng = substream(4)
+        assert rng.poisson(POISSON_RATE_MAX, 1).shape == (1,)
+        with pytest.raises(ValueError, match="lam value too large"):
+            rng.poisson(np.nextafter(POISSON_RATE_MAX, math.inf), 1)
+
+    @pytest.mark.parametrize("f, r", [(1e10, 1.0), (1.0, 1e10)], ids=["forward", "reverse"])
+    def test_rate_beyond_the_sampler_refused_before_any_draw(self, f, r):
+        rng = substream(5)
+        before = rng.bit_generator.state
+        with pytest.raises(DomainError, match="exceeds the sampler's limit of 9.22337e"):
+            sample_walk_z_batch(WalkParams(f, r, 1e10), 10, rng)
+        assert rng.bit_generator.state == before
 
 
 class TestReflecting:
