@@ -291,6 +291,22 @@ class TestMassConservation:
             "79ddf5409728aabdc577e33f5631f67bd5bc489399e5105a92784e6c06bf3906"
         )
 
+    def test_numpy_integer_coefficients_give_the_python_int_certificate(self):
+        # coefficients near 2e14 whose tableau products leave int64: numpy
+        # integers overflowed in the Fraction tableau as well
+        big = 3**30
+
+        def network(c):
+            return Crn(SpeciesTable(("A", "B", "C")), (
+                Reaction((c(big), c(0), c(0)), (c(0), c(big + 1), c(0))),
+                Reaction((c(0), c(big - 1), c(0)), (c(0), c(0), c(big + 2))),
+            ))
+
+        want = check_mass_conserving(network(int))
+        assert want.mass == (Fraction(big + 1, big) * Fraction(big + 2, big - 1),
+                             Fraction(big + 2, big - 1), 1)
+        assert check_mass_conserving(network(np.int64)) == want
+
     def test_simplex_solutions_match_pinned_digest(self):
         # sha256 of the phase-1 solutions of 20 000 random systems, taken
         # with the Fraction tableau. In a few of them the ratio test ties
