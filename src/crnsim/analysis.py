@@ -203,7 +203,7 @@ def _simplex_feasible(rows: list[list[int]], rhs: list[int]):
         tab.append([*row, *art, b])
     basis = list(range(n, n + m))
     # reduced costs for cost vector (0,...,0 | 1,...,1), artificials basic
-    red = [-sum(col) for col in zip(*tab)][:n] + [0] * m
+    red = [-sum(row[j] for row in tab) for j in range(n)] + [0] * m
 
     while True:
         enter = next((j for j, r in enumerate(red) if r < 0), None)
