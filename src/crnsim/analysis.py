@@ -248,9 +248,8 @@ def check_mass_conserving(crn: Crn) -> ConservationCertificate:
     n = crn.n_species
     if n == 0:
         return ConservationCertificate(())
-    # int() keeps the tableau in Python ints, which cannot overflow, even
-    # for coefficients given as numpy integers
-    rows = [[int(p - r) for r, p in zip(rx.reactants, rx.products)] for rx in crn.reactions]
+    # Python ints, which cannot overflow: Reaction keeps its coefficients so
+    rows = [[p - r for r, p in zip(rx.reactants, rx.products)] for rx in crn.reactions]
     if rows:
         # substitute mass = 1 + u with u >= 0:  row . u = -row . 1
         u = _simplex_feasible(rows, [-sum(row) for row in rows])

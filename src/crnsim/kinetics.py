@@ -794,10 +794,11 @@ def run_trials(
     count: 0 when present initially, NaN when it never appeared. The
     trials of each chunk of ``_TRIAL_CHUNK`` run in lockstep through
     ``parallel.map_chunks``, so chunk c draws from
-    ``substream(seed, *stream_key, c)`` and results do not depend on the
-    thread count. A one-trial run ends where ``simulate(...,
-    stream_key=(*stream_key, 0))`` does. The volume defaults to the total
-    initial count.
+    ``substream(seed, *stream_key, c)`` and results do not depend on
+    ``threads``. On Linux the chunks run on up to min(threads, usable
+    CPUs) worker processes, elsewhere on threads. A one-trial run ends
+    where ``simulate(..., stream_key=(*stream_key, 0))`` does. The volume
+    defaults to the total initial count.
     """
     check_integer(trials, "trials")
     _, comp, counts, loop_args = _prepare(crn, init, stop, volume)

@@ -27,7 +27,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, NotApplicableError, ParseError, UnknownSpeciesError
+from .errors import (
+    DomainError,
+    NotApplicableError,
+    ParseError,
+    UnknownSpeciesError,
+    check_integer,
+)
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
 _INT_RE = re.compile(r"\d+")
@@ -80,13 +86,23 @@ class Reaction:
     """One reaction: reactant and product count vectors plus a rate constant.
 
     The vectors are tuples of nonnegative ints indexed by species id and
-    must span the full species table of the owning network.
+    must span the full species table of the owning network. Any sequence
+    of integers, numpy integers included, is taken and kept as a tuple of
+    Python ints; any other coefficient (a float, a bool, a negative number)
+    is refused with ``DomainError``.
     """
 
     reactants: tuple[int, ...]
     products: tuple[int, ...]
     rate_constant: float = 1.0
     label: str | None = None
+
+    def __post_init__(self):
+        for side in ("reactants", "products"):
+            coefs = getattr(self, side)
+            if type(coefs) is not tuple or not all(type(c) is int and c >= 0 for c in coefs):
+                coefs = tuple(check_integer(c, f"a coefficient of the {side}", 0) for c in coefs)
+                object.__setattr__(self, side, coefs)
 
     @property
     def order(self) -> int:
@@ -163,8 +179,6 @@ class Crn:
         for i, rx in enumerate(self.reactions):
             if len(rx.reactants) != n or len(rx.products) != n:
                 raise ValueError(f"reaction {i} does not span the species table")
-            if any(c < 0 for c in rx.reactants) or any(c < 0 for c in rx.products):
-                raise ValueError(f"reaction {i} has negative stoichiometry")
             k = rx.rate_constant
             if not (k > 0 and np.isfinite(k)):
                 raise ValueError(f"reaction {i} has nonpositive rate constant {k}")

@@ -594,6 +594,36 @@ class TestCrossModuleInvariants:
         }
         assert len(masses) == 1
 
+    def test_numpy_integer_coefficients_give_the_same_answers(self):
+        # reachable_set raised AttributeError: 'numpy.int64' object has no
+        # attribute 'bit_length' when the rows came from np.array
+        rows = np.array([[1, 1, 0], [0, 0, 2], [0, 0, 1]])
+        gains = np.array([[0, 0, 2], [1, 1, 0], [1, 0, 0]])
+        species = SpeciesTable(("A", "B", "C"))
+
+        def network(side):
+            return Crn(species, tuple(Reaction(side(r), side(p), k)
+                                      for r, p, k in zip(rows, gains, (1.0, 0.5, 0.1))))
+
+        from_numpy, from_lists = network(tuple), network(lambda row: row.tolist())
+        assert type(tuple(rows[0])[0]) is np.int64
+        init = from_lists.config({"A": 3, "B": 2})
+        for analyse in (lambda crn: reachable_set(crn, init, max_configs=500),
+                        check_mass_conserving,
+                        lambda crn: stage_decomposition(crn, init),
+                        lambda crn: simulate(crn, init, StopCondition(t_max=2.0), seed=3)):
+            assert analyse(from_numpy) == analyse(from_lists)
+        for crn in (from_numpy, network(lambda row: row)):
+            assert all(type(c) is int for rx in crn.reactions for c in rx.reactants + rx.products)
+            assert crn == from_lists and crn.digest() == from_lists.digest()
+
+    @pytest.mark.parametrize("coef", [1.0, np.float64(1.0), True, -1, math.nan, "1"])
+    def test_coefficients_must_be_nonnegative_integers(self, coef):
+        with pytest.raises(DomainError, match="must be an integer of at least 0"):
+            Reaction((coef, 0), (0, 1))
+        with pytest.raises(DomainError, match="must be an integer of at least 0"):
+            Reaction((0, 1), [1, coef])
+
     def test_population_protocol_total_constant_along_trace(self):
         crn, _ = parse_crn("L + L -> L + N\n")
         assert finite_density_status(crn).kind == "population_protocol"

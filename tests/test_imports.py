@@ -1,5 +1,8 @@
 import ast
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import crnsim
@@ -113,3 +116,15 @@ def test_benchmark_tracer_reads_run_core_results():
     assert tracer.counts["kinetics.trials.stopped"] == 1
     assert tracer.counts["kinetics.checkpoint_rows"] == len(trace.checkpoints) == 2
     assert tracer.counts["kinetics.trials.censored"] == int(trace.terminal[z] == 0) == 1
+
+
+def test_pool_machinery_is_imported_on_the_first_fan_out_only():
+    # the thread and process pools cost about 15 ms of imports, which every
+    # CLI call paid although most never fan out
+    code = ("import sys, crnsim.cli\n"
+            "print(*[m for m in ('concurrent.futures', 'multiprocessing', 'logging')"
+            " if m in sys.modules])\n")
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True, timeout=60).stdout
+    assert out.split() == []
