@@ -15,7 +15,7 @@ import pytest
 from crnsim import kinetics
 from crnsim.analysis import stage_decomposition
 from crnsim.errors import DomainError, UnsupportedReactionOrderError
-from crnsim.harness import chain_crn, leader_election_experiment
+from crnsim.harness import chain_crn, leader_election_crn, leader_election_experiment
 from crnsim.kinetics import (
     _TRIAL_CHUNK,
     FirstProductionStats,
@@ -830,6 +830,47 @@ class TestRunTrials:
             for arr in call:
                 h.update(arr.tobytes())
         assert h.hexdigest()[:16] == "fe4f01cc57001a91"
+
+    def test_one_reaction_runs_byte_identical_to_pinned_digest(self, monkeypatch):
+        # sha256 prefix of every _run_batch array for networks of at most
+        # one reaction, under every stop: leader election to one leader, with
+        # and without a horizon that censors some trials; X -> 0 to a
+        # horizon over two chunks, where the trials end over many sweeps;
+        # X + X and X + Y to exhaustion (at totals of -0.0 and 0.0), with a
+        # budget, a horizon or a count that is never reached; X -> Y
+        # watching Y to a horizon, and watching a species it never makes;
+        # a budget alone; and no reaction at all
+        leader = leader_election_crn()
+        decay, _ = parse_crn("X -> 0 ; k=1\n")
+        dimer, _ = parse_crn("A + A -> B ; k=1\n")
+        pair, _ = parse_crn("A + B -> C ; k=1\n")
+        convert, _ = parse_crn("species: X Y Z\nX -> Y ; k=1\n")
+        inert, _ = parse_crn("species: A B\n")
+        runs = [
+            (leader, {"L": 1000}, StopCondition(count_reaches=("L", 1)), 40),
+            (leader, {"L": 200}, StopCondition(t_max=398.0, count_reaches=("L", 1)), 1100),
+            (decay, {"X": 1000}, StopCondition(t_max=1.0), 1100),
+            (dimer, {"A": 500}, StopCondition(max_events=10**6), 30),
+            (dimer, {"A": 501}, StopCondition(t_max=1e9), 30),
+            (pair, {"A": 300, "B": 200}, StopCondition(count_reaches=("C", 250)), 30),
+            (convert, {"X": 10**4}, StopCondition(t_max=1e-4, species_appears=frozenset({"Y"})),
+             1100),
+            (convert, {"X": 10**4},
+             StopCondition(t_max=0.5, species_appears=frozenset({"Y", "Z"})), 20),
+            (leader, {"L": 1000}, StopCondition(max_events=300), 50),
+            (inert, {"A": 3}, StopCondition(t_max=1.0, species_appears=frozenset({"A", "B"})), 5),
+            (inert, {"A": 3}, StopCondition(count_reaches=("A", 0), max_events=4), 5),
+        ]
+        calls = _spy_batch(monkeypatch)
+        for seed, (crn, init, stop, trials) in enumerate(runs):
+            run_trials(crn, crn.config(init), stop, trials, seed=seed)
+        assert len(calls) == 14
+        h = hashlib.sha256()
+        for call in calls:
+            for arr in call:
+                h.update(arr.tobytes())
+        # host-dependent through np.log, as the pin of random networks is
+        assert h.hexdigest()[:16] == "5bd5a6899af99fb6"
 
     def test_kernel_law_matches_repeated_simulate(self, rng):
         # on random networks where an absent species is producible, the
