@@ -11,9 +11,14 @@ class ParseError(CrnError):
     """Syntax or semantic error in a CRN text document."""
 
     def __init__(self, message, line, column):
+        self.message = message
         self.line = line
         self.column = column
         super().__init__(f"line {line}, column {column}: {message}")
+
+    def __reduce__(self):
+        # ``args`` holds only the formatted text, which __init__ cannot take
+        return type(self), (self.message, self.line, self.column)
 
 
 class UnknownSpeciesError(CrnError, KeyError):

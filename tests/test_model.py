@@ -1,9 +1,12 @@
 import dataclasses
+import inspect
+import pickle
 import string
 
 import numpy as np
 import pytest
 
+from crnsim import errors
 from crnsim.errors import DomainError, NotApplicableError, ParseError
 from crnsim.model import (
     Configuration,
@@ -110,6 +113,23 @@ class TestParse:
             parse_crn("X -> Y\nA -> A\n")
         assert exc.value.line == 2
         assert "line 2" in str(exc.value)
+
+    def test_every_error_survives_pickling(self):
+        # a worker process sends its exception back pickled; ParseError's
+        # args hold only the formatted text, which its __init__ cannot take
+        classes = [c for _, c in inspect.getmembers(errors, inspect.isclass)
+                   if issubclass(c, Exception) and c.__module__ == errors.__name__]
+        assert len(classes) == 7
+        for cls in classes:
+            args = ("bad token", 1, 2) if cls is ParseError else ("bad value",)
+            err = cls(*args)
+            back = pickle.loads(pickle.dumps(err))
+            assert type(back) is cls
+            assert str(back) == str(err) and back.args == err.args
+            assert vars(back) == vars(err)
+        back = pickle.loads(pickle.dumps(ParseError("bad token", 1, 2)))
+        assert (back.message, back.line, back.column) == ("bad token", 1, 2)
+        assert str(back) == "line 1, column 2: bad token"
 
 
 class TestRoundtrip:
