@@ -40,17 +40,25 @@ trial) that it lays out from that table once per call; the chunks fan
 out through ``parallel.map_chunks``, so chunk c draws from
 ``substream(seed, *stream_key, c)``. It returns per-trial end times and
 first-appearance times; the first-production statistics and the
-``harness`` experiments build on it. Each loop tests the watch and
-count stops in one place, before it draws: the scalar loop at the top of
-each event, the batched loop at the top of each sweep. Every run carries
-an event budget, ``_NO_BUDGET`` when the stop gives none, so each loop
-has one shape: the batched loop tests the budget at the top of each
-sweep, and the scalar loop once per block of uniforms, when it cuts the
-block to the uniforms the events left can read. The batched loop reads
-the watched counts only after a sweep that fired a reaction raising a
-watched species. ``t_max`` is tested against the drawn event time. One
-writer, ``_write_csv``, writes every CSV file; species names and labels
-are identifiers (see ``model``), so no cell needs quoting.
+``harness`` experiments build on it. With at most one reaction, as in
+leader election, every trial of a chunk fires that reaction in every
+sweep, so all of them follow one path of counts and only their times
+differ; ``_run_batch`` then hands the chunk to ``_run_path``, which
+advances it a block of sweeps per array operation with the sweep loop's
+float operations, so its outputs are the ones the sweep loop gives. Each
+loop tests the watch and count stops in one place, before it draws: the
+scalar loop at the top of each event, the batched loop at the top of
+each sweep, and ``_run_path`` over the path's counts, where they fall
+on one sweep common to its trials. Every run carries an event budget,
+``_NO_BUDGET`` when the stop gives none, so each loop has one shape: the
+batched loop tests the budget at the top of each sweep, ``_run_path``
+with the other common stops, and the scalar loop once per block of
+uniforms, when it cuts the block to the uniforms the events left can
+read. The batched loop reads the watched counts only after a sweep that
+fired a reaction raising a watched species. ``t_max`` is tested against
+the drawn event time. One writer, ``_write_csv``, writes every CSV
+file; species names and labels are identifiers (see ``model``), so no
+cell needs quoting.
 
 The scalar loop takes ``math.log`` of its uniforms and the batched loop
 ``np.log``. numpy may dispatch ``log`` to a path for the host CPU (with
@@ -531,8 +539,12 @@ def _run_batch(
     each active trial's event count. A sweep takes the time uniforms of
     all active trials, then their selection uniforms (none with a single
     reaction), so a one-trial run reads the uniforms ``_run_core`` reads.
-    The state is species-major, with one column per active trial: the
-    counts have a row per species, the entry held at 1, and a row per
+    A table of at most one reaction goes to ``_run_path``, which advances
+    a block of sweeps per array operation; the sweep loop here serves two
+    or more reactions.
+
+    The loop's state is species-major, with one column per active trial:
+    the counts have a row per species, the entry held at 1, and a row per
     X + X reaction holding its reactant's count minus 1, and the
     first-appearance times a row per watched species. These rows, the
     reactant rows of each reaction and the step of each reaction over
@@ -561,11 +573,14 @@ def _run_batch(
     first[:, init[wcols] > 0] = 0.0
     exhausted = np.zeros(trials, dtype=bool)
     n_events = np.zeros(trials, dtype=np.int64)
+    nrx = len(comp.table)
+    if nrx < 2:
+        _run_path(comp, init, rng, t_max, wcols, count_stop, max_events,
+                  end, first, exhausted, n_events)
+        return end, first, exhausted, n_events
     if count_stop is not None:
         sid, thr, direction = count_stop
         reached = np.greater_equal if direction > 0 else np.less_equal
-    nrx = len(comp.table)
-    draws = 1 if nrx == 1 else 2
     # each X + X reaction reads one more row, which holds its reactant's
     # count minus 1 and follows that count's changes, in place of c - minus
     rows = list(range(init.size))
@@ -619,20 +634,15 @@ def _run_batch(
                 if not ids.size:
                     break
             sweep += 1
-            if nrx == 0:  # nothing can fire, so every trial left is exhausted
-                ended = dead = np.ones(ids.size, dtype=bool)
-                any_ended = True
-                continue
             k = ids.size
             # coef * c[ra] * (c[rb] - minus), the counts cast to float as a
             # float-by-integer product casts them
             g = cnt.take(rab, axis=0).astype(np.float64)
             cum = g[:nrx] * coefk
             cum *= g[nrx:]
-            if nrx > 1:
-                cum = np.add.accumulate(cum, axis=0)
+            cum = np.add.accumulate(cum, axis=0)
             total = cum[-1]
-            need = draws * k
+            need = 2 * k
             if ui + need > ubuf.size:
                 block = open_uniform_block(rng, max(2 * need, _BLOCK))
                 ubuf, ui = np.concatenate((ubuf[ui:], block)), 0
@@ -643,14 +653,10 @@ def _run_batch(
             # is -0.0 (X + X at count 0), so with t_max both show in |tn|;
             # which ended trials are exhausted is settled only if some ended
             ended = dead = total <= 0.0 if t_max is None else np.abs(tn) > t_max
-            if nrx == 1:
-                step = steps
-                rose = raises[0]
-            else:
-                # the first j with x < cum[j], or the last reaction when there is none
-                idx = np.add.reduce(cum[:-1] <= usel * total, axis=0)
-                step = steps.take(idx, axis=1)
-                rose = wcols.size and np.count_nonzero(raises.take(idx))
+            # the first j with x < cum[j], or the last reaction when there is none
+            idx = np.add.reduce(cum[:-1] <= usel * total, axis=0)
+            step = steps.take(idx, axis=1)
+            rose = wcols.size and np.count_nonzero(raises.take(idx))
             any_ended = np.count_nonzero(ended)
             if any_ended:  # an ended trial makes no event
                 dead = total <= 0.0
@@ -667,6 +673,110 @@ def _run_batch(
                 if fresh:
                     seen = np.where(new, t, seen)
     return end, first, exhausted, n_events
+
+
+def _run_path(comp, init, rng, t_max, wcols, count_stop, max_events,
+              end, first, exhausted, n_events):
+    """The trials of ``_run_batch`` for a table of at most one reaction,
+    written into its four output arrays.
+
+    Every active trial fires the one reaction in every sweep, so all of
+    them follow one path of counts, ``init + s * delta`` after s sweeps,
+    and only their times differ. So the stops that read counts fall on one
+    common sweep: the count stop, the watch (at sweep 0, or at sweep 1
+    when the reaction raises every watched species not present at the
+    start), the event budget and exhaustion, where the path's propensity
+    is at most zero (-0.0 for X + X at count 0; with no reaction it is 0).
+    A stop wins over exhaustion at the same sweep. Only ``t_max`` ends
+    trials at sweeps of their own.
+
+    The path's propensities, ``float(c_a) * coef * float(c_b - minus)``
+    in the order of the sweep loop in ``_run_batch``, and the sweep where a
+    common stop ends it are computed ``_BLOCK`` sweeps at a time. The
+    trials advance a block of at most ``_BLOCK`` uniforms at a time: its
+    uniforms are read as a (sweeps x trials) array, one row per sweep, in
+    the order a sweep loop reads them, and every trial's times come from
+    one ``np.log``, one division and one ``np.subtract.accumulate`` along
+    the sweeps. These are the sweep loop's float operations in its order,
+    so the outputs are the ones it would give. With ``t_max``, a block
+    ends at the first sweep in which some trial passes it; those trials
+    retire, and the uniforms the block drew past that sweep are read by
+    the next one. No array grows with the length of the path.
+    """
+    delta = np.zeros(init.size, dtype=np.int64)
+    if comp.table:
+        [(coef, a, b, minus)] = comp.table
+        for x, d in comp.deltas[0]:
+            delta[x] = d
+    else:  # a propensity of 0 from the entry held at 1: nothing can fire
+        coef, a, b, minus = 0.0, init.size - 1, init.size - 1, 0
+    # the watch holds from this sweep on: 0 when every watched species is
+    # present at the start, 1 when the first event raises the rest
+    seen = init[wcols] > 0
+    raised = ~seen & (init[wcols] + delta[wcols] > 0)
+    watch_at = _NO_BUDGET
+    if wcols.size and (seen | raised).all():
+        watch_at = 0 if seen.all() else 1
+    if count_stop is not None:
+        sid, thr, direction = count_stop
+        reached = np.greater_equal if direction > 0 else np.less_equal
+    ids = np.arange(end.size)
+    t = np.zeros(end.size)
+    ubuf = np.empty(0)  # uniforms drawn and not yet read
+    s = 0  # the sweeps every active trial has made, one event each
+    w0 = -_BLOCK  # the first sweep of the path computed so far
+    while True:
+        if s == w0 + _BLOCK:
+            # the path from sweep w0 = s on, for _BLOCK sweeps: the
+            # propensities, and the first h where a common stop, or else a
+            # propensity of at most 0, ends every active trial at sweep w0 + h
+            w0 = s
+            at = np.arange(s, s + _BLOCK, dtype=np.int64)
+            prop = (init[a] + delta[a] * at).astype(np.float64) * coef
+            prop *= (init[b] + delta[b] * at - minus).astype(np.float64)
+            stop = (at >= max_events) | (at >= watch_at)
+            if count_stop is not None:
+                stop |= reached(init[sid] + delta[sid] * at, thr)
+            halt = stop | (prop <= 0.0)
+            h = int(np.argmax(halt)) if halt.any() else _BLOCK
+        k = ids.size
+        fire = min(max(1, _BLOCK // k), w0 + h - s)  # the sweeps of this block
+        if not fire:
+            end[ids] = t
+            n_events[ids] = s
+            exhausted[ids] = not stop[h]
+            return
+        need = fire * k
+        if ubuf.size < need:
+            more = open_uniform_block(rng, need - ubuf.size)
+            ubuf = np.concatenate((ubuf, more)) if ubuf.size else more
+        # row r holds every trial's time after sweep s + r
+        times = np.empty((fire + 1, k))
+        times[0] = t
+        np.log(ubuf[:need].reshape(fire, k), out=times[1:])
+        times[1:] /= prop[s - w0 : s - w0 + fire, None]
+        np.subtract.accumulate(times, axis=0, out=times)
+        late = None
+        # the times only grow along a trial, so the last row shows whether
+        # any trial passed t_max in this block
+        if t_max is not None and times[fire].max() > t_max:
+            fire = int(np.argmax((times[1:] > t_max).any(axis=1))) + 1
+            late = times[fire] > t_max
+        ubuf = ubuf[fire * k :]
+        if s == 0 and raised.any():
+            # every trial whose first event is not past t_max sees the
+            # raised species at that event
+            saw = ~late if fire == 1 and late is not None else slice(None)
+            first[np.ix_(ids[saw], np.flatnonzero(raised))] = times[1, saw][:, None]
+        t = times[fire].copy()
+        s += fire
+        if late is not None:  # they take t_max after s - 1 events
+            out = ids[late]
+            end[out] = t_max
+            n_events[out] = s - 1
+            ids, t = ids[~late], t[~late]
+            if not ids.size:
+                return
 
 
 def _prepare(crn: Crn, init: Configuration, stop: StopCondition, volume):
@@ -796,8 +906,12 @@ def run_trials(
     ``parallel.map_chunks``, so chunk c draws from
     ``substream(seed, *stream_key, c)`` and results do not depend on
     ``threads``. On Linux the chunks run on up to min(threads, usable
-    CPUs) worker processes, elsewhere on threads. A one-trial run ends
-    where ``simulate(..., stream_key=(*stream_key, 0))`` does. The volume
+    CPUs) worker processes, elsewhere on threads. Each chunk is one
+    ``_run_batch`` call; with at most one reaction it advances a block of
+    sweeps per array operation, so a run of many events over few trials,
+    such as leader election from many candidates, costs about as much as
+    its uniforms. A one-trial run ends where
+    ``simulate(..., stream_key=(*stream_key, 0))`` does. The volume
     defaults to the total initial count.
     """
     check_integer(trials, "trials")

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -67,6 +68,49 @@ class TestLeaderElection:
         lines = buf.getvalue().strip().splitlines()
         assert lines[0] == "n,trial,time"
         assert len(lines) == 4
+
+    def test_time_law_matches_exact_cdf(self):
+        # the time to one leader from n is a sum of independent
+        # Exp(i(i-1)/(2n)) holds, i = n down to 2: the absorption time of
+        # the pure-death chain on n, n-1, ..., 1. Its CDF at t is the mass
+        # expm(Q t) puts on one leader; Q has distinct rates, so its
+        # eigendecomposition gives that mass at every sample at once, and
+        # scipy.linalg.expm checks it at a few. Kolmogorov-Smirnov at a
+        # fixed seed: under the law, sqrt(N) D exceeds 1.95 with asymptotic
+        # probability 0.001 (scipy.special.kolmogorov(1.95))
+        from scipy.linalg import expm
+
+        n, trials = 20, 4000
+        rates = np.array([i * (i - 1) / (2 * n) for i in range(n, 1, -1)])
+        q = np.diag(np.append(-rates, 0.0)) + np.diag(rates, 1)  # state j holds n - j leaders
+        w, v = np.linalg.eig(q)
+        weights = v[0] * np.linalg.inv(v)[:, -1]
+
+        def ks(times):
+            x = np.sort(times)
+            cdf = (np.exp(np.outer(x, w)) * weights).sum(axis=1).real
+            for j in range(0, trials, 500):
+                assert cdf[j] == pytest.approx(expm(q * x[j])[0, -1], abs=1e-12)
+            i = np.arange(1, trials + 1)
+            return math.sqrt(trials) * max((i / trials - cdf).max(), (cdf - (i - 1) / trials).max())
+
+        res = leader_election_experiment(n, trials, seed=26)
+        assert ks(res.times) <= 1.95
+        # a 10% error in the rate moves every time by that factor, and fails
+        assert ks(res.times * 1.1) > 1.95 and ks(res.times / 1.1) > 1.95
+
+    def test_long_path_takes_little_memory(self):
+        # 200 000 candidates make a path of 199 999 sweeps, which the trials
+        # advance a block at a time: one float per sweep would take 1.6 MB
+        leader_election_experiment(10, 1, 0)  # the first call imports analysis
+        tracemalloc.start()
+        try:
+            res = leader_election_experiment(200_000, 3, 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.all(res.times > 0)
+        assert peak < 1_000_000
 
     def test_determinism_and_thread_invariance(self):
         a = leader_election_experiment(n=30, trials=40, seed=7)

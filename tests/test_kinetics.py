@@ -869,7 +869,9 @@ class TestRunTrials:
         for call in calls:
             for arr in call:
                 h.update(arr.tobytes())
-        # host-dependent through np.log, as the pin of random networks is
+        # host-dependent through np.log, as the pin of random networks is:
+        # with NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR" it
+        # reads 7181c5446c413d3e
         assert h.hexdigest()[:16] == "5bd5a6899af99fb6"
 
     def test_kernel_law_matches_repeated_simulate(self, rng):
