@@ -612,6 +612,63 @@ def _spy_batch(monkeypatch) -> list:
     return calls
 
 
+def _one_reaction_sweeps(comp, counts, rng, trials, *, t_max=None, watch=None,
+                         count_stop=None, max_events=kinetics._NO_BUDGET):
+    """``_run_batch`` for a table of at most one reaction, one sweep at a time.
+
+    This is how the batched loop ran such a table before it took blocks of
+    sweeps, kept as the reference for them: every active trial fires the
+    reaction in every sweep, so one list of counts serves them all.
+    """
+    c = list(counts)
+    coef, a, b, minus = comp.table[0] if comp.table else (0.0, len(c) - 1, len(c) - 1, 0)
+    delta = comp.deltas[0] if comp.table else ()
+    wcols = sorted(watch or ())
+    end, exhausted = np.zeros(trials), np.zeros(trials, dtype=bool)
+    n_events = np.zeros(trials, dtype=np.int64)
+    first = np.full((trials, len(wcols)), math.nan)
+    first[:, [c[w] > 0 for w in wcols]] = 0.0
+    ids, t = np.arange(trials), np.zeros(trials)
+    ended, dead = np.zeros(trials, dtype=bool), False
+    ubuf, ui, sweep = np.empty(0), 0, 0
+    while True:
+        done = ended.copy()
+        if wcols:
+            done |= ~np.isnan(first[ids]).any(axis=1)
+        if count_stop is not None:
+            sid, thr, direction = count_stop
+            done |= c[sid] >= thr if direction > 0 else c[sid] <= thr
+        done |= sweep >= max_events
+        out = ids[done]
+        end[out], exhausted[out] = t[done], ended[done] & dead
+        n_events[out] = sweep - ended[done]
+        ids, t = ids[~done], t[~done]
+        if not ids.size:
+            return end, first, exhausted, n_events
+        sweep += 1
+        total = float(c[a]) * coef * float(c[b] - minus)
+        if ui + ids.size > ubuf.size:
+            ubuf, ui = np.concatenate((ubuf[ui:], open_uniform_block(rng, 4096))), 0
+        with np.errstate(divide="ignore"):
+            tn = t - np.log(ubuf[ui : ui + ids.size]) / total
+        ui += ids.size
+        dead = total <= 0.0
+        if dead:  # every trial ends without an event and keeps its time
+            ended = np.ones(ids.size, dtype=bool)
+            continue
+        ended = tn > t_max if t_max is not None else np.zeros(ids.size, dtype=bool)
+        t = np.where(ended, t_max, tn)
+        if ended.all():
+            continue
+        for x, d in delta:
+            c[x] += d
+        fired = ids[~ended]
+        for j, w in enumerate(wcols):
+            if c[w] > 0:
+                col = first[fired, j]
+                first[fired, j] = np.where(np.isnan(col), t[~ended], col)
+
+
 def _assert_one_trial_matches_simulate(crn, init, stop, seed, key, monkeypatch):
     """A one-trial run ends as ``simulate`` on the substream of chunk 0 does.
 
@@ -873,6 +930,35 @@ class TestRunTrials:
         # with NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR" it
         # reads 7181c5446c413d3e
         assert h.hexdigest()[:16] == "5bd5a6899af99fb6"
+
+    def test_one_reaction_blocks_match_sweep_by_sweep(self, rng):
+        # _run_batch advances the trials of a one-reaction table a block of
+        # sweeps at a time; a loop over single sweeps gives the same bytes
+        # for every reaction shape and stop, including horizons that end
+        # the trials at sweeps of their own and watches on species the
+        # reaction makes, consumes or never touches
+        shapes = ["X -> 0", "X -> Y", "X -> X + Y", "X + X -> Y", "X + X -> X", "X + Y -> Z",
+                  "X + Y -> X + X", "X -> Y + Y", "X + X -> X + Y + Y", ""]
+        for case in range(80):
+            shape = shapes[case % len(shapes)]
+            crn, _ = parse_crn(f"species: X Y Z\n{shape} ; k={rng.choice([0.3, 1.0, 2.5])}\n"
+                               if shape else "species: X Y Z\n")
+            init = crn.config({"X": int(rng.integers(0, 60)), "Y": int(rng.choice([0, 0, 7]))})
+            kw = {"max_events": int(rng.integers(0, 400))} if rng.random() < 0.5 else {}
+            if rng.random() < 0.7 or not kw:
+                kw["t_max"] = float(rng.choice([0.0, 0.05, 0.5, 3.0, 40.0]))
+            if rng.random() < 0.4:
+                kw["species_appears"] = frozenset(
+                    rng.choice(["X", "Y", "Z"], size=int(rng.integers(1, 4)), replace=False).tolist())
+            if rng.random() < 0.5:
+                kw["count_reaches"] = (str(rng.choice(["X", "Y", "Z"])), int(rng.integers(0, 70)))
+            volume = float(max(init.total, 1))  # the start may hold no molecule
+            _, comp, counts, args = kinetics._prepare(crn, init, StopCondition(**kw), volume)
+            trials = int(rng.choice([1, 5, 130, 700]))
+            got = kinetics._run_batch(comp, counts, substream(case), trials, **args)
+            want = _one_reaction_sweeps(comp, counts, substream(case), trials, **args)
+            for g, w in zip(got, want, strict=True):
+                assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), (shape, kw, trials)
 
     def test_kernel_law_matches_repeated_simulate(self, rng):
         # on random networks where an absent species is producible, the
