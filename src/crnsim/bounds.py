@@ -81,7 +81,7 @@ class DecayBoundParams(processes.DecayParams):
 
     def hits(self, rng: np.random.Generator, size: int) -> int:
         vals = processes.sample_decay_batch(self, size, rng)
-        return int((vals < self.delta * self.N).sum())
+        return int(np.count_nonzero(vals < self.delta * self.N))
 
 
 @dataclass(frozen=True)
@@ -116,7 +116,7 @@ class PoissonBoundParams:
         processes.check_poisson_rate(self.lam, "lam")
         vals = rng.poisson(self.lam, size)
         tail = vals >= self.n if self.side == "upper" else vals <= self.n
-        return int(tail.sum())
+        return int(np.count_nonzero(tail))
 
 
 @dataclass(frozen=True)
@@ -143,7 +143,7 @@ class WalkBoundParams(processes.WalkParams):
     def hits(self, rng: np.random.Generator, size: int) -> int:
         thr = (1.0 - self.eps_hat) * (self.f_hat - self.r_hat) * self.t
         vals = processes.sample_walk_z_batch(self, size, rng)
-        return int((vals < thr).sum())
+        return int(np.count_nonzero(vals < thr))
 
 
 @dataclass(frozen=True)
@@ -184,7 +184,7 @@ class ReflectingBoundParams:
         proc = processes.ReflectingParams(self.N, self.delta_f, self.lambda_r, 1.0)
         thr = self.delta_r * self.N
         _, vmax = processes.sample_walk_reflecting_batch(proc, size, rng, stop_at=math.ceil(thr))
-        return int((vmax < thr).sum())
+        return int(np.count_nonzero(vmax < thr))
 
 
 TARGETS: dict[str, type] = {

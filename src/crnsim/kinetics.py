@@ -116,6 +116,14 @@ _NO_BUDGET = 2**63 - 1
 # trials per substream in run_trials; fixed so that results do not depend
 # on the thread count
 _TRIAL_CHUNK = 1024
+# above this many active trials _run_path sums a block's times with one row
+# subtraction per sweep, and at most this many with np.subtract.accumulate
+# along the sweeps, which runs one column at a time. Timed on blocks of
+# _BLOCK uniforms on a 2-vCPU x86 host, the rows took 1.8 times as long as
+# the accumulate at 150 trials (27 rows), 1.03 times at 256 (16 rows), 0.79
+# times at 300 and 0.21 times at 1024 (4 rows, 6 against 30 us); both give
+# the same floats
+_ROW_SUM_TRIALS = 256
 
 
 @dataclass(frozen=True)
@@ -696,8 +704,10 @@ def _run_path(comp, init, rng, t_max, wcols, count_stop, max_events,
     trials advance a block of at most ``_BLOCK`` uniforms at a time: its
     uniforms are read as a (sweeps x trials) array, one row per sweep, in
     the order a sweep loop reads them, and every trial's times come from
-    one ``np.log``, one division and one ``np.subtract.accumulate`` along
-    the sweeps. These are the sweep loop's float operations in its order,
+    one ``np.log``, one division and a running difference along the
+    sweeps: one ``np.subtract.accumulate``, or above ``_ROW_SUM_TRIALS``
+    trials one row subtraction per sweep, which is faster for a block of
+    few sweeps. These are the sweep loop's float operations in its order,
     so the outputs are the ones it would give. With ``t_max``, a block
     ends at the first sweep in which some trial passes it; those trials
     retire, and the uniforms the block drew past that sweep are read by
@@ -755,7 +765,11 @@ def _run_path(comp, init, rng, t_max, wcols, count_stop, max_events,
         times[0] = t
         np.log(ubuf[:need].reshape(fire, k), out=times[1:])
         times[1:] /= prop[s - w0 : s - w0 + fire, None]
-        np.subtract.accumulate(times, axis=0, out=times)
+        if k > _ROW_SUM_TRIALS:
+            for r in range(fire):
+                np.subtract(times[r], times[r + 1], out=times[r + 1])
+        else:
+            np.subtract.accumulate(times, axis=0, out=times)
         late = None
         # the times only grow along a trial, so the last row shows whether
         # any trial passed t_max in this block

@@ -15,9 +15,15 @@ Each sampler is called as ``(params, size, rng)`` and vectorizes across
 the integer walk draw their value from its exact law (binomial survivors,
 a difference of Poisson event counts) in O(size), and only the reflecting
 walk is simulated event by event, since its running maximum needs the
-path. The reflecting sampler can also stop each draw at the first passage
-to a level, which is all a tail event on the running maximum needs to
-know.
+path. Its sweep makes few passes over its arrays: the rates, waits and
+selection products are computed in place, numpy's ``standard_exponential``
+fill loop draws the waits (bit for bit what ``exponential(1.0, m)``
+draws), a step of +-1 is the sign of one float subtraction, and retiring
+draws leave the compacted arrays through one index and a ``take`` per
+array. The reflecting sampler can also stop each draw at the first
+passage to a level, which is all a tail event on the running maximum
+needs to know; since a state rises by at most 1 per sweep, the level is
+not tested before the sweep that could first reach it.
 """
 
 from __future__ import annotations
@@ -136,44 +142,77 @@ def sample_walk_reflecting_batch(
     so the selection uniform (strictly below 1) always steps forward and
     the barrier needs no special casing. The sweep works on compacted
     arrays of the active draws (output id, state, running max, time): a
-    retiring draw writes its results once and leaves them.
+    draw that passes the horizon writes its results once and leaves them,
+    and the rest are gathered with one ``np.flatnonzero`` index and a
+    ``take`` per array. Each sweep computes its rates, waits and selection
+    products in place, with the IEEE operations of ``fwd + lambda_r *
+    state``, ``standard_exponential / rate`` and ``uniform * rate``. States
+    are held as floats, which hold these small integers exactly, and a
+    draw steps up exactly when ``uniform * rate < fwd``: the step is the
+    negated sign of ``uniform * rate - fwd``, which is +0.0 only on
+    equality.
 
     With an integer level ``stop_at >= 1``, a draw also retires in the
     sweep where its state first reaches that level, so both results are
     those of the walk stopped at min(t, first passage): a stopped draw
-    reads ``stop_at`` for value and running max, and every draw has
-    running max at most ``stop_at``. Whether the running max over [0, t]
-    stays below the level is unchanged in law; the draws consume less
-    randomness, so individual values differ from an unstopped call. With
-    ``stop_at=None`` every draw runs to the horizon.
+    reads ``stop_at`` for value and running max (the outputs start at that
+    value, so a stopped draw writes nothing), and every draw has running
+    max at most ``stop_at``. The state rises by at most 1 per sweep, so
+    the level is tested only from sweep ``stop_at`` on. Whether
+    the running max over [0, t] stays below the level is unchanged in
+    law; the draws consume less randomness, so individual values differ
+    from an unstopped call. With ``stop_at=None`` every draw runs to the
+    horizon. A level that is not an integer of at least 1 (a bool or an
+    integral float included) raises ``DomainError``.
     """
-    if stop_at is not None and not (stop_at >= 1 and float(stop_at).is_integer()):
-        raise DomainError(f"stop_at must be an integer level >= 1, got {stop_at}")
-    fwd = p.delta_f * p.N
-    state = np.zeros(size, dtype=np.int64)
-    vmax = np.zeros(size, dtype=np.int64)
+    if stop_at is not None:
+        stop_at = check_integer(stop_at, "stop_at", 1)
+    fwd, lr, horizon = p.delta_f * p.N, p.lambda_r, p.t
+    # every draw either passes the horizon, and writes its results then, or
+    # stops at the level, whose results are stop_at: those need no write
+    fill = 0 if stop_at is None else stop_at
+    state = np.full(size, fill, dtype=np.int64)
+    vmax = np.full(size, fill, dtype=np.int64)
     ids = np.arange(size)
-    cur = np.zeros(size, dtype=np.int64)
-    top = np.zeros(size, dtype=np.int64)
+    # small integers, held exactly as floats: the rate needs no conversion
+    cur = np.zeros(size)
+    top = np.zeros(size)
     tnow = np.zeros(size)
+    # a state rises by at most 1 per sweep, so none reaches the level before sweep stop_at
+    test_from = _INT64_MAX if stop_at is None else stop_at
+    sweep = 0
     while ids.size:
-        rates = fwd + p.lambda_r * cur
-        tnow += rng.exponential(1.0, ids.size) / rates
-        done = tnow > p.t
-        if done.any():
-            state[ids[done]] = cur[done]
-            vmax[ids[done]] = top[done]
-            keep = ~done
-            ids, cur, top, tnow, rates = ids[keep], cur[keep], top[keep], tnow[keep], rates[keep]
-            if not ids.size:
+        rates = cur * lr
+        rates += fwd
+        wait = rng.standard_exponential(ids.size)
+        wait /= rates
+        tnow += wait
+        late = tnow > horizon
+        if late.any():
+            gone = np.flatnonzero(late)
+            out = ids[gone]
+            state[out] = cur[gone]
+            vmax[out] = top[gone]
+            if gone.size == ids.size:
                 break
-        cur += np.where(rng.random(ids.size) * rates < fwd, 1, -1)
+            keep = np.flatnonzero(~late)
+            ids, cur, top, tnow, rates = (
+                ids.take(keep), cur.take(keep), top.take(keep), tnow.take(keep), rates.take(keep)
+            )
+        # a draw steps up when uniform * rate < fwd, else down. The
+        # difference of two unequal doubles is never zero, and that of two
+        # equal ones is +0.0, so copysign(1, uniform * rate - fwd) is -1
+        # for a step up and +1 for a step down, exactly
+        u = rng.random(ids.size)
+        u *= rates
+        u -= fwd
+        np.copysign(1.0, u, out=u)
+        cur -= u
         np.maximum(top, cur, out=top)
-        if stop_at is not None:
-            done = cur >= stop_at
-            if done.any():
-                state[ids[done]] = stop_at
-                vmax[ids[done]] = stop_at
-                keep = ~done
-                ids, cur, top, tnow = ids[keep], cur[keep], top[keep], tnow[keep]
+        sweep += 1
+        if sweep >= test_from:
+            hit = cur >= stop_at
+            if hit.any():
+                keep = np.flatnonzero(~hit)
+                ids, cur, top, tnow = ids.take(keep), cur.take(keep), top.take(keep), tnow.take(keep)
     return state, vmax

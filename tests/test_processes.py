@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from crnsim.bounds import _CHUNK
 from crnsim.errors import DomainError
 from crnsim.kinetics import StopCondition, simulate
 from crnsim.model import parse_crn
@@ -42,6 +43,30 @@ def two_sample_z(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
     z_mean = (a.mean() - b.mean()) / math.sqrt(a.var(ddof=1) / a.size + b.var(ddof=1) / b.size)
     z_var = (a.var(ddof=1) - b.var(ddof=1)) / math.sqrt(var_of_var(a) + var_of_var(b))
     return float(z_mean), float(z_var)
+
+
+class ScriptedRng:
+    """Stands in for a Generator in the reflecting samplers: each call takes
+    its values from the front of a fixed list of exponentials or uniforms."""
+
+    def __init__(self, waits, uniforms):
+        self.waits, self.uniforms = list(waits), list(uniforms)
+
+    @staticmethod
+    def _take(values, n):
+        assert len(values) >= n, "the script ran out of values"
+        out = np.array(values[:n], dtype=np.float64)
+        del values[:n]
+        return out
+
+    def standard_exponential(self, n):
+        return self._take(self.waits, n)
+
+    def exponential(self, scale, n):
+        return scale * self.standard_exponential(n)
+
+    def random(self, n):
+        return self._take(self.uniforms, n)
 
 
 def reflecting_gather_scatter(p: ReflectingParams, size: int, rng, stop_at=None):
@@ -248,6 +273,16 @@ class TestReflecting:
             assert np.all(v >= 0)
             assert np.all(m >= v)
 
+    def test_selection_product_equal_to_forward_rate_steps_down(self):
+        # fwd = 1 and lambda_r = 1: the second selection reads 0.5 at rate 2,
+        # a product of exactly fwd, which steps down (a step up would leave
+        # running max 2); the fourth wait passes the horizon
+        p = ReflectingParams(1, 1.0, 1.0, 1.0)
+        for sampler in (sample_walk_reflecting_batch, reflecting_gather_scatter):
+            script = ScriptedRng(waits=[0.1, 0.1, 0.1, 10.0], uniforms=[0.25, 0.5, 0.5])
+            v, m = sampler(p, 1, script)
+            assert (v.tolist(), m.tolist()) == ([1], [1]), sampler.__name__
+
 
 class TestReflectingStopped:
     def test_unstopped_draws_match_pinned_digest(self):
@@ -316,7 +351,29 @@ class TestReflectingStopped:
             want = reflecting_gather_scatter(p, 700, substream(3000 + i), stop_at=level)
             assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
-    @pytest.mark.parametrize("level", [0, -3, 0.5, 2.5, math.inf, math.nan])
+    @pytest.mark.parametrize(
+        "p, level",
+        [
+            (ReflectingParams(1000, 0.1, 1.0, 1.0), 25),
+            (ReflectingParams(160, 0.6, 3.0, 1.0), 8),
+            (ReflectingParams(200, 0.1, 1.0, 1.0), None),
+        ],
+    )
+    def test_chunk_size_draws_match_gather_scatter_reference(self, p, level):
+        # a full validation chunk at the bounds benchmark's two reflecting
+        # points and one unstopped point: at level 25, 523 draws reach the
+        # level in sweep 25 itself and 1486 retire in sweep 29, which the
+        # 700-draw cases above never show. At both benchmark points every
+        # draw ends at the level, so the results alone cannot tell when a
+        # draw stopped; the streams must also end at the same position,
+        # which they do only if both took the same draws
+        rng_got, rng_want = substream(4000), substream(4000)
+        got = sample_walk_reflecting_batch(p, _CHUNK, rng_got, stop_at=level)
+        want = reflecting_gather_scatter(p, _CHUNK, rng_want, stop_at=level)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        assert rng_got.bit_generator.state == rng_want.bit_generator.state
+
+    @pytest.mark.parametrize("level", [0, -3, 0.5, 2.5, math.inf, math.nan, True, 3.0])
     def test_bad_level_rejected(self, level):
         with pytest.raises(DomainError):
             sample_walk_reflecting_batch(
