@@ -392,11 +392,10 @@ def reachable_set(
     ``over``. Python ints have no width limit, so any cap and species
     count is exact.
     """
-    check_integer(max_configs, "max_configs")
-    check_integer(max_count, "max_count")
+    max_configs = check_integer(max_configs, "max_configs")
+    max_count = check_integer(max_count, "max_count")
     if len(init) != crn.n_species:
         raise DomainError("initial configuration does not span the species table")
-    max_configs, max_count = int(max_configs), int(max_count)
     start = init.counts.tolist()
     largest = max((c for rx in crn.reactions for c in (*rx.reactants, *rx.products)), default=0)
     width = (max(max_count, *start, 0) + largest).bit_length() + 1

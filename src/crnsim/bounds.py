@@ -415,7 +415,7 @@ def monte_carlo_validate(
     ``parallel.map_chunks`` in chunks of ``_CHUNK``, chunk c from
     ``substream(seed, c)``, so ``threads`` cannot change the result; on
     Linux the chunks run on up to min(threads, usable CPUs) worker
-    processes, elsewhere on threads. Counts tail events exactly as the
+    processes, elsewhere in-process. Counts tail events exactly as the
     bound states them, and classifies the outcome per :class:`BoundReport`.
     """
     trials = check_integer(trials, "trials", 10_000)

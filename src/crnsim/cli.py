@@ -300,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--threads", type=int, default=1,
                         help="parallelism cap: on Linux, chunked trials and draws run on "
                              "up to min(threads, usable CPUs) worker processes, elsewhere "
-                             "on threads; never changes results")
+                             "in the calling thread; never changes results")
     parser.add_argument("--format", choices=["text", "json"], default="text")
     parser.add_argument("--out-dir", default=None,
                         help="directory for bulk outputs (default $CRNSIM_OUTDIR or .)")

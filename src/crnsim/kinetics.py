@@ -920,7 +920,7 @@ def run_trials(
     ``parallel.map_chunks``, so chunk c draws from
     ``substream(seed, *stream_key, c)`` and results do not depend on
     ``threads``. On Linux the chunks run on up to min(threads, usable
-    CPUs) worker processes, elsewhere on threads. Each chunk is one
+    CPUs) worker processes, elsewhere in-process. Each chunk is one
     ``_run_batch`` call; with at most one reaction it advances a block of
     sweeps per array operation, so a run of many events over few trials,
     such as leader election from many candidates, costs about as much as

@@ -121,13 +121,16 @@ class Configuration:
 
     Value semantics: instances are immutable; arithmetic produces new
     configurations. Counts are held as int64, which covers the intended
-    scale of ~1e9 molecules with ample headroom; a count beyond that range
-    is refused with ``DomainError``.
+    scale of ~1e9 molecules with ample headroom; a count beyond that range,
+    a float or a bool is refused with ``DomainError``.
     """
 
     __slots__ = ("counts", "total")
 
     def __init__(self, counts):
+        for c in counts.ravel().tolist() if isinstance(counts, np.ndarray) else counts:
+            if isinstance(c, (bool, float, np.bool_, np.floating)):
+                raise DomainError(f"a count must be an integer, got {c}")
         try:
             arr = np.array(counts, dtype=np.int64, copy=True)
         except OverflowError:
@@ -160,7 +163,8 @@ class Configuration:
         return f"Configuration({self.counts.tolist()})"
 
     def scale(self, factor: int) -> "Configuration":
-        return Configuration([c * int(factor) for c in self.counts.tolist()])
+        factor = check_integer(factor, "factor", 0)
+        return Configuration([c * factor for c in self.counts.tolist()])
 
     def to_dict(self, species: SpeciesTable) -> dict:
         """The nonzero counts by species name."""
@@ -196,7 +200,7 @@ class Crn:
         vec = [0] * len(self.species)
         if counts:
             for name, c in counts.items():
-                vec[self.species.id_of(name)] = int(c)
+                vec[self.species.id_of(name)] = check_integer(c, f"the count of {name}", 0)
         return Configuration(vec)
 
     def reaction_label(self, idx: int) -> str:

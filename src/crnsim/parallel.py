@@ -2,7 +2,7 @@
 
 Work items carry their own random substreams, so the mapping below is a
 pure scheduling choice. ``map_ordered`` returns ``[fn(x) for x in items]``
-in input order, serially or on a thread pool, for any callable, closures
+in input order, in the calling thread, for any callable, closures
 included. ``map_chunks`` fixes the stream layout of chunked Monte Carlo
 work: chunk c draws from ``substream(seed, *key, c)``.
 
@@ -10,8 +10,8 @@ On Linux, ``map_chunks`` runs the chunks of a call on a persistent pool of
 worker processes, since the numpy calls of a chunk are too short to let
 threads run while they hold the interpreter lock. The pool is forked on
 the first call that fans out, grows to at most min(threads, usable CPUs)
-workers and is shut down at interpreter exit. Elsewhere chunks run on
-threads. The pool machinery is imported on the first fan-out only.
+workers and is shut down at interpreter exit; other maps run in the
+calling thread. The pool machinery is imported on the first fan-out only.
 """
 
 from __future__ import annotations
@@ -33,18 +33,13 @@ _pool_lock = threading.Lock()  # one call drives the pool at a time
 
 
 def map_ordered(fn, items, threads: int = 1) -> list:
-    """``[fn(x) for x in items]``, on a pool of up to ``threads`` threads.
+    """``[fn(x) for x in items]``, in the calling thread.
 
-    ``threads`` must be an integer of at least 1.
+    ``fn`` is often a closure, which cannot pickle to a worker process, so
+    the items run in-process. ``threads`` must be an integer of at least 1.
     """
-    threads = check_integer(threads, "threads")
-    items = list(items)
-    if threads == 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+    check_integer(threads, "threads")
+    return [fn(x) for x in items]
 
 
 def _chunk(fn, total: int, chunk: int, seed: int, key: tuple, c: int):
@@ -62,26 +57,21 @@ def map_chunks(fn, total: int, chunk: int, seed: int, key: tuple = (), threads: 
     On Linux the chunks run on min(threads, usable CPUs, chunks) worker
     processes, each taking one contiguous group of chunks. ``fn`` must
     then pickle (a ``TypeError`` says so when it does not), and an
-    exception it raises in a worker is raised here unchanged. One chunk,
-    ``threads=1`` or one usable CPU keep the chunks in this process. They
-    run on up to ``threads`` threads off Linux, while another thread
-    drives the pool, and when a worker would have to be forked from a
-    process running several threads.
+    exception it raises in a worker is raised here unchanged; a concurrent
+    caller waits for the pool. The chunks run in the calling thread inside
+    a worker, off Linux, with one chunk, ``threads=1`` or one usable CPU,
+    and when a worker would have to be forked from a process running
+    several threads.
     """
     threads = check_integer(threads, "threads")
     n = -(-total // chunk)
-    one = partial(_chunk, fn, total, chunk, seed, key)
-    if _pool is None or not _FORKS:
-        return map_ordered(one, range(n), 1 if _pool is None else threads)
-    workers = min(threads, n, len(os.sched_getaffinity(0)))
-    if workers > 1 and _pool_lock.acquire(blocking=False):
-        try:
+    workers = min(threads, n, len(os.sched_getaffinity(0))) if _pool is not None and _FORKS else 1
+    if workers > 1:
+        with _pool_lock:
             if len(_pool) >= workers or threading.active_count() == 1:
                 groups = [range(n * i // workers, n * (i + 1) // workers) for i in range(workers)]
                 return _on_workers(fn, total, chunk, seed, key, groups)
-        finally:
-            _pool_lock.release()
-    return map_ordered(one, range(n), threads if workers > 1 else 1)
+    return map_ordered(partial(_chunk, fn, total, chunk, seed, key), range(n), threads)
 
 
 def _on_workers(fn, total, chunk, seed, key, groups) -> list:

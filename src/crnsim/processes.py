@@ -11,7 +11,8 @@
   state j, tracked together with its running maximum.
 
 Each sampler is called as ``(params, size, rng)`` and vectorizes across
-``size`` draws; ``size=1`` gives one draw. Every draw is exact: decay and
+``size`` draws; ``size=1`` gives one draw, and a ``size`` that is not an
+integer of at least 0 raises ``DomainError``. Every draw is exact: decay and
 the integer walk draw their value from its exact law (binomial survivors,
 a difference of Poisson event counts) in O(size), and only the reflecting
 walk is simulated event by event, since its running maximum needs the
@@ -113,6 +114,7 @@ def sample_decay_batch(p: DecayParams, size: int, rng: np.random.Generator) -> n
     exp(-lam*t), so the value is Binomial(N, exp(-lam*t)); one exact
     binomial draw per sample replaces the N-event chain, in O(size).
     """
+    size = check_integer(size, "size", 0)
     return rng.binomial(p.N, math.exp(-p.lam * p.t), size).astype(np.int64)
 
 
@@ -124,6 +126,7 @@ def sample_walk_z_batch(p: WalkParams, size: int, rng: np.random.Generator) -> n
     means f_hat*t and r_hat*t; the walk value is their difference. A mean
     above ``POISSON_RATE_MAX`` raises ``DomainError``.
     """
+    size = check_integer(size, "size", 0)
     check_poisson_rate(p.f_hat * p.t, "f_hat*t")
     check_poisson_rate(p.r_hat * p.t, "r_hat*t")
     fwd = rng.poisson(p.f_hat * p.t, size).astype(np.int64)
@@ -165,6 +168,7 @@ def sample_walk_reflecting_batch(
     horizon. A level that is not an integer of at least 1 (a bool or an
     integral float included) raises ``DomainError``.
     """
+    size = check_integer(size, "size", 0)
     if stop_at is not None:
         stop_at = check_integer(stop_at, "stop_at", 1)
     fwd, lr, horizon = p.delta_f * p.N, p.lambda_r, p.t

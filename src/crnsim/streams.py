@@ -5,7 +5,7 @@ through :func:`substream`, keyed by a user seed plus integer indices
 (trial number, grid cell, chunk). Streams for distinct keys are
 independent and do not depend on the order in which they are created, so
 results are identical whether trials run serially or fan out across
-threads.
+worker processes.
 """
 
 from __future__ import annotations

@@ -47,6 +47,25 @@ def test_no_module_imports_csv():
     assert not found
 
 
+def test_no_module_starts_a_thread():
+    # parallel.map_chunks forks worker processes and every other map runs in
+    # the calling thread; a thread pool or a Thread would be a second fan-out
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                found += [f"{path.name}: import {a.name}" for a in node.names
+                          if a.name.partition(".")[0] == "concurrent"]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                if (node.module or "").partition(".")[0] == "concurrent" or (
+                        node.module == "threading" and any(a.name == "Thread" for a in node.names)):
+                    found.append(f"{path.name}: from {node.module} import ...")
+            elif (isinstance(node, ast.Attribute) and node.attr == "Thread"
+                  and isinstance(node.value, ast.Name) and node.value.id == "threading"):
+                found.append(f"{path.name}:{node.lineno}: threading.Thread")
+    assert not found
+
+
 def test_every_benchmark_probe_names_an_attribute_of_crnsim():
     # the traced benchmark wraps these names; renaming one would silently
     # drop its per-layer rows
@@ -119,7 +138,7 @@ def test_benchmark_tracer_reads_run_core_results():
 
 
 def test_pool_machinery_is_imported_on_the_first_fan_out_only():
-    # the thread and process pools cost about 15 ms of imports, which every
+    # the process pool costs about 15 ms of imports, which every
     # CLI call paid although most never fan out
     code = ("import sys, crnsim.cli\n"
             "print(*[m for m in ('concurrent.futures', 'multiprocessing', 'logging')"

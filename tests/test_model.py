@@ -227,6 +227,28 @@ class TestOperations:
         with pytest.raises(DomainError, match="overflows the 64-bit count range"):
             Configuration([1, 2**63])
 
+    @pytest.mark.parametrize("counts", [[2.5, 1], [2.0, 1], [True, 0], [1, np.float64(3)],
+                                        np.array([1.0, 2.0]), np.array([True, False])])
+    def test_configuration_refuses_floats_and_bools(self, counts):
+        # the int64 cast would truncate 2.5 to 2 and count True as 1
+        with pytest.raises(DomainError, match="a count must be an integer"):
+            Configuration(counts)
+
+    def test_configuration_keeps_integer_counts(self):
+        assert Configuration([]).counts.size == 0
+        assert Configuration(np.array([3, 0])) == Configuration([np.int64(3), 0])
+
+    @pytest.mark.parametrize("count", [2.7, True, -1, "2"])
+    def test_config_refuses_counts_that_are_not_integers(self, count):
+        crn, _ = parse_crn("X -> Y\n")
+        with pytest.raises(DomainError, match="the count of X must be an integer of at least 0"):
+            crn.config({"X": count})
+
+    @pytest.mark.parametrize("factor", [2.9, True, -1])
+    def test_scale_refuses_factors_that_are_not_integers(self, factor):
+        with pytest.raises(DomainError, match="factor must be an integer of at least 0"):
+            Configuration([1, 0]).scale(factor)
+
     def test_total_is_exact(self):
         assert Configuration([2**62, 2**62]).total == 2**63
 

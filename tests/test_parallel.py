@@ -119,7 +119,7 @@ def test_rate_beyond_the_sampler_exits_1_from_a_worker(two_cpus, capsys):
 
 @linux_only
 def test_concurrent_callers_share_the_pool(two_cpus):
-    # one caller drives the pool at a time; the others run on threads
+    # one caller drives the pool at a time; the others wait for the pool
     want = map_chunks(_first_draw, 40, 3, 11)
     assert map_chunks(_first_draw, 40, 3, 11, threads=2) == want  # the pool exists
     got, interval = [], sys.getswitchinterval()
@@ -176,6 +176,19 @@ def test_work_stays_in_process(threads, cpus, trials, draws, monkeypatch):
         monte_carlo_validate("decay", DecayBoundParams(80, 1.0, 0.5, 0.5), trials=draws,
                              seed=1, threads=threads)
         assert sum(samples) == draws
+
+
+def _caller_ident(rng, size):
+    return threading.get_ident()
+
+
+def test_work_without_the_pool_runs_in_the_calling_thread(monkeypatch):
+    # threads gain nothing on work that holds the interpreter lock, so every
+    # map the fork pool does not take runs in the caller
+    me = threading.get_ident()
+    assert set(map_ordered(lambda x: threading.get_ident(), range(8), 4)) == {me}
+    monkeypatch.setattr(parallel, "_FORKS", False)
+    assert set(map_chunks(_caller_ident, 40, 3, 0, threads=4)) == {me}
 
 
 def _running(pid: int) -> bool:

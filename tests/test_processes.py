@@ -199,6 +199,23 @@ def test_non_finite_params_rejected(make, bad):
         make(bad)
 
 
+@pytest.mark.parametrize("size", [-1, 2.5, True])
+@pytest.mark.parametrize(
+    "sample, params",
+    [
+        (sample_decay_batch, DecayParams(10, 1.0, 1.0)),
+        (sample_walk_z_batch, WalkParams(1.0, 0.5, 1.0)),
+        (sample_walk_reflecting_batch, ReflectingParams(10, 0.5, 1.0, 1.0)),
+    ],
+    ids=["decay", "walk_z", "reflecting"],
+)
+def test_size_must_be_an_integer_of_at_least_zero(sample, params, size):
+    # refused before numpy, which raises its own ValueError or TypeError
+    with pytest.raises(DomainError, match="size must be an integer of at least 0"):
+        sample(params, size, substream(0))
+    assert np.size(sample(params, 0, substream(0))) == 0
+
+
 class TestWalkZ:
     def test_symmetric_walk_centers_at_zero(self):
         vals = sample_walk_z_batch(WalkParams(5.0, 5.0, 2.0), 10_000, substream(0))
