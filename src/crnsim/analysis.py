@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Rational, Real
 
 from .errors import DomainError, check_integer
 from .model import Configuration, Crn, support
@@ -31,18 +32,16 @@ def _as_fraction(x, name: str) -> Fraction:
 
     Floats are interpreted at decimal precision (their shortest repr), so
     is_alpha_dense(c, 0.1) means the rational 1/10, not the nearest
-    binary double. A float that is not finite has no exact value and
-    raises ``DomainError``.
+    binary double. A bool, a string, any other value that is not a real
+    number and a float that is not finite raise ``DomainError``.
     """
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
+    if isinstance(x, bool) or not isinstance(x, Real):
+        raise DomainError(f"{name} must be a real number, got {x!r}")
+    if isinstance(x, Rational):
         return Fraction(x)
-    if isinstance(x, float):
-        if not math.isfinite(x):
-            raise DomainError(f"{name} must be finite, got {x}")
-        return Fraction(str(x))
-    return Fraction(x)
+    if not math.isfinite(x):
+        raise DomainError(f"{name} must be finite, got {x}")
+    return Fraction(str(x))
 
 
 # ---------------------------------------------------------------------------

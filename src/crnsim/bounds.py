@@ -39,7 +39,7 @@ import numpy as np
 
 from . import processes
 from .analysis import finite_density_status, stage_decomposition
-from .errors import DomainError, HypothesisViolationError, check_integer
+from .errors import DomainError, HypothesisViolationError, check_integer, check_real
 from .model import Configuration, Crn
 from .parallel import map_chunks
 
@@ -48,12 +48,6 @@ LOG2_E = math.log2(math.e)
 # draws per substream chunk in Monte Carlo validation; fixed so that
 # results are independent of thread count
 _CHUNK = 8192
-
-
-def _check_finite(**values: float) -> None:
-    for name, value in values.items():
-        if not math.isfinite(value):
-            raise DomainError(f"{name} must be finite, got {value}")
 
 
 def _check_bound(params, target: str) -> None:
@@ -94,10 +88,7 @@ class PoissonBoundParams:
     side: str = field(metadata={"choices": ("upper", "lower")})
 
     def __post_init__(self):
-        processes.python_numbers(self)
-        _check_finite(lam=self.lam, n=self.n)
-        if not self.lam > 0:
-            raise DomainError("lam must be positive")
+        processes.check_fields(self)
         side = self.side.lower() if isinstance(self.side, str) else self.side
         if side not in ("upper", "lower"):
             raise DomainError(f"side must be 'upper' or 'lower', got {side!r}")
@@ -129,8 +120,6 @@ class WalkBoundParams(processes.WalkParams):
         super().__post_init__()
         if not self.f_hat > self.r_hat:
             raise DomainError("requires f_hat > r_hat > 0")
-        if not 0 < self.eps_hat < math.inf:
-            raise DomainError(f"eps_hat must be finite and positive, got {self.eps_hat}")
         _check_bound(self, "walk_z")
 
     def log2_bound(self) -> float:
@@ -156,14 +145,10 @@ class ReflectingBoundParams:
     N: int
 
     def __post_init__(self):
-        processes.python_numbers(self)
-        _check_finite(delta_f=self.delta_f, lambda_r=self.lambda_r, delta_r=self.delta_r)
-        object.__setattr__(self, "N", check_integer(self.N, "N"))
+        processes.check_fields(self)
         delta_f, lambda_r, delta_r, N = self.delta_f, self.lambda_r, self.delta_r, self.N
         if not lambda_r >= 1:
             raise HypothesisViolationError(f"requires lambda_r >= 1, got {lambda_r}")
-        if not (delta_f > 0 and delta_r > 0):
-            raise DomainError("delta_f and delta_r must be positive")
         if not delta_r <= delta_f / (4.0 * lambda_r):
             raise HypothesisViolationError(
                 f"requires delta_r <= delta_f/(4*lambda_r) = {delta_f / (4 * lambda_r)}, "
@@ -271,9 +256,7 @@ def compute_theorem_constants(
                 "count growth is unclassified for this network; pass c_hat explicitly"
             )
         c_hat = float(status.c_hat)
-    c_hat_input = c_hat
-    if not 0 < c_hat < math.inf:
-        raise DomainError("c_hat must be positive and finite")
+    c_hat = c_hat_input = check_real(c_hat, "c_hat")
 
     m = stage_decomposition(crn, init).m
     size = crn.n_species

@@ -1,6 +1,7 @@
-"""Exception types shared across the package, and the one integer-argument check."""
+"""Exception types shared across the package, and the one integer and real argument checks."""
 
-from numbers import Integral
+from numbers import Integral, Real
+from sys import float_info
 
 
 class CrnError(Exception):
@@ -57,3 +58,21 @@ def check_integer(value, name: str, minimum: int = 1) -> int:
     if not (isinstance(value, Integral) and not isinstance(value, bool) and value >= minimum):
         raise DomainError(f"{name} must be an integer of at least {minimum}, got {value}")
     return int(value)
+
+
+def check_real(value, name: str, zero: bool = False):
+    """``value`` as a Python ``int`` (from an integer) or ``float``, which JSON
+    can write, refused unless it is a real number, finite and above 0 (at
+    least 0 with ``zero``). A bool, a string, NaN, +-inf and an int beyond
+    the float range all raise ``DomainError``.
+    """
+    if type(value) in (float, int):  # the common cases, which need no conversion
+        number = value
+    elif isinstance(value, Real) and not isinstance(value, bool):
+        number = int(value) if isinstance(value, Integral) else float(value)
+    else:
+        number = float("nan")  # refused below, as NaN is
+    if not ((0 <= number if zero else 0 < number) and number <= float_info.max):
+        sign = "nonnegative" if zero else "positive"
+        raise DomainError(f"{name} must be finite and {sign}, got {value}")
+    return number

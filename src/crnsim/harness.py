@@ -20,7 +20,7 @@ from dataclasses import astuple, dataclass, field, fields
 import numpy as np
 
 from .analysis import is_alpha_dense, stage_decomposition
-from .errors import DomainError, check_integer
+from .errors import DomainError, check_integer, check_real
 from .kinetics import (
     FirstProductionStats,
     StopCondition,
@@ -258,10 +258,7 @@ def constant_time_scan(
     if len(set(n_grid)) < len(n_grid):
         raise DomainError("n_grid must not repeat a size")
     stages = stage_decomposition(crn, init_template)
-    if t_cap is None:
-        t_cap = float(stages.m + 1)
-    elif not 0 < t_cap < math.inf:
-        raise DomainError("t_cap must be finite and positive")
+    t_cap = float(stages.m + 1) if t_cap is None else check_real(t_cap, "t_cap")
     base_support = support(init_template)
     target_ids = sorted(stages.closure - base_support)
     targets = tuple(crn.species.name_of(i) for i in target_ids)

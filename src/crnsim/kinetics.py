@@ -79,7 +79,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .errors import DomainError, UnsupportedReactionOrderError, check_integer
+from .errors import DomainError, UnsupportedReactionOrderError, check_integer, check_real
 from .model import Configuration, Crn, apply_reaction
 from .streams import open_uniform_block, substream
 from .parallel import map_chunks
@@ -137,7 +137,8 @@ class StopCondition:
     ``count_reaches`` is a (species, threshold) pair: the run stops when
     the count reaches the threshold from its initial side. ``max_events``
     bounds the number of reaction events. Counts and the event bound are
-    integers of at least 0.
+    integers of at least 0, and ``t_max`` is kept as ``errors.check_real``
+    returns it, so it is finite and at least 0.
     """
 
     t_max: float | None = None
@@ -153,8 +154,8 @@ class StopCondition:
             and self.max_events is None
         ):
             raise DomainError("stop condition must include at least one finite bound")
-        if self.t_max is not None and not (self.t_max >= 0 and math.isfinite(self.t_max)):
-            raise DomainError("t_max must be finite and nonnegative")
+        if self.t_max is not None:
+            object.__setattr__(self, "t_max", check_real(self.t_max, "t_max", zero=True))
         if self.max_events is not None:
             object.__setattr__(self, "max_events", check_integer(self.max_events, "max_events", 0))
         if self.count_reaches is not None:
@@ -240,14 +241,14 @@ class _Compiled:
     The scalar loop reads both as they are; the batched loop lays them out
     once per call over its own species-major rows. A coefficient that
     underflows to 0 is refused, and so is a table whose total propensity
-    could leave the float range at counts below 2**63.
+    could leave the float range at counts below 2**63. ``volume`` holds the
+    volume as ``errors.check_real`` returns it.
     """
 
-    __slots__ = ("table", "deltas")
+    __slots__ = ("volume", "table", "deltas")
 
     def __init__(self, crn: Crn, volume: float):
-        if not 0 < volume < math.inf:
-            raise DomainError("volume must be positive and finite")
+        self.volume = volume = check_real(volume, "volume")
         ones = crn.n_species
         table, deltas = [], []
         for rx in crn.reactions:
@@ -805,9 +806,7 @@ def _prepare(crn: Crn, init: Configuration, stop: StopCondition, volume):
     """
     if len(init) != crn.n_species:
         raise DomainError("initial configuration does not span the species table")
-    if volume is None:
-        volume = float(init.total)
-    comp = _Compiled(crn, volume)
+    comp = _Compiled(crn, float(init.total) if volume is None else volume)
     counts = init.counts.tolist()
     watch = count_stop = None
     if stop.species_appears is not None:
@@ -822,7 +821,7 @@ def _prepare(crn: Crn, init: Configuration, stop: StopCondition, volume):
         if why is not None:
             raise DomainError(f"{why}; give the stop a t_max or max_events")
     counts.append(1)
-    return volume, comp, counts, {
+    return comp.volume, comp, counts, {
         "t_max": stop.t_max,
         "watch": watch,
         "count_stop": count_stop,
@@ -834,16 +833,24 @@ def _never_fires(crn: Crn, counts: list, watch, count_stop) -> str | None:
     """Why neither trigger of a stop can ever fire from ``counts``, or None
     when one of them might.
 
-    The watch trigger never fires when a watched species lies outside the
-    stage closure, which over-approximates what can be produced. A rising
-    count trigger never fires when its threshold exceeds the bound that a
-    conservation certificate puts on that count. Any other trigger might.
+    A conservation certificate m, sought only for these two, keeps m . x
+    at its start, so no reaction whose reactants weigh more ever fires. The
+    watch trigger never fires when a watched species lies outside the stage
+    closure of the other reactions, which over-approximates what can be
+    produced. A rising count trigger never fires when its threshold exceeds
+    the bound the certificate puts on that count. Any other trigger might.
     """
     from . import analysis  # deferred: it slows down importing this module
 
+    rising = count_stop is not None and count_stop[2] > 0
+    mass = analysis.check_mass_conserving(crn).mass if watch is not None or rising else None
+    weight = None if mass is None else sum(m * c for m, c in zip(mass, counts))
     reasons = []
     if watch is not None:
-        closure = analysis.stage_decomposition(crn, Configuration(counts)).closure
+        able = crn if mass is None else Crn(crn.species, tuple(
+            rx for rx in crn.reactions if sum(m * r for m, r in zip(mass, rx.reactants)) <= weight
+        ))
+        closure = analysis.stage_decomposition(able, Configuration(counts)).closure
         never = sorted(crn.species.name_of(s) for s in watch - closure)
         if not never:
             return None
@@ -851,11 +858,10 @@ def _never_fires(crn: Crn, counts: list, watch, count_stop) -> str | None:
             f"species {', '.join(never)} can never appear from this initial configuration"
         )
     if count_stop is not None:
-        sid, thr, direction = count_stop
-        mass = analysis.check_mass_conserving(crn).mass if direction > 0 else None
-        if mass is None:
+        if not rising or mass is None:
             return None
-        cap = sum(m * c for m, c in zip(mass, counts)) // mass[sid]
+        sid, thr, _ = count_stop
+        cap = weight // mass[sid]
         if thr <= cap:
             return None
         reasons.append(
@@ -883,9 +889,8 @@ def simulate(
     trial of a repeated experiment. Checkpoint times, a sequence or a numpy
     array, must be finite and nonnegative.
     """
-    cps = () if checkpoint_times is None else sorted(checkpoint_times)
-    if not all(0 <= x < math.inf for x in cps):
-        raise DomainError(f"checkpoint times must be finite and nonnegative, got {cps}")
+    cps = [] if checkpoint_times is None else checkpoint_times
+    cps = sorted(check_real(x, "checkpoint times", zero=True) for x in cps)
     volume, comp, counts, loop_args = _prepare(crn, init, stop, volume)
     t, status, events, cp_rows, _, _ = _run_core(
         comp, counts, substream(seed, *stream_key), checkpoint_times=cps, **loop_args
@@ -1038,8 +1043,7 @@ def first_production_times(
     one substream (seed, c) per chunk c of ``_TRIAL_CHUNK`` trials, so
     results do not depend on the thread count.
     """
-    if not 0 < t_cap < math.inf:
-        raise DomainError("t_cap must be finite and positive")
+    t_cap = check_real(t_cap, "t_cap")
     seed = check_integer(seed, "seed", 0)
     stop = StopCondition(t_max=t_cap, species_appears=frozenset({target}))
     times = run_trials(crn, init, stop, trials, seed, volume=volume, threads=threads)[1][target]

@@ -33,6 +33,7 @@ from .errors import (
     ParseError,
     UnknownSpeciesError,
     check_integer,
+    check_real,
 )
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
@@ -89,7 +90,8 @@ class Reaction:
     must span the full species table of the owning network. Any sequence
     of integers, numpy integers included, is taken and kept as a tuple of
     Python ints; any other coefficient (a float, a bool, a negative number)
-    is refused with ``DomainError``.
+    is refused with ``DomainError``, and so is a rate constant that
+    ``check_real`` refuses. The rate is kept as a Python float.
     """
 
     reactants: tuple[int, ...]
@@ -103,6 +105,8 @@ class Reaction:
             if type(coefs) is not tuple or not all(type(c) is int and c >= 0 for c in coefs):
                 coefs = tuple(check_integer(c, f"a coefficient of the {side}", 0) for c in coefs)
                 object.__setattr__(self, side, coefs)
+        rate = float(check_real(self.rate_constant, "rate constant"))  # as parse_crn reads it
+        object.__setattr__(self, "rate_constant", rate)
 
     @property
     def order(self) -> int:
@@ -183,9 +187,6 @@ class Crn:
         for i, rx in enumerate(self.reactions):
             if len(rx.reactants) != n or len(rx.products) != n:
                 raise ValueError(f"reaction {i} does not span the species table")
-            k = rx.rate_constant
-            if not (k > 0 and np.isfinite(k)):
-                raise ValueError(f"reaction {i} has nonpositive rate constant {k}")
             if rx.reactants == rx.products:
                 raise ValueError(f"reaction {i} is a no-op (reactants equal products)")
             if rx.label is not None:

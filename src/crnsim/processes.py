@@ -34,7 +34,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import DomainError, check_integer
+from .errors import DomainError, check_integer, check_real
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
 # numpy's Poisson sampler refuses a mean above the int64 maximum less ten
@@ -51,11 +51,15 @@ def check_poisson_rate(rate: float, name: str) -> None:
         )
 
 
-def python_numbers(params) -> None:
-    """Store each numpy scalar field of ``params`` as its ``.item()``, which JSON can write."""
+_FIELD_CHECKS = {"int": check_integer, "float": check_real}
+
+
+def check_fields(params) -> None:
+    """Store each ``int`` field of ``params`` (its annotation, a string here)
+    through ``check_integer`` and each ``float`` one through ``check_real``."""
     for f in fields(params):
-        if isinstance(value := getattr(params, f.name), np.generic):
-            object.__setattr__(params, f.name, value.item())
+        if check := _FIELD_CHECKS.get(f.type):
+            object.__setattr__(params, f.name, check(getattr(params, f.name), f.name))
 
 
 @dataclass(frozen=True)
@@ -68,12 +72,9 @@ class DecayParams:
     t: float
 
     def __post_init__(self):
-        python_numbers(self)
-        object.__setattr__(self, "N", check_integer(self.N, "N"))
+        check_fields(self)
         if self.N > _INT64_MAX:  # numpy's binomial sampler takes N as a C long
             raise DomainError(f"N must be at most {_INT64_MAX}, got {self.N}")
-        if not all(0 < x < math.inf for x in (self.lam, self.t)):
-            raise DomainError("lam and t must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -85,9 +86,7 @@ class WalkParams:
     t: float
 
     def __post_init__(self):
-        python_numbers(self)
-        if not all(0 < x < math.inf for x in (self.f_hat, self.r_hat, self.t)):
-            raise DomainError("f_hat, r_hat and t must be finite and positive")
+        check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -101,10 +100,7 @@ class ReflectingParams:
     t: float
 
     def __post_init__(self):
-        python_numbers(self)
-        object.__setattr__(self, "N", check_integer(self.N, "N"))
-        if not all(0 < x < math.inf for x in (self.delta_f, self.lambda_r, self.t)):
-            raise DomainError("delta_f, lambda_r and t must be finite and positive")
+        check_fields(self)
 
 
 def sample_decay_batch(p: DecayParams, size: int, rng: np.random.Generator) -> np.ndarray:

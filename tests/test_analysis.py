@@ -226,6 +226,17 @@ class TestDensity:
         with pytest.raises(DomainError, match="alpha must be finite"):
             is_alpha_dense(Configuration([1]), alpha)
 
+    @pytest.mark.parametrize("alpha", ["0.5", True, None])
+    def test_alpha_that_is_not_a_real_number_is_refused(self, alpha):
+        # "0.5" was read as the fraction 1/2, and True as alpha = 1
+        with pytest.raises(DomainError, match="alpha must be a real number"):
+            is_alpha_dense(Configuration([1, 1]), alpha)
+
+    def test_numpy_alpha_is_read_at_decimal_precision(self):
+        cfg = Configuration([10, 90])
+        assert is_alpha_dense(cfg, np.float64(0.1)) and is_alpha_dense(cfg, np.float32(0.1))
+        assert not is_alpha_dense(cfg, np.float32(0.2))
+
 
 class TestMassConservation:
     def test_population_protocol_unit_mass(self):

@@ -483,9 +483,9 @@ class TestErrorPaths:
              "t_cap must be finite and positive"),
             (["analyze", "{net}", "--init", "X=8", "--alpha", "0"], "alpha must lie in (0, 1]"),
             (["constants", "{leader}", "--init", "L=10", "--alpha", "1", "--c-hat", "nan"],
-             "c_hat must be positive and finite"),
+             "c_hat must be finite and positive"),
             (["constants", "{leader}", "--init", "L=10", "--alpha", "1", "--c-hat", "inf"],
-             "c_hat must be positive and finite"),
+             "c_hat must be finite and positive"),
             (["analyze", "{net}", "--init", "X=99999999999999999999"],
              "overflows the 64-bit count range"),
         ],
@@ -615,7 +615,7 @@ class TestErrorPaths:
         monkeypatch.setattr(kinetics, "_run_batch", no_events)
         argv = [argv_tail[0], str(p), *argv_tail[1:], "--volume", volume]
         assert main(["--out-dir", str(tmp_path), *argv]) == 1
-        assert capsys.readouterr().err == "error: volume must be positive and finite\n"
+        assert capsys.readouterr().err == f"error: volume must be finite and positive, got {volume}\n"
 
     def test_rate_that_can_overflow_exits_1(self, tmp_path, capsys):
         # the total propensity overflowed to inf and the run died with a
@@ -653,6 +653,22 @@ class TestErrorPaths:
         argv = [*command, convert_file, *options, "--alpha", "nan"]
         assert main(["--out-dir", str(tmp_path), *argv]) == 1
         assert capsys.readouterr().err == "error: alpha must be finite, got nan\n"
+
+    def test_stop_that_conservation_rules_out_exits_1(self, tmp_path, capsys, monkeypatch):
+        # A + B = 1 is conserved, so A + A -> C never fires; this looped forever
+        p = tmp_path / "pair.crn"
+        p.write_text("A -> B\nB -> A\nA + A -> C\ninit: A = 1\n")
+
+        def no_events(*args, **kwargs):
+            raise AssertionError("the stop should have been refused before simulating")
+
+        monkeypatch.setattr(kinetics, "_run_core", no_events)
+        rc = main(["--out-dir", str(tmp_path), "simulate", str(p), "--stop-species", "C"])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: species C can never appear from this initial configuration; "
+            "give the stop a t_max or max_events\n"
+        )
 
     def test_stop_with_one_trigger_that_can_fire_runs(self, tmp_path):
         p = tmp_path / "cycle.crn"

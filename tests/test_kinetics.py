@@ -12,7 +12,7 @@ import traceback
 import numpy as np
 import pytest
 
-from crnsim import kinetics
+from crnsim import analysis, kinetics
 from crnsim.analysis import stage_decomposition
 from crnsim.errors import DomainError, UnsupportedReactionOrderError
 from crnsim.harness import chain_crn, leader_election_crn, leader_election_experiment
@@ -1010,6 +1010,31 @@ class TestRunTrials:
         with pytest.raises(DomainError, match="t_max or max_events"):
             run_trials(crn, crn.config({"A": 5}), stop, 3, seed=0)
 
+    def test_watch_that_conservation_rules_out_is_refused(self, monkeypatch):
+        # A + A -> C lies in the stage closure, but A + B = 1 is conserved,
+        # so two copies of A never meet; this run looped forever
+        crn, _ = parse_crn("A -> B\nB -> A\nA + A -> C\n")
+        stop = StopCondition(species_appears=frozenset({"C"}))
+        _refuse_to_simulate(monkeypatch)
+        with pytest.raises(DomainError, match="species C can never appear"):
+            simulate(crn, crn.config({"A": 1}), stop, seed=0)
+        with pytest.raises(DomainError, match="species C can never appear"):
+            run_trials(crn, crn.config({"A": 1}), stop, 3, seed=0)
+        # from A = 2 the weight allows A + A, so the stop reaches the loops
+        with pytest.raises(AssertionError, match="refused before simulating"):
+            simulate(crn, crn.config({"A": 2}), stop, seed=0)
+
+    def test_falling_count_stop_seeks_no_certificate(self, monkeypatch):
+        def no_certificate(crn):
+            raise AssertionError("a falling count stop needs no certificate")
+
+        monkeypatch.setattr(analysis, "check_mass_conserving", no_certificate)
+        crn = leader_election_crn()
+        stop = StopCondition(count_reaches=("L", 1))
+        times, _ = run_trials(crn, crn.config({"L": 10}), stop, 3, seed=0)
+        assert times.shape == (3,)
+        assert simulate(crn, crn.config({"L": 10}), stop, seed=0).terminal[0] == 1
+
     @pytest.mark.parametrize("trials", [2.5, 100_000.0, math.nan, math.inf, 0, True])
     def test_trials_must_be_a_positive_integer(self, trials, monkeypatch):
         # a float trials count raised a TypeError inside the chunk layout,
@@ -1035,9 +1060,9 @@ class TestRunTrials:
         init = crn.config({"A": 3, "B": 2})
         stop = StopCondition(t_max=1.0)
         _refuse_to_simulate(monkeypatch)
-        with pytest.raises(DomainError, match="volume must be positive and finite"):
+        with pytest.raises(DomainError, match="volume must be finite and positive"):
             simulate(crn, init, stop, seed=0, volume=volume)
-        with pytest.raises(DomainError, match="volume must be positive and finite"):
+        with pytest.raises(DomainError, match="volume must be finite and positive"):
             run_trials(crn, init, stop, 3, seed=0, volume=volume)
 
     @pytest.mark.parametrize("k,volume", [(1.0, 1e-320), (1e-30, 1e300)])

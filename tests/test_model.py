@@ -280,8 +280,20 @@ class TestOperations:
         assert parse_crn(format_crn(crn)) == (crn, None)
 
     def test_crn_rejects_bad_rate(self):
-        with pytest.raises(ValueError, match="rate"):
+        with pytest.raises(DomainError, match="rate"):
             Crn(SpeciesTable(("A", "B")), (Reaction((1, 0), (0, 1), 0.0),))
+
+    @pytest.mark.parametrize("k", [np.float64(2.0), np.int64(2), 3], ids=["float64", "int64", "int"])
+    def test_rate_constant_is_kept_as_a_python_float(self, k):
+        # a numpy rate formatted as k=np.float64(2.0), which parse_crn refused,
+        # and k=3 parsed back equal but with another digest
+        crn = Crn(SpeciesTable(("A", "B")), (Reaction((1, 0), (0, 1), k),))
+        assert type(crn.reactions[0].rate_constant) is float
+        assert parse_crn(format_crn(crn))[0].digest() == crn.digest()
+
+    def test_bool_rate_constant_is_refused(self):
+        with pytest.raises(DomainError, match="rate constant must be finite and positive"):
+            Reaction((1, 0), (0, 1), True)
 
 
 class TestInvariants:
