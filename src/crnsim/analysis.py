@@ -121,14 +121,21 @@ def stage_decomposition(crn: Crn, init: Configuration) -> StageDecomposition:
 # Density
 
 
-def is_alpha_dense(config: Configuration, alpha) -> bool:
-    """True iff every present species has count >= alpha * total.
-
-    ``alpha`` must lie in (0, 1]; the comparison is exact.
-    """
+def check_alpha(alpha) -> Fraction:
+    """The density ``alpha`` as an exact fraction (see ``_as_fraction``),
+    refused with ``DomainError`` unless it is a real number in (0, 1]."""
     alpha = _as_fraction(alpha, "alpha")
     if not (0 < alpha <= 1):
         raise DomainError("alpha must lie in (0, 1]")
+    return alpha
+
+
+def is_alpha_dense(config: Configuration, alpha) -> bool:
+    """True iff every present species has count >= alpha * total.
+
+    ``alpha`` goes through ``check_alpha``; the comparison is exact.
+    """
+    alpha = check_alpha(alpha)
     if config.total == 0:
         raise DomainError("density is undefined for the zero configuration")
     threshold = alpha * config.total

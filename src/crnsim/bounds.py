@@ -38,7 +38,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import processes
-from .analysis import finite_density_status, stage_decomposition
+from .analysis import check_alpha, finite_density_status, stage_decomposition
 from .errors import DomainError, HypothesisViolationError, check_integer, check_real
 from .model import Configuration, Crn
 from .parallel import map_chunks
@@ -239,12 +239,12 @@ def compute_theorem_constants(
     protocols, the certificate ratio for mass-conserving networks) and it
     is an error if neither applies. Whatever the input, c_hat is adjusted
     up to max(c_hat, 1, 1/K_hat) so that lam >= 1 as the reflecting-walk
-    bound requires.
+    bound requires. ``alpha`` is checked by ``analysis.check_alpha``, the
+    rule and messages of ``is_alpha_dense``.
     """
     if not crn.reactions:
         raise DomainError("the network must contain at least one reaction")
-    if not 0 < alpha <= 1:
-        raise DomainError("alpha must lie in (0, 1]")
+    alpha = float(check_alpha(alpha))
     if init is None:
         raise DomainError(
             "an initial configuration support is required to determine the stages"

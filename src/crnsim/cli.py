@@ -174,7 +174,7 @@ def _cmd_simulate(args, crn, init):
         cp_path = _write(args, args.checkpoints_out, lambda f: trace.checkpoints_to_csv(crn, f))
     report = {
         "status": trace.status,
-        "time": trace.time,
+        "time": kinetics.json_time(trace.time),
         "events": len(trace.events),
         "terminal": trace.terminal.to_dict(crn.species),
         "trace_csv": str(trace_path),

@@ -11,8 +11,11 @@ than two reactants have no propensity and are rejected up front.
 Waiting times are sampled by inverse CDF on open-interval uniforms, so
 every waiting time is finite and strictly positive, though one far below
 the clock's resolution leaves the event time unchanged. A trace records
-(time, reaction index) events compactly; full count vectors are captured
-only at requested checkpoint times.
+its events as two flat read-only columns, the event times (float64) and
+the reaction indices (the smallest unsigned dtype that holds every index
+of the network), and ``Events`` shows them as a sequence of
+(time, reaction index) pairs; full count vectors are captured only at
+requested checkpoint times.
 
 There are two event loops, one per execution shape. Both evaluate the
 propensities above by one formula over one reaction table of plain
@@ -73,7 +76,9 @@ from __future__ import annotations
 import itertools
 import linecache
 import math
+import operator
 import weakref
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 
@@ -111,6 +116,9 @@ _KEEP_SHARE = 0.5
 _RECOMPUTE_LINES = 8
 # rows joined per write by _write_csv, which bounds its memory
 _CSV_CHUNK = 4096
+# events an Events view turns into Python numbers at a time while it is
+# iterated, which bounds the memory of walking a long trace
+_EVENT_CHUNK = 4096
 # the event budget of a run without max_events, which no run reaches
 _NO_BUDGET = 2**63 - 1
 # trials per substream in run_trials; fixed so that results do not depend
@@ -175,30 +183,97 @@ STOPPED = "stopped"
 EXHAUSTED = "exhausted"
 
 
-@dataclass
+@lru_cache(maxsize=256)
+def _index_dtype(n_reactions: int) -> np.dtype:
+    """The smallest unsigned dtype that holds every reaction index."""
+    return np.min_scalar_type(max(n_reactions - 1, 0))
+
+
+class Events(Sequence):
+    """The events of a trace: a read-only sequence of (time, reaction index)
+    pairs over two flat columns.
+
+    ``times`` (float64) and ``reactions`` (an unsigned integer dtype) are
+    read-only arrays of one entry per event, for vectorised use. ``len``
+    costs O(1); an index gives a ``(float, int)`` tuple, a slice a list of
+    them, and iteration yields them, converting ``_EVENT_CHUNK`` events at
+    a time. A view equals another with equal columns, and any sequence of
+    equal pairs, so ``trace.events == []`` holds for a run without events.
+    """
+
+    __slots__ = ("times", "reactions")
+
+    def __init__(self, times, reactions):
+        self.times = times = np.asarray(times, dtype=np.float64).view()
+        self.reactions = reactions = np.asarray(reactions).view()
+        if times.ndim != 1 or times.shape != reactions.shape:
+            raise ValueError("the event columns must be flat and of one length")
+        times.setflags(write=False)
+        reactions.setflags(write=False)
+
+    def __len__(self):
+        return self.times.size
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return list(zip(self.times[i].tolist(), self.reactions[i].tolist()))
+        return self.times.item(i), self.reactions.item(i)
+
+    def __iter__(self):
+        for start in range(0, len(self), _EVENT_CHUNK):
+            stop = start + _EVENT_CHUNK
+            yield from zip(self.times[start:stop].tolist(), self.reactions[start:stop].tolist())
+
+    def __eq__(self, other):
+        if isinstance(other, Events):
+            return bool(np.array_equal(self.times, other.times)
+                        and np.array_equal(self.reactions, other.reactions))
+        if isinstance(other, Sequence):
+            return len(self) == len(other) and all(map(operator.eq, self, other))
+        return NotImplemented
+
+    def __repr__(self):
+        return f"Events(times={self.times!r}, reactions={self.reactions!r})"
+
+
+@dataclass(eq=False)
 class Trace:
     """One simulated trajectory.
 
-    ``events`` is the time-ordered list of (time, reaction index);
-    replaying it from ``initial`` with ``model.apply_reaction``
-    reproduces ``terminal``. ``checkpoints`` holds (time, counts) rows for
-    the checkpoint times that the run reached. Status is "exhausted" when
-    total propensity hit zero, else "stopped".
+    ``events`` is an ``Events`` view of the time-ordered (time, reaction
+    index) pairs over two read-only columns, ``events.times`` and
+    ``events.reactions``; replaying them from ``initial`` with
+    ``model.apply_reaction`` reproduces ``terminal``. ``checkpoints`` holds
+    (time, counts) rows for the checkpoint times that the run reached.
+    Status is "exhausted" when total propensity hit zero, else "stopped".
+    Two traces are equal when every field is, the events by value and the
+    checkpoint counts by exact array equality.
     """
 
     initial: Configuration
-    events: list[tuple[float, int]]
+    events: Events
     terminal: Configuration
     time: float
     status: str
     volume: float
     checkpoints: list[tuple[float, np.ndarray]] = field(default_factory=list)
 
+    def __eq__(self, other):
+        if not isinstance(other, Trace):
+            return NotImplemented
+        fields = ("initial", "events", "terminal", "time", "status", "volume")
+        return (
+            all(getattr(self, f) == getattr(other, f) for f in fields)
+            and len(self.checkpoints) == len(other.checkpoints)
+            and all(t == u and np.array_equal(a, b)
+                    for (t, a), (u, b) in zip(self.checkpoints, other.checkpoints))
+        )
+
     def replay(self, crn: Crn):
         """Yield the configuration after each event, starting from the initial."""
         cfg = self.initial
         yield cfg
-        for _, ridx in self.events:
+        for ridx in self.events.reactions.tolist():
             cfg = apply_reaction(cfg, crn.reactions[ridx])
             yield cfg
 
@@ -313,7 +388,11 @@ def _run_core(
     each event before its uniforms are read, and ``max_events`` when a
     block of uniforms is drawn, so a stop that already holds in ``counts``
     ends the run at time 0. Returns (time, status, events, checkpoints,
-    watch_times, n_events).
+    watch_times, n_events), where ``events`` is the pair of buffers the
+    run recorded into: a list of its event times and, with two or more
+    reactions, its reaction indices, a ``bytearray`` when ``_index_dtype``
+    takes one byte (up to 256 reactions) and a list above. With at most
+    one reaction every index is 0 and none is recorded.
 
     The loop itself is the kernel ``_kernel`` generated for the shape of
     this run: the reactant rows and net changes of ``comp``, the species
@@ -341,6 +420,7 @@ def _run_core(
         max_events,
         checkpoint_times,
         watch_times,
+        bytearray() if _index_dtype(len(comp.table)).itemsize == 1 else [],
     )
 
 
@@ -398,14 +478,16 @@ def _kernel_source(rows, deltas, n_species, watched, count_key, timed) -> str:
     table order, so ``s`` of the last is the total, and the reaction is
     chosen by a chain ``if x < s1 ... elif ... else`` over those sums: the
     first j with x < s_(j+1), or the last reaction when there is none. Each
-    branch applies its own changes and marks the watched species it raises
-    as seen. The watch and count stops are tested at the top of each event.
+    event appends its time to the list ``events``; with two or more
+    reactions each branch appends its index to ``chosen``. Each branch
+    applies its own changes and marks the watched species it raises as
+    seen. The watch and count stops are tested at the top of each event.
     With no reaction the total is ``0``. Uniforms come in blocks, read one
     (at most one reaction) or two (time, then selection) per event, and the
     event budget is tested once per block, when the block is sized to the
-    events left in it. Checkpoints take one
-    test per event, before the event: the ones before its time, and one at
-    the previous event's time when the two times are equal. A checkpoint at
+    events left in it. Checkpoints take one test per event, before the
+    event: the ones before its time, and one at the previous event's time
+    when the two times are equal. A checkpoint at
     an event time is thus taken with the counts after the first event at
     that time, at the next test or after the loop. The source holds only
     integers and local names.
@@ -419,7 +501,7 @@ def _kernel_source(rows, deltas, n_species, watched, count_key, timed) -> str:
         "cpi += 1",
         "cp = cps[cpi] if cpi < ncp else nan",
     ]
-    out = ["def kernel(table, counts, rng, draw, t_max, thr, max_events, cps, wt):"]
+    out = ["def kernel(table, counts, rng, draw, t_max, thr, max_events, cps, wt, chosen):"]
 
     def emit(depth, *lines):
         out.extend("    " * depth + line for line in lines)
@@ -459,6 +541,8 @@ def _kernel_source(rows, deltas, n_species, watched, count_key, timed) -> str:
         emit(1, "pending = " + " + ".join(f"p{s}" for s in watched))
     emit(1, "t = ZERO", "events = []", "record = events.append", "cp_rows = []",
          "ncp = len(cps)", "cpi = 0", "cp = cps[0] if ncp else nan")
+    if nrx > 1:
+        emit(1, "mark = chosen.append")
     stops = []
     if watched:
         stops.append("not pending")
@@ -497,7 +581,7 @@ def _kernel_source(rows, deltas, n_species, watched, count_key, timed) -> str:
     emit(3, "if cp <= tn:")
     emit(4, "while cp < tn or cp == t and events:")
     emit(5, *capture)
-    emit(3, "t = tn")
+    emit(3, "t = tn", "record(t)")
     if nrx > 1:
         emit(3, f"x = v * {total}")
     for j, delta in enumerate(deltas):
@@ -512,7 +596,8 @@ def _kernel_source(rows, deltas, n_species, watched, count_key, timed) -> str:
                 emit(3, "else:")
         for s, d in delta:
             emit(depth, f"c{s} {'+' if d > 0 else '-'}= {abs(d)}")
-        emit(depth, f"record((t, {j}))")
+        if nrx > 1:
+            emit(depth, f"mark({j})")
         affected = {i for s, _ in delta for i in readers[s] if i in kept}
         emit(depth, *(f"a{i} = {propensity(i)}" for i in sorted(affected)))
         for s, d in delta:
@@ -526,7 +611,7 @@ def _kernel_source(rows, deltas, n_species, watched, count_key, timed) -> str:
     # an exhausted process is frozen from here on
     emit(1, "until = inf if status == EXHAUSTED else t", "while cp <= until:")
     emit(2, *capture)
-    emit(1, "return t, status, events, cp_rows, wt, len(events)")
+    emit(1, "return t, status, (events, chosen), cp_rows, wt, len(events)")
     return "\n".join(out) + "\n"
 
 
@@ -892,12 +977,15 @@ def simulate(
     cps = [] if checkpoint_times is None else checkpoint_times
     cps = sorted(check_real(x, "checkpoint times", zero=True) for x in cps)
     volume, comp, counts, loop_args = _prepare(crn, init, stop, volume)
-    t, status, events, cp_rows, _, _ = _run_core(
+    t, status, (times, chosen), cp_rows, _, n = _run_core(
         comp, counts, substream(seed, *stream_key), checkpoint_times=cps, **loop_args
     )
+    # with at most one reaction every index is 0 and the kernel recorded none
+    dtype = _index_dtype(len(comp.table))
+    reactions = np.array(chosen, dtype) if len(comp.table) > 1 else np.zeros(n, dtype)
     return Trace(
         initial=init,
-        events=events,
+        events=Events(np.fromiter(times, np.float64, count=n), reactions),
         terminal=Configuration(counts[:-1]),
         time=t,
         status=status,

@@ -247,6 +247,23 @@ class TestTheoremConstants:
         with pytest.raises(DomainError, match="c_hat"):
             compute_theorem_constants(crn, crn.config({"X": 3}), alpha=1.0)
 
+    @pytest.mark.parametrize(
+        "alpha, message",
+        [
+            (True, "alpha must be a real number, got True"),
+            ("0.5", "alpha must be a real number, got '0.5'"),
+            (math.nan, "alpha must be finite, got nan"),
+            (1.5, "alpha must lie in (0, 1]"),
+        ],
+        ids=["bool", "str", "nan", "above-one"],
+    )
+    def test_alpha_is_checked_as_is_alpha_dense_checks_it(self, alpha, message):
+        # True ran as alpha = 1.0 and "0.5" ended in a TypeError
+        crn, _ = parse_crn("L + L -> L + N\n")
+        with pytest.raises(DomainError) as info:
+            compute_theorem_constants(crn, crn.config({"L": 10}), alpha)
+        assert str(info.value) == message
+
     def test_missing_init_is_an_error(self):
         crn, _ = parse_crn("X -> Y\n")
         with pytest.raises(DomainError, match="initial configuration"):

@@ -291,6 +291,31 @@ class TestBulkOutputs:
         cps = (tmp_path / "out" / "checkpoints.csv").read_text()
         assert cps.splitlines()[0] == "time,X,Y"
 
+    def test_simulate_json_reports_an_infinite_time_as_null(self, tmp_path, capsys):
+        # a propensity of 1e-320 makes the first wait overflow to inf, which
+        # json.dumps printed as Infinity; the text report keeps t = inf
+        p = tmp_path / "tiny.crn"
+        p.write_text("X -> 0 ; k=1e-320\ninit: X = 1\n")
+        argv = ["--out-dir", str(tmp_path), "simulate", str(p), "--max-events", "1"]
+        assert main(["--format", "json", *argv]) == 0
+        out = capsys.readouterr().out
+
+        def refuse(name):
+            raise ValueError(f"{name} is not JSON")
+
+        report = {
+            "status": "stopped",
+            "time": None,
+            "events": 1,
+            "terminal": {},
+            "trace_csv": str(tmp_path / "trace.csv"),
+            "checkpoints_csv": None,
+        }
+        assert json.loads(out, parse_constant=refuse) == report
+        assert out == json.dumps(report, indent=2, sort_keys=True) + "\n"
+        assert main(argv) == 0
+        assert capsys.readouterr().out.startswith("status: stopped at t = inf after 1 events\n")
+
     def test_first_production_csv(self, convert_file, tmp_path, capsys):
         rc = main(
             [
@@ -647,7 +672,8 @@ class TestErrorPaths:
 
     @pytest.mark.parametrize(
         "command,options",
-        [(["analyze"], []), (["demo", "scan"], ["--n-grid", "100", "--trials", "5"])],
+        [(["analyze"], []), (["demo", "scan"], ["--n-grid", "100", "--trials", "5"]),
+         (["constants"], [])],
     )
     def test_non_finite_alpha_exits_1(self, convert_file, tmp_path, capsys, command, options):
         argv = [*command, convert_file, *options, "--alpha", "nan"]

@@ -1,5 +1,6 @@
 import bisect
 import csv
+import dataclasses
 import gc
 import hashlib
 import io
@@ -7,6 +8,7 @@ import linecache
 import math
 import re
 import tokenize
+import tracemalloc
 import traceback
 
 import numpy as np
@@ -1203,6 +1205,93 @@ class TestFirstProduction:
         assert stats.quantile(0.5) == pytest.approx(0.3)
         assert stats.quantile(0.95) == math.inf
         assert stats.mean == pytest.approx(0.2)
+
+
+class TestEvents:
+    """A trace keeps its events as two read-only columns behind a sequence
+    view of (time, reaction index) pairs."""
+
+    def _swap(self, seed, max_events=20):
+        crn, _ = parse_crn("A -> B ; k=1\nB -> A ; k=2\n")
+        return simulate(crn, crn.config({"A": 6}), StopCondition(max_events=max_events), seed)
+
+    def test_view_semantics(self, monkeypatch):
+        # three events per chunk, so that iteration crosses chunk boundaries
+        monkeypatch.setattr(kinetics, "_EVENT_CHUNK", 3)
+        ev = self._swap(4).events
+        pairs = list(zip(ev.times.tolist(), ev.reactions.tolist()))
+        assert len(ev) == len(pairs) == 20 and {j for _, j in pairs} == {0, 1}
+        assert (ev[0], ev[-1], ev[-20]) == (pairs[0], pairs[-1], pairs[0])
+        assert all(type(t) is float and type(j) is int for t, j in [ev[5], *ev])
+        assert ev[2:7] == pairs[2:7] and type(ev[2:7]) is list and ev[::-3] == pairs[::-3]
+        assert list(ev) == pairs and ev == pairs and pairs == ev and ev == tuple(pairs)
+        assert ev == self._swap(4).events and ev != self._swap(5).events
+        assert ev != pairs[:-1] and ev != [*pairs[:-1], (pairs[-1][0], 1 - pairs[-1][1])]
+        with pytest.raises(IndexError):
+            ev[20]
+        assert (ev.times.dtype, ev.reactions.dtype) == (np.float64, np.uint8)
+        for column in (ev.times, ev.reactions):
+            assert not column.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 0
+
+    def test_traces_compare_by_value(self):
+        # the dataclass comparison of the (time, counts) rows raised
+        # "truth value of an array ... is ambiguous" for two species
+        crn, _ = parse_crn("species: A B\nA -> B ; k=1\n")
+
+        def run(seed):
+            return simulate(crn, crn.config({"A": 5}), StopCondition(t_max=1.0), seed,
+                            checkpoint_times=[0.5])
+
+        a, b = run(3), run(3)
+        assert a == b and a.checkpoints[0][1].size == 2
+        assert a != run(4)
+        (t, counts), = a.checkpoints
+        assert a != dataclasses.replace(a, checkpoints=[(t, counts + [0, 1])])
+
+    def test_recorded_events_take_at_most_12_bytes_each(self):
+        # a list of (time, reaction) tuples kept about 87 bytes per event
+        crn, _ = parse_crn("X -> Y ; k=1\nY -> X ; k=1\n")
+        init = crn.config({"X": 100})
+        simulate(crn, init, StopCondition(max_events=10), seed=0)  # compiles the kernel
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            trace = simulate(crn, init, StopCondition(max_events=100_000), seed=1)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(trace.events) == 100_000
+        assert kept <= 12 * len(trace.events)
+
+    def test_more_than_256_reactions(self):
+        # the last 240 of the 320 reactions are U_i -> V_i, and each U_i
+        # starts at 1, so indices above 255 fire and take two bytes each
+        n = 80
+        crn, _ = parse_crn("".join(f"X + Y{i} -> Y{i}\n" for i in range(n))
+                           + "".join(f"U{i} -> V{i}\n" for i in range(3 * n)))
+        init = crn.config({"X": 50, **{f"Y{i}": 1 for i in range(n)},
+                           **{f"U{i}": 1 for i in range(3 * n)}})
+        trace = simulate(crn, init, StopCondition(t_max=100.0), seed=9)
+        reactions = trace.events.reactions
+        assert reactions.dtype == np.uint16 and reactions.max() > 255
+        assert reactions.size == trace.events.times.size > 3 * n
+        *_, last = trace.replay(crn)
+        assert last == trace.terminal
+        fast, slow = io.StringIO(), io.StringIO()
+        trace.to_csv(crn, fast)
+        row_by_row_to_csv(trace, crn, slow)
+        assert fast.getvalue() == slow.getvalue()
+
+    def test_one_reaction_records_no_indices(self):
+        crn, _ = parse_crn("X -> 0 ; k=1\n")
+        assert "mark" not in _source(crn)
+        trace = simulate(crn, crn.config({"X": 40}), StopCondition(t_max=10.0), seed=2)
+        reactions = trace.events.reactions
+        assert reactions.size == len(trace.events) > 0 and not reactions.any()
+        assert trace.events[-1] == (trace.events.times[-1], 0)
 
 
 _KERNEL = kinetics._kernel
