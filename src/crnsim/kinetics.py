@@ -8,9 +8,10 @@ rate equal to the total propensity, and the event is chosen with
 probability proportional to its propensity. Reactions with zero or more
 than two reactants have no propensity and are rejected up front.
 
-Waiting times are sampled by inverse CDF on open-interval uniforms, so
-every waiting time is finite and strictly positive, though one far below
-the clock's resolution leaves the event time unchanged. A trace records
+Waiting times are standard exponentials divided by the total
+propensity. Each is finite and nonnegative: numpy's ziggurat returns
+exactly 0.0 with probability 2**-53, and a wait of 0, or one far below
+the clock's resolution, leaves the event time unchanged. A trace records
 its events as two flat read-only columns, the event times (float64) and
 the reaction indices (the smallest unsigned dtype that holds every index
 of the network), and ``Events`` shows them as a sequence of
@@ -31,44 +32,49 @@ shape and kept in a bounded cache, ``_kernel``; the counts and the
 propensities it keeps are its locals, the choice of reaction an
 ``if``/``elif`` chain, and each branch of it recomputes only the kept
 propensities of the reactions that read a species it changes; the
-running sums compute the others. Its uniforms come in blocks,
-and a checkpoint costs one test per event. Only integers go into that
-source: the rate coefficients, thresholds, event budget and checkpoint
-times are arguments, so no float, species name or label is ever
-compiled, and a run at another volume reuses the kernel. ``run_trials``
+running sums compute the others. Its waits, and its selection
+uniforms, come in blocks, and a checkpoint costs one test per event.
+Only integers go into that source: the rate coefficients, thresholds,
+event budget and checkpoint times are arguments, so no float, species
+name or label is ever compiled, and a run at another volume reuses the
+kernel. ``run_trials``
 repeats a stop over independent trials with the batched loop,
 ``_run_batch``, which advances all trials of a chunk of ``_TRIAL_CHUNK``
 in lockstep over species-major arrays (a row per count, a column per
 trial) that it lays out from that table once per call; the chunks fan
 out through ``parallel.map_chunks``, so chunk c draws from
-``substream(seed, *stream_key, c)``. It returns per-trial end times and
+``substream(seed, *stream_key, c)``: its waits from that generator's
+``standard_exponential`` and its selections from
+``streams.second_stream`` of it. It returns per-trial end times and
 first-appearance times; the first-production statistics and the
 ``harness`` experiments build on it. With at most one reaction, as in
 leader election, every trial of a chunk fires that reaction in every
 sweep, so all of them follow one path of counts and only their times
 differ; ``_run_batch`` then hands the chunk to ``_run_path``, which
 advances it a block of sweeps per array operation with the sweep loop's
-float operations, so its outputs are the ones the sweep loop gives. Each
-loop tests the watch and count stops in one place, before it draws: the
-scalar loop at the top of each event, the batched loop at the top of
-each sweep, and ``_run_path`` over the path's counts, where they fall
-on one sweep common to its trials. Every run carries an event budget,
+float operations, so its outputs are the ones the sweep loop gives. A
+table of at most one reaction draws no selection uniforms, so neither
+loop builds a second generator for it. Each loop tests the watch and
+count stops in one place, before it draws: the scalar loop at the top
+of each event, the batched loop at the top of each sweep, and
+``_run_path`` over the path's counts, where they fall on one sweep
+common to its trials. Every run carries an event budget,
 ``_NO_BUDGET`` when the stop gives none, so each loop has one shape: the
 batched loop tests the budget at the top of each sweep, ``_run_path``
 with the other common stops, and the scalar loop once per block of
-uniforms, when it cuts the block to the uniforms the events left can
-read. The batched loop reads the watched counts only after a sweep that
+waits, when it cuts the block to the events left. A trial or run is
+exhausted where its total propensity is at most zero, whatever its
+wait. The batched loop reads the watched counts only after a sweep that
 fired a reaction raising a watched species. ``t_max`` is tested against
 the drawn event time. One writer, ``_write_csv``, writes every CSV
 file; species names and labels are identifiers (see ``model``), so no
 cell needs quoting.
 
-The scalar loop takes ``math.log`` of its uniforms and the batched loop
-``np.log``. numpy may dispatch ``log`` to a path for the host CPU (with
-numpy 2.4, an AVX-512 one) that differs from ``math.log`` in the last
-bit on a fraction of uniforms, so the batched loop's times, and any
-digest of them, can depend on the host CPU; a one-trial ``run_trials``
-matches ``simulate`` to 1e-12 relative.
+Both loops read the same two sequences, the waits and the selection
+uniforms, and compute each event time as ``t + e / total`` and each
+selection as ``v * total`` in float64, so a one-trial ``run_trials``
+ends bit for bit where ``simulate`` does, and neither loop's outputs
+depend on the host CPU.
 """
 
 from __future__ import annotations
@@ -86,20 +92,17 @@ import numpy as np
 
 from .errors import DomainError, UnsupportedReactionOrderError, check_integer, check_real
 from .model import Configuration, Crn, apply_reaction
-from .streams import open_uniform_block, substream
+from .streams import open_uniform_block, second_stream, substream
 from .parallel import map_chunks
 
-_BLOCK = 4096  # uniforms buffered per refill inside the event loops
-# a scalar run's first refill takes _FIRST_BLOCK and each later one twice
-# the last, up to _BLOCK, since many runs stop after a few events and a
-# uniform drawn but never read is waste. Every uniform of open_uniform_block
-# takes one 64-bit draw, so how a run splits its refills leaves the
-# sequence of uniforms unchanged. With an event budget a block is cut to
-# the uniforms the events left can read. Both sizes are even, and so is a
-# cut block of a loop that reads two uniforms per event, so an event's
-# (time, selection) pair never straddles two blocks.
+_BLOCK = 4096  # waits, and selection uniforms, buffered per refill in the event loops
+# a scalar run's first refill takes _FIRST_BLOCK waits and each later one
+# twice the last, up to _BLOCK, since many runs stop after a few events and
+# a wait drawn but never read is waste. Neither the ziggurat's exponentials
+# nor the uniforms of open_uniform_block depend on how a run splits its
+# draws into blocks, so the split leaves both sequences unchanged. With an
+# event budget a block is cut to the events left.
 _FIRST_BLOCK = 64
-assert _FIRST_BLOCK % 2 == 0 and _BLOCK % 2 == 0
 # which propensities the scalar loop keeps in locals. A kept one costs a
 # product and a store in each branch that changes a species its reaction
 # reads, and saves a product in every event's sums. Timed on networks where
@@ -125,12 +128,12 @@ _NO_BUDGET = 2**63 - 1
 # on the thread count
 _TRIAL_CHUNK = 1024
 # above this many active trials _run_path sums a block's times with one row
-# subtraction per sweep, and at most this many with np.subtract.accumulate
-# along the sweeps, which runs one column at a time. Timed on blocks of
-# _BLOCK uniforms on a 2-vCPU x86 host, the rows took 1.8 times as long as
-# the accumulate at 150 trials (27 rows), 1.03 times at 256 (16 rows), 0.79
-# times at 300 and 0.21 times at 1024 (4 rows, 6 against 30 us); both give
-# the same floats
+# addition per sweep, and at most this many with np.add.accumulate along
+# the sweeps, which runs one column at a time. Timed (as subtractions, which
+# cost what additions do) on blocks of _BLOCK draws on a 2-vCPU x86 host,
+# the rows took 1.8 times as long as the accumulate at 150 trials (27 rows),
+# 1.03 times at 256 (16 rows), 0.79 times at 300 and 0.21 times at 1024 (4
+# rows, 6 against 30 us); both give the same floats
 _ROW_SUM_TRIALS = 256
 
 
@@ -385,9 +388,12 @@ def _run_core(
     (already-positive species report 0.0); the run ends once every watched
     species was seen. ``count_stop`` is (sid, threshold, direction) with
     direction +1 / -1. These stops are tested in one place, at the top of
-    each event before its uniforms are read, and ``max_events`` when a
-    block of uniforms is drawn, so a stop that already holds in ``counts``
-    ends the run at time 0. Returns (time, status, events, checkpoints,
+    each event before its wait is read, and ``max_events`` when a block of
+    waits is drawn, so a stop that already holds in ``counts`` ends the run
+    at time 0. The waits come from ``rng.standard_exponential``; with two
+    or more reactions the selection uniforms come from
+    ``open_uniform_block`` on ``second_stream(rng)``, built here before
+    ``rng`` makes any draw. Returns (time, status, events, checkpoints,
     watch_times, n_events), where ``events`` is the pair of buffers the
     run recorded into: a list of its event times and, with two or more
     reactions, its reaction indices, a ``bytearray`` when ``_index_dtype``
@@ -414,6 +420,7 @@ def _run_core(
         comp.table,
         counts,
         rng,
+        second_stream(rng) if len(comp.table) > 1 else None,
         open_uniform_block,
         t_max,
         None if count_stop is None else count_stop[1],
@@ -429,7 +436,6 @@ def _run_core(
 # the last checkpoint reads nan, which fails both capture tests even when
 # an event time has overflowed to inf
 _KERNEL_GLOBALS = {
-    "log": math.log,
     "np": np,
     "inf": math.inf,
     "nan": math.nan,
@@ -482,10 +488,12 @@ def _kernel_source(rows, deltas, n_species, watched, count_key, timed) -> str:
     reactions each branch appends its index to ``chosen``. Each branch
     applies its own changes and marks the watched species it raises as
     seen. The watch and count stops are tested at the top of each event.
-    With no reaction the total is ``0``. Uniforms come in blocks, read one
-    (at most one reaction) or two (time, then selection) per event, and the
-    event budget is tested once per block, when the block is sized to the
-    events left in it. Checkpoints take one test per event, before the
+    With no reaction the total is ``0``. Each event reads one wait ``e``
+    from ``rng`` and, with two or more reactions, one selection uniform
+    ``v`` from ``sel``; both come in blocks of one size, and the event
+    budget is tested once per block, when the block is sized to the events
+    left in it. The event time is ``t + e / total``, so no event calls
+    ``log``. Checkpoints take one test per event, before the
     event: the ones before its time, and one at the previous event's time
     when the two times are equal. A checkpoint at
     an event time is thus taken with the counts after the first event at
@@ -493,7 +501,6 @@ def _kernel_source(rows, deltas, n_species, watched, count_key, timed) -> str:
     integers and local names.
     """
     nrx = len(rows)
-    need = 1 if nrx < 2 else 2
     names = [f"c{s}" for s in range(n_species)]
     state = ", ".join(names)
     capture = [
@@ -501,7 +508,7 @@ def _kernel_source(rows, deltas, n_species, watched, count_key, timed) -> str:
         "cpi += 1",
         "cp = cps[cpi] if cpi < ncp else nan",
     ]
-    out = ["def kernel(table, counts, rng, draw, t_max, thr, max_events, cps, wt, chosen):"]
+    out = ["def kernel(table, counts, rng, sel, draw, t_max, thr, max_events, cps, wt, chosen):"]
 
     def emit(depth, *lines):
         out.extend("    " * depth + line for line in lines)
@@ -553,12 +560,12 @@ def _kernel_source(rows, deltas, n_species, watched, count_key, timed) -> str:
          "while True:")
     emit(2, "left = max_events - len(events)", "if left <= 0:")
     emit(3, "status = STOPPED", "break")
-    emit(2, f"block = draw(rng, min(size, {need} * left)).tolist()")
-    emit(2, f"size = min(2 * size, {_BLOCK})")
-    if need == 1:
-        emit(2, "for u in block:")
+    emit(2, "n = min(size, left)", "waits = rng.standard_exponential(n).tolist()",
+         f"size = min(2 * size, {_BLOCK})")
+    if nrx < 2:
+        emit(2, "for e in waits:")
     else:
-        emit(2, "it = iter(block)", "for u, v in zip(it, it):")
+        emit(2, "for e, v in zip(waits, draw(sel, n).tolist()):")
     if stops:
         emit(3, f"if {' or '.join(stops)}:")
         emit(4, "status = STOPPED", "break")
@@ -571,7 +578,7 @@ def _kernel_source(rows, deltas, n_species, watched, count_key, timed) -> str:
         total = f"s{nrx}" if nrx else "0"
     emit(3, f"if {total} <= 0:")
     emit(4, "status = EXHAUSTED", "break")
-    emit(3, f"tn = t - log(u) / {total}")
+    emit(3, f"tn = t + e / {total}")
     if timed:
         emit(3, "if tn > t_max:")
         emit(4, "t = t_max", "status = STOPPED", "break")
@@ -630,12 +637,14 @@ def _run_batch(
 
     ``counts`` ends with the entry held at 1, as for ``_run_core``.
     Every active trial makes one event per sweep, so the sweep count is
-    each active trial's event count. A sweep takes the time uniforms of
-    all active trials, then their selection uniforms (none with a single
-    reaction), so a one-trial run reads the uniforms ``_run_core`` reads.
-    A table of at most one reaction goes to ``_run_path``, which advances
-    a block of sweeps per array operation; the sweep loop here serves two
-    or more reactions.
+    each active trial's event count. A sweep takes one wait per active
+    trial from ``rng.standard_exponential`` and one selection uniform per
+    active trial from ``open_uniform_block`` on ``second_stream(rng)``,
+    built before ``rng`` makes any draw, so a one-trial run reads the
+    draws ``_run_core`` reads. A table of at most one reaction goes to
+    ``_run_path``, which advances a block of sweeps per array operation
+    and draws no selections; the sweep loop here serves two or more
+    reactions.
 
     The loop's state is species-major, with one column per active trial:
     the counts have a row per species, the entry held at 1, and a row per
@@ -647,14 +656,15 @@ def _run_batch(
     are then one row gather and float products in the scalar loop's
     order, and the step is one column gather from the transposed
     stoichiometry. The watch, count and event-budget stops are tested at
-    the top of each sweep, before its uniforms are drawn. The watched
+    the top of each sweep, before its draws are read. The watched
     counts are read only after a sweep in which some trial fired a
     reaction that raises a watched species, since no other reaction can
     make an unseen one positive; the watch's completion is tested only
     when something new was seen. A trial ends without an event in the
-    sweep where its total propensity is zero (it is then exhausted and
-    keeps the time of its last event) or its next event lies past
-    ``t_max`` (it takes ``t_max``), and retires at the top of the next.
+    sweep where its total propensity is at most zero (it is then exhausted
+    and keeps the time of its last event, whatever its wait) or its next
+    event lies past ``t_max`` (it takes ``t_max``), and retires at the top
+    of the next.
 
     Returns (end times, first-appearance times with one column per
     watched species in id order and NaN where never seen, exhausted
@@ -701,10 +711,12 @@ def _run_batch(
     ended = dead = np.zeros(trials, dtype=bool)  # set in a sweep, read at the top of the next
     any_ended = False
     fresh = wcols.size > 0  # whether a watched species appeared since the watch was last tested
-    ubuf, ui = np.empty(0), 0
+    sel = second_stream(rng)
+    ebuf = vbuf = np.empty(0)  # waits and selection uniforms, drawn in step
+    ui = 0
     sweep = 0
 
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
         while True:
             # the one stop test: a trial retires here once its stop holds,
             # or in the sweep after the one it ended in
@@ -736,24 +748,26 @@ def _run_batch(
             cum *= g[nrx:]
             cum = np.add.accumulate(cum, axis=0)
             total = cum[-1]
-            need = 2 * k
-            if ui + need > ubuf.size:
-                block = open_uniform_block(rng, max(2 * need, _BLOCK))
-                ubuf, ui = np.concatenate((ubuf[ui:], block)), 0
-            tn = t - np.log(ubuf[ui : ui + k]) / total
-            usel = ubuf[ui + k : ui + need]
-            ui += need
-            # a zero total makes tn infinite, and -inf when every propensity
-            # is -0.0 (X + X at count 0), so with t_max both show in |tn|;
-            # which ended trials are exhausted is settled only if some ended
-            ended = dead = total <= 0.0 if t_max is None else np.abs(tn) > t_max
+            if ui + k > ebuf.size:
+                size = max(2 * k, _BLOCK)
+                ebuf = np.concatenate((ebuf[ui:], rng.standard_exponential(size)))
+                vbuf = np.concatenate((vbuf[ui:], open_uniform_block(sel, size)))
+                ui = 0
+            tn = t + ebuf[ui : ui + k] / total
+            usel = vbuf[ui : ui + k]
+            ui += k
+            # a total of at most zero makes tn infinite, -inf (every
+            # propensity -0.0, X + X at count 0) or, with a wait of 0.0,
+            # NaN, so exhaustion is read from the total itself
+            ended = dead = total <= 0.0
+            if t_max is not None:
+                ended = dead | (tn > t_max)
             # the first j with x < cum[j], or the last reaction when there is none
             idx = np.add.reduce(cum[:-1] <= usel * total, axis=0)
             step = steps.take(idx, axis=1)
             rose = wcols.size and np.count_nonzero(raises.take(idx))
             any_ended = np.count_nonzero(ended)
             if any_ended:  # an ended trial makes no event
-                dead = total <= 0.0
                 step = step * ~ended
                 tn = np.where(dead, t, tn if t_max is None else np.minimum(tn, t_max))
             cnt += step
@@ -787,17 +801,18 @@ def _run_path(comp, init, rng, t_max, wcols, count_stop, max_events,
     The path's propensities, ``float(c_a) * coef * float(c_b - minus)``
     in the order of the sweep loop in ``_run_batch``, and the sweep where a
     common stop ends it are computed ``_BLOCK`` sweeps at a time. The
-    trials advance a block of at most ``_BLOCK`` uniforms at a time: its
-    uniforms are read as a (sweeps x trials) array, one row per sweep, in
-    the order a sweep loop reads them, and every trial's times come from
-    one ``np.log``, one division and a running difference along the
-    sweeps: one ``np.subtract.accumulate``, or above ``_ROW_SUM_TRIALS``
-    trials one row subtraction per sweep, which is faster for a block of
-    few sweeps. These are the sweep loop's float operations in its order,
-    so the outputs are the ones it would give. With ``t_max``, a block
-    ends at the first sweep in which some trial passes it; those trials
-    retire, and the uniforms the block drew past that sweep are read by
-    the next one. No array grows with the length of the path.
+    trials advance a block of at most ``_BLOCK`` waits at a time: its
+    waits, from ``rng.standard_exponential``, are read as a (sweeps x
+    trials) array, one row per sweep, in the order a sweep loop reads
+    them, and every trial's times come from one division and a running sum
+    along the sweeps: one ``np.add.accumulate``, or above
+    ``_ROW_SUM_TRIALS`` trials one row addition per sweep, which is faster
+    for a block of few sweeps. These are the sweep loop's float operations
+    in its order, so the outputs are the ones it would give. With
+    ``t_max``, a block ends at the first sweep in which some trial passes
+    it; those trials retire, and the waits the block drew past that sweep
+    are read by the next one. No array grows with the length of the
+    path.
     """
     delta = np.zeros(init.size, dtype=np.int64)
     if comp.table:
@@ -818,7 +833,7 @@ def _run_path(comp, init, rng, t_max, wcols, count_stop, max_events,
         reached = np.greater_equal if direction > 0 else np.less_equal
     ids = np.arange(end.size)
     t = np.zeros(end.size)
-    ubuf = np.empty(0)  # uniforms drawn and not yet read
+    ebuf = np.empty(0)  # waits drawn and not yet read
     s = 0  # the sweeps every active trial has made, one event each
     w0 = -_BLOCK  # the first sweep of the path computed so far
     while True:
@@ -843,26 +858,26 @@ def _run_path(comp, init, rng, t_max, wcols, count_stop, max_events,
             exhausted[ids] = not stop[h]
             return
         need = fire * k
-        if ubuf.size < need:
-            more = open_uniform_block(rng, need - ubuf.size)
-            ubuf = np.concatenate((ubuf, more)) if ubuf.size else more
+        if ebuf.size < need:
+            more = rng.standard_exponential(need - ebuf.size)
+            ebuf = np.concatenate((ebuf, more)) if ebuf.size else more
         # row r holds every trial's time after sweep s + r
         times = np.empty((fire + 1, k))
         times[0] = t
-        np.log(ubuf[:need].reshape(fire, k), out=times[1:])
-        times[1:] /= prop[s - w0 : s - w0 + fire, None]
+        np.divide(ebuf[:need].reshape(fire, k), prop[s - w0 : s - w0 + fire, None],
+                  out=times[1:])
         if k > _ROW_SUM_TRIALS:
             for r in range(fire):
-                np.subtract(times[r], times[r + 1], out=times[r + 1])
+                np.add(times[r], times[r + 1], out=times[r + 1])
         else:
-            np.subtract.accumulate(times, axis=0, out=times)
+            np.add.accumulate(times, axis=0, out=times)
         late = None
         # the times only grow along a trial, so the last row shows whether
         # any trial passed t_max in this block
         if t_max is not None and times[fire].max() > t_max:
             fire = int(np.argmax((times[1:] > t_max).any(axis=1))) + 1
             late = times[fire] > t_max
-        ubuf = ubuf[fire * k :]
+        ebuf = ebuf[fire * k :]
         if s == 0 and raised.any():
             # every trial whose first event is not past t_max sees the
             # raised species at that event
@@ -970,9 +985,10 @@ def simulate(
 
     The volume defaults to the total initial count. The same (crn, init,
     volume, stop, seed, stream_key) always yields the bit-identical
-    trace; ``stream_key`` selects an independent substream, e.g. one per
-    trial of a repeated experiment. Checkpoint times, a sequence or a numpy
-    array, must be finite and nonnegative.
+    trace; ``stream_key``, a tuple of integers of at least 0, selects an
+    independent substream, e.g. one per trial of a repeated experiment.
+    Checkpoint times, a sequence or a numpy array, must be finite and
+    nonnegative.
     """
     cps = [] if checkpoint_times is None else checkpoint_times
     cps = sorted(check_real(x, "checkpoint times", zero=True) for x in cps)
@@ -1017,7 +1033,7 @@ def run_trials(
     ``_run_batch`` call; with at most one reaction it advances a block of
     sweeps per array operation, so a run of many events over few trials,
     such as leader election from many candidates, costs about as much as
-    its uniforms. A one-trial run ends where
+    its waits. A one-trial run ends bit for bit where
     ``simulate(..., stream_key=(*stream_key, 0))`` does. The volume
     defaults to the total initial count.
     """

@@ -42,6 +42,9 @@ def random_config(rng, crn, max_count=3, nonzero=True):
             return cfg
 
 
+RNG_SEED = 20240817  # the seed of the ``rng`` fixture
+
+
 @pytest.fixture
 def rng():
-    return np.random.default_rng(20240817)
+    return np.random.default_rng(RNG_SEED)

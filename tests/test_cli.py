@@ -391,14 +391,14 @@ class TestDemo:
         "argv, name, files_digest, stdout_digest",
         [
             (["--seed", "1", "demo", "leader", "--n", "12", "--trials", "6"], "leader",
-             "d676125959c567fc", "ccee3dd30f9ccb35"),
+             "21c3741e3a4642af", "ff393b4ce2ce7e78"),
             (["--seed", "2", "demo", "chain", "--m", "1", "--n", "16", "--trials", "8",
-              "--t-cap", "0.6"], "chain_m1", "2d02ed78c1627f34", "12e16eed0f24d9ca"),
+              "--t-cap", "0.6"], "chain_m1", "cdad5cb46eb7ffd5", "0b2fc84c74ab6cb0"),
             (["--seed", "2", "demo", "chain", "--m", "2", "--n", "16", "--trials", "6"],
              "chain_m2", "2b6c23b7c5edd9fc", "7a7913c6feb469c1"),
             (["--seed", "3", "demo", "scan", "net.crn", "--init", "X=5", "--alpha", "1.0",
               "--n-grid", "20,60", "--trials", "7", "--t-cap", "0.12"], "scan",
-             "51dae522e2718f94", "ba3a91e12c8596c2"),
+             "1f9b57920a4a6409", "98ac08e25aa70455"),
         ],
         ids=["leader", "chain", "chain-default-t-cap", "scan"],
     )
