@@ -18,57 +18,57 @@ of the network), and ``Events`` shows them as a sequence of
 (time, reaction index) pairs; full count vectors are captured only at
 requested checkpoint times.
 
-There are two event loops, one per execution shape. Both evaluate the
-propensities above by one formula over one reaction table of plain
-tuples, ``_Compiled``, and every :class:`StopCondition` is turned into
-their arguments in one place, ``_prepare``, which also builds that
-table. It refuses, before any event is drawn, a stop without a time
-horizon or event budget none of whose triggers can ever fire.
-``simulate`` records one trajectory with the scalar loop, ``_run_core``.
-That loop is straight-line Python generated from the shape of the run:
-the table's reactant rows and net changes, the species count, and which
-stops are given and on which species. The source is compiled once per
-shape and kept in a bounded cache, ``_kernel``; the counts and the
-propensities it keeps are its locals, the choice of reaction an
-``if``/``elif`` chain, and each branch of it recomputes only the kept
-propensities of the reactions that read a species it changes; the
-running sums compute the others. Its waits, and its selection
-uniforms, come in blocks, and a checkpoint costs one test per event.
-Only integers go into that source: the rate coefficients, thresholds,
-event budget and checkpoint times are arguments, so no float, species
-name or label is ever compiled, and a run at another volume reuses the
-kernel. ``run_trials``
-repeats a stop over independent trials with the batched loop,
-``_run_batch``, which advances all trials of a chunk of ``_TRIAL_CHUNK``
-in lockstep over species-major arrays (a row per count, a column per
-trial) that it lays out from that table once per call; the chunks fan
-out through ``parallel.map_chunks``, so chunk c draws from
+There are two event loops, one per execution shape, and each picks its
+body by reaction count alone. Both evaluate the propensities above by
+one formula over one reaction table of plain tuples, ``_Compiled``, and
+every :class:`StopCondition` is turned into their arguments in one
+place, ``_prepare``, which also builds that table. It refuses, before
+any event is drawn, a stop without a time horizon or event budget none
+of whose triggers can ever fire. ``simulate`` records one trajectory
+with ``_run_core``. With two or more reactions that is the scalar loop:
+straight-line Python generated from the shape of the run, the table's
+reactant rows and net changes, the species count, and which stops are
+given and on which species. The source is compiled once per shape and
+kept in a bounded cache, ``_kernel``; the counts and the propensities it
+keeps are its locals, the choice of reaction an ``if``/``elif`` chain,
+and each branch of it recomputes only the kept propensities of the
+reactions that read a species it changes; the running sums compute the
+others. Its waits and its selection uniforms come in blocks, and a
+checkpoint costs one test per event. Only integers go into that source:
+the rate coefficients, thresholds, event budget and checkpoint times are
+arguments, so no float, species name or label is ever compiled, and a
+run at another volume reuses the kernel. ``run_trials`` repeats a stop
+over independent trials with the batched loop, ``_run_batch``, which
+advances all trials of a chunk of ``_TRIAL_CHUNK`` in lockstep over
+species-major arrays (a row per count, a column per trial) that it lays
+out from that table once per call; the chunks fan out through
+``parallel.map_chunks``, so chunk c draws from
 ``substream(seed, *stream_key, c)``: its waits from that generator's
 ``standard_exponential`` and its selections from
 ``streams.second_stream`` of it. It returns per-trial end times and
 first-appearance times; the first-production statistics and the
 ``harness`` experiments build on it. With at most one reaction, as in
-leader election, every trial of a chunk fires that reaction in every
-sweep, so all of them follow one path of counts and only their times
-differ; ``_run_batch`` then hands the chunk to ``_run_path``, which
-advances it a block of sweeps per array operation with the sweep loop's
-float operations, so its outputs are the ones the sweep loop gives. A
-table of at most one reaction draws no selection uniforms, so neither
-loop builds a second generator for it. Each loop tests the watch and
-count stops in one place, before it draws: the scalar loop at the top
-of each event, the batched loop at the top of each sweep, and
-``_run_path`` over the path's counts, where they fall on one sweep
-common to its trials. Every run carries an event budget,
-``_NO_BUDGET`` when the stop gives none, so each loop has one shape: the
-batched loop tests the budget at the top of each sweep, ``_run_path``
-with the other common stops, and the scalar loop once per block of
-waits, when it cuts the block to the events left. A trial or run is
-exhausted where its total propensity is at most zero, whatever its
-wait. The batched loop reads the watched counts only after a sweep that
-fired a reaction raising a watched species. ``t_max`` is tested against
-the drawn event time. One writer, ``_write_csv``, writes every CSV
-file; species names and labels are identifiers (see ``model``), so no
-cell needs quoting.
+decay or leader election, every event fires that reaction, so the counts
+follow one path and only the times differ. Both ``_run_batch`` and
+``_run_core`` then hand the run to ``_run_path``, which advances it a
+block of sweeps per array operation with the sweep loop's float
+operations, so its outputs are the ones the sweep loop, or the scalar
+loop, would give; ``_run_core`` rebuilds the trace from the event times
+it records. A table of at most one reaction draws no selection uniforms,
+so it never builds a second generator. Each loop tests the watch and
+count stops in one place, before it draws: the scalar loop at the top of
+each event, the batched loop at the top of each sweep, and ``_run_path``
+over the path's counts, where they fall on one sweep common to its
+trials. Every run carries an event budget, ``_NO_BUDGET`` when the stop
+gives none, so each loop has one shape: the batched loop tests the
+budget at the top of each sweep, ``_run_path`` with the other common
+stops, and the scalar loop once per block of waits, when it cuts the
+block to the events left. A trial or run is exhausted where its total
+propensity is at most zero, whatever its wait. The batched loop reads
+the watched counts only after a sweep that fired a reaction raising a
+watched species. ``t_max`` is tested against the drawn event time. One
+writer, ``_write_csv``, writes every CSV file; species names and labels
+are identifiers (see ``model``), so no cell needs quoting.
 
 Both loops read the same two sequences, the waits and the selection
 uniforms, and compute each event time as ``t + e / total`` and each
@@ -79,6 +79,7 @@ depend on the host CPU.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import linecache
 import math
@@ -98,7 +99,8 @@ from .parallel import map_chunks
 _BLOCK = 4096  # waits, and selection uniforms, buffered per refill in the event loops
 # a scalar run's first refill takes _FIRST_BLOCK waits and each later one
 # twice the last, up to _BLOCK, since many runs stop after a few events and
-# a wait drawn but never read is waste. Neither the ziggurat's exponentials
+# a wait drawn but never read is waste; a one-trial _run_path sizes its
+# windows of sweeps the same way. Neither the ziggurat's exponentials
 # nor the uniforms of open_uniform_block depend on how a run splits its
 # draws into blocks, so the split leaves both sequences unchanged. With an
 # event budget a block is cut to the events left.
@@ -145,8 +147,9 @@ class StopCondition:
     ``t_max`` and the pending event is discarded). ``species_appears``, a
     nonempty collection of names (not a bare string), stops once every
     named species has been seen with positive count.
-    ``count_reaches`` is a (species, threshold) pair: the run stops when
-    the count reaches the threshold from its initial side. ``max_events``
+    ``count_reaches`` is a (species, threshold) pair, a tuple or a list:
+    the run stops when the count reaches the threshold from its initial
+    side; anything else raises ``DomainError``. ``max_events``
     bounds the number of reaction events. Counts and the event bound are
     integers of at least 0, and ``t_max`` is kept as ``errors.check_real``
     returns it, so it is finite and at least 0.
@@ -170,7 +173,11 @@ class StopCondition:
         if self.max_events is not None:
             object.__setattr__(self, "max_events", check_integer(self.max_events, "max_events", 0))
         if self.count_reaches is not None:
-            name, thr = self.count_reaches
+            pair = self.count_reaches
+            if isinstance(pair, str) or not isinstance(pair, Sequence) or len(pair) != 2:
+                raise DomainError(
+                    f"count_reaches must be a (species, threshold) pair, got {pair!r}")
+            name, thr = pair
             object.__setattr__(
                 self, "count_reaches", (name, check_integer(thr, "a count threshold", 0))
             )
@@ -380,55 +387,102 @@ def _run_core(
     max_events=_NO_BUDGET,
     checkpoint_times=(),
 ):
-    """Scalar event loop: one recorded run.
+    """One recorded run.
 
     ``counts`` holds the species counts followed by the entry held at 1
     that ``comp`` reads, and is updated in place. ``watch`` is a set of
     species ids whose first positive-count times are collected
     (already-positive species report 0.0); the run ends once every watched
     species was seen. ``count_stop`` is (sid, threshold, direction) with
-    direction +1 / -1. These stops are tested in one place, at the top of
-    each event before its wait is read, and ``max_events`` when a block of
-    waits is drawn, so a stop that already holds in ``counts`` ends the run
-    at time 0. The waits come from ``rng.standard_exponential``; with two
-    or more reactions the selection uniforms come from
-    ``open_uniform_block`` on ``second_stream(rng)``, built here before
-    ``rng`` makes any draw. Returns (time, status, events, checkpoints,
-    watch_times, n_events), where ``events`` is the pair of buffers the
-    run recorded into: a list of its event times and, with two or more
-    reactions, its reaction indices, a ``bytearray`` when ``_index_dtype``
-    takes one byte (up to 256 reactions) and a list above. With at most
-    one reaction every index is 0 and none is recorded.
+    direction +1 / -1. These stops are tested before an event's wait is
+    read, so a stop that already holds in ``counts`` ends the run at time
+    0. ``checkpoint_times`` is sorted; a checkpoint at an event time takes
+    the counts after the first event at that time, and one past the end of
+    the run is taken only when the run is exhausted. Returns (time,
+    status, events, checkpoints, watch_times, n_events), where ``events``
+    is the pair of columns of a ``Trace``: the event times (float64) and
+    the reaction indices (``_index_dtype``).
 
-    The loop itself is the kernel ``_kernel`` generated for the shape of
-    this run: the reactant rows and net changes of ``comp``, the species
-    count, the watched ids, the count stop's species and direction, and
-    whether ``t_max`` is given. The rate coefficients, the thresholds, the
-    event budget and the checkpoint times are its arguments, so runs at
-    another volume, horizon or budget reuse it.
+    The run takes one of two bodies, chosen by the size of the table, as
+    ``_run_batch`` chooses. With two or more reactions it is the kernel
+    ``_kernel`` generated for the shape of this run: the reactant rows and
+    net changes of ``comp``, the species count, the watched ids, the count
+    stop's species and direction, and whether ``t_max`` is given. The rate
+    coefficients, the thresholds, the event budget and the checkpoint
+    times are its arguments, so runs at another volume, horizon or budget
+    reuse it. Its waits come from ``rng.standard_exponential`` and its
+    selection uniforms from ``open_uniform_block`` on
+    ``second_stream(rng)``, built here before ``rng`` makes any draw; it
+    records the event times in a list and the reaction indices in a
+    ``bytearray`` when they take one byte (up to 256 reactions), else in
+    a list. With at most one reaction the run is one trial of
+    ``_run_path``, which reads the same waits and computes each event time
+    by the same float operations, a block of events per array operation.
+    Its counts after n events are ``init + n * delta``, so the run is
+    rebuilt from its event times: the terminal counts, the first event
+    time for each watched species that event raises, and each
+    checkpoint's counts, read after the number of events before the
+    checkpoint, plus the event at it.
     """
-    kernel = _kernel(
-        tuple(row[1:] for row in comp.table),
-        comp.deltas,
-        len(counts) - 1,
-        tuple(sorted(watch or ())),
-        None if count_stop is None else count_stop[::2],
-        t_max is not None,
-    )
     watch_times = {s: 0.0 for s in watch or () if counts[s] > 0}
-    return kernel(
-        comp.table,
-        counts,
-        rng,
-        second_stream(rng) if len(comp.table) > 1 else None,
-        open_uniform_block,
-        t_max,
-        None if count_stop is None else count_stop[1],
-        max_events,
-        checkpoint_times,
-        watch_times,
-        bytearray() if _index_dtype(len(comp.table)).itemsize == 1 else [],
-    )
+    nrx = len(comp.table)
+    dtype = _index_dtype(nrx)
+    if nrx > 1:
+        kernel = _kernel(
+            tuple(row[1:] for row in comp.table),
+            comp.deltas,
+            len(counts) - 1,
+            tuple(sorted(watch or ())),
+            None if count_stop is None else count_stop[::2],
+            t_max is not None,
+        )
+        t, status, (times, chosen), cp_rows, watch_times, n = kernel(
+            comp.table,
+            counts,
+            rng,
+            second_stream(rng),
+            open_uniform_block,
+            t_max,
+            None if count_stop is None else count_stop[1],
+            max_events,
+            checkpoint_times,
+            watch_times,
+            bytearray() if dtype.itemsize == 1 else [],
+        )
+        events = np.fromiter(times, np.float64, count=n), np.array(chosen, dtype)
+        return t, status, events, cp_rows, watch_times, n
+    watched = sorted(watch or ())
+    end, exhausted, n_events = np.zeros(1), np.zeros(1, dtype=bool), np.zeros(1, dtype=np.int64)
+    first = np.full((1, len(watched)), math.nan)
+    blocks = []
+    with np.errstate(over="ignore"):  # a wait may overflow to inf, as in the kernel
+        _run_path(comp, counts, rng, t_max, watched, count_stop, max_events,
+                  end, first, exhausted, n_events, blocks)
+    times = np.concatenate(blocks) if blocks else np.empty(0)
+    n = times.size
+    status = EXHAUSTED if exhausted[0] else STOPPED
+    t = end.item()
+    if t == t_max:
+        t = t_max  # as the stop holds it
+    for s, x in zip(watched, first[0].tolist()):
+        if x == x:  # not NaN: the first event raised s
+            watch_times[s] = x
+    delta = [0] * (len(counts) - 1)
+    for s, d in comp.deltas[0] if nrx else ():
+        delta[s] = d
+    cps = checkpoint_times
+    if status == STOPPED:  # checkpoints past the end are not reached
+        cps = cps[: bisect.bisect_right(cps, t)]
+    cp_rows = []
+    if cps:
+        # after the events before cp, and the first one at cp if there is one
+        at = np.array(cps, dtype=np.float64)
+        j = np.searchsorted(times, at, "left")
+        if n:
+            j += times[np.minimum(j, n - 1)] == at
+        cp_rows = list(zip(cps, np.array(counts[:-1], dtype=np.int64) + j[:, None] * delta))
+    counts[:-1] = [x + n * d for x, d in zip(counts, delta)]
+    return t, status, (times, np.zeros(n, dtype)), cp_rows, watch_times, n
 
 
 # all that a generated kernel reads besides its arguments. Its source holds
@@ -468,7 +522,8 @@ def _kernel(rows, deltas, n_species, watched, count_key, timed):
 
 
 def _kernel_source(rows, deltas, n_species, watched, count_key, timed) -> str:
-    """Python source of the event loop ``_kernel`` compiles; see ``_run_core``.
+    """Python source of the event loop ``_kernel`` compiles for a table of
+    two or more reactions; see ``_run_core``.
 
     The counts live in locals ``c0``, ``c1``, ... and the coefficients in
     ``k0``, ``k1``, ..., unpacked from the table argument. Reaction j's
@@ -484,21 +539,19 @@ def _kernel_source(rows, deltas, n_species, watched, count_key, timed) -> str:
     table order, so ``s`` of the last is the total, and the reaction is
     chosen by a chain ``if x < s1 ... elif ... else`` over those sums: the
     first j with x < s_(j+1), or the last reaction when there is none. Each
-    event appends its time to the list ``events``; with two or more
-    reactions each branch appends its index to ``chosen``. Each branch
-    applies its own changes and marks the watched species it raises as
-    seen. The watch and count stops are tested at the top of each event.
-    With no reaction the total is ``0``. Each event reads one wait ``e``
-    from ``rng`` and, with two or more reactions, one selection uniform
-    ``v`` from ``sel``; both come in blocks of one size, and the event
-    budget is tested once per block, when the block is sized to the events
-    left in it. The event time is ``t + e / total``, so no event calls
-    ``log``. Checkpoints take one test per event, before the
-    event: the ones before its time, and one at the previous event's time
-    when the two times are equal. A checkpoint at
-    an event time is thus taken with the counts after the first event at
-    that time, at the next test or after the loop. The source holds only
-    integers and local names.
+    event appends its time to the list ``events``, and each branch appends
+    its index to ``chosen``, applies its own changes and marks the watched
+    species it raises as seen. The watch and count stops are tested at the
+    top of each event. Each event reads one wait ``e`` from ``rng`` and
+    one selection uniform ``v`` from ``sel``; both come in blocks of one
+    size, and the event budget is tested once per block, when the block is
+    sized to the events left in it. The event time is ``t + e / total``,
+    so no event calls ``log``. Checkpoints take one test per event, before
+    the event: the ones before its time, and one at the previous event's
+    time when the two times are equal. A checkpoint at an event time is
+    thus taken with the counts after the first event at that time, at the
+    next test or after the loop. The source holds only integers and local
+    names.
     """
     nrx = len(rows)
     names = [f"c{s}" for s in range(n_species)]
@@ -539,17 +592,14 @@ def _kernel_source(rows, deltas, n_species, watched, count_key, timed) -> str:
         kept.add(j)
         lines += w
 
-    if nrx:
-        emit(1, "[" + ", ".join(f"[k{j}, _, _, _]" for j in range(nrx)) + "] = table")
+    emit(1, "[" + ", ".join(f"[k{j}, _, _, _]" for j in range(nrx)) + "] = table")
     emit(1, f"[{', '.join([*names, '_'])}] = counts")
     for s in watched:
         emit(1, f"p{s} = c{s} <= 0")
     if watched:
         emit(1, "pending = " + " + ".join(f"p{s}" for s in watched))
     emit(1, "t = ZERO", "events = []", "record = events.append", "cp_rows = []",
-         "ncp = len(cps)", "cpi = 0", "cp = cps[0] if ncp else nan")
-    if nrx > 1:
-        emit(1, "mark = chosen.append")
+         "ncp = len(cps)", "cpi = 0", "cp = cps[0] if ncp else nan", "mark = chosen.append")
     stops = []
     if watched:
         stops.append("not pending")
@@ -562,20 +612,14 @@ def _kernel_source(rows, deltas, n_species, watched, count_key, timed) -> str:
     emit(3, "status = STOPPED", "break")
     emit(2, "n = min(size, left)", "waits = rng.standard_exponential(n).tolist()",
          f"size = min(2 * size, {_BLOCK})")
-    if nrx < 2:
-        emit(2, "for e in waits:")
-    else:
-        emit(2, "for e, v in zip(waits, draw(sel, n).tolist()):")
+    emit(2, "for e, v in zip(waits, draw(sel, n).tolist()):")
     if stops:
         emit(3, f"if {' or '.join(stops)}:")
         emit(4, "status = STOPPED", "break")
-    if nrx == 1 and kept:
-        total = "a0"
-    else:
-        for j in range(nrx):
-            prop = f"a{j}" if j in kept else propensity(j)
-            emit(3, f"s{j + 1} = {f's{j} + ' if j else ''}{prop}")
-        total = f"s{nrx}" if nrx else "0"
+    for j in range(nrx):
+        prop = f"a{j}" if j in kept else propensity(j)
+        emit(3, f"s{j + 1} = {f's{j} + ' if j else ''}{prop}")
+    total = f"s{nrx}"
     emit(3, f"if {total} <= 0:")
     emit(4, "status = EXHAUSTED", "break")
     emit(3, f"tn = t + e / {total}")
@@ -588,29 +632,23 @@ def _kernel_source(rows, deltas, n_species, watched, count_key, timed) -> str:
     emit(3, "if cp <= tn:")
     emit(4, "while cp < tn or cp == t and events:")
     emit(5, *capture)
-    emit(3, "t = tn", "record(t)")
-    if nrx > 1:
-        emit(3, f"x = v * {total}")
+    emit(3, "t = tn", "record(t)", f"x = v * {total}")
     for j, delta in enumerate(deltas):
-        depth = 3
-        if nrx > 1:
-            depth = 4
-            if j == 0:
-                emit(3, "if x < s1:")
-            elif j < nrx - 1:
-                emit(3, f"elif x < s{j + 1}:")
-            else:
-                emit(3, "else:")
+        if j == 0:
+            emit(3, "if x < s1:")
+        elif j < nrx - 1:
+            emit(3, f"elif x < s{j + 1}:")
+        else:
+            emit(3, "else:")
         for s, d in delta:
-            emit(depth, f"c{s} {'+' if d > 0 else '-'}= {abs(d)}")
-        if nrx > 1:
-            emit(depth, f"mark({j})")
+            emit(4, f"c{s} {'+' if d > 0 else '-'}= {abs(d)}")
+        emit(4, f"mark({j})")
         affected = {i for s, _ in delta for i in readers[s] if i in kept}
-        emit(depth, *(f"a{i} = {propensity(i)}" for i in sorted(affected)))
+        emit(4, *(f"a{i} = {propensity(i)}" for i in sorted(affected)))
         for s, d in delta:
             if d > 0 and s in watched:
-                emit(depth, f"if p{s} and c{s} > 0:")
-                emit(depth + 1, f"p{s} = False", f"wt[{s}] = t", "pending -= 1")
+                emit(4, f"if p{s} and c{s} > 0:")
+                emit(5, f"p{s} = False", f"wt[{s}] = t", "pending -= 1")
     emit(2, "else:")
     emit(3, "continue")
     emit(2, "break")
@@ -679,7 +717,7 @@ def _run_batch(
     n_events = np.zeros(trials, dtype=np.int64)
     nrx = len(comp.table)
     if nrx < 2:
-        _run_path(comp, init, rng, t_max, wcols, count_stop, max_events,
+        _run_path(comp, counts, rng, t_max, wcols.tolist(), count_stop, max_events,
                   end, first, exhausted, n_events)
         return end, first, exhausted, n_events
     if count_stop is not None:
@@ -783,10 +821,12 @@ def _run_batch(
     return end, first, exhausted, n_events
 
 
-def _run_path(comp, init, rng, t_max, wcols, count_stop, max_events,
-              end, first, exhausted, n_events):
+def _run_path(comp, counts, rng, t_max, watched, count_stop, max_events,
+              end, first, exhausted, n_events, record=None):
     """The trials of ``_run_batch`` for a table of at most one reaction,
-    written into its four output arrays.
+    written into its four output arrays; with one trial, also the run of
+    ``_run_core``, whose event times it appends to ``record``, one array
+    per block.
 
     Every active trial fires the one reaction in every sweep, so all of
     them follow one path of counts, ``init + s * delta`` after s sweeps,
@@ -795,68 +835,72 @@ def _run_path(comp, init, rng, t_max, wcols, count_stop, max_events,
     when the reaction raises every watched species not present at the
     start), the event budget and exhaustion, where the path's propensity
     is at most zero (-0.0 for X + X at count 0; with no reaction it is 0).
-    A stop wins over exhaustion at the same sweep. Only ``t_max`` ends
-    trials at sweeps of their own.
+    A stop wins over exhaustion at the same sweep. Each count is linear in
+    the sweep, so that sweep is found once, before any wait is drawn. Only
+    ``t_max`` ends trials at sweeps of their own.
 
     The path's propensities, ``float(c_a) * coef * float(c_b - minus)``
-    in the order of the sweep loop in ``_run_batch``, and the sweep where a
-    common stop ends it are computed ``_BLOCK`` sweeps at a time. The
-    trials advance a block of at most ``_BLOCK`` waits at a time: its
-    waits, from ``rng.standard_exponential``, are read as a (sweeps x
-    trials) array, one row per sweep, in the order a sweep loop reads
-    them, and every trial's times come from one division and a running sum
-    along the sweeps: one ``np.add.accumulate``, or above
-    ``_ROW_SUM_TRIALS`` trials one row addition per sweep, which is faster
-    for a block of few sweeps. These are the sweep loop's float operations
-    in its order, so the outputs are the ones it would give. With
-    ``t_max``, a block ends at the first sweep in which some trial passes
-    it; those trials retire, and the waits the block drew past that sweep
-    are read by the next one. No array grows with the length of the
+    in the order of the sweep loop in ``_run_batch`` (the second factor is
+    left out when it is the entry held at 1), are computed a window of
+    ``_BLOCK`` sweeps at a time. With one trial the first window takes
+    ``_FIRST_BLOCK`` sweeps and each later one twice the last, up to
+    ``_BLOCK``, as the scalar loop's blocks grow, since many runs stop
+    after a few events. The trials advance a block of at most ``_BLOCK``
+    waits at a time: its waits, from ``rng.standard_exponential``, are
+    read as a (sweeps x trials) array, one row per sweep, in the order a
+    sweep loop reads them, and every trial's times come from one division
+    and a running sum along the sweeps: one ``np.add.accumulate``, or
+    above ``_ROW_SUM_TRIALS`` trials one row addition per sweep, which is
+    faster for a block of few sweeps. These are the sweep loop's float
+    operations in its order, so the outputs are the ones it would give.
+    With ``t_max``, a block ends at the first sweep in which some trial
+    passes it; those trials retire, and the waits the block drew past that
+    sweep are read by the next one. No array grows with the length of the
     path.
     """
-    delta = np.zeros(init.size, dtype=np.int64)
+    delta = [0] * len(counts)
     if comp.table:
         [(coef, a, b, minus)] = comp.table
         for x, d in comp.deltas[0]:
             delta[x] = d
+        # a count falls by at most what the reaction consumes, so none goes
+        # below 0, and the propensity is at most 0 (-0.0 for X + X at count
+        # 0) from the first sweep at which c_a or c_b - minus is
+        dead_at = min(_first_sweep(counts[a], delta[a], 0),
+                      _first_sweep(counts[b] - minus, delta[b], 0))
     else:  # a propensity of 0 from the entry held at 1: nothing can fire
-        coef, a, b, minus = 0.0, init.size - 1, init.size - 1, 0
+        coef, a, b, minus = 0.0, len(counts) - 1, len(counts) - 1, 0
+        dead_at = 0
     # the watch holds from this sweep on: 0 when every watched species is
     # present at the start, 1 when the first event raises the rest
-    seen = init[wcols] > 0
-    raised = ~seen & (init[wcols] + delta[wcols] > 0)
-    watch_at = _NO_BUDGET
-    if wcols.size and (seen | raised).all():
-        watch_at = 0 if seen.all() else 1
+    unseen = [j for j, w in enumerate(watched) if counts[w] <= 0]
+    raised = [j for j in unseen if delta[watched[j]] > 0]
+    watch_at = _NO_BUDGET if not watched or len(raised) < len(unseen) else 1 if unseen else 0
+    stop_at = min(max_events, watch_at)
     if count_stop is not None:
         sid, thr, direction = count_stop
-        reached = np.greater_equal if direction > 0 else np.less_equal
+        stop_at = min(stop_at, _first_sweep(counts[sid], delta[sid], thr) if direction < 0
+                      else _first_sweep(-counts[sid], -delta[sid], -thr))
+    halt_at = min(stop_at, dead_at)
     ids = np.arange(end.size)
     t = np.zeros(end.size)
     ebuf = np.empty(0)  # waits drawn and not yet read
     s = 0  # the sweeps every active trial has made, one event each
-    w0 = -_BLOCK  # the first sweep of the path computed so far
+    w0 = wend = 0  # the path's propensities are computed from sweep w0 to wend
+    size = _FIRST_BLOCK if end.size == 1 else _BLOCK  # the next window's sweeps
     while True:
-        if s == w0 + _BLOCK:
-            # the path from sweep w0 = s on, for _BLOCK sweeps: the
-            # propensities, and the first h where a common stop, or else a
-            # propensity of at most 0, ends every active trial at sweep w0 + h
-            w0 = s
-            at = np.arange(s, s + _BLOCK, dtype=np.int64)
-            prop = (init[a] + delta[a] * at).astype(np.float64) * coef
-            prop *= (init[b] + delta[b] * at - minus).astype(np.float64)
-            stop = (at >= max_events) | (at >= watch_at)
-            if count_stop is not None:
-                stop |= reached(init[sid] + delta[sid] * at, thr)
-            halt = stop | (prop <= 0.0)
-            h = int(np.argmax(halt)) if halt.any() else _BLOCK
-        k = ids.size
-        fire = min(max(1, _BLOCK // k), w0 + h - s)  # the sweeps of this block
-        if not fire:
+        if s == halt_at:
             end[ids] = t
             n_events[ids] = s
-            exhausted[ids] = not stop[h]
+            exhausted[ids] = dead_at < stop_at
             return
+        if s == wend:
+            w0, wend, size = s, min(s + size, halt_at), min(2 * size, _BLOCK)
+            prop = _path_counts(counts[a], delta[a], w0, wend).astype(np.float64) * coef
+            if b < len(counts) - 1:  # else the factor is the entry held at 1
+                prop *= _path_counts(counts[b] - minus, delta[b], w0, wend).astype(np.float64)
+        k = ids.size
+        fire = min(max(1, _BLOCK // k), wend - s)  # the sweeps of this block
         need = fire * k
         if ebuf.size < need:
             more = rng.standard_exponential(need - ebuf.size)
@@ -875,14 +919,19 @@ def _run_path(comp, init, rng, t_max, wcols, count_stop, max_events,
         # the times only grow along a trial, so the last row shows whether
         # any trial passed t_max in this block
         if t_max is not None and times[fire].max() > t_max:
-            fire = int(np.argmax((times[1:] > t_max).any(axis=1))) + 1
+            # so the rows' maxima grow too, and the first late row is the
+            # first whose maximum passes t_max
+            top = times[1:, 0] if k == 1 else times[1:].max(axis=1)
+            fire = int(top.searchsorted(t_max, "right")) + 1
             late = times[fire] > t_max
+        if record is not None:  # one trial, so a late row ends its run
+            record.append(times[1 : fire if late is not None else fire + 1, 0])
         ebuf = ebuf[fire * k :]
-        if s == 0 and raised.any():
+        if s == 0 and raised:
             # every trial whose first event is not past t_max sees the
             # raised species at that event
             saw = ~late if fire == 1 and late is not None else slice(None)
-            first[np.ix_(ids[saw], np.flatnonzero(raised))] = times[1, saw][:, None]
+            first[np.ix_(ids[saw], raised)] = times[1, saw][:, None]
         t = times[fire].copy()
         s += fire
         if late is not None:  # they take t_max after s - 1 events
@@ -892,6 +941,22 @@ def _run_path(comp, init, rng, t_max, wcols, count_stop, max_events,
             ids, t = ids[~late], t[~late]
             if not ids.size:
                 return
+
+
+def _path_counts(c0: int, d: int, start: int, stop: int) -> np.ndarray:
+    """The counts ``c0 + d * s`` for the sweeps s from ``start`` to ``stop``
+    (exclusive), as int64."""
+    if not d:
+        return np.full(stop - start, c0, dtype=np.int64)
+    return np.arange(c0 + d * start, c0 + d * stop, d, dtype=np.int64)
+
+
+def _first_sweep(c0: int, d: int, x: int) -> int:
+    """The first sweep s >= 0 at which the count ``c0 + d * s`` is at most
+    ``x``, or ``_NO_BUDGET`` when there is none."""
+    if c0 <= x:
+        return 0
+    return _NO_BUDGET if d >= 0 else -((c0 - x) // d)
 
 
 def _prepare(crn: Crn, init: Configuration, stop: StopCondition, volume):
@@ -988,20 +1053,21 @@ def simulate(
     trace; ``stream_key``, a tuple of integers of at least 0, selects an
     independent substream, e.g. one per trial of a repeated experiment.
     Checkpoint times, a sequence or a numpy array, must be finite and
-    nonnegative.
+    nonnegative; a checkpoint of -0.0 is kept as 0.0. A network of two or
+    more reactions runs through the generated scalar loop, and one of at
+    most one reaction a block of events per array operation
+    (``_run_path``), with the same draws and float operations.
     """
     cps = [] if checkpoint_times is None else checkpoint_times
-    cps = sorted(check_real(x, "checkpoint times", zero=True) for x in cps)
+    # + 0 turns -0.0 into 0.0, so no CSV row reads -0.0, and keeps an int an int
+    cps = sorted(check_real(x, "checkpoint times", zero=True) + 0 for x in cps)
     volume, comp, counts, loop_args = _prepare(crn, init, stop, volume)
-    t, status, (times, chosen), cp_rows, _, n = _run_core(
+    t, status, events, cp_rows, _, _ = _run_core(
         comp, counts, substream(seed, *stream_key), checkpoint_times=cps, **loop_args
     )
-    # with at most one reaction every index is 0 and the kernel recorded none
-    dtype = _index_dtype(len(comp.table))
-    reactions = np.array(chosen, dtype) if len(comp.table) > 1 else np.zeros(n, dtype)
     return Trace(
         initial=init,
-        events=Events(np.fromiter(times, np.float64, count=n), reactions),
+        events=Events(*events),
         terminal=Configuration(counts[:-1]),
         time=t,
         status=status,

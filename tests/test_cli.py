@@ -291,6 +291,18 @@ class TestBulkOutputs:
         cps = (tmp_path / "out" / "checkpoints.csv").read_text()
         assert cps.splitlines()[0] == "time,X,Y"
 
+    @pytest.mark.parametrize("text", ["X -> 0 ; k=1\n", "X -> Y ; k=1\nY -> X ; k=1\n"],
+                             ids=["one-reaction", "two-reactions"])
+    def test_checkpoint_of_minus_zero_is_written_as_zero(self, tmp_path, capsys, text):
+        # -0 passed the nonnegative check and its row read -0.0,5
+        p = tmp_path / "d.crn"
+        p.write_text(text)
+        argv = ["simulate", str(p), "--init", "X=5", "--t-max", "1", "--checkpoints=-0,0.5"]
+        assert main(["--out-dir", str(tmp_path), *argv]) == 0
+        rows = (tmp_path / "checkpoints.csv").read_text().splitlines()
+        assert [row.split(",")[0] for row in rows] == ["time", "0.0", "0.5"]
+        assert rows[1].split(",")[1] == "5"
+
     def test_simulate_json_reports_an_infinite_time_as_null(self, tmp_path, capsys):
         # a propensity of 1e-320 makes the first wait overflow to inf, which
         # json.dumps printed as Infinity; the text report keeps t = inf

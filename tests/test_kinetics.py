@@ -399,14 +399,16 @@ class TestSimulate:
         ],
         ids=["no-budget-left", "count-met", "watch-met"],
     )
-    def test_no_reactions_stops_at_zero_when_the_stop_holds(self, stop):
-        # a network with no reactions runs through the same block loop as
-        # any other, whose stop test comes before its total of 0 is read
+    def test_no_reactions_stops_at_zero_when_the_stop_holds(self, stop, monkeypatch):
+        # a network with no reactions runs through _run_path, as one of one
+        # reaction does, where a stop wins over a propensity of 0 at the
+        # same sweep
+        kernels = _spy_kernels(monkeypatch)
         crn, _ = parse_crn("species: A B\n")
-        assert "while True:" in _source(crn)
         trace = simulate(crn, crn.config({"A": 3}), stop, seed=0, checkpoint_times=[0.0, 7.0])
         assert (trace.status, trace.time, trace.events) == ("stopped", 0.0, [])
         assert [(t, c.tolist()) for t, c in trace.checkpoints] == [(0.0, [3, 0])]
+        assert kernels == []
 
     def test_event_time_that_overflows_to_infinity(self):
         # a propensity of 1e-320 makes the wait overflow to inf; the
@@ -569,12 +571,13 @@ class TestSimulate:
         ids=["one-reaction", "one-reaction-exhausts", "two-reactions", "two-reactions-exhausts"],
     )
     def test_budget_at_block_boundaries(self, text, start, budgets):
-        # the budget is tested once per block of waits, of 64 and then 128,
-        # each cut to the events left; every loop reads one wait per event
-        # (and a two-reaction loop one selection uniform beside it, from
-        # blocks of the same size), so the blocks end after events 64 and
-        # 192. Budgets of 32 and 96 mark where a two-reaction loop's blocks
-        # ended when it read two uniforms per event
+        # the kernel of two or more reactions tests the budget once per
+        # block of waits, of 64 and then 128, each cut to the events left,
+        # and reads one selection uniform beside each wait, from blocks of
+        # the same size; a one-reaction run advances windows of 64 and then
+        # 128 sweeps, cut at the budget. Either way the blocks end after
+        # events 64 and 192. Budgets of 32 and 96 mark where a two-reaction
+        # loop's blocks ended when it read two uniforms per event
         crn, _ = parse_crn(text)
         init = crn.config(start)
         full = simulate(crn, init, StopCondition(t_max=30.0), seed=19, stream_key=(2,))
@@ -586,6 +589,84 @@ class TestSimulate:
             else:
                 assert full.status == trace.status == "exhausted"
             assert trace.events == full.events[:budget]
+
+    # (network, start, stop, checkpoints) run through _run_path and the
+    # event-by-event reference. Checkpoints at 0, duplicated, between events
+    # and past the end; the budgets sit on both sides of the blocks, which
+    # end after events 64, 192 and 4032 and then every 4096
+    _PATH_CASES = {
+        "t_max": ("X -> 0 ; k=1\n", {"X": 1000}, StopCondition(t_max=1.0),
+                  [0.0, 0.25, 0.25, 0.5, 1.0, 3.0]),
+        "int-t_max": ("X -> 0 ; k=1\n", {"X": 50}, StopCondition(t_max=2), [1, 2.0]),
+        "count-rising": ("X -> X + Y ; k=2\n", {"X": 3}, StopCondition(count_reaches=("Y", 150)),
+                         [0.0, 1.0, 1.0, 1e3]),
+        "count-falling": ("A + B -> C ; k=1\n", {"A": 300, "B": 200},
+                          StopCondition(count_reaches=("B", 7)), [0.0, 0.001, 1e3]),
+        "watch-at-0": ("X -> Y ; k=1\n", {"X": 5, "Y": 1},
+                       StopCondition(t_max=9.0, species_appears=frozenset({"X", "Y"})),
+                       [0.0, 0.5]),
+        "watch-at-1": ("species: X Y Z\nX -> Y + Z ; k=1\n", {"X": 5},
+                       StopCondition(species_appears=frozenset({"X", "Y", "Z"})), [0.0, 0.0, 2.0]),
+        "watch-never-met": ("species: X Y Z\nX -> Y ; k=1\n", {"X": 5},
+                            StopCondition(t_max=2.0, species_appears=frozenset({"Y", "Z"})),
+                            [0.0, 1.0, 5.0]),
+        **{f"budget-{n}": ("X -> 0 ; k=1\n", {"X": 10**4}, StopCondition(max_events=n),
+                           [0.0, 0.01, 1e9])
+           for n in (1, 63, 64, 65, 191, 192, 193, 4095, 4096, 4097)},
+        "exhausts": ("X -> 0 ; k=5\n", {"X": 30}, StopCondition(t_max=100.0),
+                     [0.0, 0.1, 50.0, 99.0, 99.0]),
+        "no-reactions": ("species: A B\n", {"A": 3}, StopCondition(t_max=1.0), [0.0, 7.0]),
+        "dimer-to-1": ("A + A -> B ; k=1\n", {"A": 501}, StopCondition(t_max=1e9),
+                       [0.0, 0.001, 1e10]),
+        "dimer-to-0": ("A + A -> B ; k=1\n", {"A": 500}, StopCondition(max_events=10**6),
+                       [0.0, 1e10]),
+    }
+
+    @pytest.mark.parametrize("case", list(_PATH_CASES))
+    def test_one_reaction_matches_event_by_event_reference(self, case):
+        text, start, stop, cps = self._PATH_CASES[case]
+        crn, _ = parse_crn(text)
+        self._assert_path_matches_reference(crn, crn.config(start), stop, cps, (len(case),))
+
+    @pytest.mark.parametrize(
+        "waits,stop,cps,rows",
+        [
+            # X -> 0 from 2 at k = 1: events at 0.5 and 1.5, then exhausted
+            ([1.0, 1.0], StopCondition(t_max=5.0), [0.5, 1.5, 1.5, 4.0], [1, 0, 0, 0]),
+            ([1.0, 1.0], StopCondition(max_events=1), [0.5, 0.6], [1]),
+            # waits of 0 fire two events at time 0; a checkpoint at 0 reads
+            # the counts after the first of them
+            ([0.0, 0.0, 0.5], StopCondition(t_max=5.0), [0.0, 0.0, 0.25, 1.0], [1, 1, 0, 0]),
+        ],
+        ids=["exact-event-times", "exact-end-time", "zero-waits"],
+    )
+    def test_scripted_one_reaction_matches_reference(self, waits, stop, cps, rows, monkeypatch):
+        monkeypatch.setattr(kinetics, "substream", lambda *key: ScriptedWaits(waits))
+        crn, _ = parse_crn("X -> 0 ; k=1\n")
+        trace = self._assert_path_matches_reference(crn, crn.config({"X": 2}), stop, cps, ())
+        assert [c.tolist() for _, c in trace.checkpoints] == [[x] for x in rows]
+
+    @staticmethod
+    def _assert_path_matches_reference(crn, init, stop, cps, key):
+        """``simulate`` equals the reference on stream (23, *key), and
+        ``_run_core`` reports its watch times; no kernel is generated."""
+        with pytest.MonkeyPatch.context() as mp:
+            kernels = _spy_kernels(mp)
+            trace = simulate(crn, init, stop, seed=23, checkpoint_times=cps, stream_key=key)
+            _, comp, counts, args = kinetics._prepare(crn, init, stop, None)
+            watch_times = kinetics._run_core(comp, list(counts), kinetics.substream(23, *key),
+                                             checkpoint_times=cps, **args)[4]
+        assert kernels == []
+        t, status, times, terminal, rows, seen = _one_reaction_events(
+            comp, counts, kinetics.substream(23, *key), checkpoint_times=cps, **args)
+        want = kinetics.Trace(
+            initial=init, events=kinetics.Events(times, np.zeros(len(times), np.uint8)),
+            terminal=Configuration(terminal), time=t, status=status, volume=trace.volume,
+            checkpoints=[(x, np.array(row, dtype=np.int64)) for x, row in rows])
+        assert trace == want
+        assert type(trace.time) is type(t) and trace.events.reactions.dtype == np.uint8
+        assert watch_times == seen and list(watch_times) == list(seen)
+        return trace
 
     def test_species_appears_stop(self):
         crn, _ = parse_crn("X -> Y ; k=1\n")
@@ -602,6 +683,15 @@ class TestSimulate:
         crn, _ = parse_crn("A + 2B -> A + 3C\n")
         with pytest.raises(UnsupportedReactionOrderError):
             simulate(crn, crn.config({"A": 1, "B": 2}), StopCondition(t_max=1.0), seed=0)
+
+    @pytest.mark.parametrize("pair", ["X", "XY", 5, ("X", 1, 2), ("X",), {"X": 1}],
+                             ids=["str", "two-letter-str", "int", "triple", "single", "dict"])
+    def test_count_reaches_must_be_a_pair(self, pair):
+        # "X" and ("X", 1, 2) raised ValueError from the unpacking, 5 a
+        # TypeError, and "XY" read Y as its threshold
+        with pytest.raises(DomainError,
+                           match=r"count_reaches must be a \(species, threshold\) pair, got "):
+            StopCondition(t_max=1.0, count_reaches=pair)
 
     def test_stop_condition_validation(self):
         with pytest.raises(DomainError):
@@ -785,6 +875,53 @@ def _one_reaction_sweeps(comp, counts, rng, trials, *, t_max=None, watch=None,
             if c[w] > 0:
                 col = first[fired, j]
                 first[fired, j] = np.where(np.isnan(col), t[~ended], col)
+
+
+def _one_reaction_events(comp, counts, rng, *, t_max=None, watch=None, count_stop=None,
+                         max_events=kinetics._NO_BUDGET, checkpoint_times=()):
+    """``_run_core`` for a table of at most one reaction, one event at a time.
+
+    This is the scalar loop's rule, kept as the reference for the blocks of
+    ``_run_path``: at the top of each event the stops, then exhaustion,
+    then the wait and ``t_max``; a checkpoint is taken before the first
+    event past it, or after the first event at its time, and after the
+    loop only up to the end time unless the run is exhausted. Returns
+    (time, status, event times, terminal counts, checkpoints, watch times).
+    """
+    c = list(counts)
+    coef, a, b, minus = comp.table[0] if comp.table else (0.0, len(c) - 1, len(c) - 1, 0)
+    delta = comp.deltas[0] if comp.table else ()
+    watch = sorted(watch or ())
+    seen = {s: 0.0 for s in watch if c[s] > 0}
+    cps, rows = list(checkpoint_times), []
+    t, times = 0.0, []
+    while True:
+        if (watch and len(seen) == len(watch)) or len(times) >= max_events or (
+                count_stop is not None
+                and (c[count_stop[0]] - count_stop[1]) * count_stop[2] >= 0):
+            status = "stopped"
+            break
+        total = float(c[a]) * coef * float(c[b] - minus)
+        if total <= 0.0:
+            status = "exhausted"
+            break
+        tn = t + rng.standard_exponential(1).item() / total
+        if t_max is not None and tn > t_max:
+            t, status = t_max, "stopped"
+            break
+        while cps and (cps[0] < tn or cps[0] == t and times):
+            rows.append((cps.pop(0), c[:-1]))
+        t = tn
+        times.append(t)
+        for x, d in delta:
+            c[x] += d
+        for x in watch:
+            if x not in seen and c[x] > 0:
+                seen[x] = t
+    until = math.inf if status == "exhausted" else t
+    while cps and cps[0] <= until:
+        rows.append((cps.pop(0), c[:-1]))
+    return t, status, times, c[:-1], rows, seen
 
 
 def _assert_one_trial_matches_simulate(crn, init, stop, seed, key, monkeypatch):
@@ -1389,11 +1526,12 @@ class TestEvents:
         (t, counts), = a.checkpoints
         assert a != dataclasses.replace(a, checkpoints=[(t, counts + [0, 1])])
 
-    def test_recorded_events_take_at_most_12_bytes_each(self):
-        # a list of (time, reaction) tuples kept about 87 bytes per event
-        crn, _ = parse_crn("X -> Y ; k=1\nY -> X ; k=1\n")
-        init = crn.config({"X": 100})
-        simulate(crn, init, StopCondition(max_events=10), seed=0)  # compiles the kernel
+    @staticmethod
+    def _bytes_kept_per_event(text, start):
+        """The bytes a 10**5-event trace of ``text`` keeps per event."""
+        crn, _ = parse_crn(text)
+        init = crn.config(start)
+        simulate(crn, init, StopCondition(max_events=10), seed=0)  # compiles any kernel
         gc.collect()
         tracemalloc.start()
         try:
@@ -1403,7 +1541,16 @@ class TestEvents:
         finally:
             tracemalloc.stop()
         assert len(trace.events) == 100_000
-        assert kept <= 12 * len(trace.events)
+        return kept / len(trace.events)
+
+    def test_recorded_events_take_at_most_12_bytes_each(self):
+        # a list of (time, reaction) tuples kept about 87 bytes per event
+        assert self._bytes_kept_per_event("X -> Y ; k=1\nY -> X ; k=1\n", {"X": 100}) <= 12
+
+    def test_one_reaction_events_take_at_most_12_bytes_each(self):
+        # _run_path records its event times a block at a time and joins the
+        # blocks once: float64 times and uint8 indices, about 9 bytes
+        assert self._bytes_kept_per_event("X -> 0 ; k=1\n", {"X": 200_000}) <= 12
 
     def test_more_than_256_reactions(self):
         # the last 240 of the 320 reactions are U_i -> V_i, and each U_i
@@ -1424,13 +1571,16 @@ class TestEvents:
         row_by_row_to_csv(trace, crn, slow)
         assert fast.getvalue() == slow.getvalue()
 
-    def test_one_reaction_records_no_indices(self):
+    def test_one_reaction_records_no_indices(self, monkeypatch):
+        # such a run takes no kernel, so no branch appends an index; the
+        # index column is all zeros
+        kernels = _spy_kernels(monkeypatch)
         crn, _ = parse_crn("X -> 0 ; k=1\n")
-        assert "mark" not in _source(crn)
         trace = simulate(crn, crn.config({"X": 40}), StopCondition(t_max=10.0), seed=2)
         reactions = trace.events.reactions
         assert reactions.size == len(trace.events) > 0 and not reactions.any()
         assert trace.events[-1] == (trace.events.times[-1], 0)
+        assert kernels == []
 
 
 _KERNEL = kinetics._kernel
@@ -1460,9 +1610,10 @@ class TestKernel:
 
     def test_volumes_share_one_kernel(self, monkeypatch):
         # the coefficients are an argument, not part of the source: the
-        # first wait scales with the volume through the kernel both share
+        # first wait scales with the volume through the kernel both share.
+        # C starts at 0, so A + B -> C alone sets the first wait
         kernels = _spy_kernels(monkeypatch)
-        crn, _ = parse_crn("A + B -> C ; k=1.5\n")
+        crn, _ = parse_crn("A + B -> C ; k=1.5\nC -> A + B ; k=1\n")
         init, stop = crn.config({"A": 4, "B": 3}), StopCondition(max_events=1)
         small = simulate(crn, init, stop, seed=6, volume=2.0)
         large = simulate(crn, init, stop, seed=6, volume=5.0)
@@ -1548,9 +1699,9 @@ class TestKernel:
                 (t, c.tolist()) for t, c in runs[0].checkpoints]
 
     def test_source_leaves_linecache_with_its_kernel(self):
-        crn, _ = parse_crn("X -> 0 ; k=1\n")
+        crn, _ = parse_crn("X -> Y ; k=1\nY -> X ; k=1\n")
         comp = _Compiled(crn, 1.0)
-        shape = (tuple(row[1:] for row in comp.table), comp.deltas, 1, (), None, True)
+        shape = (tuple(row[1:] for row in comp.table), comp.deltas, 2, (), None, True)
         kernel = _KERNEL.__wrapped__(*shape)
         filename = kernel.__code__.co_filename
         assert filename in linecache.cache
