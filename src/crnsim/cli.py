@@ -334,8 +334,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-max", type=float, default=None)
     p.add_argument("--max-events", type=int, default=None)
     p.add_argument("--stop-species", action="append", default=None,
-                   help="stop once this species appears (repeatable: all must appear)")
-    p.add_argument("--stop-count", default=None, help="NAME=COUNT stop threshold")
+                   help="watch until this species appears (repeatable); the run stops "
+                        "once every watch, --stop-count's too, is reached")
+    p.add_argument("--stop-count", default=None, help="NAME=COUNT watch, from the initial side")
     p.add_argument("--checkpoints", default=None, help="comma-separated sample times")
     p.add_argument("--trace-out", default="trace.csv")
     p.add_argument("--checkpoints-out", default="checkpoints.csv")

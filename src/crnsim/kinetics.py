@@ -22,24 +22,29 @@ There are two event loops, one per execution shape, and each picks its
 body by reaction count alone. Both evaluate the propensities above by
 one formula over one reaction table of plain tuples, ``_Compiled``, and
 every :class:`StopCondition` is turned into their arguments in one
-place, ``_prepare``, which also builds that table. It refuses, before
-any event is drawn, a stop without a time horizon or event budget none
-of whose triggers can ever fire. ``simulate`` records one trajectory
-with ``_run_core``. With two or more reactions that is the scalar loop:
-straight-line Python generated from the shape of the run, the table's
-reactant rows and net changes, the species count, and which stops are
-given and on which species. The source is compiled once per shape and
-kept in a bounded cache, ``_kernel``; the counts and the propensities it
-keeps are its locals, the choice of reaction an ``if``/``elif`` chain,
+place, ``_prepare``, which also builds that table. Both spellings of a
+watch, ``species_appears`` and ``count_reaches``, become one kind there,
+a species' count, a threshold and the side it approaches from: a watch
+is reached once its count has crossed its threshold, and stays reached,
+and the watches stop a run once every one is reached. ``_prepare``
+refuses, before any event is drawn, a stop without a time horizon or
+event budget that has a watch which can never be reached. ``simulate``
+records one trajectory with ``_run_core``. With two or more reactions
+that is the scalar loop: straight-line Python generated from the shape
+of the run, the table's reactant rows and net changes, the species
+count, each watch's species and side, and whether ``t_max`` is given.
+The source is compiled once per shape and kept in a bounded cache,
+``_kernel``; the counts and the propensities it keeps are its locals,
+the choice of reaction an ``if``/``elif`` chain,
 and each branch of it recomputes only the kept propensities of the
 reactions that read a species it changes; the running sums compute the
 others. Its waits and its selection uniforms come in blocks, and a
 checkpoint costs one test per event. Only integers go into that source:
 the rate coefficients, thresholds, event budget and checkpoint times are
 arguments, so no float, species name or label is ever compiled, and a
-run at another volume reuses the kernel. ``run_trials`` repeats a stop
-over independent trials with the batched loop, ``_run_batch``, which
-advances all trials of a chunk of ``_TRIAL_CHUNK`` in lockstep over
+run at another volume or threshold reuses the kernel. ``run_trials``
+repeats a stop over independent trials with the batched loop,
+``_run_batch``, which advances all trials of a chunk of ``_TRIAL_CHUNK`` in lockstep over
 species-major arrays (a row per count, a column per trial) that it lays
 out from that table once per call; the chunks fan out through
 ``parallel.map_chunks``, so chunk c draws from
@@ -55,18 +60,20 @@ block of sweeps per array operation with the sweep loop's float
 operations, so its outputs are the ones the sweep loop, or the scalar
 loop, would give; ``_run_core`` rebuilds the trace from the event times
 it records. A table of at most one reaction draws no selection uniforms,
-so it never builds a second generator. Each loop tests the watch and
-count stops in one place, before it draws: the scalar loop at the top of
-each event, the batched loop at the top of each sweep, and ``_run_path``
-over the path's counts, where they fall on one sweep common to its
-trials. Every run carries an event budget, ``_NO_BUDGET`` when the stop
-gives none, so each loop has one shape: the batched loop tests the
-budget at the top of each sweep, ``_run_path`` with the other common
-stops, and the scalar loop once per block of waits, when it cuts the
-block to the events left. A trial or run is exhausted where its total
-propensity is at most zero, whatever its wait. The batched loop reads
-the watched counts only after a sweep that fired a reaction raising a
-watched species. ``t_max`` is tested against the drawn event time. One
+so it never builds a second generator. Each loop tests a watch only
+where its count moves toward its threshold: the scalar loop in the
+branches that move it, the batched loop after a sweep that fired such a
+reaction, and ``_run_path`` once, over the path's counts, where each
+watch falls on one sweep common to its trials. Each tests the stop in one
+place, before it draws: the scalar loop at the top of each event, the
+batched loop at the top of each sweep, and ``_run_path`` at the sweep
+where the last watch is reached. Every run carries an event budget,
+``_NO_BUDGET`` when the stop gives none, so each loop has one shape: the
+batched loop tests the budget at the top of each sweep, ``_run_path``
+with the other common stops, and the scalar loop once per block of
+waits, when it cuts the block to the events left. A trial or run is
+exhausted where its total propensity is at most zero, whatever its wait.
+``t_max`` is tested against the drawn event time. One
 writer, ``_write_csv``, writes every CSV file; species names and labels
 are identifiers (see ``model``), so no cell needs quoting.
 
@@ -85,7 +92,7 @@ import linecache
 import math
 import operator
 import weakref
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 
@@ -141,18 +148,21 @@ _ROW_SUM_TRIALS = 256
 
 @dataclass(frozen=True)
 class StopCondition:
-    """Bounds that end a run; the first one reached wins.
+    """Bounds that end a run.
 
     ``t_max`` stops at a time horizon (the clock is advanced to exactly
-    ``t_max`` and the pending event is discarded). ``species_appears``, a
-    nonempty collection of names (not a bare string), stops once every
-    named species has been seen with positive count.
-    ``count_reaches`` is a (species, threshold) pair, a tuple or a list:
-    the run stops when the count reaches the threshold from its initial
-    side; anything else raises ``DomainError``. ``max_events``
-    bounds the number of reaction events. Counts and the event bound are
-    integers of at least 0, and ``t_max`` is kept as ``errors.check_real``
-    returns it, so it is finite and at least 0.
+    ``t_max`` and the pending event is discarded), and ``max_events``
+    bounds the number of reaction events. The other two give watches.
+    ``species_appears``, a nonempty collection of names (not a bare
+    string), watches each named species until it has been seen with
+    positive count. ``count_reaches`` is a (species, threshold) pair, a
+    tuple or a list, that watches the count until it reaches the threshold
+    from its initial side; anything else raises ``DomainError``. A watch
+    stays reached once it is, and the watches stop the run when every one
+    of them, of both spellings, is reached. A run ends at the first of
+    ``t_max``, ``max_events`` and its watches to hold. Counts and the event
+    bound are integers of at least 0, and ``t_max`` is kept as
+    ``errors.check_real`` returns it, so it is finite and at least 0.
     """
 
     t_max: float | None = None
@@ -177,13 +187,15 @@ class StopCondition:
             if isinstance(pair, str) or not isinstance(pair, Sequence) or len(pair) != 2:
                 raise DomainError(
                     f"count_reaches must be a (species, threshold) pair, got {pair!r}")
-            name, thr = pair
+            name, level = pair
             object.__setattr__(
-                self, "count_reaches", (name, check_integer(thr, "a count threshold", 0))
+                self, "count_reaches", (name, check_integer(level, "a count threshold", 0))
             )
         if self.species_appears is not None:
             # a str would watch each of its letters, and an empty set never fires
-            names = () if isinstance(self.species_appears, str) else self.species_appears
+            names = self.species_appears
+            if isinstance(names, str) or not isinstance(names, Iterable):
+                names = ()
             object.__setattr__(self, "species_appears", frozenset(names))
             if not self.species_appears:
                 raise DomainError("species_appears must be a nonempty set of species names")
@@ -382,21 +394,21 @@ def _run_core(
     rng,
     *,
     t_max=None,
-    watch=None,
-    count_stop=None,
+    watch=(),
     max_events=_NO_BUDGET,
     checkpoint_times=(),
 ):
     """One recorded run.
 
     ``counts`` holds the species counts followed by the entry held at 1
-    that ``comp`` reads, and is updated in place. ``watch`` is a set of
-    species ids whose first positive-count times are collected
-    (already-positive species report 0.0); the run ends once every watched
-    species was seen. ``count_stop`` is (sid, threshold, direction) with
-    direction +1 / -1. These stops are tested before an event's wait is
-    read, so a stop that already holds in ``counts`` ends the run at time
-    0. ``checkpoint_times`` is sorted; a checkpoint at an event time takes
+    that ``comp`` reads, and is updated in place. ``watch`` holds the
+    stop's watches as (sid, threshold, side), side +1 for a count that
+    rises to its threshold and -1 for one that falls to it; the run ends
+    once every watch was reached, and the time each was first reached is
+    collected by its index (a watch reached in ``counts`` reports 0.0).
+    The stop is tested before an event's wait is read, so a stop that
+    already holds in ``counts`` ends the run at time 0.
+    ``checkpoint_times`` is sorted; a checkpoint at an event time takes
     the counts after the first event at that time, and one past the end of
     the run is taken only when the run is exhausted. Returns (time,
     status, events, checkpoints, watch_times, n_events), where ``events``
@@ -406,10 +418,10 @@ def _run_core(
     The run takes one of two bodies, chosen by the size of the table, as
     ``_run_batch`` chooses. With two or more reactions it is the kernel
     ``_kernel`` generated for the shape of this run: the reactant rows and
-    net changes of ``comp``, the species count, the watched ids, the count
-    stop's species and direction, and whether ``t_max`` is given. The rate
-    coefficients, the thresholds, the event budget and the checkpoint
-    times are its arguments, so runs at another volume, horizon or budget
+    net changes of ``comp``, the species count, each watch's species and
+    side, and whether ``t_max`` is given. The rate coefficients, the
+    thresholds, the event budget and the checkpoint times are its
+    arguments, so runs at another volume, horizon, threshold or budget
     reuse it. Its waits come from ``rng.standard_exponential`` and its
     selection uniforms from ``open_uniform_block`` on
     ``second_stream(rng)``, built here before ``rng`` makes any draw; it
@@ -419,12 +431,11 @@ def _run_core(
     ``_run_path``, which reads the same waits and computes each event time
     by the same float operations, a block of events per array operation.
     Its counts after n events are ``init + n * delta``, so the run is
-    rebuilt from its event times: the terminal counts, the first event
-    time for each watched species that event raises, and each
-    checkpoint's counts, read after the number of events before the
-    checkpoint, plus the event at it.
+    rebuilt from its event times: the terminal counts, the time each watch
+    is reached and each checkpoint's counts, read after the number of
+    events before the checkpoint, plus the event at it.
     """
-    watch_times = {s: 0.0 for s in watch or () if counts[s] > 0}
+    watch_times = dict.fromkeys(_reached(watch, counts), 0.0)
     nrx = len(comp.table)
     dtype = _index_dtype(nrx)
     if nrx > 1:
@@ -432,8 +443,7 @@ def _run_core(
             tuple(row[1:] for row in comp.table),
             comp.deltas,
             len(counts) - 1,
-            tuple(sorted(watch or ())),
-            None if count_stop is None else count_stop[::2],
+            tuple((sid, side) for sid, _, side in watch),
             t_max is not None,
         )
         t, status, (times, chosen), cp_rows, watch_times, n = kernel(
@@ -443,7 +453,7 @@ def _run_core(
             second_stream(rng),
             open_uniform_block,
             t_max,
-            None if count_stop is None else count_stop[1],
+            tuple(level for _, level, _ in watch),
             max_events,
             checkpoint_times,
             watch_times,
@@ -451,12 +461,13 @@ def _run_core(
         )
         events = np.fromiter(times, np.float64, count=n), np.array(chosen, dtype)
         return t, status, events, cp_rows, watch_times, n
-    watched = sorted(watch or ())
     end, exhausted, n_events = np.zeros(1), np.zeros(1, dtype=bool), np.zeros(1, dtype=np.int64)
-    first = np.full((1, len(watched)), math.nan)
+    first = np.full((1, len(watch)), math.nan)
+    for i in watch_times:
+        first[0, i] = 0.0
     blocks = []
     with np.errstate(over="ignore"):  # a wait may overflow to inf, as in the kernel
-        _run_path(comp, counts, rng, t_max, watched, count_stop, max_events,
+        _run_path(comp, counts, rng, t_max, watch, max_events,
                   end, first, exhausted, n_events, blocks)
     times = np.concatenate(blocks) if blocks else np.empty(0)
     n = times.size
@@ -464,9 +475,7 @@ def _run_core(
     t = end.item()
     if t == t_max:
         t = t_max  # as the stop holds it
-    for s, x in zip(watched, first[0].tolist()):
-        if x == x:  # not NaN: the first event raised s
-            watch_times[s] = x
+    watch_times = {i: x for i, x in enumerate(first[0].tolist()) if x == x}  # NaN: never reached
     delta = [0] * (len(counts) - 1)
     for s, d in comp.deltas[0] if nrx else ():
         delta[s] = d
@@ -485,6 +494,12 @@ def _run_core(
     return t, status, (times, np.zeros(n, dtype)), cp_rows, watch_times, n
 
 
+def _reached(watch, counts) -> list:
+    """The indices of the watches that ``counts`` has reached: those whose
+    count is at or past its threshold, seen from its side."""
+    return [i for i, (sid, level, side) in enumerate(watch) if (counts[sid] - level) * side >= 0]
+
+
 # all that a generated kernel reads besides its arguments. Its source holds
 # no float, so the clock's start comes from here; a checkpoint cursor past
 # the last checkpoint reads nan, which fails both capture tests even when
@@ -501,17 +516,16 @@ _KERNEL_FILES = itertools.count()
 
 
 @lru_cache(maxsize=256)
-def _kernel(rows, deltas, n_species, watched, count_key, timed):
+def _kernel(rows, deltas, n_species, watch, timed):
     """The scalar event loop for one shape of run, compiled once and cached.
 
     ``rows`` holds each reaction's (ra, rb, minus) and ``deltas`` its net
-    change, as in ``_Compiled``; ``watched`` is the sorted watched ids,
-    ``count_key`` the count stop's (sid, direction) or None, and ``timed``
-    whether ``t_max`` is given. The source is registered with ``linecache``
-    under its own file name, so a traceback through the kernel shows its
-    lines; the entry goes when the kernel does.
+    change, as in ``_Compiled``; ``watch`` holds each watch's (sid, side),
+    and ``timed`` whether ``t_max`` is given. The source is registered
+    with ``linecache`` under its own file name, so a traceback through the
+    kernel shows its lines; the entry goes when the kernel does.
     """
-    src = _kernel_source(rows, deltas, n_species, watched, count_key, timed)
+    src = _kernel_source(rows, deltas, n_species, watch, timed)
     filename = f"<crnsim kernel {next(_KERNEL_FILES)}>"
     namespace = dict(_KERNEL_GLOBALS)
     exec(compile(src, filename, "exec"), namespace)
@@ -521,7 +535,7 @@ def _kernel(rows, deltas, n_species, watched, count_key, timed):
     return kernel
 
 
-def _kernel_source(rows, deltas, n_species, watched, count_key, timed) -> str:
+def _kernel_source(rows, deltas, n_species, watch, timed) -> str:
     """Python source of the event loop ``_kernel`` compiles for a table of
     two or more reactions; see ``_run_core``.
 
@@ -540,9 +554,11 @@ def _kernel_source(rows, deltas, n_species, watched, count_key, timed) -> str:
     chosen by a chain ``if x < s1 ... elif ... else`` over those sums: the
     first j with x < s_(j+1), or the last reaction when there is none. Each
     event appends its time to the list ``events``, and each branch appends
-    its index to ``chosen``, applies its own changes and marks the watched
-    species it raises as seen. The watch and count stops are tested at the
-    top of each event. Each event reads one wait ``e`` from ``rng`` and
+    its index to ``chosen`` and applies its own changes. Watch i has a flag
+    ``p{i}``, set while it is pending, and its threshold in ``level{i}``;
+    only a branch that moves its species toward the threshold tests it,
+    and marks it reached there. The stop, no watch pending, is tested at
+    the top of each event. Each event reads one wait ``e`` from ``rng`` and
     one selection uniform ``v`` from ``sel``; both come in blocks of one
     size, and the event budget is tested once per block, when the block is
     sized to the events left in it. The event time is ``t + e / total``,
@@ -561,7 +577,7 @@ def _kernel_source(rows, deltas, n_species, watched, count_key, timed) -> str:
         "cpi += 1",
         "cp = cps[cpi] if cpi < ncp else nan",
     ]
-    out = ["def kernel(table, counts, rng, sel, draw, t_max, thr, max_events, cps, wt, chosen):"]
+    out = ["def kernel(table, counts, rng, sel, draw, t_max, levels, max_events, cps, wt, chosen):"]
 
     def emit(depth, *lines):
         out.extend("    " * depth + line for line in lines)
@@ -594,18 +610,13 @@ def _kernel_source(rows, deltas, n_species, watched, count_key, timed) -> str:
 
     emit(1, "[" + ", ".join(f"[k{j}, _, _, _]" for j in range(nrx)) + "] = table")
     emit(1, f"[{', '.join([*names, '_'])}] = counts")
-    for s in watched:
-        emit(1, f"p{s} = c{s} <= 0")
-    if watched:
-        emit(1, "pending = " + " + ".join(f"p{s}" for s in watched))
+    if watch:  # wt holds the watches reached at the start
+        flags = [f"p{i}" for i in range(len(watch))]
+        emit(1, f"[{', '.join(f'level{i}' for i in range(len(watch)))}] = levels",
+             *(f"{p} = {i} not in wt" for i, p in enumerate(flags)),
+             f"pending = {' + '.join(flags)}")
     emit(1, "t = ZERO", "events = []", "record = events.append", "cp_rows = []",
          "ncp = len(cps)", "cpi = 0", "cp = cps[0] if ncp else nan", "mark = chosen.append")
-    stops = []
-    if watched:
-        stops.append("not pending")
-    if count_key is not None:
-        sid, direction = count_key
-        stops.append(f"c{sid} {'>=' if direction > 0 else '<='} thr")
     emit(1, *(f"a{j} = {propensity(j)}" for j in sorted(kept)), f"size = {_FIRST_BLOCK}",
          "while True:")
     emit(2, "left = max_events - len(events)", "if left <= 0:")
@@ -613,8 +624,8 @@ def _kernel_source(rows, deltas, n_species, watched, count_key, timed) -> str:
     emit(2, "n = min(size, left)", "waits = rng.standard_exponential(n).tolist()",
          f"size = min(2 * size, {_BLOCK})")
     emit(2, "for e, v in zip(waits, draw(sel, n).tolist()):")
-    if stops:
-        emit(3, f"if {' or '.join(stops)}:")
+    if watch:
+        emit(3, "if not pending:")
         emit(4, "status = STOPPED", "break")
     for j in range(nrx):
         prop = f"a{j}" if j in kept else propensity(j)
@@ -645,10 +656,11 @@ def _kernel_source(rows, deltas, n_species, watched, count_key, timed) -> str:
         emit(4, f"mark({j})")
         affected = {i for s, _ in delta for i in readers[s] if i in kept}
         emit(4, *(f"a{i} = {propensity(i)}" for i in sorted(affected)))
-        for s, d in delta:
-            if d > 0 and s in watched:
-                emit(4, f"if p{s} and c{s} > 0:")
-                emit(5, f"p{s} = False", f"wt[{s}] = t", "pending -= 1")
+        moved = dict(delta)
+        for i, (s, side) in enumerate(watch):
+            if moved.get(s, 0) * side > 0:
+                emit(4, f"if p{i} and c{s} {'>=' if side > 0 else '<='} level{i}:")
+                emit(5, f"p{i} = False", f"wt[{i}] = t", "pending -= 1")
     emit(2, "else:")
     emit(3, "continue")
     emit(2, "break")
@@ -667,9 +679,9 @@ def _run_batch(
     trials: int,
     *,
     t_max=None,
-    watch=None,
-    count_stop=None,
+    watch=(),
     max_events=_NO_BUDGET,
+    shown=None,
 ):
     """``trials`` independent runs of ``_run_core`` from ``counts``, in lockstep.
 
@@ -686,43 +698,39 @@ def _run_batch(
 
     The loop's state is species-major, with one column per active trial:
     the counts have a row per species, the entry held at 1, and a row per
-    X + X reaction holding its reactant's count minus 1, and the
-    first-appearance times a row per watched species. These rows, the
+    X + X reaction holding its reactant's count minus 1, and the times
+    each watch was first reached a row per watch. These rows, the
     reactant rows of each reaction and the step of each reaction over
     them are built here from ``comp.table`` and ``comp.deltas``, the only
     place that layout is written. The propensities
     are then one row gather and float products in the scalar loop's
     order, and the step is one column gather from the transposed
-    stoichiometry. The watch, count and event-budget stops are tested at
-    the top of each sweep, before its draws are read. The watched
-    counts are read only after a sweep in which some trial fired a
-    reaction that raises a watched species, since no other reaction can
-    make an unseen one positive; the watch's completion is tested only
-    when something new was seen. A trial ends without an event in the
+    stoichiometry. The watches and the event budget are tested at the
+    top of each sweep, before its draws are read. The watched counts are
+    read only after a sweep in which some trial fired a reaction that
+    moves a watched count toward its threshold, since no other reaction
+    can reach a pending watch; whether every watch is reached is tested
+    only when one was newly reached. A trial ends without an event in the
     sweep where its total propensity is at most zero (it is then exhausted
     and keeps the time of its last event, whatever its wait) or its next
     event lies past ``t_max`` (it takes ``t_max``), and retires at the top
     of the next.
 
-    Returns (end times, first-appearance times with one column per
-    watched species in id order and NaN where never seen, exhausted
-    flags, event counts), one row per trial.
+    Returns (end times, first-passage times, exhausted flags, event
+    counts), one row per trial. The first-passage times have a column for
+    each of the first ``shown`` watches, or every watch by default: the
+    time it was first reached, or NaN.
     """
-    wcols = np.array(sorted(watch or ()), dtype=np.intp)
     init = np.array(counts, dtype=np.int64)
     end = np.zeros(trials)
-    first = np.full((trials, wcols.size), math.nan)
-    first[:, init[wcols] > 0] = 0.0
+    first = np.full((trials, len(watch)), math.nan)
+    first[:, _reached(watch, counts)] = 0.0
     exhausted = np.zeros(trials, dtype=bool)
     n_events = np.zeros(trials, dtype=np.int64)
     nrx = len(comp.table)
     if nrx < 2:
-        _run_path(comp, counts, rng, t_max, wcols.tolist(), count_stop, max_events,
-                  end, first, exhausted, n_events)
-        return end, first, exhausted, n_events
-    if count_stop is not None:
-        sid, thr, direction = count_stop
-        reached = np.greater_equal if direction > 0 else np.less_equal
+        _run_path(comp, counts, rng, t_max, watch, max_events, end, first, exhausted, n_events)
+        return end, first[:, :shown], exhausted, n_events
     # each X + X reaction reads one more row, which holds its reactant's
     # count minus 1 and follows that count's changes, in place of c - minus
     rows = list(range(init.size))
@@ -741,14 +749,20 @@ def _run_batch(
     start = init[rows]
     start[init.size :] -= 1
     coefk = np.repeat(np.array([k for k, _, _, _ in comp.table])[:, None], trials, axis=1)
-    raises = (steps[wcols] > 0).any(axis=0)
+    wsid = np.array([sid for sid, _, _ in watch], dtype=np.intp)
+    side = np.array([d for _, _, d in watch], dtype=np.int64)[:, None]
+    # watch i is reached where side * count >= side * threshold; a count
+    # stays below 2**63, so a higher threshold is never reached either way
+    bar = side * np.array([min(level, _NO_BUDGET) for _, level, _ in watch],
+                          dtype=np.int64)[:, None]
+    moves = (steps[wsid] * side > 0).any(axis=0)
     cnt = np.repeat(start[:, None], trials, axis=1)
     seen = first.T.copy()
     t = np.zeros(trials)
     ids = np.arange(trials)
     ended = dead = np.zeros(trials, dtype=bool)  # set in a sweep, read at the top of the next
     any_ended = False
-    fresh = wcols.size > 0  # whether a watched species appeared since the watch was last tested
+    fresh = bool(watch)  # whether a watch was newly reached since the stop was last tested
     sel = second_stream(rng)
     ebuf = vbuf = np.empty(0)  # waits and selection uniforms, drawn in step
     ui = 0
@@ -761,8 +775,6 @@ def _run_batch(
             done = ended
             if fresh:
                 done = done | ~np.isnan(seen).any(axis=0)
-            if count_stop is not None:
-                done = done | reached(cnt[sid], thr)
             retire = any_ended if done is ended else np.count_nonzero(done)
             if sweep >= max_events:
                 done, retire = np.ones_like(done), True
@@ -803,25 +815,25 @@ def _run_batch(
             # the first j with x < cum[j], or the last reaction when there is none
             idx = np.add.reduce(cum[:-1] <= usel * total, axis=0)
             step = steps.take(idx, axis=1)
-            rose = wcols.size and np.count_nonzero(raises.take(idx))
+            rose = watch and np.count_nonzero(moves.take(idx))
             any_ended = np.count_nonzero(ended)
             if any_ended:  # an ended trial makes no event
                 step = step * ~ended
                 tn = np.where(dead, t, tn if t_max is None else np.minimum(tn, t_max))
             cnt += step
             t = tn
-            # only a reaction that raises a watched species can make an
-            # unseen one positive
+            # only a reaction that moves a watched count toward its
+            # threshold can reach a pending watch
             fresh = False
             if rose:
-                new = np.isnan(seen) & (cnt.take(wcols, axis=0) > 0)
+                new = np.isnan(seen) & (cnt.take(wsid, axis=0) * side >= bar)
                 fresh = np.count_nonzero(new)
                 if fresh:
                     seen = np.where(new, t, seen)
-    return end, first, exhausted, n_events
+    return end, first[:, :shown], exhausted, n_events
 
 
-def _run_path(comp, counts, rng, t_max, watched, count_stop, max_events,
+def _run_path(comp, counts, rng, t_max, watch, max_events,
               end, first, exhausted, n_events, record=None):
     """The trials of ``_run_batch`` for a table of at most one reaction,
     written into its four output arrays; with one trial, also the run of
@@ -830,14 +842,14 @@ def _run_path(comp, counts, rng, t_max, watched, count_stop, max_events,
 
     Every active trial fires the one reaction in every sweep, so all of
     them follow one path of counts, ``init + s * delta`` after s sweeps,
-    and only their times differ. So the stops that read counts fall on one
-    common sweep: the count stop, the watch (at sweep 0, or at sweep 1
-    when the reaction raises every watched species not present at the
-    start), the event budget and exhaustion, where the path's propensity
-    is at most zero (-0.0 for X + X at count 0; with no reaction it is 0).
-    A stop wins over exhaustion at the same sweep. Each count is linear in
-    the sweep, so that sweep is found once, before any wait is drawn. Only
-    ``t_max`` ends trials at sweeps of their own.
+    and only their times differ. So what reads counts falls on one common
+    sweep: each watch, the stop (the last watch reached, or the event
+    budget) and exhaustion, where the path's propensity is at most zero
+    (-0.0 for X + X at count 0; with no reaction it is 0). A stop wins
+    over exhaustion at the same sweep. Each count is linear in the sweep,
+    so these sweeps are found once, before any wait is drawn, and a
+    trial's time after a watch's sweep is the time that watch was first
+    reached. Only ``t_max`` ends trials at sweeps of their own.
 
     The path's propensities, ``float(c_a) * coef * float(c_b - minus)``
     in the order of the sweep loop in ``_run_batch`` (the second factor is
@@ -871,16 +883,11 @@ def _run_path(comp, counts, rng, t_max, watched, count_stop, max_events,
     else:  # a propensity of 0 from the entry held at 1: nothing can fire
         coef, a, b, minus = 0.0, len(counts) - 1, len(counts) - 1, 0
         dead_at = 0
-    # the watch holds from this sweep on: 0 when every watched species is
-    # present at the start, 1 when the first event raises the rest
-    unseen = [j for j, w in enumerate(watched) if counts[w] <= 0]
-    raised = [j for j in unseen if delta[watched[j]] > 0]
-    watch_at = _NO_BUDGET if not watched or len(raised) < len(unseen) else 1 if unseen else 0
-    stop_at = min(max_events, watch_at)
-    if count_stop is not None:
-        sid, thr, direction = count_stop
-        stop_at = min(stop_at, _first_sweep(counts[sid], delta[sid], thr) if direction < 0
-                      else _first_sweep(-counts[sid], -delta[sid], -thr))
+    # the first sweep at which each watch is reached, where side * count,
+    # which moves by side * delta a sweep, is at least side * threshold
+    at = [_first_sweep(-side * counts[sid], -side * delta[sid], -side * level)
+          for sid, level, side in watch]
+    stop_at = min(max_events, max(at, default=_NO_BUDGET))
     halt_at = min(stop_at, dead_at)
     ids = np.arange(end.size)
     t = np.zeros(end.size)
@@ -927,11 +934,10 @@ def _run_path(comp, counts, rng, t_max, watched, count_stop, max_events,
         if record is not None:  # one trial, so a late row ends its run
             record.append(times[1 : fire if late is not None else fire + 1, 0])
         ebuf = ebuf[fire * k :]
-        if s == 0 and raised:
-            # every trial whose first event is not past t_max sees the
-            # raised species at that event
-            saw = ~late if fire == 1 and late is not None else slice(None)
-            first[np.ix_(ids[saw], raised)] = times[1, saw][:, None]
+        for i, x in enumerate(at):
+            if s < x <= s + fire:  # the trials that make sweep x reach watch i there
+                saw = ~late if late is not None and x == s + fire else slice(None)
+                first[ids[saw], i] = times[x - s, saw]
         t = times[fire].copy()
         s += fire
         if late is not None:  # they take t_max after s - 1 events
@@ -964,76 +970,67 @@ def _prepare(crn: Crn, init: Configuration, stop: StopCondition, volume):
     run ``stop`` from ``init``.
 
     The volume defaults to the total initial count, and the counts end
-    with the entry held at 1 that the table reads. A count threshold is
-    approached from the side of its initial count. Without ``t_max`` or
-    ``max_events`` a stop none of whose triggers can ever fire would loop
-    forever, so it raises ``DomainError``.
+    with the entry held at 1 that the table reads. The stop's watches are
+    (sid, threshold, side) tuples: first one per ``species_appears`` name,
+    in species id order, reached at a count of 1 from below, then
+    ``count_reaches``, approached from the side of its initial count.
+    Without ``t_max`` or ``max_events`` a stop with a watch that can never
+    be reached would loop forever, so it raises ``DomainError``.
     """
     if len(init) != crn.n_species:
         raise DomainError("initial configuration does not span the species table")
     comp = _Compiled(crn, float(init.total) if volume is None else volume)
     counts = init.counts.tolist()
-    watch = count_stop = None
-    if stop.species_appears is not None:
-        watch = {crn.species.id_of(name) for name in stop.species_appears}
+    watch = [(sid, 1, 1) for sid in sorted(map(crn.species.id_of, stop.species_appears or ()))]
     if stop.count_reaches is not None:
-        name, thr = stop.count_reaches
+        name, level = stop.count_reaches
         sid = crn.species.id_of(name)
-        count_stop = (sid, thr, -1 if counts[sid] > thr else 1)
+        watch.append((sid, level, -1 if counts[sid] > level else 1))
     # a zero configuration has no propensity and ends at once
     if stop.t_max is None and stop.max_events is None and any(counts):
-        why = _never_fires(crn, counts, watch, count_stop)
+        why = _never_fires(crn, counts, watch)
         if why is not None:
             raise DomainError(f"{why}; give the stop a t_max or max_events")
     counts.append(1)
     return comp.volume, comp, counts, {
         "t_max": stop.t_max,
-        "watch": watch,
-        "count_stop": count_stop,
+        "watch": tuple(watch),
         "max_events": _NO_BUDGET if stop.max_events is None else stop.max_events,
     }
 
 
-def _never_fires(crn: Crn, counts: list, watch, count_stop) -> str | None:
-    """Why neither trigger of a stop can ever fire from ``counts``, or None
-    when one of them might.
+def _never_fires(crn: Crn, counts: list, watch) -> str | None:
+    """Why some watch of a stop can never be reached from ``counts``, or
+    None when each might be.
 
-    A conservation certificate m, sought only for these two, keeps m . x
-    at its start, so no reaction whose reactants weigh more ever fires. The
-    watch trigger never fires when a watched species lies outside the stage
-    closure of the other reactions, which over-approximates what can be
-    produced. A rising count trigger never fires when its threshold exceeds
-    the bound the certificate puts on that count. Any other trigger might.
+    A watch reached at the start, or one that falls to its threshold,
+    might always be. A rising one never is when its species lies outside
+    the stage closure of the reactions that can fire, which
+    over-approximates what can be produced, or when its threshold exceeds
+    the bound a conservation certificate m puts on its count. m . x keeps
+    its start, so no reaction whose reactants weigh more ever fires; the
+    certificate is sought only for a rising watch.
     """
+    rising = [(sid, level) for sid, level, side in watch if side > 0 and counts[sid] < level]
+    if not rising:
+        return None
     from . import analysis  # deferred: it slows down importing this module
 
-    rising = count_stop is not None and count_stop[2] > 0
-    mass = analysis.check_mass_conserving(crn).mass if watch is not None or rising else None
+    mass = analysis.check_mass_conserving(crn).mass
     weight = None if mass is None else sum(m * c for m, c in zip(mass, counts))
-    reasons = []
-    if watch is not None:
-        able = crn if mass is None else Crn(crn.species, tuple(
-            rx for rx in crn.reactions if sum(m * r for m, r in zip(mass, rx.reactants)) <= weight
-        ))
-        closure = analysis.stage_decomposition(able, Configuration(counts)).closure
-        never = sorted(crn.species.name_of(s) for s in watch - closure)
-        if not never:
-            return None
-        reasons.append(
-            f"species {', '.join(never)} can never appear from this initial configuration"
-        )
-    if count_stop is not None:
-        if not rising or mass is None:
-            return None
-        sid, thr, _ = count_stop
-        cap = weight // mass[sid]
-        if thr <= cap:
-            return None
-        reasons.append(
-            f"the count of {crn.species.name_of(sid)} stays at most {cap} by mass "
-            f"conservation and can never reach {thr}"
-        )
-    return "; ".join(reasons)
+    able = crn if mass is None else Crn(crn.species, tuple(
+        rx for rx in crn.reactions if sum(m * r for m, r in zip(mass, rx.reactants)) <= weight
+    ))
+    closure = analysis.stage_decomposition(able, Configuration(counts)).closure
+    reasons = {}  # in watch order, each once
+    for sid, level in rising:
+        name = crn.species.name_of(sid)
+        if sid not in closure:
+            reasons[f"species {name} can never appear from this initial configuration"] = None
+        elif mass is not None and level > weight // mass[sid]:
+            reasons[f"the count of {name} stays at most {weight // mass[sid]} by mass "
+                    f"conservation and can never reach {level}"] = None
+    return "; ".join(reasons) or None
 
 
 def simulate(
@@ -1105,15 +1102,14 @@ def run_trials(
     """
     check_integer(trials, "trials")
     _, comp, counts, loop_args = _prepare(crn, init, stop, volume)
-    batch = partial(_run_batch, comp, counts, **loop_args)
+    names = stop.species_appears or ()
+    # _prepare puts the species_appears watches first, so only their times come back
+    batch = partial(_run_batch, comp, counts, shown=len(names), **loop_args)
     parts = map_chunks(batch, trials, _TRIAL_CHUNK, seed, stream_key, threads)
     times = np.concatenate([p[0] for p in parts])
     seen = np.concatenate([p[1] for p in parts])
-    columns = sorted(loop_args["watch"] or ())
-    first = {
-        name: seen[:, columns.index(crn.species.id_of(name))].copy()
-        for name in stop.species_appears or ()
-    }
+    columns = [sid for sid, _, _ in loop_args["watch"]]
+    first = {name: seen[:, columns.index(crn.species.id_of(name))].copy() for name in names}
     return times, first
 
 

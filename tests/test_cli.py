@@ -622,6 +622,8 @@ class TestErrorPaths:
             ["simulate", "--stop-species", "C"],
             ["simulate", "--stop-count", "A=99"],
             ["first-production", "--target", "C", "--t-cap", "inf"],
+            # the run stops once both watches are reached, and C never appears
+            ["simulate", "--stop-species", "C", "--stop-count", "A=0"],
         ],
     )
     def test_stop_that_can_never_fire_exits_1(self, tmp_path, capsys, monkeypatch, argv_tail):
@@ -708,10 +710,10 @@ class TestErrorPaths:
             "give the stop a t_max or max_events\n"
         )
 
-    def test_stop_with_one_trigger_that_can_fire_runs(self, tmp_path):
+    def test_stop_whose_every_trigger_can_fire_runs(self, tmp_path):
         p = tmp_path / "cycle.crn"
         p.write_text("species: A B C\nA -> B\nB -> A\ninit: A = 5\n")
-        argv = ["simulate", str(p), "--stop-species", "C", "--stop-count", "A=0"]
+        argv = ["simulate", str(p), "--stop-species", "B", "--stop-count", "A=0"]
         assert main(["--out-dir", str(tmp_path), *argv]) == 0
 
     def test_reflecting_hypothesis_violation(self, capsys):

@@ -610,6 +610,10 @@ class TestSimulate:
         "watch-never-met": ("species: X Y Z\nX -> Y ; k=1\n", {"X": 5},
                             StopCondition(t_max=2.0, species_appears=frozenset({"Y", "Z"})),
                             [0.0, 1.0, 5.0]),
+        # Y appears at event 1 and reaches 30 at event 30, which stops the run
+        "watches-at-two-sweeps": ("X -> Y ; k=1\n", {"X": 50},
+                                  StopCondition(species_appears=frozenset({"Y"}),
+                                                count_reaches=("Y", 30)), [0.0, 0.05, 1e3]),
         **{f"budget-{n}": ("X -> 0 ; k=1\n", {"X": 10**4}, StopCondition(max_events=n),
                            [0.0, 0.01, 1e9])
            for n in (1, 63, 64, 65, 191, 192, 193, 4095, 4096, 4097)},
@@ -724,13 +728,13 @@ class TestSimulate:
         with pytest.raises(DomainError, match="must be an integer of at least 0"):
             StopCondition(**kwargs)
 
-    @pytest.mark.parametrize("names", [frozenset(), (), iter([]), "AB", "A"],
+    @pytest.mark.parametrize("names", [frozenset(), (), iter([]), "AB", "A", 5],
                              ids=["empty-frozenset", "empty-tuple", "empty-iterator", "str",
-                                  "one-letter-str"])
+                                  "one-letter-str", "int"])
     def test_watch_must_name_species(self, names):
         # an empty watch never fires: from A=1, A -> B, B -> A ran forever in
         # simulate and run_trials; "AB" watched A and B, and a run stopped
-        # when B appeared while AB was still 0
+        # when B appeared while AB was still 0; 5 raised a TypeError
         for t_max in (None, 1.0):
             with pytest.raises(DomainError, match="species_appears must be a nonempty set"):
                 StopCondition(t_max=t_max, species_appears=names)
@@ -820,32 +824,34 @@ def _spy_batch(monkeypatch) -> list:
     return calls
 
 
-def _one_reaction_sweeps(comp, counts, rng, trials, *, t_max=None, watch=None,
-                         count_stop=None, max_events=kinetics._NO_BUDGET):
+def _watch_reached(count, level, side) -> bool:
+    """Whether a watch's count is at or past its threshold, seen from its side."""
+    return count >= level if side > 0 else count <= level
+
+
+def _one_reaction_sweeps(comp, counts, rng, trials, *, t_max=None, watch=(),
+                         max_events=kinetics._NO_BUDGET):
     """``_run_batch`` for a table of at most one reaction, one sweep at a time.
 
     This is how the batched loop ran such a table before it took blocks of
     sweeps, kept as the reference for them: every active trial fires the
-    reaction in every sweep, so one list of counts serves them all.
+    reaction in every sweep, so one list of counts serves them all. A
+    watch is tested after every sweep, and stays reached once it is.
     """
     c = list(counts)
     coef, a, b, minus = comp.table[0] if comp.table else (0.0, len(c) - 1, len(c) - 1, 0)
     delta = comp.deltas[0] if comp.table else ()
-    wcols = sorted(watch or ())
     end, exhausted = np.zeros(trials), np.zeros(trials, dtype=bool)
     n_events = np.zeros(trials, dtype=np.int64)
-    first = np.full((trials, len(wcols)), math.nan)
-    first[:, [c[w] > 0 for w in wcols]] = 0.0
+    first = np.full((trials, len(watch)), math.nan)
+    first[:, [_watch_reached(c[sid], level, side) for sid, level, side in watch]] = 0.0
     ids, t = np.arange(trials), np.zeros(trials)
     ended, dead = np.zeros(trials, dtype=bool), False
     ebuf, ui, sweep = np.empty(0), 0, 0
     while True:
         done = ended.copy()
-        if wcols:
+        if watch:
             done |= ~np.isnan(first[ids]).any(axis=1)
-        if count_stop is not None:
-            sid, thr, direction = count_stop
-            done |= c[sid] >= thr if direction > 0 else c[sid] <= thr
         done |= sweep >= max_events
         out = ids[done]
         end[out], exhausted[out] = t[done], ended[done] & dead
@@ -871,13 +877,13 @@ def _one_reaction_sweeps(comp, counts, rng, trials, *, t_max=None, watch=None,
         for x, d in delta:
             c[x] += d
         fired = ids[~ended]
-        for j, w in enumerate(wcols):
-            if c[w] > 0:
+        for j, (sid, level, side) in enumerate(watch):
+            if _watch_reached(c[sid], level, side):
                 col = first[fired, j]
                 first[fired, j] = np.where(np.isnan(col), t[~ended], col)
 
 
-def _one_reaction_events(comp, counts, rng, *, t_max=None, watch=None, count_stop=None,
+def _one_reaction_events(comp, counts, rng, *, t_max=None, watch=(),
                          max_events=kinetics._NO_BUDGET, checkpoint_times=()):
     """``_run_core`` for a table of at most one reaction, one event at a time.
 
@@ -885,20 +891,20 @@ def _one_reaction_events(comp, counts, rng, *, t_max=None, watch=None, count_sto
     ``_run_path``: at the top of each event the stops, then exhaustion,
     then the wait and ``t_max``; a checkpoint is taken before the first
     event past it, or after the first event at its time, and after the
-    loop only up to the end time unless the run is exhausted. Returns
-    (time, status, event times, terminal counts, checkpoints, watch times).
+    loop only up to the end time unless the run is exhausted. Every watch
+    is tested after every event, and stays reached once it is. Returns
+    (time, status, event times, terminal counts, checkpoints, watch times
+    by watch index, in index order).
     """
     c = list(counts)
     coef, a, b, minus = comp.table[0] if comp.table else (0.0, len(c) - 1, len(c) - 1, 0)
     delta = comp.deltas[0] if comp.table else ()
-    watch = sorted(watch or ())
-    seen = {s: 0.0 for s in watch if c[s] > 0}
+    seen = {i: 0.0 for i, (sid, level, side) in enumerate(watch)
+            if _watch_reached(c[sid], level, side)}
     cps, rows = list(checkpoint_times), []
     t, times = 0.0, []
     while True:
-        if (watch and len(seen) == len(watch)) or len(times) >= max_events or (
-                count_stop is not None
-                and (c[count_stop[0]] - count_stop[1]) * count_stop[2] >= 0):
+        if (watch and len(seen) == len(watch)) or len(times) >= max_events:
             status = "stopped"
             break
         total = float(c[a]) * coef * float(c[b] - minus)
@@ -915,13 +921,13 @@ def _one_reaction_events(comp, counts, rng, *, t_max=None, watch=None, count_sto
         times.append(t)
         for x, d in delta:
             c[x] += d
-        for x in watch:
-            if x not in seen and c[x] > 0:
-                seen[x] = t
+        for i, (sid, level, side) in enumerate(watch):
+            if i not in seen and _watch_reached(c[sid], level, side):
+                seen[i] = t
     until = math.inf if status == "exhausted" else t
     while cps and cps[0] <= until:
         rows.append((cps.pop(0), c[:-1]))
-    return t, status, times, c[:-1], rows, seen
+    return t, status, times, c[:-1], rows, dict(sorted(seen.items()))
 
 
 def _assert_one_trial_matches_simulate(crn, init, stop, seed, key, monkeypatch):
@@ -1040,10 +1046,14 @@ class TestRunTrials:
             names = crn.species.names
             watched = rng.choice(names, size=int(rng.integers(1, len(names) + 1)), replace=False)
             count_name = names[int(rng.integers(len(names)))]
+            count = (count_name, int(rng.integers(0, 25)))
             stops = [
-                StopCondition(count_reaches=(count_name, int(rng.integers(0, 25))), max_events=500),
+                StopCondition(count_reaches=count, max_events=500),
                 StopCondition(t_max=2.0, species_appears=frozenset(map(str, watched)),
                               max_events=3000),
+                # both spellings: the run stops once every watch is reached
+                StopCondition(t_max=2.0, species_appears=frozenset(map(str, watched)),
+                              count_reaches=count, max_events=3000),
             ]
             for stop in stops:
                 _assert_one_trial_matches_simulate(crn, init, stop, case, (case, 5), monkeypatch)
@@ -1214,9 +1224,11 @@ class TestRunTrials:
         # sweeps at a time; a loop over single sweeps gives the same bytes
         # for every reaction shape and stop, including horizons that end
         # the trials at sweeps of their own and watches on species the
-        # reaction makes, consumes or never touches
+        # reaction makes, consumes or never touches, of either spelling
+        # and of both together, where the run stops once every watch is
         shapes = ["X -> 0", "X -> Y", "X -> X + Y", "X + X -> Y", "X + X -> X", "X + Y -> Z",
                   "X + Y -> X + X", "X -> Y + Y", "X + X -> X + Y + Y", ""]
+        both = 0
         for case in range(80):
             shape = shapes[case % len(shapes)]
             crn, _ = parse_crn(f"species: X Y Z\n{shape} ; k={rng.choice([0.3, 1.0, 2.5])}\n"
@@ -1230,6 +1242,7 @@ class TestRunTrials:
                     rng.choice(["X", "Y", "Z"], size=int(rng.integers(1, 4)), replace=False).tolist())
             if rng.random() < 0.5:
                 kw["count_reaches"] = (str(rng.choice(["X", "Y", "Z"])), int(rng.integers(0, 70)))
+            both += "species_appears" in kw and "count_reaches" in kw
             volume = float(max(init.total, 1))  # the start may hold no molecule
             _, comp, counts, args = kinetics._prepare(crn, init, StopCondition(**kw), volume)
             trials = int(rng.choice([1, 5, 130, 700]))
@@ -1237,6 +1250,7 @@ class TestRunTrials:
             want = _one_reaction_sweeps(comp, counts, substream(case), trials, **args)
             for g, w in zip(got, want, strict=True):
                 assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), (shape, kw, trials)
+        assert both >= 10
 
     def test_kernel_law_matches_repeated_simulate(self, rng):
         # on random networks where an absent species is producible, the
@@ -1277,16 +1291,30 @@ class TestRunTrials:
             StopCondition(count_reaches=("A", 99)),
             StopCondition(count_reaches=("B", 6)),
             StopCondition(species_appears=frozenset({"C"}), count_reaches=("A", 99)),
+            # the run stops once every watch is reached, so one that never
+            # is refuses the stop
+            StopCondition(species_appears=frozenset({"C"}), count_reaches=("A", 0)),
+            StopCondition(species_appears=frozenset({"B"}), count_reaches=("A", 99)),
+            # a rising count on a species outside the stage closure ran
+            # forever, with a certificate whose bound allows the threshold
+            # and with no certificate at all
+            pytest.param(("species: A B C\nA -> B\nB -> A\n", {"A": 3},
+                          StopCondition(count_reaches=("C", 2))), id="count-outside-closure"),
+            pytest.param(("species: A B C D\nA -> B\nB -> A\nB -> B + D\n", {"A": 3},
+                          StopCondition(count_reaches=("C", 2))),
+                         id="count-outside-closure-no-certificate"),
         ],
     )
     def test_stop_that_can_never_fire_is_refused(self, stop, monkeypatch):
-        # A + B = 5 is conserved and nothing produces C
-        crn, _ = parse_crn("species: A B C\nA -> B\nB -> A\n")
+        # by default A + B = 5 is conserved and nothing produces C
+        text, start, stop = stop if isinstance(stop, tuple) else (
+            "species: A B C\nA -> B\nB -> A\n", {"A": 5}, stop)
+        crn, _ = parse_crn(text)
         _refuse_to_simulate(monkeypatch)
         with pytest.raises(DomainError, match="t_max or max_events"):
-            simulate(crn, crn.config({"A": 5}), stop, seed=0)
+            simulate(crn, crn.config(start), stop, seed=0)
         with pytest.raises(DomainError, match="t_max or max_events"):
-            run_trials(crn, crn.config({"A": 5}), stop, 3, seed=0)
+            run_trials(crn, crn.config(start), stop, 3, seed=0)
 
     def test_watch_that_conservation_rules_out_is_refused(self, monkeypatch):
         # A + A -> C lies in the stage closure, but A + B = 1 is conserved,
@@ -1387,14 +1415,26 @@ class TestRunTrials:
             StopCondition(count_reaches=("A", 0)),
             StopCondition(t_max=1.0, species_appears=frozenset({"C"})),
             StopCondition(max_events=50, count_reaches=("A", 99)),
-            # the first trigger to fire ends the run, so one that can fire is enough
-            StopCondition(species_appears=frozenset({"C"}), count_reaches=("A", 0)),
-            StopCondition(species_appears=frozenset({"B"}), count_reaches=("A", 99)),
+            # the run stops once every watch is reached, so each must be
+            # reachable, or the run bounded
+            StopCondition(species_appears=frozenset({"B"}), count_reaches=("A", 0)),
+            StopCondition(species_appears=frozenset({"B"}), count_reaches=("A", 99),
+                          max_events=50),
         ],
     )
     def test_stop_that_can_fire_or_is_bounded_runs(self, stop):
         crn, _ = parse_crn("species: A B C\nA -> B\nB -> A\n")
         assert simulate(crn, crn.config({"A": 5}), stop, seed=0).status == "stopped"
+
+    def test_threshold_beyond_int64_is_never_reached(self, monkeypatch):
+        # the sweep loop compares the counts, int64, with the thresholds as
+        # one int64 array, which could not hold 2**70; the budget ends the run
+        crn, _ = parse_crn("A -> B ; k=1\nB -> A ; k=1\n")
+        stop = StopCondition(count_reaches=("B", 2**70), max_events=9)
+        calls = _spy_batch(monkeypatch)
+        run_trials(crn, crn.config({"A": 3}), stop, 4, seed=0)
+        assert calls[-1][3].tolist() == [9] * 4
+        _assert_one_trial_matches_simulate(crn, crn.config({"A": 3}), stop, 0, (), monkeypatch)
 
     def test_count_threshold_on_unconserved_network_is_not_refused(self):
         # no conservation certificate exists, so the threshold is reachable for all we know
@@ -1599,10 +1639,10 @@ def _spy_kernels(monkeypatch) -> list:
 
 
 def _source(crn) -> str:
-    """The kernel source of a ``t_max`` run of ``crn`` with no watch or count stop."""
+    """The kernel source of a ``t_max`` run of ``crn`` with no watch."""
     comp = _Compiled(crn, 1.0)
     return kinetics._kernel_source(tuple(row[1:] for row in comp.table), comp.deltas,
-                                   crn.n_species, (), None, True)
+                                   crn.n_species, (), True)
 
 
 class TestKernel:
@@ -1619,6 +1659,19 @@ class TestKernel:
         large = simulate(crn, init, stop, seed=6, volume=5.0)
         assert len(kernels) == 2 and kernels[0] is kernels[1]
         assert large.time / small.time == pytest.approx(2.5, rel=1e-12, abs=0)
+
+    def test_thresholds_share_one_kernel(self, monkeypatch):
+        # a count threshold is an argument too, not part of the source: runs
+        # that differ only in it share the kernel, and on one stream the
+        # lower threshold's events are a prefix of the higher one's
+        kernels = _spy_kernels(monkeypatch)
+        crn, _ = parse_crn("A + B -> C ; k=1.5\nC -> A + B ; k=1\n")
+        init = crn.config({"A": 4, "B": 3})
+        low, high = (simulate(crn, init, StopCondition(count_reaches=("C", c), max_events=10**4),
+                              seed=6) for c in (2, 3))
+        assert len(kernels) == 2 and kernels[0] is kernels[1]
+        assert (low.terminal[2], high.terminal[2]) == (2, 3)
+        assert low.events == high.events[: len(low.events)]
 
     def test_generated_frame_shows_in_traceback(self, monkeypatch):
         def no_uniforms(rng, size):
@@ -1701,7 +1754,7 @@ class TestKernel:
     def test_source_leaves_linecache_with_its_kernel(self):
         crn, _ = parse_crn("X -> Y ; k=1\nY -> X ; k=1\n")
         comp = _Compiled(crn, 1.0)
-        shape = (tuple(row[1:] for row in comp.table), comp.deltas, 2, (), None, True)
+        shape = (tuple(row[1:] for row in comp.table), comp.deltas, 2, (), True)
         kernel = _KERNEL.__wrapped__(*shape)
         filename = kernel.__code__.co_filename
         assert filename in linecache.cache
