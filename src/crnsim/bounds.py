@@ -402,10 +402,10 @@ def monte_carlo_validate(
     bound states them, and classifies the outcome per :class:`BoundReport`.
     """
     trials = check_integer(trials, "trials", 10_000)
-    target = target.lower()
-    cls = TARGETS.get(target)
+    cls = TARGETS.get(target.lower()) if isinstance(target, str) else None
     if cls is None:
         raise DomainError(f"unknown target {target!r}; expected one of {', '.join(TARGETS)}")
+    target = target.lower()
     if not isinstance(params, cls):
         raise DomainError(f"target {target!r} takes {cls.__name__}, got {type(params).__name__}")
     log2_bound = params.log2_bound()

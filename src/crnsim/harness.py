@@ -19,7 +19,7 @@ from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
-from .analysis import is_alpha_dense, stage_decomposition
+from .analysis import check_alpha, is_alpha_dense, stage_decomposition
 from .errors import DomainError, check_integer, check_real
 from .kinetics import (
     FirstProductionStats,
@@ -250,7 +250,9 @@ def constant_time_scan(
     all target species, and the per-species summaries plus the per-n
     all-produced fraction are collected. The grid must not repeat a size.
     The time cap defaults to m+1 and must be finite and positive.
+    ``alpha`` goes through ``analysis.check_alpha`` before anything else.
     """
+    alpha = check_alpha(alpha)
     trials, seed = check_integer(trials, "trials"), check_integer(seed, "seed", 0)
     n_grid = [check_integer(n, "n") for n in n_grid]
     if not n_grid:

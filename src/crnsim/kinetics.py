@@ -38,9 +38,9 @@ The source is compiled once per shape and kept in a bounded cache,
 the choice of reaction an ``if``/``elif`` chain,
 and each branch of it recomputes only the kept propensities of the
 reactions that read a species it changes; the running sums compute the
-others. Its waits and its selection uniforms come in blocks, and a
-checkpoint costs one test per event. Only integers go into that source:
-the rate coefficients, thresholds, event budget and checkpoint times are
+others. Its waits and its selection uniforms come in blocks, and it
+only draws, selects, records and tests watches. Only integers go into
+that source: the rate coefficients, thresholds and event budget are
 arguments, so no float, species name or label is ever compiled, and a
 run at another volume or threshold reuses the kernel. ``run_trials``
 repeats a stop over independent trials with the batched loop,
@@ -58,8 +58,11 @@ follow one path and only the times differ. Both ``_run_batch`` and
 ``_run_core`` then hand the run to ``_run_path``, which advances it a
 block of sweeps per array operation with the sweep loop's float
 operations, so its outputs are the ones the sweep loop, or the scalar
-loop, would give; ``_run_core`` rebuilds the trace from the event times
-it records. A table of at most one reaction draws no selection uniforms,
+loop, would give. Whichever body ran, ``_run_core`` then reads the
+checkpoints from the two event columns by one rule, in numpy, with the
+table's dense net changes, ``_Compiled.steps``, which are also the only
+expansion of the net changes that ``_run_batch`` and ``_run_path`` read.
+A table of at most one reaction draws no selection uniforms,
 so it never builds a second generator. Each loop tests a watch only
 where its count moves toward its threshold: the scalar loop in the
 branches that move it, the batched loop after a sweep that fired such a
@@ -334,20 +337,24 @@ class _Compiled:
     and ``rb`` at the entry held at 1; X + Y -> ... has coef k/v and ``rb``
     at Y; X + X -> ... has coef k/(2v), ``rb`` equal to ``ra`` and
     ``minus`` 1. ``table`` holds these four values per reaction, and
-    ``deltas[j]`` holds reaction j's net change as (species, change) pairs.
-    The scalar loop reads both as they are; the batched loop lays them out
-    once per call over its own species-major rows. A coefficient that
+    ``deltas[j]`` holds reaction j's net change as (species, change) pairs,
+    from which the scalar loop is generated. ``steps`` holds the same net
+    changes as one int64 row per reaction, dense over the counts and the
+    entry held at 1 (which no reaction changes): the batched loop lays it
+    out once per call over its own species-major rows, ``_run_path`` reads
+    its one reaction's change from it, and ``_run_core`` rebuilds its
+    checkpoints with it. A coefficient that
     underflows to 0 is refused, and so is a table whose total propensity
     could leave the float range at counts below 2**63. ``volume`` holds the
     volume as ``errors.check_real`` returns it.
     """
 
-    __slots__ = ("volume", "table", "deltas")
+    __slots__ = ("volume", "table", "deltas", "steps")
 
     def __init__(self, crn: Crn, volume: float):
         self.volume = volume = check_real(volume, "volume")
         ones = crn.n_species
-        table, deltas = [], []
+        table, deltas, steps = [], [], []
         for rx in crn.reactions:
             order = rx.order
             sup = [s for s, r in enumerate(rx.reactants) if r]
@@ -361,13 +368,10 @@ class _Compiled:
                 raise UnsupportedReactionOrderError(
                     f"reaction has {order} reactants; only orders 1 and 2 are supported"
                 )
-            deltas.append(
-                tuple(
-                    (s, p - r)
-                    for s, (r, p) in enumerate(zip(rx.reactants, rx.products))
-                    if p != r
-                )
-            )
+            change = list(map(operator.sub, rx.products, rx.reactants))
+            deltas.append(tuple((s, d) for s, d in enumerate(change) if d))
+            steps += change
+            steps.append(0)  # the entry held at 1
         # k/v underflowing to 0 silently removes its reaction
         if not all(k > 0.0 for k, _, _, _ in table):
             raise DomainError(
@@ -386,6 +390,7 @@ class _Compiled:
             )
         self.table = tuple(table)
         self.deltas = tuple(deltas)
+        self.steps = np.array(steps, dtype=np.int64).reshape(len(table), ones + 1)
 
 
 def _run_core(
@@ -407,10 +412,7 @@ def _run_core(
     once every watch was reached, and the time each was first reached is
     collected by its index (a watch reached in ``counts`` reports 0.0).
     The stop is tested before an event's wait is read, so a stop that
-    already holds in ``counts`` ends the run at time 0.
-    ``checkpoint_times`` is sorted; a checkpoint at an event time takes
-    the counts after the first event at that time, and one past the end of
-    the run is taken only when the run is exhausted. Returns (time,
+    already holds in ``counts`` ends the run at time 0. Returns (time,
     status, events, checkpoints, watch_times, n_events), where ``events``
     is the pair of columns of a ``Trace``: the event times (float64) and
     the reaction indices (``_index_dtype``).
@@ -420,78 +422,76 @@ def _run_core(
     ``_kernel`` generated for the shape of this run: the reactant rows and
     net changes of ``comp``, the species count, each watch's species and
     side, and whether ``t_max`` is given. The rate coefficients, the
-    thresholds, the event budget and the checkpoint times are its
-    arguments, so runs at another volume, horizon, threshold or budget
-    reuse it. Its waits come from ``rng.standard_exponential`` and its
-    selection uniforms from ``open_uniform_block`` on
-    ``second_stream(rng)``, built here before ``rng`` makes any draw; it
-    records the event times in a list and the reaction indices in a
-    ``bytearray`` when they take one byte (up to 256 reactions), else in
-    a list. With at most one reaction the run is one trial of
-    ``_run_path``, which reads the same waits and computes each event time
-    by the same float operations, a block of events per array operation.
-    Its counts after n events are ``init + n * delta``, so the run is
-    rebuilt from its event times: the terminal counts, the time each watch
-    is reached and each checkpoint's counts, read after the number of
-    events before the checkpoint, plus the event at it.
+    thresholds and the event budget are its arguments, so runs at another
+    volume, horizon, threshold or budget reuse it. Its waits come from
+    ``rng.standard_exponential`` and its selection uniforms from
+    ``open_uniform_block`` on ``second_stream(rng)``, built here before
+    ``rng`` makes any draw; it records the event times in a list and the
+    reaction indices in a ``bytearray`` when they take one byte (up to 256
+    reactions), else in a list. With at most one reaction the run is one
+    trial of ``_run_path``, which reads the same waits and computes each
+    event time by the same float operations, a block of events per array
+    operation, and records only the event times: every event fires the
+    one reaction, so the counts after n events are ``init + n * delta``.
+
+    Either body records events only; the checkpoints are read from the
+    two event columns afterwards, by one rule. ``checkpoint_times`` is
+    sorted, and those past the end of the run are taken only when the run
+    is exhausted. Checkpoint ``x`` takes the counts after the events
+    before ``x`` and the first event at ``x``, if there is one: after j
+    events, the initial counts plus the net changes (``comp.steps``) of
+    the reactions among the first j, counted per segment of events
+    between checkpoints and summed along them.
     """
     watch_times = dict.fromkeys(_reached(watch, counts), 0.0)
+    start = counts[:-1]
     nrx = len(comp.table)
     dtype = _index_dtype(nrx)
     if nrx > 1:
-        kernel = _kernel(
-            tuple(row[1:] for row in comp.table),
-            comp.deltas,
-            len(counts) - 1,
-            tuple((sid, side) for sid, _, side in watch),
-            t_max is not None,
-        )
-        t, status, (times, chosen), cp_rows, watch_times, n = kernel(
-            comp.table,
-            counts,
-            rng,
-            second_stream(rng),
-            open_uniform_block,
-            t_max,
-            tuple(level for _, level, _ in watch),
-            max_events,
-            checkpoint_times,
-            watch_times,
-            bytearray() if dtype.itemsize == 1 else [],
-        )
-        events = np.fromiter(times, np.float64, count=n), np.array(chosen, dtype)
-        return t, status, events, cp_rows, watch_times, n
-    end, exhausted, n_events = np.zeros(1), np.zeros(1, dtype=bool), np.zeros(1, dtype=np.int64)
-    first = np.full((1, len(watch)), math.nan)
-    for i in watch_times:
-        first[0, i] = 0.0
-    blocks = []
-    with np.errstate(over="ignore"):  # a wait may overflow to inf, as in the kernel
-        _run_path(comp, counts, rng, t_max, watch, max_events,
-                  end, first, exhausted, n_events, blocks)
-    times = np.concatenate(blocks) if blocks else np.empty(0)
-    n = times.size
-    status = EXHAUSTED if exhausted[0] else STOPPED
-    t = end.item()
-    if t == t_max:
-        t = t_max  # as the stop holds it
-    watch_times = {i: x for i, x in enumerate(first[0].tolist()) if x == x}  # NaN: never reached
-    delta = [0] * (len(counts) - 1)
-    for s, d in comp.deltas[0] if nrx else ():
-        delta[s] = d
+        kernel = _kernel(tuple(row[1:] for row in comp.table), comp.deltas, len(start),
+                         tuple((sid, side) for sid, _, side in watch), t_max is not None)
+        times, chosen = [], bytearray() if dtype.itemsize == 1 else []
+        t, status = kernel(comp.table, counts, rng, second_stream(rng), open_uniform_block, t_max,
+                           tuple(level for _, level, _ in watch), max_events, watch_times,
+                           times, chosen)
+        times, chosen = np.fromiter(times, np.float64, count=len(times)), np.array(chosen, dtype)
+    else:
+        end, exhausted, n_events = np.zeros(1), np.zeros(1, bool), np.zeros(1, np.int64)
+        first = np.full((1, len(watch)), math.nan)
+        for i in watch_times:
+            first[0, i] = 0.0
+        blocks = []
+        with np.errstate(over="ignore"):  # a wait may overflow to inf, as in the kernel
+            _run_path(comp, counts, rng, t_max, watch, max_events,
+                      end, first, exhausted, n_events, blocks)
+        times = np.concatenate(blocks) if blocks else np.empty(0)
+        chosen = np.zeros(times.size, dtype)
+        status = EXHAUSTED if exhausted[0] else STOPPED
+        t = end.item()
+        if t == t_max:
+            t = t_max  # as the stop holds it
+        watch_times = {i: x for i, x in enumerate(first[0].tolist()) if x == x}  # NaN: never reached
+        if times.size:  # so there is one reaction
+            counts[:] = [x + times.size * d for x, d in zip(counts, comp.steps[0].tolist())]
     cps = checkpoint_times
     if status == STOPPED:  # checkpoints past the end are not reached
         cps = cps[: bisect.bisect_right(cps, t)]
     cp_rows = []
     if cps:
-        # after the events before cp, and the first one at cp if there is one
         at = np.array(cps, dtype=np.float64)
-        j = np.searchsorted(times, at, "left")
-        if n:
-            j += times[np.minimum(j, n - 1)] == at
-        cp_rows = list(zip(cps, np.array(counts[:-1], dtype=np.int64) + j[:, None] * delta))
-    counts[:-1] = [x + n * d for x, d in zip(counts, delta)]
-    return t, status, (times, np.zeros(n, dtype)), cp_rows, watch_times, n
+        # the events before each checkpoint, and the first one at it
+        j = np.minimum(times.searchsorted(at, "right"), times.searchsorted(at) + 1)
+        if nrx == 1:  # every event fired the one reaction
+            fired = j[:, None]
+        else:
+            # event e lies in segment i, between checkpoints i - 1 and i,
+            # where i is the number of checkpoints with j <= e; each
+            # reaction's events per segment, summed along the checkpoints
+            seg = j.searchsorted(np.arange(j[-1]), "right") * nrx
+            fired = np.bincount(seg + chosen[: j[-1]], minlength=at.size * nrx)
+            fired = fired.reshape(at.size, nrx).cumsum(axis=0)
+        cp_rows = list(zip(cps, (fired @ comp.steps)[:, :-1] + start))
+    return t, status, (times, chosen), cp_rows, watch_times, times.size
 
 
 def _reached(watch, counts) -> list:
@@ -501,13 +501,8 @@ def _reached(watch, counts) -> list:
 
 
 # all that a generated kernel reads besides its arguments. Its source holds
-# no float, so the clock's start comes from here; a checkpoint cursor past
-# the last checkpoint reads nan, which fails both capture tests even when
-# an event time has overflowed to inf
+# no float, so the clock's start comes from here
 _KERNEL_GLOBALS = {
-    "np": np,
-    "inf": math.inf,
-    "nan": math.nan,
     "ZERO": 0.0,
     "STOPPED": STOPPED,
     "EXHAUSTED": EXHAUSTED,
@@ -553,8 +548,8 @@ def _kernel_source(rows, deltas, n_species, watch, timed) -> str:
     table order, so ``s`` of the last is the total, and the reaction is
     chosen by a chain ``if x < s1 ... elif ... else`` over those sums: the
     first j with x < s_(j+1), or the last reaction when there is none. Each
-    event appends its time to the list ``events``, and each branch appends
-    its index to ``chosen`` and applies its own changes. Watch i has a flag
+    event appends its time to the list argument ``events``, and each branch
+    appends its index to ``chosen`` and applies its own changes. Watch i has a flag
     ``p{i}``, set while it is pending, and its threshold in ``level{i}``;
     only a branch that moves its species toward the threshold tests it,
     and marks it reached there. The stop, no watch pending, is tested at
@@ -562,22 +557,14 @@ def _kernel_source(rows, deltas, n_species, watch, timed) -> str:
     one selection uniform ``v`` from ``sel``; both come in blocks of one
     size, and the event budget is tested once per block, when the block is
     sized to the events left in it. The event time is ``t + e / total``,
-    so no event calls ``log``. Checkpoints take one test per event, before
-    the event: the ones before its time, and one at the previous event's
-    time when the two times are equal. A checkpoint at an event time is
-    thus taken with the counts after the first event at that time, at the
-    next test or after the loop. The source holds only integers and local
-    names.
+    so no event calls ``log``. After the loop the kernel writes its counts
+    back to ``counts`` and returns the end time and status; it holds no
+    checkpoint code, since ``_run_core`` reads the checkpoints from the
+    two event columns. The source holds only integers and local names.
     """
     nrx = len(rows)
     names = [f"c{s}" for s in range(n_species)]
-    state = ", ".join(names)
-    capture = [
-        f"cp_rows.append((cp, np.array([{state}], dtype=np.int64)))",
-        "cpi += 1",
-        "cp = cps[cpi] if cpi < ncp else nan",
-    ]
-    out = ["def kernel(table, counts, rng, sel, draw, t_max, levels, max_events, cps, wt, chosen):"]
+    out = ["def kernel(table, counts, rng, sel, draw, t_max, levels, max_events, wt, events, chosen):"]
 
     def emit(depth, *lines):
         out.extend("    " * depth + line for line in lines)
@@ -615,8 +602,7 @@ def _kernel_source(rows, deltas, n_species, watch, timed) -> str:
         emit(1, f"[{', '.join(f'level{i}' for i in range(len(watch)))}] = levels",
              *(f"{p} = {i} not in wt" for i, p in enumerate(flags)),
              f"pending = {' + '.join(flags)}")
-    emit(1, "t = ZERO", "events = []", "record = events.append", "cp_rows = []",
-         "ncp = len(cps)", "cpi = 0", "cp = cps[0] if ncp else nan", "mark = chosen.append")
+    emit(1, "t = ZERO", "record = events.append", "mark = chosen.append")
     emit(1, *(f"a{j} = {propensity(j)}" for j in sorted(kept)), f"size = {_FIRST_BLOCK}",
          "while True:")
     emit(2, "left = max_events - len(events)", "if left <= 0:")
@@ -637,12 +623,6 @@ def _kernel_source(rows, deltas, n_species, watch, timed) -> str:
     if timed:
         emit(3, "if tn > t_max:")
         emit(4, "t = t_max", "status = STOPPED", "break")
-    # every checkpoint before t was taken at an earlier test, so this
-    # takes those in [t, tn), or the one at t when tn rounds to t and
-    # an event happened at t (at the start, t is no event's time)
-    emit(3, "if cp <= tn:")
-    emit(4, "while cp < tn or cp == t and events:")
-    emit(5, *capture)
     emit(3, "t = tn", "record(t)", f"x = v * {total}")
     for j, delta in enumerate(deltas):
         if j == 0:
@@ -664,11 +644,7 @@ def _kernel_source(rows, deltas, n_species, watch, timed) -> str:
     emit(2, "else:")
     emit(3, "continue")
     emit(2, "break")
-    emit(1, f"counts[:{n_species}] = [{state}]")
-    # an exhausted process is frozen from here on
-    emit(1, "until = inf if status == EXHAUSTED else t", "while cp <= until:")
-    emit(2, *capture)
-    emit(1, "return t, status, (events, chosen), cp_rows, wt, len(events)")
+    emit(1, f"counts[:{n_species}] = [{', '.join(names)}]", "return t, status")
     return "\n".join(out) + "\n"
 
 
@@ -701,7 +677,7 @@ def _run_batch(
     X + X reaction holding its reactant's count minus 1, and the times
     each watch was first reached a row per watch. These rows, the
     reactant rows of each reaction and the step of each reaction over
-    them are built here from ``comp.table`` and ``comp.deltas``, the only
+    them are built here from ``comp.table`` and ``comp.steps``, the only
     place that layout is written. The propensities
     are then one row gather and float products in the scalar loop's
     order, and the step is one column gather from the transposed
@@ -741,11 +717,7 @@ def _run_batch(
             rows.append(a)
         rab.append(b)
     rab = np.array(rab, dtype=np.intp)
-    steps = np.zeros((init.size, nrx), dtype=np.int64)
-    for j, delta in enumerate(comp.deltas):
-        for s, d in delta:
-            steps[s, j] = d
-    steps = steps[rows]
+    steps = comp.steps.T[rows]
     start = init[rows]
     start[init.size :] -= 1
     coefk = np.repeat(np.array([k for k, _, _, _ in comp.table])[:, None], trials, axis=1)
@@ -870,11 +842,9 @@ def _run_path(comp, counts, rng, t_max, watch, max_events,
     sweep are read by the next one. No array grows with the length of the
     path.
     """
-    delta = [0] * len(counts)
     if comp.table:
         [(coef, a, b, minus)] = comp.table
-        for x, d in comp.deltas[0]:
-            delta[x] = d
+        delta = comp.steps[0].tolist()
         # a count falls by at most what the reaction consumes, so none goes
         # below 0, and the propensity is at most 0 (-0.0 for X + X at count
         # 0) from the first sweep at which c_a or c_b - minus is
@@ -882,6 +852,7 @@ def _run_path(comp, counts, rng, t_max, watch, max_events,
                       _first_sweep(counts[b] - minus, delta[b], 0))
     else:  # a propensity of 0 from the entry held at 1: nothing can fire
         coef, a, b, minus = 0.0, len(counts) - 1, len(counts) - 1, 0
+        delta = [0] * len(counts)
         dead_at = 0
     # the first sweep at which each watch is reached, where side * count,
     # which moves by side * delta a sweep, is at least side * threshold
@@ -1033,6 +1004,15 @@ def _never_fires(crn: Crn, counts: list, watch) -> str | None:
     return "; ".join(reasons) or None
 
 
+def _items(value, name: str) -> tuple:
+    """The items of ``value``, refused with ``DomainError`` when it is a
+    bare number (a 0-d array too) or a string, which is not a sequence of
+    numbers."""
+    if isinstance(value, str) or not isinstance(value, Iterable) or getattr(value, "ndim", 1) == 0:
+        raise DomainError(f"{name} must be a sequence, got {value!r}")
+    return tuple(value)
+
+
 def simulate(
     crn: Crn,
     init: Configuration,
@@ -1050,17 +1030,20 @@ def simulate(
     trace; ``stream_key``, a tuple of integers of at least 0, selects an
     independent substream, e.g. one per trial of a repeated experiment.
     Checkpoint times, a sequence or a numpy array, must be finite and
-    nonnegative; a checkpoint of -0.0 is kept as 0.0. A network of two or
+    nonnegative; a checkpoint of -0.0 is kept as 0.0. A bare number or a
+    string as the stream key or the checkpoint times raises
+    ``DomainError``. A network of two or
     more reactions runs through the generated scalar loop, and one of at
     most one reaction a block of events per array operation
     (``_run_path``), with the same draws and float operations.
     """
-    cps = [] if checkpoint_times is None else checkpoint_times
+    cps = () if checkpoint_times is None else _items(checkpoint_times, "checkpoint_times")
     # + 0 turns -0.0 into 0.0, so no CSV row reads -0.0, and keeps an int an int
     cps = sorted(check_real(x, "checkpoint times", zero=True) + 0 for x in cps)
     volume, comp, counts, loop_args = _prepare(crn, init, stop, volume)
     t, status, events, cp_rows, _, _ = _run_core(
-        comp, counts, substream(seed, *stream_key), checkpoint_times=cps, **loop_args
+        comp, counts, substream(seed, *_items(stream_key, "stream_key")), checkpoint_times=cps,
+        **loop_args
     )
     return Trace(
         initial=init,
@@ -1097,10 +1080,12 @@ def run_trials(
     sweeps per array operation, so a run of many events over few trials,
     such as leader election from many candidates, costs about as much as
     its waits. A one-trial run ends bit for bit where
-    ``simulate(..., stream_key=(*stream_key, 0))`` does. The volume
-    defaults to the total initial count.
+    ``simulate(..., stream_key=(*stream_key, 0))`` does, and a bare
+    number or a string as the key raises ``DomainError``, as there. The
+    volume defaults to the total initial count.
     """
     check_integer(trials, "trials")
+    stream_key = _items(stream_key, "stream_key")
     _, comp, counts, loop_args = _prepare(crn, init, stop, volume)
     names = stop.species_appears or ()
     # _prepare puts the species_appears watches first, so only their times come back

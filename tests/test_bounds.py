@@ -468,6 +468,12 @@ class TestMonteCarlo:
         with pytest.raises(DomainError):
             monte_carlo_validate("brownian", None, trials=10_000)
 
+    @pytest.mark.parametrize("target", [3, None, ["decay"], b"decay"])
+    def test_target_that_is_not_a_string_is_unknown(self, target):
+        # 3, None and a list raised AttributeError from target.lower()
+        with pytest.raises(DomainError, match="unknown target"):
+            monte_carlo_validate(target, DecayBoundParams(66, 1.0, 0.5, 0.05), trials=10_000)
+
     def test_params_must_match_target(self):
         with pytest.raises(DomainError, match="WalkBoundParams"):
             monte_carlo_validate("walk_z", PoissonBoundParams(10.0, 14, "upper"), trials=10_000)

@@ -335,6 +335,18 @@ class TestScan:
         with pytest.raises(DomainError, match="t_cap must be finite and positive"):
             constant_time_scan(crn, crn.config({"X": 5}), 1.0, [10], 5, 0, t_cap=t_cap)
 
+    @pytest.mark.parametrize("alpha", [None, "x", 0.0, 1.5, math.nan])
+    def test_alpha_is_refused_before_simulating(self, alpha, monkeypatch):
+        # None raised TypeError and "x" ValueError from float(alpha), before
+        # any check of it
+        def no_events(*args, **kwargs):
+            raise AssertionError("alpha should have been refused before simulating")
+
+        monkeypatch.setattr(kinetics, "_run_batch", no_events)
+        crn, _ = parse_crn("X -> Y ; k=1\n")
+        with pytest.raises(DomainError, match="alpha must"):
+            constant_time_scan(crn, crn.config({"X": 5}), alpha, [10], 5, 0)
+
     def test_alpha_density_failure(self):
         crn, _ = parse_crn("A -> B\n")
         template = crn.config({"A": 99, "B": 1})  # B present but very thin

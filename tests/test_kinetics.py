@@ -419,6 +419,36 @@ class TestSimulate:
         assert trace.events == [(math.inf, 0)] and trace.time == math.inf
         assert [(t, c.tolist()) for t, c in trace.checkpoints] == [(1.0, [1]), (2.0, [1])]
 
+    @pytest.mark.parametrize(
+        "stop,n_events,status",
+        [(StopCondition(max_events=10), 2, "exhausted"), (StopCondition(max_events=2), 2, "stopped"),
+         (StopCondition(t_max=5.0), 1, "stopped")],
+        ids=["exhausted", "budget", "t_max"],
+    )
+    def test_event_time_that_overflows_to_infinity_in_the_kernel(self, stop, n_events, status,
+                                                                 monkeypatch):
+        # two reactions, so the kernel runs: A -> B fires at a finite time,
+        # then B -> C's propensity of 1e-320 makes the next wait overflow to
+        # inf. The checkpoints before, at and after the finite event are each
+        # taken once, with the counts replay gives; only the run cut at
+        # t_max leaves out the one past its end
+        kernels = _spy_kernels(monkeypatch)
+        crn, _ = parse_crn("A -> B ; k=1\nB -> C ; k=1e-320\n")
+        init = crn.config({"A": 1})
+        first = simulate(crn, init, StopCondition(max_events=1), seed=0).time
+        assert 0.0 < first < 1.0
+        cps = [first / 2, first, first + 1.0, 1e300]
+        trace = simulate(crn, init, stop, seed=0, checkpoint_times=cps)
+        assert len(kernels) == 2 and trace.status == status
+        ends = [t for t, _ in trace.events]
+        assert ends == [first, math.inf][:n_events]
+        states = [c.counts.tolist() for c in trace.replay(crn)]
+        taken = cps if stop.t_max is None else cps[:3]
+        assert [(t, c.tolist()) for t, c in trace.checkpoints] == [
+            (x, states[bisect.bisect_right(ends, x)]) for x in taken]
+        assert [c.tolist() for _, c in trace.checkpoints] == [[1, 0, 0]] + [[0, 1, 0]] * (
+            len(taken) - 1)
+
     def test_checkpoints_match_replayed_states(self):
         crn, _ = parse_crn("X -> 0 ; k=1\n")
         init = crn.config({"X": 200})
@@ -550,6 +580,33 @@ class TestSimulate:
             simulate(crn, init, stop, seed=0, stream_key=key)
         with pytest.raises(DomainError, match="stream key must be an integer of at least 0"):
             run_trials(crn, init, stop, 3, seed=0, stream_key=key)
+
+    @pytest.mark.parametrize("key", [3, np.int64(3), np.array(3), 2.5, "3", "03"],
+                             ids=["int", "numpy-int", "0-d-array", "float", "str",
+                                  "two-letter-str"])
+    def test_stream_key_must_be_a_sequence(self, key, monkeypatch):
+        # a number, or a 0-d array, raised TypeError from *stream_key in
+        # both calls, and a string was read letter by letter, so "03" was
+        # refused for its "0"
+        crn, _ = parse_crn("A -> B ; k=1\nB -> A ; k=1\n")
+        init, stop = crn.config({"A": 4}), StopCondition(t_max=1.0)
+        _refuse_to_simulate(monkeypatch)
+        with pytest.raises(DomainError, match="stream_key must be a sequence"):
+            simulate(crn, init, stop, seed=0, stream_key=key)
+        with pytest.raises(DomainError, match="stream_key must be a sequence"):
+            run_trials(crn, init, stop, 3, seed=0, stream_key=key)
+
+    @pytest.mark.parametrize("cps", [5, 0.5, np.float64(0.5), np.array(0.5), "0.5", "05"],
+                             ids=["int", "float", "numpy-float", "0-d-array", "str",
+                                  "two-letter-str"])
+    def test_checkpoint_times_must_be_a_sequence(self, cps, monkeypatch):
+        # a number, or a 0-d array, raised TypeError from iterating it, and
+        # a string was read letter by letter, so "05" was refused for its "0"
+        crn, _ = parse_crn("X -> 0 ; k=1\n")
+        _refuse_to_simulate(monkeypatch)
+        with pytest.raises(DomainError, match="checkpoint_times must be a sequence"):
+            simulate(crn, crn.config({"X": 3}), StopCondition(t_max=1.0), seed=0,
+                     checkpoint_times=cps)
 
     def test_event_budget(self):
         crn, _ = parse_crn("X -> 0 ; k=1\n")
@@ -1704,6 +1761,10 @@ class TestKernel:
         names = {t.string for t in tokens if t.type == tokenize.NAME}
         assert not names & {"Alpha", "Beta", "Gamma", "bind"}
         assert {"s1", "s2", "s3", "c0", "c2", "k2"} <= names
+        # the checkpoints are read from the event columns after the run, so
+        # the kernel takes none and needs no numpy
+        assert not names & {"cps", "cp", "np", "nan", "inf"}
+        assert set(kinetics._KERNEL_GLOBALS) == {"ZERO", "STOPPED", "EXHAUSTED"}
 
     def test_source_is_linear_in_the_reactions(self):
         # every X + Y_i -> Y_i reads X and changes it, and U_i -> V_i touches
