@@ -168,10 +168,10 @@ def _cmd_simulate(args, crn, init):
     trace = kinetics.simulate(
         crn, init, stop, seed=args.seed, volume=args.volume, checkpoint_times=checkpoints
     )
-    trace_path = _write(args, args.trace_out, lambda f: trace.to_csv(crn, f))
+    trace_path = _write(args, "trace.csv", lambda f: trace.to_csv(crn, f))
     cp_path = None
     if trace.checkpoints:
-        cp_path = _write(args, args.checkpoints_out, lambda f: trace.checkpoints_to_csv(crn, f))
+        cp_path = _write(args, "checkpoints.csv", lambda f: trace.checkpoints_to_csv(crn, f))
     report = {
         "status": trace.status,
         "time": kinetics.json_time(trace.time),
@@ -201,7 +201,7 @@ def _cmd_first_production(args, crn, init):
         volume=args.volume,
         threads=args.threads,
     )
-    out = _write(args, args.out, lambda f: kinetics.write_csv(f, stats))
+    out = _write(args, "first_production.csv", lambda f: kinetics.write_csv(f, stats))
     d = stats.to_dict()
     report = dict(d, csv=str(out))
     lines = [
@@ -338,8 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "once every watch, --stop-count's too, is reached")
     p.add_argument("--stop-count", default=None, help="NAME=COUNT watch, from the initial side")
     p.add_argument("--checkpoints", default=None, help="comma-separated sample times")
-    p.add_argument("--trace-out", default="trace.csv")
-    p.add_argument("--checkpoints-out", default="checkpoints.csv")
     p.set_defaults(fn=_cmd_simulate)
 
     p = sub.add_parser("first-production", help="first-production time statistics")
@@ -348,7 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-cap", type=float, default=10.0)
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--volume", type=float, default=None)
-    p.add_argument("--out", default="first_production.csv")
     p.set_defaults(fn=_cmd_first_production)
 
     p = sub.add_parser("reachable", help="exact reachability oracle (capped BFS)")

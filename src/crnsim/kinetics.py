@@ -56,10 +56,11 @@ first-appearance times; the first-production statistics and the
 decay or leader election, every event fires that reaction, so the counts
 follow one path and only the times differ. Both ``_run_batch`` and
 ``_run_core`` then hand the run to ``_run_path``, which advances it a
-block of sweeps per array operation with the sweep loop's float
-operations, so its outputs are the ones the sweep loop, or the scalar
-loop, would give. Whichever body ran, ``_run_core`` then reads the
-checkpoints from the two event columns by one rule, in numpy, with the
+block of sweeps per array operation, in windows of ``_BLOCK`` sweeps
+whatever the trial count, with the sweep loop's float operations, so its
+outputs are the ones the sweep loop, or the scalar loop, would give.
+Whichever body ran, ``_run_core`` then reads the checkpoints from the
+two event columns by one rule, in numpy, with the
 table's dense net changes, ``_Compiled.steps``, which are also the only
 expansion of the net changes that ``_run_batch`` and ``_run_path`` read.
 A table of at most one reaction draws no selection uniforms,
@@ -107,13 +108,13 @@ from .streams import open_uniform_block, second_stream, substream
 from .parallel import map_chunks
 
 _BLOCK = 4096  # waits, and selection uniforms, buffered per refill in the event loops
-# a scalar run's first refill takes _FIRST_BLOCK waits and each later one
-# twice the last, up to _BLOCK, since many runs stop after a few events and
-# a wait drawn but never read is waste; a one-trial _run_path sizes its
-# windows of sweeps the same way. Neither the ziggurat's exponentials
-# nor the uniforms of open_uniform_block depend on how a run splits its
-# draws into blocks, so the split leaves both sequences unchanged. With an
-# event budget a block is cut to the events left.
+# the scalar loop's first refill takes _FIRST_BLOCK waits and each later one
+# twice the last, up to _BLOCK, since its Python loop pays for every wait
+# it converts and many of its runs stop after a few events. Neither the
+# ziggurat's exponentials nor the uniforms of open_uniform_block depend on
+# how a run splits its draws into blocks, so the split leaves both
+# sequences unchanged. With an event budget a block is cut to the events
+# left.
 _FIRST_BLOCK = 64
 # which propensities the scalar loop keeps in locals. A kept one costs a
 # product and a store in each branch that changes a species its reaction
@@ -430,9 +431,11 @@ def _run_core(
     reaction indices in a ``bytearray`` when they take one byte (up to 256
     reactions), else in a list. With at most one reaction the run is one
     trial of ``_run_path``, which reads the same waits and computes each
-    event time by the same float operations, a block of events per array
-    operation, and records only the event times: every event fires the
-    one reaction, so the counts after n events are ``init + n * delta``.
+    event time by the same float operations, a block of up to ``_BLOCK``
+    events per array operation, and records only the event times: every
+    event fires the one reaction, so the counts after n events are
+    ``init + n * delta``, and its outputs give the end time, the status
+    and the watch times.
 
     Either body records events only; the checkpoints are read from the
     two event columns afterwards, by one rule. ``checkpoint_times`` is
@@ -443,7 +446,6 @@ def _run_core(
     the reactions among the first j, counted per segment of events
     between checkpoints and summed along them.
     """
-    watch_times = dict.fromkeys(_reached(watch, counts), 0.0)
     start = counts[:-1]
     nrx = len(comp.table)
     dtype = _index_dtype(nrx)
@@ -451,19 +453,15 @@ def _run_core(
         kernel = _kernel(tuple(row[1:] for row in comp.table), comp.deltas, len(start),
                          tuple((sid, side) for sid, _, side in watch), t_max is not None)
         times, chosen = [], bytearray() if dtype.itemsize == 1 else []
+        watch_times = dict.fromkeys(_reached(watch, counts), 0.0)
         t, status = kernel(comp.table, counts, rng, second_stream(rng), open_uniform_block, t_max,
                            tuple(level for _, level, _ in watch), max_events, watch_times,
                            times, chosen)
         times, chosen = np.fromiter(times, np.float64, count=len(times)), np.array(chosen, dtype)
     else:
-        end, exhausted, n_events = np.zeros(1), np.zeros(1, bool), np.zeros(1, np.int64)
-        first = np.full((1, len(watch)), math.nan)
-        for i in watch_times:
-            first[0, i] = 0.0
         blocks = []
-        with np.errstate(over="ignore"):  # a wait may overflow to inf, as in the kernel
-            _run_path(comp, counts, rng, t_max, watch, max_events,
-                      end, first, exhausted, n_events, blocks)
+        end, first, exhausted, _ = _run_path(comp, counts, rng, 1, t_max, watch, max_events,
+                                             blocks)
         times = np.concatenate(blocks) if blocks else np.empty(0)
         chosen = np.zeros(times.size, dtype)
         status = EXHAUSTED if exhausted[0] else STOPPED
@@ -668,9 +666,12 @@ def _run_batch(
     active trial from ``open_uniform_block`` on ``second_stream(rng)``,
     built before ``rng`` makes any draw, so a one-trial run reads the
     draws ``_run_core`` reads. A table of at most one reaction goes to
-    ``_run_path``, which advances a block of sweeps per array operation
-    and draws no selections; the sweep loop here serves two or more
-    reactions.
+    ``_run_path`` before anything is laid out here; it advances a block
+    of sweeps per array operation and draws no selections. The sweep loop
+    here serves two or more reactions. A wait over a total of a few
+    subnormals may overflow to inf, as the scalar loop's division does;
+    the trial then ends at ``t_max``, or its event lies at time inf, and
+    neither loop warns.
 
     The loop's state is species-major, with one column per active trial:
     the counts have a row per species, the entry held at 1, and a row per
@@ -697,16 +698,13 @@ def _run_batch(
     each of the first ``shown`` watches, or every watch by default: the
     time it was first reached, or NaN.
     """
-    init = np.array(counts, dtype=np.int64)
-    end = np.zeros(trials)
-    first = np.full((trials, len(watch)), math.nan)
-    first[:, _reached(watch, counts)] = 0.0
-    exhausted = np.zeros(trials, dtype=bool)
-    n_events = np.zeros(trials, dtype=np.int64)
     nrx = len(comp.table)
     if nrx < 2:
-        _run_path(comp, counts, rng, t_max, watch, max_events, end, first, exhausted, n_events)
+        end, first, exhausted, n_events = _run_path(comp, counts, rng, trials, t_max, watch,
+                                                    max_events)
         return end, first[:, :shown], exhausted, n_events
+    end, first, exhausted, n_events = _outputs(trials, watch, counts)
+    init = np.array(counts, dtype=np.int64)
     # each X + X reaction reads one more row, which holds its reactant's
     # count minus 1 and follows that count's changes, in place of c - minus
     rows = list(range(init.size))
@@ -740,7 +738,8 @@ def _run_batch(
     ui = 0
     sweep = 0
 
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # a wait over a tiny total may overflow to inf, as in the scalar loop
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         while True:
             # the one stop test: a trial retires here once its stop holds,
             # or in the sweep after the one it ended in
@@ -805,12 +804,22 @@ def _run_batch(
     return end, first[:, :shown], exhausted, n_events
 
 
-def _run_path(comp, counts, rng, t_max, watch, max_events,
-              end, first, exhausted, n_events, record=None):
-    """The trials of ``_run_batch`` for a table of at most one reaction,
-    written into its four output arrays; with one trial, also the run of
-    ``_run_core``, whose event times it appends to ``record``, one array
-    per block.
+def _outputs(trials: int, watch, counts):
+    """The outputs of ``trials`` runs from ``counts``, as ``_run_batch``
+    returns them: end times, first-passage times (NaN, or 0.0 for a
+    watch that ``counts`` has reached), exhausted flags and event counts."""
+    first = np.full((trials, len(watch)), math.nan)
+    for i in _reached(watch, counts):
+        first[:, i] = 0.0
+    return np.zeros(trials), first, np.zeros(trials, dtype=bool), np.zeros(trials, dtype=np.int64)
+
+
+@np.errstate(over="ignore")  # a wait over a tiny propensity may overflow to inf
+def _run_path(comp, counts, rng, trials, t_max, watch, max_events, record=None):
+    """The ``trials`` runs of ``_run_batch`` for a table of at most one
+    reaction, returned as ``_run_batch`` returns them with every watch's
+    column; with one trial, also the run of ``_run_core``, whose event
+    times it appends to ``record``, one array per block.
 
     Every active trial fires the one reaction in every sweep, so all of
     them follow one path of counts, ``init + s * delta`` after s sweeps,
@@ -826,13 +835,11 @@ def _run_path(comp, counts, rng, t_max, watch, max_events,
     The path's propensities, ``float(c_a) * coef * float(c_b - minus)``
     in the order of the sweep loop in ``_run_batch`` (the second factor is
     left out when it is the entry held at 1), are computed a window of
-    ``_BLOCK`` sweeps at a time. With one trial the first window takes
-    ``_FIRST_BLOCK`` sweeps and each later one twice the last, up to
-    ``_BLOCK``, as the scalar loop's blocks grow, since many runs stop
-    after a few events. The trials advance a block of at most ``_BLOCK``
-    waits at a time: its waits, from ``rng.standard_exponential``, are
-    read as a (sweeps x trials) array, one row per sweep, in the order a
-    sweep loop reads them, and every trial's times come from one division
+    ``_BLOCK`` sweeps at a time, cut at the halt sweep, for one trial as
+    for many. The trials advance a block of at most ``_BLOCK`` waits at a
+    time: its waits, from ``rng.standard_exponential``, are read as a
+    (sweeps x trials) array, one row per sweep, in the order a sweep loop
+    reads them, and every trial's times come from one division
     and a running sum along the sweeps: one ``np.add.accumulate``, or
     above ``_ROW_SUM_TRIALS`` trials one row addition per sweep, which is
     faster for a block of few sweeps. These are the sweep loop's float
@@ -860,20 +867,20 @@ def _run_path(comp, counts, rng, t_max, watch, max_events,
           for sid, level, side in watch]
     stop_at = min(max_events, max(at, default=_NO_BUDGET))
     halt_at = min(stop_at, dead_at)
-    ids = np.arange(end.size)
-    t = np.zeros(end.size)
+    end, first, exhausted, n_events = outputs = _outputs(trials, watch, counts)
+    ids = np.arange(trials)
+    t = np.zeros(trials)
     ebuf = np.empty(0)  # waits drawn and not yet read
     s = 0  # the sweeps every active trial has made, one event each
     w0 = wend = 0  # the path's propensities are computed from sweep w0 to wend
-    size = _FIRST_BLOCK if end.size == 1 else _BLOCK  # the next window's sweeps
     while True:
         if s == halt_at:
             end[ids] = t
             n_events[ids] = s
             exhausted[ids] = dead_at < stop_at
-            return
+            return outputs
         if s == wend:
-            w0, wend, size = s, min(s + size, halt_at), min(2 * size, _BLOCK)
+            w0, wend = s, min(s + _BLOCK, halt_at)
             prop = _path_counts(counts[a], delta[a], w0, wend).astype(np.float64) * coef
             if b < len(counts) - 1:  # else the factor is the entry held at 1
                 prop *= _path_counts(counts[b] - minus, delta[b], w0, wend).astype(np.float64)
@@ -917,7 +924,7 @@ def _run_path(comp, counts, rng, t_max, watch, max_events,
             n_events[out] = s - 1
             ids, t = ids[~late], t[~late]
             if not ids.size:
-                return
+                return outputs
 
 
 def _path_counts(c0: int, d: int, start: int, stop: int) -> np.ndarray:

@@ -1,15 +1,17 @@
 import argparse
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
 import crnsim
-from crnsim import analysis, kinetics
+from crnsim import analysis, kinetics, model
 from crnsim.cli import build_parser, main
 
 LEADER = "L + L -> L + N ; k=1\ninit: L = 1000\n"
@@ -327,6 +329,29 @@ class TestBulkOutputs:
         assert out == json.dumps(report, indent=2, sort_keys=True) + "\n"
         assert main(argv) == 0
         assert capsys.readouterr().out.startswith("status: stopped at t = inf after 1 events\n")
+
+    @pytest.mark.parametrize("text", ["X -> Y ; k=1e-320\n", "X -> Y ; k=1e-320\nY -> X ; k=1\n"],
+                             ids=["one-reaction", "two-reactions"])
+    def test_a_wait_that_overflows_warns_nowhere(self, tmp_path, capsys, text):
+        # the first wait overflows to inf; run_trials and first-production
+        # printed numpy's overflow warning, from _run_path and from the
+        # sweep loop, where simulate stayed silent
+        p = tmp_path / "tiny.crn"
+        p.write_text(text + "init: X = 1\n")
+        crn, init = model.parse_crn(p.read_text())
+        stop = kinetics.StopCondition(t_max=5.0, species_appears=frozenset({"Y"}))
+        argv = ["--out-dir", str(tmp_path), "first-production", str(p), "--target", "Y",
+                "--trials", "3"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trace = kinetics.simulate(crn, init, kinetics.StopCondition(max_events=1), seed=3)
+            times, first = kinetics.run_trials(crn, init, stop, 3, seed=3)
+            assert main(argv) == 0
+        assert trace.events.times.tolist() == [math.inf]
+        assert times.tolist() == [5.0] * 3 and all(map(math.isnan, first["Y"].tolist()))
+        rows = (tmp_path / "first_production.csv").read_text().splitlines()
+        assert rows[1:] == ["0,censored", "1,censored", "2,censored"]
+        assert capsys.readouterr().err == ""
 
     def test_first_production_csv(self, convert_file, tmp_path, capsys):
         rc = main(

@@ -631,10 +631,10 @@ class TestSimulate:
         # the kernel of two or more reactions tests the budget once per
         # block of waits, of 64 and then 128, each cut to the events left,
         # and reads one selection uniform beside each wait, from blocks of
-        # the same size; a one-reaction run advances windows of 64 and then
-        # 128 sweeps, cut at the budget. Either way the blocks end after
-        # events 64 and 192. Budgets of 32 and 96 mark where a two-reaction
-        # loop's blocks ended when it read two uniforms per event
+        # the same size, so its blocks end after events 64 and 192; a
+        # one-reaction run advances windows of 4096 sweeps, cut at the
+        # budget. Budgets of 32 and 96 mark where a two-reaction loop's
+        # blocks ended when it read two uniforms per event
         crn, _ = parse_crn(text)
         init = crn.config(start)
         full = simulate(crn, init, StopCondition(t_max=30.0), seed=19, stream_key=(2,))
@@ -649,12 +649,19 @@ class TestSimulate:
 
     # (network, start, stop, checkpoints) run through _run_path and the
     # event-by-event reference. Checkpoints at 0, duplicated, between events
-    # and past the end; the budgets sit on both sides of the blocks, which
-    # end after events 64, 192 and 4032 and then every 4096
+    # and past the end; the budgets sit on both sides of 4096, where the
+    # windows end, and of 64 and 192, where the scalar loop's blocks end
     _PATH_CASES = {
         "t_max": ("X -> 0 ; k=1\n", {"X": 1000}, StopCondition(t_max=1.0),
                   [0.0, 0.25, 0.25, 0.5, 1.0, 3.0]),
         "int-t_max": ("X -> 0 ; k=1\n", {"X": 50}, StopCondition(t_max=2), [1, 2.0]),
+        # about 4900 events, so the run crosses the end of its first window,
+        # with checkpoints in both
+        "t_max-two-windows": ("X -> 0 ; k=1\n", {"X": 10**5}, StopCondition(t_max=0.05),
+                              [0.0, 0.02, 0.045, 0.05]),
+        # about 10 events from a count that could take a million
+        "t_max-few-events": ("X -> 0 ; k=1\n", {"X": 10**6}, StopCondition(t_max=1e-5),
+                             [0.0, 5e-6, 1e-5]),
         "count-rising": ("X -> X + Y ; k=2\n", {"X": 3}, StopCondition(count_reaches=("Y", 150)),
                          [0.0, 1.0, 1.0, 1e3]),
         "count-falling": ("A + B -> C ; k=1\n", {"A": 300, "B": 200},
