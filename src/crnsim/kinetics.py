@@ -50,10 +50,12 @@ out from that table once per call; the chunks fan out through
 ``parallel.map_chunks``, so chunk c draws from
 ``substream(seed, *stream_key, c)``: its waits from that generator's
 ``standard_exponential`` and its selections from
-``streams.second_stream`` of it. It returns per-trial end times and
-first-appearance times; the first-production statistics and the
-``harness`` experiments build on it. With at most one reaction, as in
-decay or leader election, every event fires that reaction, so the counts
+``streams.second_stream`` of it. It returns per-trial end times and the
+time each watch was first reached, one column per watch of either
+spelling, and ``run_trials`` keeps the columns of the ``species_appears``
+watches; the first-production statistics and the ``harness`` experiments
+build on it. With at most one reaction, as in decay or leader election,
+every event fires that reaction, so the counts
 follow one path and only the times differ. Both ``_run_batch`` and
 ``_run_core`` then hand the run to ``_run_path``, which advances it a
 block of sweeps per array operation, in windows of ``_BLOCK`` sweeps
@@ -103,7 +105,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .errors import DomainError, UnsupportedReactionOrderError, check_integer, check_real
-from .model import Configuration, Crn, apply_reaction
+from .model import Configuration, Crn, Reaction, apply_reaction
 from .streams import open_uniform_block, second_stream, substream
 from .parallel import map_chunks
 
@@ -655,7 +657,6 @@ def _run_batch(
     t_max=None,
     watch=(),
     max_events=_NO_BUDGET,
-    shown=None,
 ):
     """``trials`` independent runs of ``_run_core`` from ``counts``, in lockstep.
 
@@ -694,15 +695,13 @@ def _run_batch(
     of the next.
 
     Returns (end times, first-passage times, exhausted flags, event
-    counts), one row per trial. The first-passage times have a column for
-    each of the first ``shown`` watches, or every watch by default: the
-    time it was first reached, or NaN.
+    counts), one row per trial, as ``_run_path`` does. The first-passage
+    times have one column per watch, in the order of ``watch``: the time
+    it was first reached, or NaN.
     """
     nrx = len(comp.table)
     if nrx < 2:
-        end, first, exhausted, n_events = _run_path(comp, counts, rng, trials, t_max, watch,
-                                                    max_events)
-        return end, first[:, :shown], exhausted, n_events
+        return _run_path(comp, counts, rng, trials, t_max, watch, max_events)
     end, first, exhausted, n_events = _outputs(trials, watch, counts)
     init = np.array(counts, dtype=np.int64)
     # each X + X reaction reads one more row, which holds its reactant's
@@ -801,7 +800,7 @@ def _run_batch(
                 fresh = np.count_nonzero(new)
                 if fresh:
                     seen = np.where(new, t, seen)
-    return end, first[:, :shown], exhausted, n_events
+    return end, first, exhausted, n_events
 
 
 def _outputs(trials: int, watch, counts):
@@ -817,9 +816,9 @@ def _outputs(trials: int, watch, counts):
 @np.errstate(over="ignore")  # a wait over a tiny propensity may overflow to inf
 def _run_path(comp, counts, rng, trials, t_max, watch, max_events, record=None):
     """The ``trials`` runs of ``_run_batch`` for a table of at most one
-    reaction, returned as ``_run_batch`` returns them with every watch's
-    column; with one trial, also the run of ``_run_core``, whose event
-    times it appends to ``record``, one array per block.
+    reaction, returned as ``_run_batch`` returns them; with one trial,
+    also the run of ``_run_core``, whose event times it appends to
+    ``record``, one array per block.
 
     Every active trial fires the one reaction in every sweep, so all of
     them follow one path of counts, ``init + s * delta`` after s sweeps,
@@ -987,7 +986,11 @@ def _never_fires(crn: Crn, counts: list, watch) -> str | None:
     over-approximates what can be produced, or when its threshold exceeds
     the bound a conservation certificate m puts on its count. m . x keeps
     its start, so no reaction whose reactants weigh more ever fires; the
-    certificate is sought only for a rising watch.
+    certificate is sought only for a rising watch. A species that no
+    reaction consumes enters no propensity, so where the network has no
+    certificate, one is sought with the products of such species dropped,
+    unless a rising watch reads them, and so are the reactions that then
+    change nothing: the other counts move as before, so the bound holds.
     """
     rising = [(sid, level) for sid, level, side in watch if side > 0 and counts[sid] < level]
     if not rising:
@@ -995,6 +998,14 @@ def _never_fires(crn: Crn, counts: list, watch) -> str | None:
     from . import analysis  # deferred: it slows down importing this module
 
     mass = analysis.check_mass_conserving(crn).mass
+    if mass is None:
+        read = {sid for sid, _ in rising}
+        read.update(s for rx in crn.reactions for s, r in enumerate(rx.reactants) if r)
+        keep = [s in read for s in range(crn.n_species)]
+        trimmed = (Reaction(rx.reactants, tuple(map(operator.mul, rx.products, keep)))
+                   for rx in crn.reactions)
+        mass = analysis.check_mass_conserving(Crn(crn.species, tuple(
+            rx for rx in trimmed if rx.reactants != rx.products))).mass
     weight = None if mass is None else sum(m * c for m, c in zip(mass, counts))
     able = crn if mass is None else Crn(crn.species, tuple(
         rx for rx in crn.reactions if sum(m * r for m, r in zip(mass, rx.reactants)) <= weight
@@ -1077,9 +1088,11 @@ def run_trials(
 
     Returns the per-trial end times and, for each species in
     ``stop.species_appears``, the per-trial time it first had positive
-    count: 0 when present initially, NaN when it never appeared. The
-    trials of each chunk of ``_TRIAL_CHUNK`` run in lockstep through
-    ``parallel.map_chunks``, so chunk c draws from
+    count: 0 when present initially, NaN when it never appeared. Each
+    chunk returns a first-passage column for every watch, the
+    ``count_reaches`` one too, and the columns of those species are looked
+    up by watch index. The trials of each chunk of ``_TRIAL_CHUNK`` run
+    in lockstep through ``parallel.map_chunks``, so chunk c draws from
     ``substream(seed, *stream_key, c)`` and results do not depend on
     ``threads``. On Linux the chunks run on up to min(threads, usable
     CPUs) worker processes, elsewhere in-process. Each chunk is one
@@ -1095,8 +1108,7 @@ def run_trials(
     stream_key = _items(stream_key, "stream_key")
     _, comp, counts, loop_args = _prepare(crn, init, stop, volume)
     names = stop.species_appears or ()
-    # _prepare puts the species_appears watches first, so only their times come back
-    batch = partial(_run_batch, comp, counts, shown=len(names), **loop_args)
+    batch = partial(_run_batch, comp, counts, **loop_args)
     parts = map_chunks(batch, trials, _TRIAL_CHUNK, seed, stream_key, threads)
     times = np.concatenate([p[0] for p in parts])
     seen = np.concatenate([p[1] for p in parts])

@@ -268,6 +268,9 @@ def test_criterion_2_leader_election_timing(artifacts_serial):
     for n, res in art["results"].items():
         rel = abs(res.mean - res.analytic_mean) / res.analytic_mean
         details.append(f"n={n}: mean {res.mean:.2f} vs {res.analytic_mean} ({rel:.1%})")
+        # a correct kernel fails this gate on about 1.5% of streams: 5% of
+        # the mean is 2.6, 2.9 and 2.9 standard errors of a 1000-trial mean
+        # at n = 10, 100 and 1000 (normal tails: 0.82%, 0.36% and 0.33%)
         ok = ok and rel < 0.05
     _report(
         2,
