@@ -420,22 +420,6 @@ class TestBulkOutputs:
         assert (tmp_path / "envout" / "trace.csv").exists()
 
 
-def _demo_digests(argv, name, tmp_path, monkeypatch, capsys):
-    """sha256 prefixes of a demo's CSV and JSON bytes, and of its stdout in
-    text and JSON, with that JSON stdout parsed."""
-    monkeypatch.chdir(tmp_path)
-    (tmp_path / "net.crn").write_text("X -> Y ; k=1\nY -> Z ; k=2\n")
-    stdout = hashlib.sha256()
-    for fmt in ("text", "json"):
-        assert main(["--format", fmt, "--out-dir", "out", *argv]) == 0
-        out = capsys.readouterr().out
-        stdout.update(out.encode())
-    files = hashlib.sha256()
-    for suffix in (".csv", ".json"):
-        files.update((tmp_path / "out" / f"{name}{suffix}").read_bytes())
-    return (files.hexdigest()[:16], stdout.hexdigest()[:16]), json.loads(out)
-
-
 class TestDemo:
     """``crnsim demo`` runs one experiment, then writes ``<name>.csv`` and
     ``<name>.json`` under ``--out-dir``."""
@@ -452,27 +436,34 @@ class TestDemo:
             (["--seed", "3", "demo", "scan", "net.crn", "--init", "X=5", "--alpha", "1.0",
               "--n-grid", "20,60", "--trials", "7", "--t-cap", "0.12"], "scan",
              "1f9b57920a4a6409", "98ac08e25aa70455"),
+            # chain-default-t-cap censors every trial, so a kernel that never
+            # made X3 would pass it; at n = 1024 all six trials make X3 (about
+            # 98% of trials do by the default cap, so all six are censored on
+            # about 1e-10 of streams)
+            (["--seed", "2", "demo", "chain", "--m", "2", "--n", "1024", "--trials", "6"],
+             "chain_m2", "f532ef16c4a83a02", "2ca51804b85c1cc3"),
         ],
-        ids=["leader", "chain", "chain-default-t-cap", "scan"],
+        ids=["leader", "chain", "chain-default-t-cap", "scan", "chain-makes-last-species"],
     )
     def test_outputs_byte_identical_to_pinned_digest(
         self, argv, name, files_digest, stdout_digest, tmp_path, monkeypatch, capsys
     ):
-        # every demo runs at --seed itself, and the chain's time cap
-        # defaults to m + 1
-        digests, _ = _demo_digests(argv, name, tmp_path, monkeypatch, capsys)
-        assert digests == (files_digest, stdout_digest)
-
-    def test_chain_that_makes_its_last_species_byte_identical_to_pinned_digest(
-        self, tmp_path, monkeypatch, capsys
-    ):
-        # chain-default-t-cap censors every trial, so a kernel that never
-        # made X3 would pass it; from n = 1024 about 98% of trials make X3
-        # by the default cap, so all 6 are censored on about 1e-10 of streams
-        argv = ["--seed", "2", "demo", "chain", "--m", "2", "--n", "1024", "--trials", "6"]
-        digests, report = _demo_digests(argv, "chain_m2", tmp_path, monkeypatch, capsys)
-        assert report["results"]["1024"]["produced_fraction"] > 0
-        assert digests == ("f532ef16c4a83a02", "2ca51804b85c1cc3")
+        # sha256 prefixes of the CSV and JSON bytes, and of stdout in text
+        # and JSON; every demo runs at --seed itself, and the chain's time
+        # cap defaults to m + 1
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "net.crn").write_text("X -> Y ; k=1\nY -> Z ; k=2\n")
+        stdout = hashlib.sha256()
+        for fmt in ("text", "json"):
+            assert main(["--format", fmt, "--out-dir", "out", *argv]) == 0
+            out = capsys.readouterr().out
+            stdout.update(out.encode())
+        files = hashlib.sha256()
+        for suffix in (".csv", ".json"):
+            files.update((tmp_path / "out" / f"{name}{suffix}").read_bytes())
+        assert (files.hexdigest()[:16], stdout.hexdigest()[:16]) == (files_digest, stdout_digest)
+        if "1024" in argv:
+            assert json.loads(out)["results"]["1024"]["produced_fraction"] > 0
 
     @pytest.mark.parametrize(
         "argv, key",

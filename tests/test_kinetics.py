@@ -1363,13 +1363,18 @@ class TestRunTrials:
             StopCondition(species_appears=frozenset({"C"}), count_reaches=("A", 0)),
             StopCondition(species_appears=frozenset({"B"}), count_reaches=("A", 99)),
             # a rising count on a species outside the stage closure ran
-            # forever, with a certificate whose bound allows the threshold
-            # and with no certificate at all
+            # forever, with a certificate whose bound allows the threshold,
+            # with one found only once D's products are dropped (no reaction
+            # consumes D), and with no certificate at all, since D -> 0
+            # keeps them
             pytest.param(("species: A B C\nA -> B\nB -> A\n", {"A": 3},
                           StopCondition(count_reaches=("C", 2))), id="count-outside-closure"),
             pytest.param(("species: A B C D\nA -> B\nB -> A\nB -> B + D\n", {"A": 3},
                           StopCondition(count_reaches=("C", 2))),
                          id="count-outside-closure-no-certificate"),
+            pytest.param(("species: A B C D\nA -> B\nB -> A\nB -> B + D\nD -> 0\n", {"A": 3},
+                          StopCondition(count_reaches=("C", 2))),
+                         id="count-outside-closure-no-certificate-after-trim"),
         ],
     )
     def test_stop_that_can_never_fire_is_refused(self, stop, monkeypatch):

@@ -2,15 +2,17 @@
 
 Usage, from the root of the repository:
 
-    python3 tools/salt_sweep.py [--salts N] [--first S] [-- PYTEST_ARGS...]
+    python3 tools/salt_sweep.py [--salts N]
 
-Each salt s (S, S + 1, ..., S + N - 1; 1 to 8 by default) reruns the suite
+Each salt s (1, 2, ..., N; N is 8 by default) reruns the suite
 on a copy of the tree in a temporary directory. In that copy ``s`` is
 mixed into the key of every ``streams.substream`` generator and into
 ``conftest.RNG_SEED``, the seed of the ``rng`` fixture, by text
 replacements that must each match exactly once; the working tree is never
 edited. The digest pins (every test whose name holds "digest" or
-"pinned", case aside) are deselected, since any salt moves them.
+"pinned", case aside) are deselected, since any salt moves them. A run
+that takes longer than TIMEOUT seconds is stopped, and its salt is listed
+against "(suite timed out)".
 
 With a correct kernel, a test that fails on some salts and passes on
 others has a premise or a gate that its stream meets by chance; one that
@@ -37,6 +39,7 @@ SALTS = [
 ]
 IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".bench_out",
                                 ".bench_build")
+TIMEOUT = 1800.0  # seconds allowed per suite run
 
 
 def salted(text: str, pattern: str, replacement: str, salt: int, name: str) -> str:
@@ -47,15 +50,17 @@ def salted(text: str, pattern: str, replacement: str, salt: int, name: str) -> s
     return out
 
 
-def run_salt(tree: Path, originals: dict, salt: int, pytest_args: list, timeout: float):
+def run_salt(tree: Path, originals: dict, salt: int):
     """The ids of the tests that failed or erred on ``salt``, and pytest's
-    exit code."""
+    exit code; None for both if the run timed out."""
     for name, pattern, replacement in SALTS:
         (tree / name).write_text(salted(originals[name], pattern, replacement, salt, name))
     cmd = [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider",
-           "--continue-on-collection-errors", "-k", "not digest and not pinned",
-           *pytest_args]
-    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, timeout=timeout)
+           "--continue-on-collection-errors", "-k", "not digest and not pinned"]
+    try:
+        proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, timeout=TIMEOUT)
+    except subprocess.TimeoutExpired:
+        return None, None
     failed = [line.split()[1] for line in proc.stdout.splitlines()
               if line.startswith(("FAILED ", "ERROR "))]
     return failed, proc.returncode
@@ -64,12 +69,8 @@ def run_salt(tree: Path, originals: dict, salt: int, pytest_args: list, timeout:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--salts", type=int, default=8, help="number of salts (default 8)")
-    parser.add_argument("--first", type=int, default=1, help="first salt (default 1)")
-    parser.add_argument("--timeout", type=float, default=1800.0,
-                        help="seconds allowed per suite run (default 1800)")
-    parser.add_argument("pytest_args", nargs="*", help="passed to pytest, after --")
     args = parser.parse_args(argv)
-    salts = range(args.first, args.first + args.salts)
+    salts = range(1, args.salts + 1)
     originals = {name: (ROOT / name).read_text() for name, _, _ in SALTS}
     failures: dict[str, list[int]] = {}
     with tempfile.TemporaryDirectory(prefix="salt_sweep_") as tmp:
@@ -77,7 +78,11 @@ def main(argv=None) -> int:
         shutil.copytree(ROOT, tree, ignore=IGNORE)
         for salt in salts:
             t0 = time.perf_counter()
-            failed, code = run_salt(tree, originals, salt, args.pytest_args, args.timeout)
+            failed, code = run_salt(tree, originals, salt)
+            if failed is None:
+                print(f"salt {salt}: timed out after {TIMEOUT:.0f} s", flush=True)
+                failures.setdefault("(suite timed out)", []).append(salt)
+                continue
             print(f"salt {salt}: {len(failed)} failed, pytest exit {code}, "
                   f"{time.perf_counter() - t0:.0f} s", flush=True)
             if code not in (0, 1):
