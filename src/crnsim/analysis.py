@@ -274,6 +274,31 @@ def check_mass_conserving(crn: Crn) -> ConservationCertificate:
     return ConservationCertificate(mass)
 
 
+def subconserving_masses(crn: Crn) -> tuple[Fraction, ...] | None:
+    """Masses of at least 1 under which no reaction adds weight, mass . p
+    <= mass . r for every reaction, or None when there are none.
+
+    Under such masses the weight mass . x of a configuration never rises,
+    so each count x_s stays at most its start's weight over mass_s. The
+    search is the phase-1 simplex of ``check_mass_conserving`` with one
+    slack column per reaction, so it is exact, and exact substitution
+    verifies the masses before they are returned.
+    """
+    rows = [[p - r for r, p in zip(rx.reactants, rx.products)] for rx in crn.reactions]
+    if not rows:
+        return (Fraction(1),) * crn.n_species
+    # substitute mass = 1 + u with u >= 0, and reaction j's slack s_j >= 0:
+    # row . u + s_j = -row . 1
+    u = _simplex_feasible([[*row, *(int(i == j) for i in range(len(rows)))]
+                           for j, row in enumerate(rows)], [-sum(row) for row in rows])
+    if u is None:
+        return None
+    mass = tuple(1 + x for x in u[: crn.n_species])
+    if any(sum(m * d for m, d in zip(mass, row)) > 0 for row in rows):
+        raise AssertionError("internal error: masses failed verification")
+    return mass
+
+
 @dataclass(frozen=True)
 class FiniteDensityStatus:
     """Sufficient-condition classification of count growth.

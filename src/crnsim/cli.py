@@ -145,18 +145,14 @@ def _cmd_constants(args, crn, init):
 
 
 def _parse_stop(args) -> kinetics.StopCondition:
-    species = frozenset(args.stop_species) if args.stop_species else None
-    count_reaches = None
-    if args.stop_count:
-        name, _, value = args.stop_count.partition("=")
-        message = f"bad --stop-count {args.stop_count!r}; expected NAME=COUNT"
-        count_reaches = (name.strip(), _parse(int, value, message))
-    return kinetics.StopCondition(
-        t_max=args.t_max,
-        species_appears=species,
-        count_reaches=count_reaches,
-        max_events=args.max_events,
-    )
+    reaches = [(name, ">=", 1) for name in args.stop_species or ()]
+    for text in args.stop_count or ():
+        side = ">=" if ">=" in text else "<="
+        name, _, value = text.partition(side)  # without the side, value is "" and refused
+        message = f"bad --stop-count {text!r}; expected NAME>=COUNT or NAME<=COUNT"
+        reaches.append((name.strip(), side, _parse(int, value, message)))
+    return kinetics.StopCondition(t_max=args.t_max, reaches=reaches or None,
+                                  max_events=args.max_events)
 
 
 def _cmd_simulate(args, crn, init):
@@ -334,9 +330,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-max", type=float, default=None)
     p.add_argument("--max-events", type=int, default=None)
     p.add_argument("--stop-species", action="append", default=None,
-                   help="watch until this species appears (repeatable); the run stops "
-                        "once every watch, --stop-count's too, is reached")
-    p.add_argument("--stop-count", default=None, help="NAME=COUNT watch, from the initial side")
+                   help="watch NAME until it appears, as --stop-count NAME>=1 (repeatable); "
+                        "the run stops once every watch is reached")
+    p.add_argument("--stop-count", action="append", default=None,
+                   help="watch NAME>=COUNT, until the count rises to COUNT, or NAME<=COUNT, "
+                        "until it falls to COUNT (repeatable)")
     p.add_argument("--checkpoints", default=None, help="comma-separated sample times")
     p.set_defaults(fn=_cmd_simulate)
 

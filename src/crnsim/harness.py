@@ -108,7 +108,7 @@ def leader_election_experiment(
     seed = check_integer(seed, "seed", 0)
     crn = leader_election_crn()
     times = run_trials(
-        crn, crn.config({"L": n}), StopCondition(count_reaches=("L", 1)), trials, seed,
+        crn, crn.config({"L": n}), StopCondition(reaches=[("L", "<=", 1)]), trials, seed,
         threads=threads,
     )[0]
     return LeaderElectionResult(n=n, seed=seed, times=times)
@@ -284,14 +284,12 @@ def constant_time_scan(
         if not targets:
             result.all_produced_fraction[n] = 1.0
             continue
-        stop = StopCondition(t_max=t_cap, species_appears=frozenset(targets))
+        stop = StopCondition(t_max=t_cap, reaches=[(name, ">=", 1) for name in targets])
         per_target = run_trials(crn, init_n, stop, trials, seed, threads=threads,
                                 stream_key=(gi,))[1]
         produced_all = np.ones(trials, dtype=bool)
-        for name in targets:
-            stats = FirstProductionStats(
-                target=name, t_cap=t_cap, times=per_target[name], seed=seed
-            )
+        for name, times in zip(targets, per_target.T):
+            stats = FirstProductionStats(target=name, t_cap=t_cap, times=times, seed=seed)
             result.rows.append(
                 ScanRow(
                     n=n,

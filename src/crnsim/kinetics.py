@@ -22,13 +22,14 @@ There are two event loops, one per execution shape, and each picks its
 body by reaction count alone. Both evaluate the propensities above by
 one formula over one reaction table of plain tuples, ``_Compiled``, and
 every :class:`StopCondition` is turned into their arguments in one
-place, ``_prepare``, which also builds that table. Both spellings of a
-watch, ``species_appears`` and ``count_reaches``, become one kind there,
-a species' count, a threshold and the side it approaches from: a watch
-is reached once its count has crossed its threshold, and stays reached,
-and the watches stop a run once every one is reached. ``_prepare``
-refuses, before any event is drawn, a stop without a time horizon or
-event budget that has a watch which can never be reached. ``simulate``
+place, ``_prepare``, which also builds that table. A watch, one
+(species, side, threshold) triple of ``StopCondition.reaches``, becomes
+a species id, a threshold and the side it approaches from, +1 for
+``">="`` and -1 for ``"<="``: a watch is reached once its count has
+crossed its threshold, and stays reached, and the watches stop a run
+once every one is reached. ``_prepare`` refuses, before any event is
+drawn, a stop without a time horizon or event budget that has a watch
+which can never be reached. ``simulate``
 records one trajectory with ``_run_core``. With two or more reactions
 that is the scalar loop: straight-line Python generated from the shape
 of the run, the table's reactant rows and net changes, the species
@@ -51,16 +52,16 @@ out from that table once per call; the chunks fan out through
 ``substream(seed, *stream_key, c)``: its waits from that generator's
 ``standard_exponential`` and its selections from
 ``streams.second_stream`` of it. It returns per-trial end times and the
-time each watch was first reached, one column per watch of either
-spelling, and ``run_trials`` keeps the columns of the ``species_appears``
-watches; the first-production statistics and the ``harness`` experiments
-build on it. With at most one reaction, as in decay or leader election,
-every event fires that reaction, so the counts
-follow one path and only the times differ. Both ``_run_batch`` and
-``_run_core`` then hand the run to ``_run_path``, which advances it a
-block of sweeps per array operation, in windows of ``_BLOCK`` sweeps
-whatever the trial count, with the sweep loop's float operations, so its
-outputs are the ones the sweep loop, or the scalar loop, would give.
+time each watch was first reached, one column per watch, and
+``run_trials`` returns those columns whole; the first-production
+statistics and the ``harness`` experiments build on it. With at most one
+reaction, as in decay or leader election, every event fires that
+reaction, so the counts follow one path and only the times differ. Both
+``_run_batch`` and ``_run_core`` then hand the run to ``_run_path``,
+which advances it a block of sweeps per array operation, in windows of
+``_BLOCK`` sweeps whatever the trial count, with the sweep loop's float
+operations, so its outputs are the ones the sweep loop, or the scalar
+loop, would give.
 Whichever body ran, ``_run_core`` then reads the checkpoints from the
 two event columns by one rule, in numpy, with the
 table's dense net changes, ``_Compiled.steps``, which are also the only
@@ -150,6 +151,9 @@ _TRIAL_CHUNK = 1024
 # 1.03 times at 256 (16 rows), 0.79 times at 300 and 0.21 times at 1024 (4
 # rows, 6 against 30 us); both give the same floats
 _ROW_SUM_TRIALS = 256
+# the side of a watch as the loops take it: +1 for a count that rises to its
+# threshold, -1 for one that falls to it
+_SIDES = {">=": 1, "<=": -1}
 
 
 @dataclass(frozen=True)
@@ -158,53 +162,46 @@ class StopCondition:
 
     ``t_max`` stops at a time horizon (the clock is advanced to exactly
     ``t_max`` and the pending event is discarded), and ``max_events``
-    bounds the number of reaction events. The other two give watches.
-    ``species_appears``, a nonempty collection of names (not a bare
-    string), watches each named species until it has been seen with
-    positive count. ``count_reaches`` is a (species, threshold) pair, a
-    tuple or a list, that watches the count until it reaches the threshold
-    from its initial side; anything else raises ``DomainError``. A watch
-    stays reached once it is, and the watches stop the run when every one
-    of them, of both spellings, is reached. A run ends at the first of
-    ``t_max``, ``max_events`` and its watches to hold. Counts and the event
-    bound are integers of at least 0, and ``t_max`` is kept as
-    ``errors.check_real`` returns it, so it is finite and at least 0.
+    bounds the number of reaction events. ``reaches`` is a nonempty
+    sequence of watches, each a (species, side, threshold) triple whose
+    side, ``">="`` or ``"<="``, says from where its count comes to the
+    threshold: ``(s, ">=", 1)`` watches s until it is produced, and
+    ``(s, "<=", 1)`` until at most one copy is left. A watch is reached
+    once its count is at or past its threshold, seen from its side, and
+    stays reached; the watches stop the run when every one of them is
+    reached. A run ends at the first of ``t_max``, ``max_events`` and its
+    watches to hold. Thresholds and the event bound are integers of at
+    least 0, and ``t_max`` is kept as ``errors.check_real`` returns it, so
+    it is finite and at least 0; anything else raises ``DomainError``.
     """
 
     t_max: float | None = None
-    species_appears: frozenset[str] | None = None
-    count_reaches: tuple[str, int] | None = None
+    reaches: tuple[tuple[str, str, int], ...] | None = None
     max_events: int | None = None
 
     def __post_init__(self):
-        if (
-            self.t_max is None
-            and self.species_appears is None
-            and self.count_reaches is None
-            and self.max_events is None
-        ):
+        if self.t_max is None and self.reaches is None and self.max_events is None:
             raise DomainError("stop condition must include at least one finite bound")
         if self.t_max is not None:
             object.__setattr__(self, "t_max", check_real(self.t_max, "t_max", zero=True))
         if self.max_events is not None:
             object.__setattr__(self, "max_events", check_integer(self.max_events, "max_events", 0))
-        if self.count_reaches is not None:
-            pair = self.count_reaches
-            if isinstance(pair, str) or not isinstance(pair, Sequence) or len(pair) != 2:
-                raise DomainError(
-                    f"count_reaches must be a (species, threshold) pair, got {pair!r}")
-            name, level = pair
-            object.__setattr__(
-                self, "count_reaches", (name, check_integer(level, "a count threshold", 0))
-            )
-        if self.species_appears is not None:
-            # a str would watch each of its letters, and an empty set never fires
-            names = self.species_appears
-            if isinstance(names, str) or not isinstance(names, Iterable):
-                names = ()
-            object.__setattr__(self, "species_appears", frozenset(names))
-            if not self.species_appears:
-                raise DomainError("species_appears must be a nonempty set of species names")
+        if self.reaches is not None:
+            # a str is no sequence of watches, and an empty one never fires
+            watches = self.reaches
+            if isinstance(watches, str) or not isinstance(watches, Iterable):
+                watches = ()
+            checked = []
+            for w in watches:
+                if isinstance(w, str) or not isinstance(w, Sequence) or len(w) != 3 or not (
+                        isinstance(w[1], str) and w[1] in _SIDES):
+                    raise DomainError(
+                        f"a watch must be a (species, '>=' or '<=', threshold) triple, got {w!r}")
+                name, side, level = w
+                checked.append((name, side, check_integer(level, "a count threshold", 0)))
+            if not checked:
+                raise DomainError("reaches must be a nonempty sequence of watches")
+            object.__setattr__(self, "reaches", tuple(checked))
 
 
 STOPPED = "stopped"
@@ -692,7 +689,9 @@ def _run_batch(
     sweep where its total propensity is at most zero (it is then exhausted
     and keeps the time of its last event, whatever its wait) or its next
     event lies past ``t_max`` (it takes ``t_max``), and retires at the top
-    of the next.
+    of the next. A count that passes 2**63 - 1 wraps to below 0 in its
+    int64 row; the species rows of the trials that retire are read for
+    such a count, which raises ``DomainError``.
 
     Returns (end times, first-passage times, exhausted flags, event
     counts), one row per trial, as ``_run_path`` does. The first-passage
@@ -714,6 +713,7 @@ def _run_batch(
             rows.append(a)
         rab.append(b)
     rab = np.array(rab, dtype=np.intp)
+    nsp = init.size - 1  # the species rows
     steps = comp.steps.T[rows]
     start = init[rows]
     start[init.size :] -= 1
@@ -749,6 +749,10 @@ def _run_batch(
             if sweep >= max_events:
                 done, retire = np.ones_like(done), True
             if retire:
+                # an int64 count that passed 2**63 - 1 wrapped to below 0,
+                # where nothing brings it back before its trial retires
+                if cnt[:nsp, done].min(initial=0) < 0:
+                    raise DomainError("a count overflows the 64-bit count range")
                 out = ids[done]
                 end[out] = t[done]
                 first[out] = seen[:, done].T
@@ -846,7 +850,9 @@ def _run_path(comp, counts, rng, trials, t_max, watch, max_events, record=None):
     With ``t_max``, a block ends at the first sweep in which some trial
     passes it; those trials retire, and the waits the block drew past that
     sweep are read by the next one. No array grows with the length of the
-    path.
+    path. Since each count is linear in the sweep, so is the first sweep
+    that takes one past 2**63 - 1; an active trial that makes it raises
+    ``DomainError``.
     """
     if comp.table:
         [(coef, a, b, minus)] = comp.table
@@ -866,6 +872,9 @@ def _run_path(comp, counts, rng, trials, t_max, watch, max_events, record=None):
           for sid, level, side in watch]
     stop_at = min(max_events, max(at, default=_NO_BUDGET))
     halt_at = min(stop_at, dead_at)
+    # the first sweep that takes some count past 2**63 - 1
+    over_at = min((_first_sweep(-c, -d, -2**63) for c, d in zip(counts, delta) if d > 0),
+                  default=_NO_BUDGET)
     end, first, exhausted, n_events = outputs = _outputs(trials, watch, counts)
     ids = np.arange(trials)
     t = np.zeros(trials)
@@ -873,13 +882,15 @@ def _run_path(comp, counts, rng, trials, t_max, watch, max_events, record=None):
     s = 0  # the sweeps every active trial has made, one event each
     w0 = wend = 0  # the path's propensities are computed from sweep w0 to wend
     while True:
+        if s == over_at:  # some active trial made that sweep
+            raise DomainError("a count overflows the 64-bit count range")
         if s == halt_at:
             end[ids] = t
             n_events[ids] = s
             exhausted[ids] = dead_at < stop_at
             return outputs
         if s == wend:
-            w0, wend = s, min(s + _BLOCK, halt_at)
+            w0, wend = s, min(s + _BLOCK, halt_at, over_at)
             prop = _path_counts(counts[a], delta[a], w0, wend).astype(np.float64) * coef
             if b < len(counts) - 1:  # else the factor is the entry held at 1
                 prop *= _path_counts(counts[b] - minus, delta[b], w0, wend).astype(np.float64)
@@ -928,10 +939,12 @@ def _run_path(comp, counts, rng, trials, t_max, watch, max_events, record=None):
 
 def _path_counts(c0: int, d: int, start: int, stop: int) -> np.ndarray:
     """The counts ``c0 + d * s`` for the sweeps s from ``start`` to ``stop``
-    (exclusive), as int64."""
-    if not d:
-        return np.full(stop - start, c0, dtype=np.int64)
-    return np.arange(c0 + d * start, c0 + d * stop, d, dtype=np.int64)
+    (exclusive), as int64. Each of them is in the int64 range, and so is
+    every value computed on the way, though ``c0 + d * stop`` may not be."""
+    counts = np.arange(stop - start, dtype=np.int64)
+    counts *= d
+    counts += c0 + d * start
+    return counts
 
 
 def _first_sweep(c0: int, d: int, x: int) -> int:
@@ -947,22 +960,18 @@ def _prepare(crn: Crn, init: Configuration, stop: StopCondition, volume):
     run ``stop`` from ``init``.
 
     The volume defaults to the total initial count, and the counts end
-    with the entry held at 1 that the table reads. The stop's watches are
-    (sid, threshold, side) tuples: first one per ``species_appears`` name,
-    in species id order, reached at a count of 1 from below, then
-    ``count_reaches``, approached from the side of its initial count.
-    Without ``t_max`` or ``max_events`` a stop with a watch that can never
-    be reached would loop forever, so it raises ``DomainError``.
+    with the entry held at 1 that the table reads. The loops take the
+    stop's watches as (sid, threshold, side) tuples, in the order of
+    ``stop.reaches``, side +1 for ``">="`` and -1 for ``"<="``. Without
+    ``t_max`` or ``max_events`` a stop with a watch that can never be
+    reached would loop forever, so it raises ``DomainError``.
     """
     if len(init) != crn.n_species:
         raise DomainError("initial configuration does not span the species table")
     comp = _Compiled(crn, float(init.total) if volume is None else volume)
     counts = init.counts.tolist()
-    watch = [(sid, 1, 1) for sid in sorted(map(crn.species.id_of, stop.species_appears or ()))]
-    if stop.count_reaches is not None:
-        name, level = stop.count_reaches
-        sid = crn.species.id_of(name)
-        watch.append((sid, level, -1 if counts[sid] > level else 1))
+    watch = [(crn.species.id_of(name), level, _SIDES[side])
+             for name, side, level in stop.reaches or ()]
     # a zero configuration has no propensity and ends at once
     if stop.t_max is None and stop.max_events is None and any(counts):
         why = _never_fires(crn, counts, watch)
@@ -981,35 +990,37 @@ def _never_fires(crn: Crn, counts: list, watch) -> str | None:
     None when each might be.
 
     A watch reached at the start, or one that falls to its threshold,
-    might always be. A rising one never is when its species lies outside
-    the stage closure of the reactions that can fire, which
-    over-approximates what can be produced, or when its threshold exceeds
-    the bound a conservation certificate m puts on its count. m . x keeps
-    its start, so no reaction whose reactants weigh more ever fires; the
-    certificate is sought only for a rising watch. A species that no
-    reaction consumes enters no propensity, so where the network has no
-    certificate, one is sought with the products of such species dropped,
-    unless a rising watch reads them, and so are the reactions that then
-    change nothing: the other counts move as before, so the bound holds.
+    might always be. The rising ones are bounded on S, the least set of
+    species that holds their species and the reactants of every reaction
+    that changes a count in S: only those reactions move the counts of S,
+    and they read only counts in S. Masses of at least 1 under which none
+    of them, with its products outside S dropped, adds weight
+    (``analysis.subconserving_masses``) keep the weight of S at most its
+    start, so no reaction whose reactants in S weigh more ever fires, and
+    each count in S stays at most that weight over its mass. A rising
+    watch is never reached when its species lies outside the stage
+    closure of the reactions that can fire, which over-approximates what
+    can be produced, or when its threshold exceeds that bound.
     """
     rising = [(sid, level) for sid, level, side in watch if side > 0 and counts[sid] < level]
     if not rising:
         return None
     from . import analysis  # deferred: it slows down importing this module
 
-    mass = analysis.check_mass_conserving(crn).mass
-    if mass is None:
-        read = {sid for sid, _ in rising}
-        read.update(s for rx in crn.reactions for s, r in enumerate(rx.reactants) if r)
-        keep = [s in read for s in range(crn.n_species)]
-        trimmed = (Reaction(rx.reactants, tuple(map(operator.mul, rx.products, keep)))
-                   for rx in crn.reactions)
-        mass = analysis.check_mass_conserving(Crn(crn.species, tuple(
-            rx for rx in trimmed if rx.reactants != rx.products))).mass
-    weight = None if mass is None else sum(m * c for m, c in zip(mass, counts))
+    changes = [list(map(operator.sub, rx.products, rx.reactants)) for rx in crn.reactions]
+    inside, size = {sid for sid, _ in rising}, 0
+    while size < len(inside):  # each pass adds the reactants of what changes S
+        size = len(inside)
+        moving = [rx for rx, d in zip(crn.reactions, changes) if any(d[s] for s in inside)]
+        inside.update(*(rx.reactant_support() for rx in moving))
+    keep = [s in inside for s in range(crn.n_species)]
+    mass = analysis.subconserving_masses(Crn(crn.species, tuple(
+        Reaction(rx.reactants, tuple(map(operator.mul, rx.products, keep))) for rx in moving)))
+    if mass is not None:
+        mass = [m if k else 0 for m, k in zip(mass, keep)]  # the weight counts S only
+        weight = sum(map(operator.mul, mass, counts))
     able = crn if mass is None else Crn(crn.species, tuple(
-        rx for rx in crn.reactions if sum(m * r for m, r in zip(mass, rx.reactants)) <= weight
-    ))
+        rx for rx in crn.reactions if sum(map(operator.mul, mass, rx.reactants)) <= weight))
     closure = analysis.stage_decomposition(able, Configuration(counts)).closure
     reasons = {}  # in watch order, each once
     for sid, level in rising:
@@ -1017,8 +1028,8 @@ def _never_fires(crn: Crn, counts: list, watch) -> str | None:
         if sid not in closure:
             reasons[f"species {name} can never appear from this initial configuration"] = None
         elif mass is not None and level > weight // mass[sid]:
-            reasons[f"the count of {name} stays at most {weight // mass[sid]} by mass "
-                    f"conservation and can never reach {level}"] = None
+            reasons[f"the count of {name} stays at most {weight // mass[sid]} under masses "
+                    f"that no reaction raises and can never reach {level}"] = None
     return "; ".join(reasons) or None
 
 
@@ -1083,18 +1094,17 @@ def run_trials(
     volume: float | None = None,
     threads: int = 1,
     stream_key: tuple = (),
-) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Run ``stop`` from ``init`` in ``trials`` independent trials.
 
-    Returns the per-trial end times and, for each species in
-    ``stop.species_appears``, the per-trial time it first had positive
-    count: 0 when present initially, NaN when it never appeared. Each
-    chunk returns a first-passage column for every watch, the
-    ``count_reaches`` one too, and the columns of those species are looked
-    up by watch index. The trials of each chunk of ``_TRIAL_CHUNK`` run
-    in lockstep through ``parallel.map_chunks``, so chunk c draws from
-    ``substream(seed, *stream_key, c)`` and results do not depend on
-    ``threads``. On Linux the chunks run on up to min(threads, usable
+    Returns the per-trial end times and the first-passage times, an
+    array of one row per trial and one column per watch of
+    ``stop.reaches``, in its order: the time the watch was first
+    reached, 0 when it is reached at the start, NaN when it never was.
+    The trials of each chunk of ``_TRIAL_CHUNK`` run in lockstep through
+    ``parallel.map_chunks``, so chunk c draws from ``substream(seed,
+    *stream_key, c)`` and results do not depend on ``threads``. On Linux
+    the chunks run on up to min(threads, usable
     CPUs) worker processes, elsewhere in-process. Each chunk is one
     ``_run_batch`` call; with at most one reaction it advances a block of
     sweeps per array operation, so a run of many events over few trials,
@@ -1107,14 +1117,9 @@ def run_trials(
     check_integer(trials, "trials")
     stream_key = _items(stream_key, "stream_key")
     _, comp, counts, loop_args = _prepare(crn, init, stop, volume)
-    names = stop.species_appears or ()
     batch = partial(_run_batch, comp, counts, **loop_args)
     parts = map_chunks(batch, trials, _TRIAL_CHUNK, seed, stream_key, threads)
-    times = np.concatenate([p[0] for p in parts])
-    seen = np.concatenate([p[1] for p in parts])
-    columns = [sid for sid, _, _ in loop_args["watch"]]
-    first = {name: seen[:, columns.index(crn.species.id_of(name))].copy() for name in names}
-    return times, first
+    return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
 
 
 def csv_time(x: float) -> str:
@@ -1215,6 +1220,6 @@ def first_production_times(
     """
     t_cap = check_real(t_cap, "t_cap")
     seed = check_integer(seed, "seed", 0)
-    stop = StopCondition(t_max=t_cap, species_appears=frozenset({target}))
-    times = run_trials(crn, init, stop, trials, seed, volume=volume, threads=threads)[1][target]
+    stop = StopCondition(t_max=t_cap, reaches=[(target, ">=", 1)])
+    times = run_trials(crn, init, stop, trials, seed, volume=volume, threads=threads)[1][:, 0]
     return FirstProductionStats(target=target, t_cap=t_cap, times=times, seed=seed)

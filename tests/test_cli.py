@@ -339,7 +339,7 @@ class TestBulkOutputs:
         p = tmp_path / "tiny.crn"
         p.write_text(text + "init: X = 1\n")
         crn, init = model.parse_crn(p.read_text())
-        stop = kinetics.StopCondition(t_max=5.0, species_appears=frozenset({"Y"}))
+        stop = kinetics.StopCondition(t_max=5.0, reaches=[("Y", ">=", 1)])
         argv = ["--out-dir", str(tmp_path), "first-production", str(p), "--target", "Y",
                 "--trials", "3"]
         with warnings.catch_warnings():
@@ -348,7 +348,7 @@ class TestBulkOutputs:
             times, first = kinetics.run_trials(crn, init, stop, 3, seed=3)
             assert main(argv) == 0
         assert trace.events.times.tolist() == [math.inf]
-        assert times.tolist() == [5.0] * 3 and all(map(math.isnan, first["Y"].tolist()))
+        assert times.tolist() == [5.0] * 3 and all(map(math.isnan, first[:, 0].tolist()))
         rows = (tmp_path / "first_production.csv").read_text().splitlines()
         assert rows[1:] == ["0,censored", "1,censored", "2,censored"]
         assert capsys.readouterr().err == ""
@@ -654,10 +654,10 @@ class TestErrorPaths:
         "argv_tail",
         [
             ["simulate", "--stop-species", "C"],
-            ["simulate", "--stop-count", "A=99"],
+            ["simulate", "--stop-count", "A>=99"],
             ["first-production", "--target", "C", "--t-cap", "inf"],
             # the run stops once both watches are reached, and C never appears
-            ["simulate", "--stop-species", "C", "--stop-count", "A=0"],
+            ["simulate", "--stop-species", "C", "--stop-count", "A<=0"],
         ],
     )
     def test_stop_that_can_never_fire_exits_1(self, tmp_path, capsys, monkeypatch, argv_tail):
@@ -747,7 +747,7 @@ class TestErrorPaths:
     def test_stop_whose_every_trigger_can_fire_runs(self, tmp_path):
         p = tmp_path / "cycle.crn"
         p.write_text("species: A B C\nA -> B\nB -> A\ninit: A = 5\n")
-        argv = ["simulate", str(p), "--stop-species", "B", "--stop-count", "A=0"]
+        argv = ["simulate", str(p), "--stop-species", "B", "--stop-count", "A<=0"]
         assert main(["--out-dir", str(tmp_path), *argv]) == 0
 
     def test_reflecting_hypothesis_violation(self, capsys):
@@ -852,6 +852,23 @@ class TestErrorPaths:
             ["--out-dir", str(tmp_path), "simulate", convert_file, "--stop-count", "Xfive"]
         )
         assert rc == 1
+
+    def test_old_stop_count_form_is_refused(self, convert_file, tmp_path, capsys):
+        # NAME=COUNT took its side from the initial count; a watch now states it
+        rc = main(["--out-dir", str(tmp_path), "simulate", convert_file, "--stop-count", "Y=3"])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: bad --stop-count 'Y=3'; expected NAME>=COUNT or NAME<=COUNT\n")
+
+    def test_count_past_the_int64_range_exits_1(self, tmp_path, capsys):
+        # X passes 2**63 - 1 at its third event; this printed a traceback
+        # of a bare OverflowError
+        p = tmp_path / "double.crn"
+        p.write_text(f"X -> X + X\ninit: X = {2**63 - 3}\n")
+        rc = main(["--out-dir", str(tmp_path), "simulate", str(p), "--t-max", "1",
+                   "--volume", "1"])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: a count overflows the 64-bit count range\n"
 
     def test_unknown_stop_species(self, convert_file, tmp_path, capsys):
         rc = main(

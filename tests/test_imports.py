@@ -127,7 +127,7 @@ def test_benchmark_tracer_reads_run_core_results():
     from crnsim.model import parse_crn
 
     crn, _ = parse_crn("species: X Y Z W\nX -> Y ; k=1\nY -> Z ; k=1\nZ -> X ; k=1\n")
-    stop = kinetics.StopCondition(t_max=3.0, species_appears=frozenset({"Z", "W"}))
+    stop = kinetics.StopCondition(t_max=3.0, reaches=[("Z", ">=", 1), ("W", ">=", 1)])
     tracer = _load_bench("tracer").Tracer()
     tracer.install()
     try:

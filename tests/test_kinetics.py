@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import special as scipy_special
 from scipy import stats as scipy_stats
 
 from crnsim import analysis, kinetics
@@ -45,6 +46,17 @@ def row_by_row_to_csv(trace, crn, fileobj):
     w.writerow(["event_index", "time", "reaction_label"])
     labels = [crn.reaction_label(j) for j in range(len(crn.reactions))]
     w.writerows([i, t, labels[ridx]] for i, (t, ridx) in enumerate(trace.events))
+
+
+def _appears(crn, names) -> list:
+    """A rising watch at 1 per name, in species-id order."""
+    return [(name, ">=", 1) for name in sorted(set(names), key=crn.species.id_of)]
+
+
+def _count_watch(crn, init, name, level) -> tuple:
+    """A watch on ``name``'s count that approaches ``level`` from the side
+    of its count in ``init``."""
+    return name, "<=" if init[crn.species.id_of(name)] > level else ">=", level
 
 
 def _propensities(comp, counts) -> list:
@@ -197,13 +209,37 @@ class TestLaws:
     def test_selection_frequencies_in_run_trials(self):
         # one event per trial: the species it makes shows which reaction fired
         crn, _ = parse_crn(self._CHOICE)
-        stop = StopCondition(max_events=1, species_appears=frozenset({"B", "D", "F"}))
+        stop = StopCondition(max_events=1, reaches=[("B", ">=", 1), ("D", ">=", 1), ("F", ">=", 1)])
         _, first = run_trials(crn, crn.config({"A": 1, "C": 1, "E": 1}), stop,
                               self._CHOICE_EVENTS, seed=34)
-        made = np.array([~np.isnan(first[name]) for name in ("B", "D", "F")])
+        made = ~np.isnan(first.T)
         assert np.all(made.sum(axis=0) == 1)
         counts = made.sum(axis=1)
         assert scipy_stats.chisquare(counts, self._CHOICE_EVENTS * self._CHOICE_P).pvalue > _LAW_P
+
+    @pytest.mark.parametrize("text", ["X -> Y ; k=1\n", "X -> Y ; k=1\nZ -> W ; k=3\n"],
+                             ids=["path", "sweep"])
+    def test_rising_count_watch_is_an_order_statistic(self, text):
+        # from X = n under X -> Y, Y >= k first holds at the k-th smallest
+        # of n Exp(1) times, so P(T <= t) = P(Binomial(n, 1 - e^-t) >= k).
+        # With one reaction the trials run on _run_path; Z -> W beside it
+        # leaves Y's law alone and puts them in the sweep loop. The KS
+        # p-value is uniform under a continuous law, so each case fails on
+        # a fraction _LAW_P of streams with a correct kernel
+        n, k = 20, 5
+        crn, _ = parse_crn(text)
+        init = crn.config({s: n for s in ("X", "Z") if s in crn.species})
+        _, first = run_trials(crn, init, StopCondition(reaches=[("Y", ">=", k)]), _LAW_SAMPLES,
+                              seed=35)
+        assert first.shape == (_LAW_SAMPLES, 1) and not np.isnan(first).any()
+
+        def law(t):
+            return scipy_special.bdtrc(k - 1, n, -np.expm1(-t))
+
+        assert scipy_stats.kstest(first[:, 0], law).pvalue > _LAW_P
+        # a 3% error in the time scale fails (a KS distance of 0.026
+        # against a critical distance of 0.0054)
+        assert scipy_stats.kstest(first[:, 0] * 1.03, law).pvalue < _LAW_P
 
 
 class TestSimulate:
@@ -255,7 +291,7 @@ class TestSimulate:
                 simulate(
                     crn,
                     crn.config({"L": n}),
-                    StopCondition(count_reaches=("L", 1)),
+                    StopCondition(reaches=[("L", "<=", 1)]),
                     seed=s,
                     volume=float(n),
                 ).time
@@ -290,9 +326,9 @@ class TestSimulate:
         "key,stop,digest",
         [
             (0, StopCondition(t_max=2.0), "082274327e1641c4"),
-            (1, StopCondition(species_appears=frozenset({"D"}), max_events=100_000),
+            (1, StopCondition(reaches=[("D", ">=", 1)], max_events=100_000),
              "c95b8ed7a316af15"),
-            (2, StopCondition(count_reaches=("C", 6), max_events=100_000), "6d07fdeb5c175889"),
+            (2, StopCondition(reaches=[("C", ">=", 6)], max_events=100_000), "6d07fdeb5c175889"),
         ],
         ids=["t_max", "watch", "count"],
     )
@@ -345,10 +381,12 @@ class TestSimulate:
             sid = int(rng.integers(len(names)))
             stops = [
                 StopCondition(t_max=1.5, max_events=400),
-                *(StopCondition(t_max=1.5, species_appears=frozenset({present, other}),
+                *(StopCondition(t_max=1.5, reaches=_appears(crn, {present, other}),
                                 max_events=400) for other in absent),
-                StopCondition(count_reaches=(names[sid], counts[sid] + 3), max_events=400),
-                StopCondition(count_reaches=(names[sid], max(counts[sid] - 2, 0)),
+                StopCondition(reaches=[_count_watch(crn, init, names[sid], counts[sid] + 3)],
+                              max_events=400),
+                StopCondition(reaches=[_count_watch(crn, init, names[sid],
+                                                    max(counts[sid] - 2, 0))],
                               max_events=400),
                 StopCondition(t_max=1.5, max_events=0),
             ]
@@ -379,8 +417,8 @@ class TestSimulate:
     @pytest.mark.parametrize(
         "stop",
         [
-            StopCondition(t_max=1.0, species_appears=frozenset({"A", "B"})),
-            StopCondition(count_reaches=("A", 9), max_events=5),
+            StopCondition(t_max=1.0, reaches=[("A", ">=", 1), ("B", ">=", 1)]),
+            StopCondition(reaches=[("A", ">=", 9)], max_events=5),
         ],
         ids=["watch", "count"],
     )
@@ -394,8 +432,8 @@ class TestSimulate:
         "stop",
         [
             StopCondition(max_events=0),
-            StopCondition(count_reaches=("A", 3)),
-            StopCondition(t_max=1.0, species_appears=frozenset({"A"})),
+            StopCondition(reaches=[("A", ">=", 3)]),
+            StopCondition(t_max=1.0, reaches=[("A", ">=", 1)]),
         ],
         ids=["no-budget-left", "count-met", "watch-met"],
     )
@@ -665,22 +703,23 @@ class TestSimulate:
         # about 10 events from a count that could take a million
         "t_max-few-events": ("X -> 0 ; k=1\n", {"X": 10**6}, StopCondition(t_max=1e-5),
                              [0.0, 5e-6, 1e-5]),
-        "count-rising": ("X -> X + Y ; k=2\n", {"X": 3}, StopCondition(count_reaches=("Y", 150)),
+        "count-rising": ("X -> X + Y ; k=2\n", {"X": 3}, StopCondition(reaches=[("Y", ">=", 150)]),
                          [0.0, 1.0, 1.0, 1e3]),
         "count-falling": ("A + B -> C ; k=1\n", {"A": 300, "B": 200},
-                          StopCondition(count_reaches=("B", 7)), [0.0, 0.001, 1e3]),
+                          StopCondition(reaches=[("B", "<=", 7)]), [0.0, 0.001, 1e3]),
         "watch-at-0": ("X -> Y ; k=1\n", {"X": 5, "Y": 1},
-                       StopCondition(t_max=9.0, species_appears=frozenset({"X", "Y"})),
+                       StopCondition(t_max=9.0, reaches=[("X", ">=", 1), ("Y", ">=", 1)]),
                        [0.0, 0.5]),
         "watch-at-1": ("species: X Y Z\nX -> Y + Z ; k=1\n", {"X": 5},
-                       StopCondition(species_appears=frozenset({"X", "Y", "Z"})), [0.0, 0.0, 2.0]),
+                       StopCondition(reaches=[("X", ">=", 1), ("Y", ">=", 1), ("Z", ">=", 1)]),
+                       [0.0, 0.0, 2.0]),
         "watch-never-met": ("species: X Y Z\nX -> Y ; k=1\n", {"X": 5},
-                            StopCondition(t_max=2.0, species_appears=frozenset({"Y", "Z"})),
+                            StopCondition(t_max=2.0, reaches=[("Y", ">=", 1), ("Z", ">=", 1)]),
                             [0.0, 1.0, 5.0]),
         # Y appears at event 1 and reaches 30 at event 30, which stops the run
         "watches-at-two-sweeps": ("X -> Y ; k=1\n", {"X": 50},
-                                  StopCondition(species_appears=frozenset({"Y"}),
-                                                count_reaches=("Y", 30)), [0.0, 0.05, 1e3]),
+                                  StopCondition(reaches=[("Y", ">=", 1), ("Y", ">=", 30)]),
+                                  [0.0, 0.05, 1e3]),
         **{f"budget-{n}": ("X -> 0 ; k=1\n", {"X": 10**4}, StopCondition(max_events=n),
                            [0.0, 0.01, 1e9])
            for n in (1, 63, 64, 65, 191, 192, 193, 4095, 4096, 4097)},
@@ -739,12 +778,12 @@ class TestSimulate:
         assert watch_times == seen and list(watch_times) == list(seen)
         return trace
 
-    def test_species_appears_stop(self):
+    def test_production_watch_stop(self):
         crn, _ = parse_crn("X -> Y ; k=1\n")
         trace = simulate(
             crn,
             crn.config({"X": 10}),
-            StopCondition(t_max=50.0, species_appears=frozenset({"Y"})),
+            StopCondition(t_max=50.0, reaches=[("Y", ">=", 1)]),
             seed=2,
         )
         assert len(trace.events) == 1
@@ -755,14 +794,15 @@ class TestSimulate:
         with pytest.raises(UnsupportedReactionOrderError):
             simulate(crn, crn.config({"A": 1, "B": 2}), StopCondition(t_max=1.0), seed=0)
 
-    @pytest.mark.parametrize("pair", ["X", "XY", 5, ("X", 1, 2), ("X",), {"X": 1}],
+    @pytest.mark.parametrize("watch", ["X>=", "XY", 5, ("X", 1, 2), ("X", 1), {"X": 1}],
                              ids=["str", "two-letter-str", "int", "triple", "single", "dict"])
-    def test_count_reaches_must_be_a_pair(self, pair):
-        # "X" and ("X", 1, 2) raised ValueError from the unpacking, 5 a
-        # TypeError, and "XY" read Y as its threshold
-        with pytest.raises(DomainError,
-                           match=r"count_reaches must be a \(species, threshold\) pair, got "):
-            StopCondition(t_max=1.0, count_reaches=pair)
+    def test_watch_must_be_a_triple(self, watch):
+        # a watch is (species, side, threshold): a string, a number, a
+        # mapping, a pair and a triple whose side is not ">=" or "<=" are
+        # each refused
+        with pytest.raises(DomainError, match=r"a watch must be a \(species, '>=' or '<=', "
+                                              r"threshold\) triple, got "):
+            StopCondition(t_max=1.0, reaches=[watch])
 
     def test_stop_condition_validation(self):
         with pytest.raises(DomainError):
@@ -772,7 +812,7 @@ class TestSimulate:
         with pytest.raises(DomainError):
             StopCondition(max_events=-1)
         with pytest.raises(DomainError):  # counts never fall below 0
-            StopCondition(count_reaches=("X", -1))
+            StopCondition(reaches=[("X", "<=", -1)])
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -781,9 +821,9 @@ class TestSimulate:
             {"max_events": math.inf},
             {"max_events": 2.5},
             {"max_events": True},
-            {"t_max": 1.0, "count_reaches": ("A", math.nan)},
-            {"t_max": 1.0, "count_reaches": ("A", 2.5)},
-            {"t_max": 1.0, "count_reaches": ("A", True)},
+            {"t_max": 1.0, "reaches": [("A", ">=", math.nan)]},
+            {"t_max": 1.0, "reaches": [("A", ">=", 2.5)]},
+            {"t_max": 1.0, "reaches": [("A", ">=", True)]},
         ],
         ids=["events-nan", "events-inf", "events-2.5", "events-True",
              "count-nan", "count-2.5", "count-True"],
@@ -803,13 +843,13 @@ class TestSimulate:
         # simulate and run_trials; "AB" watched A and B, and a run stopped
         # when B appeared while AB was still 0; 5 raised a TypeError
         for t_max in (None, 1.0):
-            with pytest.raises(DomainError, match="species_appears must be a nonempty set"):
-                StopCondition(t_max=t_max, species_appears=names)
+            with pytest.raises(DomainError, match="reaches must be a nonempty sequence"):
+                StopCondition(t_max=t_max, reaches=names)
 
     def test_numpy_integer_stop_sizes_accepted(self):
         crn, _ = parse_crn("A -> B\nB -> A\n")
         # A + B = 3 is conserved, so B never reaches 4 and the budget ends the run
-        stop = StopCondition(max_events=np.int64(9), count_reaches=("B", np.int64(4)))
+        stop = StopCondition(max_events=np.int64(9), reaches=[("B", ">=", np.int64(4))])
         trace = simulate(crn, crn.config({"A": 3}), stop, seed=0)
         assert len(trace.events) == 9
 
@@ -1002,25 +1042,29 @@ def _assert_one_trial_matches_simulate(crn, init, stop, seed, key, monkeypatch):
 
     The two loops read the same waits and selection uniforms and compute
     times and selections by the same float operations, so the end reason,
-    the event count, which species appeared and every time match exactly.
+    the event count and every time match exactly, and so does the time
+    each watch was first reached, a count watch's too, which is read from
+    the replay.
     """
     calls = _spy_batch(monkeypatch)
     times, first = run_trials(crn, init, stop, 1, seed=seed, stream_key=key)
     trace = simulate(crn, init, stop, seed=seed, stream_key=(*key, 0))
     _, _, exhausted, n_events = calls[-1]
-    assert set(first) == set(stop.species_appears or ())
+    watches = stop.reaches or ()
+    assert first.shape == (1, len(watches))
     assert bool(exhausted[0]) == (trace.status == "exhausted")
     assert n_events[0] == len(trace.events)
     assert (times[0] == stop.t_max) == (trace.time == stop.t_max)
     assert times[0] == trace.time
     event_times = [0.0] + [t for t, _ in trace.events]
-    for name, per_trial in first.items():
+    for (name, side, level), reached in zip(watches, first[0].tolist()):
         sid = crn.species.id_of(name)
-        seen = [t for t, c in zip(event_times, trace.replay(crn)) if c[sid] > 0]
+        seen = [t for t, c in zip(event_times, trace.replay(crn))
+                if _watch_reached(c[sid], level, 1 if side == ">=" else -1)]
         if seen:
-            assert per_trial[0] == seen[0]
+            assert reached == seen[0]
         else:
-            assert math.isnan(per_trial[0])
+            assert math.isnan(reached)
     return trace
 
 
@@ -1054,10 +1098,11 @@ def _random_networks_batch_digest(rng, monkeypatch) -> str:
         absent = init.counts.copy()
         absent[crn.species.id_of(str(watched[0]))] = 0
         runs = [
-            (init, StopCondition(count_reaches=(count_name, int(rng.integers(0, 25))),
+            (init, StopCondition(reaches=[_count_watch(crn, init, count_name,
+                                                       int(rng.integers(0, 25)))],
                                  max_events=200)),
             (Configuration(absent), StopCondition(
-                t_max=2.0, species_appears=frozenset(map(str, watched)), max_events=40)),
+                t_max=2.0, reaches=_appears(crn, map(str, watched)), max_events=40)),
             (init, StopCondition(t_max=0.5)),
             (init, StopCondition(max_events=int(rng.integers(0, 60)))),
         ]
@@ -1084,19 +1129,19 @@ def _one_reaction_batch_digest(monkeypatch) -> str:
     convert, _ = parse_crn("species: X Y Z\nX -> Y ; k=1\n")
     inert, _ = parse_crn("species: A B\n")
     runs = [
-        (leader, {"L": 1000}, StopCondition(count_reaches=("L", 1)), 40),
-        (leader, {"L": 200}, StopCondition(t_max=398.0, count_reaches=("L", 1)), 1100),
+        (leader, {"L": 1000}, StopCondition(reaches=[("L", "<=", 1)]), 40),
+        (leader, {"L": 200}, StopCondition(t_max=398.0, reaches=[("L", "<=", 1)]), 1100),
         (decay, {"X": 1000}, StopCondition(t_max=1.0), 1100),
         (dimer, {"A": 500}, StopCondition(max_events=10**6), 30),
         (dimer, {"A": 501}, StopCondition(t_max=1e9), 30),
-        (pair, {"A": 300, "B": 200}, StopCondition(count_reaches=("C", 250)), 30),
-        (convert, {"X": 10**4}, StopCondition(t_max=1e-4, species_appears=frozenset({"Y"})),
-         1100),
+        (pair, {"A": 300, "B": 200}, StopCondition(reaches=[("C", ">=", 250)]), 30),
+        (convert, {"X": 10**4}, StopCondition(t_max=1e-4, reaches=[("Y", ">=", 1)]), 1100),
         (convert, {"X": 10**4},
-         StopCondition(t_max=0.5, species_appears=frozenset({"Y", "Z"})), 20),
+         StopCondition(t_max=0.5, reaches=[("Y", ">=", 1), ("Z", ">=", 1)]), 20),
         (leader, {"L": 1000}, StopCondition(max_events=300), 50),
-        (inert, {"A": 3}, StopCondition(t_max=1.0, species_appears=frozenset({"A", "B"})), 5),
-        (inert, {"A": 3}, StopCondition(count_reaches=("A", 0), max_events=4), 5),
+        (inert, {"A": 3}, StopCondition(t_max=1.0, reaches=[("A", ">=", 1), ("B", ">=", 1)]),
+         5),
+        (inert, {"A": 3}, StopCondition(reaches=[("A", "<=", 0)], max_events=4), 5),
     ]
     calls = _spy_batch(monkeypatch)
     for seed, (crn, init, stop, trials) in enumerate(runs):
@@ -1113,14 +1158,14 @@ class TestRunTrials:
             names = crn.species.names
             watched = rng.choice(names, size=int(rng.integers(1, len(names) + 1)), replace=False)
             count_name = names[int(rng.integers(len(names)))]
-            count = (count_name, int(rng.integers(0, 25)))
+            count = _count_watch(crn, init, count_name, int(rng.integers(0, 25)))
             stops = [
-                StopCondition(count_reaches=count, max_events=500),
-                StopCondition(t_max=2.0, species_appears=frozenset(map(str, watched)),
+                StopCondition(reaches=[count], max_events=500),
+                StopCondition(t_max=2.0, reaches=_appears(crn, map(str, watched)),
                               max_events=3000),
-                # both spellings: the run stops once every watch is reached
-                StopCondition(t_max=2.0, species_appears=frozenset(map(str, watched)),
-                              count_reaches=count, max_events=3000),
+                # both kinds: the run stops once every watch is reached
+                StopCondition(t_max=2.0, reaches=[*_appears(crn, map(str, watched)), count],
+                              max_events=3000),
             ]
             for stop in stops:
                 _assert_one_trial_matches_simulate(crn, init, stop, case, (case, 5), monkeypatch)
@@ -1147,18 +1192,18 @@ class TestRunTrials:
 
     def test_no_reactions_exhausts_every_trial_at_zero(self, monkeypatch):
         crn, _ = parse_crn("species: A B\n")
-        stop = StopCondition(t_max=1.0, species_appears=frozenset({"A", "B"}))
+        stop = StopCondition(t_max=1.0, reaches=[("A", ">=", 1), ("B", ">=", 1)])
         calls = _spy_batch(monkeypatch)
         times, first = run_trials(crn, crn.config({"A": 3}), stop, 5, seed=0)
         assert np.all(times == 0.0) and calls[-1][2].all()
-        assert np.all(first["A"] == 0.0) and np.isnan(first["B"]).all()
+        assert np.all(first[:, 0] == 0.0) and np.isnan(first[:, 1]).all()
         _assert_one_trial_matches_simulate(crn, crn.config({"A": 3}), stop, 0, (), monkeypatch)
 
     @pytest.mark.parametrize(
         "stop",
         [
-            StopCondition(count_reaches=("A", 5)),
-            StopCondition(species_appears=frozenset({"A"})),
+            StopCondition(reaches=[("A", ">=", 5)]),
+            StopCondition(reaches=[("A", ">=", 1)]),
             StopCondition(max_events=0),
             StopCondition(t_max=0.0),
         ],
@@ -1170,7 +1215,7 @@ class TestRunTrials:
         times, first = run_trials(crn, init, stop, 7, seed=1)
         assert np.all(times == 0.0)
         assert not calls[-1][2].any()
-        assert all(np.all(v == 0.0) for v in first.values())
+        assert np.all(first == 0.0)
         trace = _assert_one_trial_matches_simulate(crn, init, stop, 1, (), monkeypatch)
         assert trace.events == []
 
@@ -1195,8 +1240,8 @@ class TestRunTrials:
     def test_count_threshold_from_either_side(self, target, monkeypatch):
         crn, _ = parse_crn("A -> B ; k=1\nB -> A ; k=0.5\n")
         init = crn.config({"A": 10})
-        stop = StopCondition(count_reaches=target)
         name, thr = target
+        stop = StopCondition(reaches=[_count_watch(crn, init, name, thr)])
         sid = crn.species.id_of(name)
         for key in range(10):
             trace = _assert_one_trial_matches_simulate(crn, init, stop, 2, (key,), monkeypatch)
@@ -1205,13 +1250,13 @@ class TestRunTrials:
     def test_exhausted_trials_keep_their_last_event_time(self, monkeypatch):
         crn, _ = parse_crn("species: A B C\nA -> B\n")
         init = crn.config({"A": 3})
-        stop = StopCondition(t_max=1e6, species_appears=frozenset({"B", "C"}))
+        stop = StopCondition(t_max=1e6, reaches=[("B", ">=", 1), ("C", ">=", 1)])
         calls = _spy_batch(monkeypatch)
         times, first = run_trials(crn, init, stop, 50, seed=5)
         _, _, exhausted, n_events = calls[-1]
         assert exhausted.all() and np.all(n_events == 3)
-        assert np.all((times > first["B"]) & (times < 1e6))
-        assert np.isnan(first["C"]).all()
+        assert np.all((times > first[:, 0]) & (times < 1e6))
+        assert np.isnan(first[:, 1]).all()
         for key in range(5):
             trace = _assert_one_trial_matches_simulate(crn, init, stop, 5, (key,), monkeypatch)
             assert trace.time == trace.events[-1][0]
@@ -1250,10 +1295,11 @@ class TestRunTrials:
         chain3, chain2 = chain_crn(3), chain_crn(2)
         runs = [
             (chain3, {"X1": 4096}, 4096.0,
-             StopCondition(t_max=4.0, species_appears=frozenset({"X4"})), 30, 11),
+             StopCondition(t_max=4.0, reaches=[("X4", ">=", 1)]), 30, 11),
             (chain3, {"X1": 2048}, 512.0,
-             StopCondition(t_max=6.0, species_appears=frozenset({"X2", "X3", "X4"})), 60, 12),
-            (chain2, {"X1": 3000}, None, StopCondition(count_reaches=("X1", 40)), 5, 13),
+             StopCondition(t_max=6.0, reaches=[("X2", ">=", 1), ("X3", ">=", 1), ("X4", ">=", 1)]),
+             60, 12),
+            (chain2, {"X1": 3000}, None, StopCondition(reaches=[("X1", "<=", 40)]), 5, 13),
         ]
         calls = _spy_batch(monkeypatch)
         for crn, init, volume, stop, trials, seed in runs:
@@ -1304,12 +1350,16 @@ class TestRunTrials:
             kw = {"max_events": int(rng.integers(0, 400))} if rng.random() < 0.5 else {}
             if rng.random() < 0.7 or not kw:
                 kw["t_max"] = float(rng.choice([0.0, 0.05, 0.5, 3.0, 40.0]))
-            if rng.random() < 0.4:
-                kw["species_appears"] = frozenset(
-                    rng.choice(["X", "Y", "Z"], size=int(rng.integers(1, 4)), replace=False).tolist())
-            if rng.random() < 0.5:
-                kw["count_reaches"] = (str(rng.choice(["X", "Y", "Z"])), int(rng.integers(0, 70)))
-            both += "species_appears" in kw and "count_reaches" in kw
+            appears = rng.random() < 0.4
+            watches = _appears(crn, rng.choice(["X", "Y", "Z"], size=int(rng.integers(1, 4)),
+                                               replace=False).tolist()) if appears else []
+            counted = rng.random() < 0.5
+            if counted:
+                watches.append(_count_watch(crn, init, str(rng.choice(["X", "Y", "Z"])),
+                                            int(rng.integers(0, 70))))
+            if watches:
+                kw["reaches"] = watches
+            both += appears and counted
             volume = float(max(init.total, 1))  # the start may hold no molecule
             _, comp, counts, args = kinetics._prepare(crn, init, StopCondition(**kw), volume)
             trials = int(rng.choice([1, 5, 130, 700]))
@@ -1335,7 +1385,7 @@ class TestRunTrials:
             if simulate(crn, init, StopCondition(max_events=1), seed=0).status == "exhausted":
                 continue  # no reaction can fire at all
             target = crn.species.name_of(sid)
-            stop = StopCondition(t_max=0.5, species_appears=frozenset({target}))
+            stop = StopCondition(t_max=0.5, reaches=[(target, ">=", 1)])
             times, first = run_trials(crn, init, stop, trials, seed=checked)
             ref_t, ref_censored = np.empty(trials), np.empty(trials)
             for i in range(trials):
@@ -1344,7 +1394,7 @@ class TestRunTrials:
                 ref_censored[i] = all(c[sid] == 0 for c in trace.replay(crn))
             se = math.sqrt((times.var(ddof=1) + ref_t.var(ddof=1)) / trials)
             assert abs(times.mean() - ref_t.mean()) <= 5 * se
-            p_kernel, p_ref = np.isnan(first[target]).mean(), ref_censored.mean()
+            p_kernel, p_ref = np.isnan(first[:, 0]).mean(), ref_censored.mean()
             pooled = (p_kernel + p_ref) / 2
             se = math.sqrt(2 * pooled * (1 - pooled) / trials)
             assert abs(p_kernel - p_ref) <= 5 * se if se > 0 else p_kernel == p_ref
@@ -1353,28 +1403,36 @@ class TestRunTrials:
     @pytest.mark.parametrize(
         "stop",
         [
-            StopCondition(species_appears=frozenset({"C"})),
-            StopCondition(species_appears=frozenset({"B", "C"})),
-            StopCondition(count_reaches=("A", 99)),
-            StopCondition(count_reaches=("B", 6)),
-            StopCondition(species_appears=frozenset({"C"}), count_reaches=("A", 99)),
+            StopCondition(reaches=[("C", ">=", 1)]),
+            StopCondition(reaches=[("B", ">=", 1), ("C", ">=", 1)]),
+            StopCondition(reaches=[("A", ">=", 99)]),
+            StopCondition(reaches=[("B", ">=", 6)]),
+            StopCondition(reaches=[("C", ">=", 1), ("A", ">=", 99)]),
             # the run stops once every watch is reached, so one that never
             # is refuses the stop
-            StopCondition(species_appears=frozenset({"C"}), count_reaches=("A", 0)),
-            StopCondition(species_appears=frozenset({"B"}), count_reaches=("A", 99)),
+            StopCondition(reaches=[("C", ">=", 1), ("A", "<=", 0)]),
+            StopCondition(reaches=[("B", ">=", 1), ("A", ">=", 99)]),
             # a rising count on a species outside the stage closure ran
-            # forever, with a certificate whose bound allows the threshold,
-            # with one found only once D's products are dropped (no reaction
-            # consumes D), and with no certificate at all, since D -> 0
-            # keeps them
+            # forever, with a certificate for the network whose bound allows
+            # the threshold, and with none, since B -> B + D pumps D (with
+            # D -> 0 beside it too); no reaction changes C, so the masses
+            # are sought on C alone
             pytest.param(("species: A B C\nA -> B\nB -> A\n", {"A": 3},
-                          StopCondition(count_reaches=("C", 2))), id="count-outside-closure"),
+                          StopCondition(reaches=[("C", ">=", 2)])), id="count-outside-closure"),
             pytest.param(("species: A B C D\nA -> B\nB -> A\nB -> B + D\n", {"A": 3},
-                          StopCondition(count_reaches=("C", 2))),
+                          StopCondition(reaches=[("C", ">=", 2)])),
                          id="count-outside-closure-no-certificate"),
             pytest.param(("species: A B C D\nA -> B\nB -> A\nB -> B + D\nD -> 0\n", {"A": 3},
-                          StopCondition(count_reaches=("C", 2))),
+                          StopCondition(reaches=[("C", ">=", 2)])),
                          id="count-outside-closure-no-certificate-after-trim"),
+            # masses under which the weight falls bound a rising count too
+            # (this ran until X was gone)
+            pytest.param(("X -> 0\n", {"X": 5}, StopCondition(reaches=[("X", ">=", 10)])),
+                         id="count-above-a-falling-weight"),
+            # a pump among the reactions that change C leaves no masses, and
+            # the stage closure alone refuses the stop
+            pytest.param(("A -> A + A\nA + B -> C\n", {"A": 1},
+                          StopCondition(reaches=[("C", ">=", 1)])), id="pump-beside-the-watch"),
         ],
     )
     def test_stop_that_can_never_fire_is_refused(self, stop, monkeypatch):
@@ -1392,7 +1450,7 @@ class TestRunTrials:
         # A + A -> C lies in the stage closure, but A + B = 1 is conserved,
         # so two copies of A never meet; this run looped forever
         crn, _ = parse_crn("A -> B\nB -> A\nA + A -> C\n")
-        stop = StopCondition(species_appears=frozenset({"C"}))
+        stop = StopCondition(reaches=[("C", ">=", 1)])
         _refuse_to_simulate(monkeypatch)
         with pytest.raises(DomainError, match="species C can never appear"):
             simulate(crn, crn.config({"A": 1}), stop, seed=0)
@@ -1401,25 +1459,33 @@ class TestRunTrials:
         # from A = 2 the weight allows A + A, so the stop reaches the loops
         with pytest.raises(AssertionError, match="refused before simulating"):
             simulate(crn, crn.config({"A": 2}), stop, seed=0)
-        # B -> B + D leaves no certificate, but D enters no propensity, so
-        # the certificate of the network without D's products still holds
-        pumped, _ = parse_crn("A -> B\nB -> A\nA + A -> C\nB -> B + D\n")
-        with pytest.raises(DomainError, match="species C can never appear"):
-            simulate(pumped, pumped.config({"A": 1}), stop, seed=0)
-        with pytest.raises(DomainError, match="species C can never appear"):
-            run_trials(pumped, pumped.config({"A": 1}), stop, 3, seed=0)
-        # a watch on D reads it, so D keeps its products and the stop runs
+        # the masses are sought on C and the reactants of what changes it,
+        # A and B: B -> B + D, and E -> F too, change none of them, so the
+        # pump leaves those masses standing (with B -> B + E and E -> F the
+        # run looped forever)
+        for text in ("A -> B\nB -> A\nA + A -> C\nB -> B + E\nE -> F\n",
+                     "A -> B\nB -> A\nA + A -> C\nB -> B + D\n"):
+            pumped, _ = parse_crn(text)
+            with pytest.raises(DomainError, match="species C can never appear"):
+                simulate(pumped, pumped.config({"A": 1}), stop, seed=0)
+            with pytest.raises(DomainError, match="species C can never appear"):
+                run_trials(pumped, pumped.config({"A": 1}), stop, 3, seed=0)
+        # a watch on D puts B -> B + D in the search, which finds no masses,
+        # and the stop runs
         with pytest.raises(AssertionError, match="refused before simulating"):
             simulate(pumped, pumped.config({"A": 1}),
-                     StopCondition(species_appears=frozenset({"D"})), seed=0)
+                     StopCondition(reaches=[("D", ">=", 1)]), seed=0)
 
     def test_falling_count_stop_seeks_no_certificate(self, monkeypatch):
         def no_certificate(crn):
             raise AssertionError("a falling count stop needs no certificate")
 
-        monkeypatch.setattr(analysis, "check_mass_conserving", no_certificate)
+        # a rising watch does seek one, so the stub is live
+        monkeypatch.setattr(analysis, "subconserving_masses", no_certificate)
         crn = leader_election_crn()
-        stop = StopCondition(count_reaches=("L", 1))
+        with pytest.raises(AssertionError, match="needs no certificate"):
+            simulate(crn, crn.config({"L": 10}), StopCondition(reaches=[("N", ">=", 2)]), seed=0)
+        stop = StopCondition(reaches=[("L", "<=", 1)])
         times, _ = run_trials(crn, crn.config({"L": 10}), stop, 3, seed=0)
         assert times.shape == (3,)
         assert simulate(crn, crn.config({"L": 10}), stop, seed=0).terminal[0] == 1
@@ -1493,16 +1559,15 @@ class TestRunTrials:
     @pytest.mark.parametrize(
         "stop",
         [
-            StopCondition(species_appears=frozenset({"B"})),
-            StopCondition(count_reaches=("B", 5)),
-            StopCondition(count_reaches=("A", 0)),
-            StopCondition(t_max=1.0, species_appears=frozenset({"C"})),
-            StopCondition(max_events=50, count_reaches=("A", 99)),
+            StopCondition(reaches=[("B", ">=", 1)]),
+            StopCondition(reaches=[("B", ">=", 5)]),
+            StopCondition(reaches=[("A", "<=", 0)]),
+            StopCondition(t_max=1.0, reaches=[("C", ">=", 1)]),
+            StopCondition(max_events=50, reaches=[("A", ">=", 99)]),
             # the run stops once every watch is reached, so each must be
             # reachable, or the run bounded
-            StopCondition(species_appears=frozenset({"B"}), count_reaches=("A", 0)),
-            StopCondition(species_appears=frozenset({"B"}), count_reaches=("A", 99),
-                          max_events=50),
+            StopCondition(reaches=[("B", ">=", 1), ("A", "<=", 0)]),
+            StopCondition(reaches=[("B", ">=", 1), ("A", ">=", 99)], max_events=50),
         ],
     )
     def test_stop_that_can_fire_or_is_bounded_runs(self, stop):
@@ -1513,16 +1578,37 @@ class TestRunTrials:
         # the sweep loop compares the counts, int64, with the thresholds as
         # one int64 array, which could not hold 2**70; the budget ends the run
         crn, _ = parse_crn("A -> B ; k=1\nB -> A ; k=1\n")
-        stop = StopCondition(count_reaches=("B", 2**70), max_events=9)
+        stop = StopCondition(reaches=[("B", ">=", 2**70)], max_events=9)
         calls = _spy_batch(monkeypatch)
         run_trials(crn, crn.config({"A": 3}), stop, 4, seed=0)
         assert calls[-1][3].tolist() == [9] * 4
         _assert_one_trial_matches_simulate(crn, crn.config({"A": 3}), stop, 0, (), monkeypatch)
 
+    @pytest.mark.parametrize(
+        "text,start,stop",
+        [
+            ("X -> X + X\n", {"X": 2**63 - 3}, StopCondition(t_max=1)),
+            ("X -> X + X\nY -> 0\n", {"X": 2**63 - 3, "Y": 1}, StopCondition(max_events=10)),
+        ],
+        ids=["path", "sweep"],
+    )
+    def test_count_past_the_int64_range_is_a_domain_error(self, text, start, stop):
+        # X passes 2**63 - 1 at its third event. _run_path raised a bare
+        # OverflowError while it laid out the path's counts, and the sweep
+        # loop's int64 counts wrapped, so both trials were reported
+        # exhausted after 3 events
+        crn, _ = parse_crn(text)
+        init = crn.config(start)
+        with pytest.raises(DomainError, match="a count overflows the 64-bit count range"):
+            simulate(crn, init, stop, seed=0, volume=1.0)
+        with pytest.raises(DomainError, match="a count overflows the 64-bit count range"):
+            run_trials(crn, init, stop, 2, seed=0, volume=1.0)
+
     def test_count_threshold_on_unconserved_network_is_not_refused(self):
         # no conservation certificate exists, so the threshold is reachable for all we know
         crn, _ = parse_crn("X -> X + X\n")
-        trace = simulate(crn, crn.config({"X": 1}), StopCondition(count_reaches=("X", 40)), seed=0)
+        trace = simulate(crn, crn.config({"X": 1}), StopCondition(reaches=[("X", ">=", 40)]),
+                         seed=0)
         assert trace.terminal[0] == 40
 
 
@@ -1577,20 +1663,19 @@ class TestFirstProduction:
         assert 0 < one_chunk.censored < _TRIAL_CHUNK
         assert longer.times[:_TRIAL_CHUNK].tobytes() == one_chunk.times.tobytes()
         # several chunks give the same bytes on one thread and on three
-        stop = StopCondition(t_max=0.5, species_appears=frozenset({"Y", "Z"}))
+        stop = StopCondition(t_max=0.5, reaches=[("Y", ">=", 1), ("Z", ">=", 1)])
         trials = 2 * _TRIAL_CHUNK + 500
         serial = run_trials(crn, init, stop, trials, seed=13)
         threaded = run_trials(crn, init, stop, trials, seed=13, threads=3)
         assert serial[0].tobytes() == threaded[0].tobytes()
-        for name in ("Y", "Z"):
-            assert serial[1][name].tobytes() == threaded[1][name].tobytes()
+        assert serial[1].tobytes() == threaded[1].tobytes()
 
     def test_multi_target_shared_trials(self):
         crn, _ = parse_crn("X -> Y ; k=5\nY -> Z ; k=5\n")
-        stop = StopCondition(t_max=20.0, species_appears=frozenset({"Y", "Z"}))
+        stop = StopCondition(t_max=20.0, reaches=[("Y", ">=", 1), ("Z", ">=", 1)])
         out = run_trials(crn, crn.config({"X": 40}), stop, trials=50, seed=3)[1]
-        assert np.all(out["Y"] <= out["Z"])
-        assert not np.isnan(out["Z"]).any()
+        assert np.all(out[:, 0] <= out[:, 1])
+        assert not np.isnan(out[:, 1]).any()
 
     def test_stats_quantiles_with_censoring(self):
         stats = FirstProductionStats(
@@ -1750,7 +1835,7 @@ class TestKernel:
         kernels = _spy_kernels(monkeypatch)
         crn, _ = parse_crn("A + B -> C ; k=1.5\nC -> A + B ; k=1\n")
         init = crn.config({"A": 4, "B": 3})
-        low, high = (simulate(crn, init, StopCondition(count_reaches=("C", c), max_events=10**4),
+        low, high = (simulate(crn, init, StopCondition(reaches=[("C", ">=", c)], max_events=10**4),
                               seed=6) for c in (2, 3))
         assert len(kernels) == 2 and kernels[0] is kernels[1]
         assert (low.terminal[2], high.terminal[2]) == (2, 3)
@@ -1776,8 +1861,8 @@ class TestKernel:
             "Alpha + Beta -> Gamma ; k=1.25 ; label=bind\nGamma -> Alpha + Beta ; k=0.5\n"
             "Beta + Beta -> Alpha ; k=3\n"
         )
-        stop = StopCondition(t_max=0.5, species_appears=frozenset({"Gamma"}),
-                             count_reaches=("Beta", 2), max_events=50)
+        stop = StopCondition(t_max=0.5, reaches=[("Gamma", ">=", 1), ("Beta", "<=", 2)],
+                             max_events=50)
         simulate(crn, crn.config({"Alpha": 5, "Beta": 9}), stop, seed=1,
                  checkpoint_times=[0.25])
         src = "".join(linecache.getlines(kernels[-1].__code__.co_filename))

@@ -66,8 +66,8 @@ def test_chunks_come_back_in_order_with_their_sizes(two_cpus):
 
 
 _STOPS = {
-    "watch": StopCondition(t_max=3.0, species_appears=frozenset({"Y", "Z"})),
-    "count": StopCondition(count_reaches=("X", 4), max_events=5_000),
+    "watch": StopCondition(t_max=3.0, reaches=[("Y", ">=", 1), ("Z", ">=", 1)]),
+    "count": StopCondition(reaches=[("X", "<=", 4)], max_events=5_000),
     "horizon": StopCondition(t_max=0.4),
 }
 
@@ -81,8 +81,7 @@ def test_run_trials_identical_on_workers(stop, two_cpus):
     runs = [run_trials(crn, init, stop, trials, seed=21, threads=t) for t in (1, 2, 4)]
     for times, first in runs[1:]:
         assert times.tobytes() == runs[0][0].tobytes()
-        assert first.keys() == runs[0][1].keys()
-        assert all(first[k].tobytes() == runs[0][1][k].tobytes() for k in first)
+        assert first.shape == runs[0][1].shape and first.tobytes() == runs[0][1].tobytes()
 
 
 _POINTS = [
