@@ -8,6 +8,8 @@ Covers four questions about a network that need no simulation:
   an ``alpha`` fraction of the total count);
 * whether a strictly positive mass assignment makes every reaction
   mass-balanced, certifying that total counts stay bounded;
+* whether masses that no reaction raises show that the counts never
+  cover a target, such as a reaction's reactants;
 * the exact set of producible species for small instances, by capped
   breadth-first search over the reachability relation.
 
@@ -274,27 +276,33 @@ def check_mass_conserving(crn: Crn) -> ConservationCertificate:
     return ConservationCertificate(mass)
 
 
-def subconserving_masses(crn: Crn) -> tuple[Fraction, ...] | None:
-    """Masses of at least 1 under which no reaction adds weight, mass . p
-    <= mass . r for every reaction, or None when there are none.
+def never_covers(crn: Crn, counts, target) -> tuple[Fraction, ...] | None:
+    """Masses that show no configuration reachable from ``counts`` covers
+    ``target`` (has each count at least target's), or None when there
+    are none.
 
-    Under such masses the weight mass . x of a configuration never rises,
-    so each count x_s stays at most its start's weight over mass_s. The
-    search is the phase-1 simplex of ``check_mass_conserving`` with one
-    slack column per reaction, so it is exact, and exact substitution
+    The masses y are at least 0, no reaction adds weight (y . p <= y . r)
+    and target outweighs the start (y . target > y . counts). The weight
+    y . x then never rises, so no reachable x covers target, and each
+    count x_s with y_s > 0 stays at most y . counts // y_s. By Farkas'
+    lemma such masses exist iff no nonnegative real mix of reactions takes
+    ``counts`` to a point that covers target. The search is the phase-1
+    simplex of ``check_mass_conserving`` with a slack column per reaction
+    and one for the margin, so it is exact, and exact substitution
     verifies the masses before they are returned.
     """
     rows = [[p - r for r, p in zip(rx.reactants, rx.products)] for rx in crn.reactions]
-    if not rows:
-        return (Fraction(1),) * crn.n_species
-    # substitute mass = 1 + u with u >= 0, and reaction j's slack s_j >= 0:
-    # row . u + s_j = -row . 1
-    u = _simplex_feasible([[*row, *(int(i == j) for i in range(len(rows)))]
-                           for j, row in enumerate(rows)], [-sum(row) for row in rows])
+    margin = [int(t) - int(c) for t, c in zip(target, counts)]
+    # y >= 0, reaction j's slack s_j >= 0 and the margin's slack t >= 0:
+    # row_j . y + s_j = 0 and margin . y - t = 1
+    m = len(rows)
+    u = _simplex_feasible([[*row, *(int(i == j) for i in range(m + 1))] for j, row in enumerate(rows)]
+                          + [[*margin, *[0] * m, -1]], [0] * m + [1])
     if u is None:
         return None
-    mass = tuple(1 + x for x in u[: crn.n_species])
-    if any(sum(m * d for m, d in zip(mass, row)) > 0 for row in rows):
+    mass = tuple(u[: crn.n_species])
+    if (any(sum(y * d for y, d in zip(mass, row)) > 0 for row in rows)
+            or sum(y * d for y, d in zip(mass, margin)) <= 0):
         raise AssertionError("internal error: masses failed verification")
     return mass
 

@@ -106,7 +106,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .errors import DomainError, UnsupportedReactionOrderError, check_integer, check_real
-from .model import Configuration, Crn, Reaction, apply_reaction
+from .model import Configuration, Crn, apply_reaction
 from .streams import open_uniform_block, second_stream, substream
 from .parallel import map_chunks
 
@@ -990,47 +990,49 @@ def _never_fires(crn: Crn, counts: list, watch) -> str | None:
     None when each might be.
 
     A watch reached at the start, or one that falls to its threshold,
-    might always be. The rising ones are bounded on S, the least set of
-    species that holds their species and the reactants of every reaction
-    that changes a count in S: only those reactions move the counts of S,
-    and they read only counts in S. Masses of at least 1 under which none
-    of them, with its products outside S dropped, adds weight
-    (``analysis.subconserving_masses``) keep the weight of S at most its
-    start, so no reaction whose reactants in S weigh more ever fires, and
-    each count in S stays at most that weight over its mass. A rising
-    watch is never reached when its species lies outside the stage
-    closure of the reactions that can fire, which over-approximates what
-    can be produced, or when its threshold exceeds that bound.
+    might always be. A rising one never is when its species lies outside
+    the stage closure of the reactions that can fire, which
+    over-approximates what can be produced, or when masses that no
+    reaction raises bound its count below its threshold. A reaction whose
+    reactants outweigh the start under such masses never fires, and it
+    is left out of the closure and of the watches' masses. A network with
+    a conservation certificate uses it for every test, as it always has;
+    one without seeks masses for each test (``analysis.never_covers``),
+    which finds them whenever any exist.
     """
     rising = [(sid, level) for sid, level, side in watch if side > 0 and counts[sid] < level]
     if not rising:
         return None
     from . import analysis  # deferred: it slows down importing this module
 
-    changes = [list(map(operator.sub, rx.products, rx.reactants)) for rx in crn.reactions]
-    inside, size = {sid for sid, _ in rising}, 0
-    while size < len(inside):  # each pass adds the reactants of what changes S
-        size = len(inside)
-        moving = [rx for rx, d in zip(crn.reactions, changes) if any(d[s] for s in inside)]
-        inside.update(*(rx.reactant_support() for rx in moving))
-    keep = [s in inside for s in range(crn.n_species)]
-    mass = analysis.subconserving_masses(Crn(crn.species, tuple(
-        Reaction(rx.reactants, tuple(map(operator.mul, rx.products, keep))) for rx in moving)))
-    if mass is not None:
-        mass = [m if k else 0 for m, k in zip(mass, keep)]  # the weight counts S only
-        weight = sum(map(operator.mul, mass, counts))
-    able = crn if mass is None else Crn(crn.species, tuple(
-        rx for rx in crn.reactions if sum(map(operator.mul, mass, rx.reactants)) <= weight))
+    cert = analysis.check_mass_conserving(crn).mass
+
+    def masses(net: Crn, target: list):
+        """Masses no reaction of ``net`` raises, under which ``target``
+        outweighs the start, or None."""
+        if cert is None:
+            return analysis.never_covers(net, counts, target)
+        return cert if _dot(cert, target) > _dot(cert, counts) else None
+
+    able = Crn(crn.species, tuple(rx for rx in crn.reactions if masses(crn, rx.reactants) is None))
     closure = analysis.stage_decomposition(able, Configuration(counts)).closure
     reasons = {}  # in watch order, each once
     for sid, level in rising:
         name = crn.species.name_of(sid)
         if sid not in closure:
             reasons[f"species {name} can never appear from this initial configuration"] = None
-        elif mass is not None and level > weight // mass[sid]:
-            reasons[f"the count of {name} stays at most {weight // mass[sid]} under masses "
-                    f"that no reaction raises and can never reach {level}"] = None
+            continue
+        mass = masses(able, [level * (s == sid) for s in range(crn.n_species)])
+        if mass is not None:
+            reasons[f"the count of {name} stays at most {_dot(mass, counts) // mass[sid]} under "
+                    f"masses that no reaction raises and can never reach {level}"] = None
     return "; ".join(reasons) or None
+
+
+def _dot(x, y):
+    """The sum of the products of ``x`` and ``y``, exact on Python ints and
+    ``Fraction``s."""
+    return sum(map(operator.mul, x, y))
 
 
 def _items(value, name: str) -> tuple:

@@ -4,7 +4,7 @@ import math
 import random
 from collections import deque
 from fractions import Fraction
-from operator import add
+from operator import add, mul
 
 import numpy as np
 import pytest
@@ -18,6 +18,7 @@ from crnsim.analysis import (
     closure_vs_oracle,
     finite_density_status,
     is_alpha_dense,
+    never_covers,
     reachable_set,
     stage_decomposition,
 )
@@ -336,6 +337,33 @@ class TestMassConservation:
         assert h.hexdigest() == (
             "9d305c1022ae684637f62ae4140b44db6a186633371d0970bb870f72eff50df8"
         )
+
+
+class TestNeverCovers:
+    @pytest.mark.parametrize(
+        "text,counts,target,bounded",
+        [
+            ("X -> 0\n", [5], [10], True),  # the weight falls
+            ("X -> 2X\n", [1], [10], False),  # the pump reaches any count
+            # C stays at most 200, below the certificate's bound of 250
+            ("A + B -> C\n", [300, 200, 0], [0, 0, 201], True),
+            ("A + B -> C\n", [300, 200, 0], [0, 0, 200], False),
+            # masses that weigh the pumped A at 0 keep C at most B
+            ("A -> A + A\nA + B -> C\n", [1, 1, 0], [0, 0, 2], True),
+            ("A -> A + A\nA + B -> C\n", [1, 2, 0], [0, 0, 2], False),
+            ("species: A B\n", [1, 0], [0, 1], True),
+            ("species: A B\n", [1, 0], [1, 0], False),
+        ],
+    )
+    def test_masses_exist_iff_no_real_mix_reaches_the_target(self, text, counts, target, bounded):
+        crn, _ = parse_crn(text)
+        mass = never_covers(crn, counts, target)
+        assert (mass is not None) == bounded
+        if bounded:
+            assert min(mass) >= 0
+            for rx in crn.reactions:
+                assert sum(y * (p - r) for y, r, p in zip(mass, rx.reactants, rx.products)) <= 0
+            assert sum(map(mul, mass, target)) > sum(map(mul, mass, counts))
 
 
 class TestFiniteDensityStatus:

@@ -1413,24 +1413,35 @@ class TestRunTrials:
             StopCondition(reaches=[("C", ">=", 1), ("A", "<=", 0)]),
             StopCondition(reaches=[("B", ">=", 1), ("A", ">=", 99)]),
             # a rising count on a species outside the stage closure ran
-            # forever, with a certificate for the network whose bound allows
-            # the threshold, and with none, since B -> B + D pumps D (with
-            # D -> 0 beside it too); no reaction changes C, so the masses
-            # are sought on C alone
+            # forever, with masses whose bound allows the threshold, and
+            # with none, since B -> B + D pumps D and C + D -> C + C makes
+            # C from D
             pytest.param(("species: A B C\nA -> B\nB -> A\n", {"A": 3},
                           StopCondition(reaches=[("C", ">=", 2)])), id="count-outside-closure"),
-            pytest.param(("species: A B C D\nA -> B\nB -> A\nB -> B + D\n", {"A": 3},
-                          StopCondition(reaches=[("C", ">=", 2)])),
+            pytest.param(("species: A B C D\nA -> B\nB -> A\nB -> B + D\nC + D -> C + C\n",
+                          {"A": 3}, StopCondition(reaches=[("C", ">=", 2)])),
                          id="count-outside-closure-no-certificate"),
-            pytest.param(("species: A B C D\nA -> B\nB -> A\nB -> B + D\nD -> 0\n", {"A": 3},
-                          StopCondition(reaches=[("C", ">=", 2)])),
-                         id="count-outside-closure-no-certificate-after-trim"),
             # masses under which the weight falls bound a rising count too
             # (this ran until X was gone)
             pytest.param(("X -> 0\n", {"X": 5}, StopCondition(reaches=[("X", ">=", 10)])),
                          id="count-above-a-falling-weight"),
-            # a pump among the reactions that change C leaves no masses, and
-            # the stage closure alone refuses the stop
+            # A + B = 3 and 2C <= A + B bound C by 1 even though C + X -> Y
+            # lets the weight of A, B and C fall (masses sought on those
+            # species alone found none that bound C, and this ran forever)
+            pytest.param(("A -> B\nB -> A\nA + A -> C\nC + X -> Y\n", {"A": 3},
+                          StopCondition(reaches=[("C", ">=", 2)])),
+                         id="count-above-a-conserved-weight"),
+            # the pump A -> A + A weighs A at 0, and no reaction makes B,
+            # so C stays at most B = 1
+            pytest.param(("A -> A + A\nA + B -> C\n", {"A": 1, "B": 1},
+                          StopCondition(reaches=[("C", ">=", 2)])), id="count-beside-a-pump"),
+            # A + B + C = 1 while the pump on C never fires, since A + A
+            # never meet; with the pump the network has no masses for C
+            pytest.param(("A -> B\nB -> A\nB -> C\nA + A -> A + A + C\n", {"A": 1},
+                          StopCondition(reaches=[("C", ">=", 2)])),
+                         id="count-beside-a-pump-that-never-fires"),
+            # no reaction makes B, so A + B -> C never fires and C lies
+            # outside the stage closure, beside a pump
             pytest.param(("A -> A + A\nA + B -> C\n", {"A": 1},
                           StopCondition(reaches=[("C", ">=", 1)])), id="pump-beside-the-watch"),
         ],
@@ -1459,9 +1470,8 @@ class TestRunTrials:
         # from A = 2 the weight allows A + A, so the stop reaches the loops
         with pytest.raises(AssertionError, match="refused before simulating"):
             simulate(crn, crn.config({"A": 2}), stop, seed=0)
-        # the masses are sought on C and the reactants of what changes it,
-        # A and B: B -> B + D, and E -> F too, change none of them, so the
-        # pump leaves those masses standing (with B -> B + E and E -> F the
+        # the masses may weigh D, E and F at 0, so B -> B + D, or B -> B + E
+        # with E -> F, leaves them standing (with B -> B + E and E -> F the
         # run looped forever)
         for text in ("A -> B\nB -> A\nA + A -> C\nB -> B + E\nE -> F\n",
                      "A -> B\nB -> A\nA + A -> C\nB -> B + D\n"):
@@ -1470,18 +1480,27 @@ class TestRunTrials:
                 simulate(pumped, pumped.config({"A": 1}), stop, seed=0)
             with pytest.raises(DomainError, match="species C can never appear"):
                 run_trials(pumped, pumped.config({"A": 1}), stop, 3, seed=0)
-        # a watch on D puts B -> B + D in the search, which finds no masses,
-        # and the stop runs
+        # D is made (A -> B -> B + D), so a watch on D finds no masses and
+        # the stop runs
         with pytest.raises(AssertionError, match="refused before simulating"):
             simulate(pumped, pumped.config({"A": 1}),
                      StopCondition(reaches=[("D", ">=", 1)]), seed=0)
+        # A + B + 2C never rises, so from A = 3 C stays at most 1, though
+        # C + X -> Y lets A + B + 2C fall; from A = 4 the stop runs
+        leaky, _ = parse_crn("A -> B\nB -> A\nA + A -> C\nC + X -> Y\n")
+        stop = StopCondition(reaches=[("C", ">=", 2)])
+        with pytest.raises(DomainError, match="count of C stays at most 1 .* never reach 2"):
+            simulate(leaky, leaky.config({"A": 3}), stop, seed=0)
+        with pytest.raises(AssertionError, match="refused before simulating"):
+            simulate(leaky, leaky.config({"A": 4}), stop, seed=0)
 
     def test_falling_count_stop_seeks_no_certificate(self, monkeypatch):
-        def no_certificate(crn):
+        def no_certificate(*args):
             raise AssertionError("a falling count stop needs no certificate")
 
-        # a rising watch does seek one, so the stub is live
-        monkeypatch.setattr(analysis, "subconserving_masses", no_certificate)
+        # a rising watch does seek one, so the stubs are live
+        for search in ("check_mass_conserving", "never_covers"):
+            monkeypatch.setattr(analysis, search, no_certificate)
         crn = leader_election_crn()
         with pytest.raises(AssertionError, match="needs no certificate"):
             simulate(crn, crn.config({"L": 10}), StopCondition(reaches=[("N", ">=", 2)]), seed=0)
