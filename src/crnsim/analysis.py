@@ -1,6 +1,6 @@
 """Static analysis of reaction networks.
 
-Covers four questions about a network that need no simulation:
+Covers five questions about a network that need no simulation:
 
 * which species a single reaction can produce from a given species set,
   and the increasing chain of sets that closes under that operator;

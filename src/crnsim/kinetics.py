@@ -995,26 +995,19 @@ def _never_fires(crn: Crn, counts: list, watch) -> str | None:
     over-approximates what can be produced, or when masses that no
     reaction raises bound its count below its threshold. A reaction whose
     reactants outweigh the start under such masses never fires, and it
-    is left out of the closure and of the watches' masses. A network with
-    a conservation certificate uses it for every test, as it always has;
-    one without seeks masses for each test (``analysis.never_covers``),
-    which finds them whenever any exist.
+    is left out of the closure and of the watches' masses. Each test seeks
+    its own masses (``analysis.never_covers``), which finds them whenever
+    any exist, a conservation certificate's among them: ``A + B -> C``,
+    ``X -> Y``, ``Y -> X`` from A = 300, B = 200, X = 1 keeps C at most
+    200, though its certificate allows C = 250.
     """
     rising = [(sid, level) for sid, level, side in watch if side > 0 and counts[sid] < level]
     if not rising:
         return None
     from . import analysis  # deferred: it slows down importing this module
 
-    cert = analysis.check_mass_conserving(crn).mass
-
-    def masses(net: Crn, target: list):
-        """Masses no reaction of ``net`` raises, under which ``target``
-        outweighs the start, or None."""
-        if cert is None:
-            return analysis.never_covers(net, counts, target)
-        return cert if _dot(cert, target) > _dot(cert, counts) else None
-
-    able = Crn(crn.species, tuple(rx for rx in crn.reactions if masses(crn, rx.reactants) is None))
+    able = Crn(crn.species, tuple(rx for rx in crn.reactions
+                                  if analysis.never_covers(crn, counts, rx.reactants) is None))
     closure = analysis.stage_decomposition(able, Configuration(counts)).closure
     reasons = {}  # in watch order, each once
     for sid, level in rising:
@@ -1022,7 +1015,7 @@ def _never_fires(crn: Crn, counts: list, watch) -> str | None:
         if sid not in closure:
             reasons[f"species {name} can never appear from this initial configuration"] = None
             continue
-        mass = masses(able, [level * (s == sid) for s in range(crn.n_species)])
+        mass = analysis.never_covers(able, counts, [level * (s == sid) for s in range(crn.n_species)])
         if mass is not None:
             reasons[f"the count of {name} stays at most {_dot(mass, counts) // mass[sid]} under "
                     f"masses that no reaction raises and can never reach {level}"] = None

@@ -365,6 +365,23 @@ class TestNeverCovers:
                 assert sum(y * (p - r) for y, r, p in zip(mass, rx.reactants, rx.products)) <= 0
             assert sum(map(mul, mass, target)) > sum(map(mul, mass, counts))
 
+    def test_masses_whenever_the_certificate_bounds_the_target(self, rng):
+        # a conservation certificate m meets every constraint of the search
+        # (m >= 0, no reaction changes m . x, m . target > m . counts), so
+        # by Farkas' lemma the search finds masses whenever m would bound
+        # the target; never_covers verifies the masses it returns
+        bounded = 0
+        while bounded < 300:
+            crn = random_crn(rng)
+            cert = check_mass_conserving(crn).mass
+            if cert is None:
+                continue
+            counts = random_config(rng, crn).counts.tolist()
+            target = random_config(rng, crn, max_count=8, nonzero=False).counts.tolist()
+            if sum(map(mul, cert, target)) > sum(map(mul, cert, counts)):
+                bounded += 1
+                assert never_covers(crn, counts, target) is not None
+
 
 class TestFiniteDensityStatus:
     def test_population_protocol(self):

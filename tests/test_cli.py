@@ -673,6 +673,24 @@ class TestErrorPaths:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_count_above_a_loose_certificate_exits_1(self, tmp_path, capsys, monkeypatch):
+        # the conservation certificate lets C reach 250, but C stays at
+        # most B = 200; this ran forever
+        p = tmp_path / "loose.crn"
+        p.write_text("A + B -> C\nX -> Y\nY -> X\n")
+
+        def no_events(*args, **kwargs):
+            raise AssertionError("the stop should have been refused before simulating")
+
+        monkeypatch.setattr(kinetics, "_run_core", no_events)
+        monkeypatch.setattr(kinetics, "_run_batch", no_events)
+        rc = main(["--out-dir", str(tmp_path), "simulate", str(p), "--init", "A=300 B=200 X=1",
+                   "--stop-count", "C>=250"])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: the count of C stays at most 200 under masses that no reaction raises and "
+            "can never reach 250; give the stop a t_max or max_events\n")
+
     @pytest.mark.parametrize("volume", ["nan", "inf"])
     @pytest.mark.parametrize(
         "argv_tail", [["simulate", "--t-max", "1"], ["first-production", "--target", "C"]]

@@ -77,7 +77,11 @@ class TestLeaderElection:
         # eigendecomposition gives that mass at every sample at once, and
         # scipy.linalg.expm checks it at a few. Kolmogorov-Smirnov at a
         # fixed seed: under the law, sqrt(N) D exceeds 1.95 with asymptotic
-        # probability 0.001 (scipy.special.kolmogorov(1.95))
+        # probability 0.001 (scipy.special.kolmogorov(1.95)). Measured on
+        # this statistic over seeds 0-19 999 of this experiment, it
+        # exceeded 1.95 on 23: a false-failure rate per stream of
+        # 1.15e-3 +- 0.24e-3, so one failure or more in 50 salted streams
+        # has probability 5.6%
         from scipy.linalg import expm
 
         n, trials = 20, 4000

@@ -1068,6 +1068,36 @@ def _assert_one_trial_matches_simulate(crn, init, stop, seed, key, monkeypatch):
     return trace
 
 
+def _covers(crn, counts, target) -> bool:
+    """Whether some configuration reachable from ``counts`` covers
+    ``target`` (has each count at least target's), exactly.
+
+    A breadth-first search backwards from ``target`` keeps the minimal
+    configurations from which it can be covered: x covers the reactants
+    r of a reaction and x + p - r covers m iff x covers max(r, m - p + r).
+    Every such set is finite (Dickson's lemma), so the search ends on
+    networks whose reachable set is infinite too. It is never capped: a
+    search that grows past 10^4 minimal configurations fails the test."""
+
+    def below(a, b):
+        return all(x <= y for x, y in zip(a, b))
+
+    basis = frontier = [tuple(target)]
+    while frontier:
+        if any(below(m, counts) for m in frontier):
+            return True
+        grown = []
+        for m in frontier:
+            for rx in crn.reactions:
+                x = tuple(max(r, c - p + r) for r, c, p in zip(rx.reactants, m, rx.products))
+                if not any(below(b, x) for b in basis):
+                    basis = [b for b in basis if not below(x, b)] + [x]
+                    grown = [b for b in grown if not below(x, b)] + [x]
+        assert len(basis) <= 10**4, "the backward search grew past its guard"
+        frontier = grown
+    return False
+
+
 def _batch_digest(calls) -> str:
     """sha256 prefix of every array the recorded ``_run_batch`` calls returned."""
     h = hashlib.sha256()
@@ -1119,7 +1149,8 @@ def _one_reaction_batch_digest(monkeypatch) -> str:
     without a horizon that censors some trials; X -> 0 to a horizon over
     two chunks, where the trials end over many sweeps; X + X and X + Y to
     exhaustion (at totals of -0.0 and 0.0), with a budget, a horizon or a
-    count that is never reached; X -> Y watching Y to a horizon, and
+    count that is never reached (beside a budget, since the count is
+    refused without one); X -> Y watching Y to a horizon, and
     watching a species it never makes; a budget alone; and no reaction at
     all."""
     leader = leader_election_crn()
@@ -1134,7 +1165,8 @@ def _one_reaction_batch_digest(monkeypatch) -> str:
         (decay, {"X": 1000}, StopCondition(t_max=1.0), 1100),
         (dimer, {"A": 500}, StopCondition(max_events=10**6), 30),
         (dimer, {"A": 501}, StopCondition(t_max=1e9), 30),
-        (pair, {"A": 300, "B": 200}, StopCondition(reaches=[("C", ">=", 250)]), 30),
+        (pair, {"A": 300, "B": 200}, StopCondition(reaches=[("C", ">=", 250)], max_events=10**6),
+         30),
         (convert, {"X": 10**4}, StopCondition(t_max=1e-4, reaches=[("Y", ">=", 1)]), 1100),
         (convert, {"X": 10**4},
          StopCondition(t_max=0.5, reaches=[("Y", ">=", 1), ("Z", ">=", 1)]), 20),
@@ -1444,17 +1476,31 @@ class TestRunTrials:
             # outside the stage closure, beside a pump
             pytest.param(("A -> A + A\nA + B -> C\n", {"A": 1},
                           StopCondition(reaches=[("C", ">=", 1)])), id="pump-beside-the-watch"),
+            # the conservation certificate (A, B, X and Y at 1, C at 2) lets
+            # C reach (300 + 200 + 1) // 2 = 250, but each C takes a B, so C
+            # stays at most 200: with X <-> Y this ran forever, and alone
+            # A + B -> C ran to exhaustion
+            pytest.param(("A + B -> C\nX -> Y\nY -> X\n", {"A": 300, "B": 200, "X": 1},
+                          StopCondition(reaches=[("C", ">=", 250)]),
+                          "the count of C stays at most 200 "),
+                         id="count-above-a-loose-certificate"),
+            pytest.param(("A + B -> C\n", {"A": 300, "B": 200},
+                          StopCondition(reaches=[("C", ">=", 250)]),
+                          "the count of C stays at most 200 "),
+                         id="count-above-a-loose-certificate-that-exhausts"),
         ],
     )
     def test_stop_that_can_never_fire_is_refused(self, stop, monkeypatch):
-        # by default A + B = 5 is conserved and nothing produces C
-        text, start, stop = stop if isinstance(stop, tuple) else (
+        # by default A + B = 5 is conserved and nothing produces C; a case
+        # may name the start of its message
+        text, start, stop, *why = stop if isinstance(stop, tuple) else (
             "species: A B C\nA -> B\nB -> A\n", {"A": 5}, stop)
         crn, _ = parse_crn(text)
         _refuse_to_simulate(monkeypatch)
-        with pytest.raises(DomainError, match="t_max or max_events"):
+        message = ".*".join([*why, "t_max or max_events"])
+        with pytest.raises(DomainError, match=message):
             simulate(crn, crn.config(start), stop, seed=0)
-        with pytest.raises(DomainError, match="t_max or max_events"):
+        with pytest.raises(DomainError, match=message):
             run_trials(crn, crn.config(start), stop, 3, seed=0)
 
     def test_watch_that_conservation_rules_out_is_refused(self, monkeypatch):
@@ -1498,9 +1544,8 @@ class TestRunTrials:
         def no_certificate(*args):
             raise AssertionError("a falling count stop needs no certificate")
 
-        # a rising watch does seek one, so the stubs are live
-        for search in ("check_mass_conserving", "never_covers"):
-            monkeypatch.setattr(analysis, search, no_certificate)
+        # a rising watch does seek masses, so the stub is live
+        monkeypatch.setattr(analysis, "never_covers", no_certificate)
         crn = leader_election_crn()
         with pytest.raises(AssertionError, match="needs no certificate"):
             simulate(crn, crn.config({"L": 10}), StopCondition(reaches=[("N", ">=", 2)]), seed=0)
@@ -1508,6 +1553,37 @@ class TestRunTrials:
         times, _ = run_trials(crn, crn.config({"L": 10}), stop, 3, seed=0)
         assert times.shape == (3,)
         assert simulate(crn, crn.config({"L": 10}), stop, seed=0).terminal[0] == 1
+
+    def test_refused_stops_are_unreachable(self, monkeypatch):
+        # every refusal on random one-watch stops is sound: a breadth-first
+        # search of the configurations that reach the watch's threshold
+        # never meets the start
+        rng = np.random.default_rng(38)
+        _refuse_to_simulate(monkeypatch)
+        refused = unreachable = 0
+        for _ in range(300):
+            crn = random_crn(rng, kinetics_compatible=True)
+            init = random_config(rng, crn, max_count=4)
+            sid = int(rng.integers(crn.n_species))
+            level = int(init.counts[sid]) + int(rng.integers(1, 7))
+            stop = StopCondition(reaches=[(crn.species.name_of(sid), ">=", level)])
+            target = [level * (s == sid) for s in range(crn.n_species)]
+            reachable = _covers(crn, init.counts.tolist(), target)
+            try:
+                simulate(crn, init, stop, seed=0)
+            except AssertionError:
+                unreachable += not reachable  # accepted: it reached the stubbed loops
+            except DomainError:
+                refused += 1
+                assert not reachable
+        # two accepted stops are unreachable only because counts are integers
+        assert (refused, unreachable) == (193, 2)
+        # the search itself: C stays at most B, and a pump reaches any count
+        pair, _ = parse_crn("A + B -> C\n")
+        assert _covers(pair, [300, 200, 0], [0, 0, 200])
+        assert not _covers(pair, [300, 200, 0], [0, 0, 201])
+        pump, _ = parse_crn("A -> A + A\nA + B -> C\n")
+        assert _covers(pump, [1, 2, 0], [50, 0, 2]) and not _covers(pump, [1, 1, 0], [0, 0, 2])
 
     @pytest.mark.parametrize("trials", [2.5, 100_000.0, math.nan, math.inf, 0, True])
     def test_trials_must_be_a_positive_integer(self, trials, monkeypatch):
