@@ -22,7 +22,8 @@ There are two event loops, one per execution shape, and each picks its
 body by reaction count alone. Both evaluate the propensities above by
 one formula over one reaction table of plain tuples, ``_Compiled``, and
 every :class:`StopCondition` is turned into their arguments in one
-place, ``_prepare``, which also builds that table. A watch, one
+place, ``_prepare``, which also takes that table from ``_table``, a
+bounded cache of one table per (crn, volume). A watch, one
 (species, side, threshold) triple of ``StopCondition.reaches``, becomes
 a species id, a threshold and the side it approaches from, +1 for
 ``">="`` and -1 for ``"<="``: a watch is reached once its count has
@@ -40,7 +41,13 @@ the choice of reaction an ``if``/``elif`` chain,
 and each branch of it recomputes only the kept propensities of the
 reactions that read a species it changes; the running sums compute the
 others. Its waits and its selection uniforms come in blocks, and it
-only draws, selects, records and tests watches. Only integers go into
+only draws, selects, records and tests watches. It records each event's
+total propensity in place of its time, keeps its blocks of waits, and
+notes the event at which each watch is reached; ``_run_core`` then
+divides the waits by the totals and sums them along the events with one
+``np.add.accumulate``, so an event's time is ``t + e / total`` after the
+last one's, as ``_run_path`` computes it. A loop without ``t_max`` keeps
+no clock at all. Only integers go into
 that source: the rate coefficients, thresholds and event budget are
 arguments, so no float, species name or label is ever compiled, and a
 run at another volume or threshold reuses the kernel. ``run_trials``
@@ -86,7 +93,8 @@ are identifiers (see ``model``), so no cell needs quoting.
 
 Both loops read the same two sequences, the waits and the selection
 uniforms, and compute each event time as ``t + e / total`` and each
-selection as ``v * total`` in float64, so a one-trial ``run_trials``
+selection as ``v * total`` in float64 (``simulate`` sums the times after
+the run, by the same operations in the same order), so a one-trial ``run_trials``
 ends bit for bit where ``simulate`` does, and neither loop's outputs
 depend on the host CPU.
 """
@@ -336,20 +344,22 @@ class _Compiled:
     ``coef[j] * c[ra[j]] * (c[rb[j]] - minus[j])``: X -> ... has coef k
     and ``rb`` at the entry held at 1; X + Y -> ... has coef k/v and ``rb``
     at Y; X + X -> ... has coef k/(2v), ``rb`` equal to ``ra`` and
-    ``minus`` 1. ``table`` holds these four values per reaction, and
-    ``deltas[j]`` holds reaction j's net change as (species, change) pairs,
-    from which the scalar loop is generated. ``steps`` holds the same net
-    changes as one int64 row per reaction, dense over the counts and the
-    entry held at 1 (which no reaction changes): the batched loop lays it
-    out once per call over its own species-major rows, ``_run_path`` reads
-    its one reaction's change from it, and ``_run_core`` rebuilds its
-    checkpoints with it. A coefficient that
+    ``minus`` 1. ``table`` holds these four values per reaction, ``rows``
+    its (ra, rb, minus) rows, and ``deltas[j]`` reaction j's net change as
+    (species, change) pairs; ``rows`` and ``deltas`` are the part of the
+    scalar loop's lookup key that the table fixes. ``steps`` holds the same
+    net changes as one read-only int64 row per reaction, dense over the
+    counts and the entry held at 1 (which no reaction changes): the batched
+    loop lays out its own copy once per call over its species-major rows,
+    ``_run_path`` reads its one reaction's change from it, and
+    ``_run_core`` rebuilds its checkpoints with it. A coefficient that
     underflows to 0 is refused, and so is a table whose total propensity
     could leave the float range at counts below 2**63. ``volume`` holds the
-    volume as ``errors.check_real`` returns it.
+    volume as ``errors.check_real`` returns it. ``_prepare`` takes each
+    table from ``_table``, which builds one per (crn, volume).
     """
 
-    __slots__ = ("volume", "table", "deltas", "steps")
+    __slots__ = ("volume", "table", "rows", "deltas", "steps")
 
     def __init__(self, crn: Crn, volume: float):
         self.volume = volume = check_real(volume, "volume")
@@ -389,8 +399,18 @@ class _Compiled:
                 "out of floating-point range"
             )
         self.table = tuple(table)
+        self.rows = tuple(row[1:] for row in table)
         self.deltas = tuple(deltas)
         self.steps = np.array(steps, dtype=np.int64).reshape(len(table), ones + 1)
+        self.steps.setflags(write=False)  # every run of the table reads it
+
+
+@lru_cache(maxsize=256, typed=True)
+def _table(crn: Crn, volume) -> _Compiled:
+    """The reaction table of ``crn`` at ``volume``, built once per (crn,
+    volume) and shared by every run of them; ``typed`` keeps an int volume
+    apart from the equal float, as ``Trace.volume`` keeps it."""
+    return _Compiled(crn, volume)
 
 
 def _run_core(
@@ -411,6 +431,7 @@ def _run_core(
     rises to its threshold and -1 for one that falls to it; the run ends
     once every watch was reached, and the time each was first reached is
     collected by its index (a watch reached in ``counts`` reports 0.0).
+    ``comp`` is the table ``_prepare`` took from ``_table``.
     The stop is tested before an event's wait is read, so a stop that
     already holds in ``counts`` ends the run at time 0. Returns (time,
     status, events, checkpoints, watch_times, n_events), where ``events``
@@ -426,15 +447,24 @@ def _run_core(
     volume, horizon, threshold or budget reuse it. Its waits come from
     ``rng.standard_exponential`` and its selection uniforms from
     ``open_uniform_block`` on ``second_stream(rng)``, built here before
-    ``rng`` makes any draw; it records the event times in a list and the
-    reaction indices in a ``bytearray`` when they take one byte (up to 256
-    reactions), else in a list. With at most one reaction the run is one
-    trial of ``_run_path``, which reads the same waits and computes each
-    event time by the same float operations, a block of up to ``_BLOCK``
-    events per array operation, and records only the event times: every
-    event fires the one reaction, so the counts after n events are
-    ``init + n * delta``, and its outputs give the end time, the status
-    and the watch times.
+    ``rng`` makes any draw. It keeps its blocks of waits, records each
+    event's total propensity in a list and its reaction index in a
+    ``bytearray`` when they take one byte (up to 256 reactions), else in a
+    list, and notes the number of events after which each watch was
+    reached; it returns ``t_max`` as the end time when the horizon cut the
+    run, else None. Here the event times are then ``waits / totals``
+    summed along the events by one ``np.add.accumulate``: the float
+    operations of ``t + e / total`` in the order the loop would take them,
+    so a run with ``t_max`` gets the times of the clock it keeps for its
+    horizon test, and one without keeps none. The end time is the last
+    event's time, and a watch's time that of the event that reached it.
+    With at most one reaction the run is one trial of ``_run_path``, which
+    reads the same waits and computes each event time by the same float
+    operations, a block of up to ``_BLOCK`` events per array operation,
+    and records only the event times, a block at a time (a single block
+    is taken as it is): every event fires the one reaction, so the counts
+    after n events are ``init + n * delta``, and its outputs give the end
+    time, the status and the watch times.
 
     Either body records events only; the checkpoints are read from the
     two event columns afterwards, by one rule. ``checkpoint_times`` is
@@ -449,19 +479,28 @@ def _run_core(
     nrx = len(comp.table)
     dtype = _index_dtype(nrx)
     if nrx > 1:
-        kernel = _kernel(tuple(row[1:] for row in comp.table), comp.deltas, len(start),
+        kernel = _kernel(comp.rows, comp.deltas, len(start),
                          tuple((sid, side) for sid, _, side in watch), t_max is not None)
-        times, chosen = [], bytearray() if dtype.itemsize == 1 else []
-        watch_times = dict.fromkeys(_reached(watch, counts), 0.0)
+        totals, chosen, waits = [], bytearray() if dtype.itemsize == 1 else [], []
+        reached = dict.fromkeys(_reached(watch, counts), 0)
         t, status = kernel(comp.table, counts, rng, second_stream(rng), open_uniform_block, t_max,
-                           tuple(level for _, level, _ in watch), max_events, watch_times,
-                           times, chosen)
-        times, chosen = np.fromiter(times, np.float64, count=len(times)), np.array(chosen, dtype)
+                           tuple(level for _, level, _ in watch), max_events, reached,
+                           totals, chosen, waits)
+        n = len(totals)
+        # event i's time is t + e / total after event i - 1's, as in _run_path
+        times = np.fromiter(totals, np.float64, count=n)
+        with np.errstate(over="ignore"):  # a wait over a tiny total may overflow to inf
+            np.divide(_joined(waits)[:n], times, out=times)
+        np.add.accumulate(times, out=times)
+        chosen = np.array(chosen, dtype)
+        if t is None:  # not cut at t_max: the run ends at its last event
+            t = times.item(-1) if n else 0.0
+        watch_times = {i: times.item(k - 1) if k else 0.0 for i, k in reached.items()}
     else:
         blocks = []
         end, first, exhausted, _ = _run_path(comp, counts, rng, 1, t_max, watch, max_events,
                                              blocks)
-        times = np.concatenate(blocks) if blocks else np.empty(0)
+        times = _joined(blocks)
         chosen = np.zeros(times.size, dtype)
         status = EXHAUSTED if exhausted[0] else STOPPED
         t = end.item()
@@ -487,8 +526,15 @@ def _run_core(
             seg = j.searchsorted(np.arange(j[-1]), "right") * nrx
             fired = np.bincount(seg + chosen[: j[-1]], minlength=at.size * nrx)
             fired = fired.reshape(at.size, nrx).cumsum(axis=0)
-        cp_rows = list(zip(cps, (fired @ comp.steps)[:, :-1] + start))
+        cp_rows = list(zip(cps, (fired @ comp.steps)[:, :-1] + np.array(start)))
     return t, status, (times, chosen), cp_rows, watch_times, times.size
+
+
+def _joined(blocks) -> np.ndarray:
+    """The arrays ``blocks`` end to end; a single one as it is."""
+    if len(blocks) == 1:
+        return blocks[0]
+    return np.concatenate(blocks) if blocks else np.empty(0)
 
 
 def _reached(watch, counts) -> list:
@@ -498,7 +544,7 @@ def _reached(watch, counts) -> list:
 
 
 # all that a generated kernel reads besides its arguments. Its source holds
-# no float, so the clock's start comes from here
+# no float, so a timed kernel's clock starts from here
 _KERNEL_GLOBALS = {
     "ZERO": 0.0,
     "STOPPED": STOPPED,
@@ -512,7 +558,8 @@ def _kernel(rows, deltas, n_species, watch, timed):
     """The scalar event loop for one shape of run, compiled once and cached.
 
     ``rows`` holds each reaction's (ra, rb, minus) and ``deltas`` its net
-    change, as in ``_Compiled``; ``watch`` holds each watch's (sid, side),
+    change, as ``_Compiled.rows`` and ``_Compiled.deltas`` hold them;
+    ``watch`` holds each watch's (sid, side),
     and ``timed`` whether ``t_max`` is given. The source is registered
     with ``linecache`` under its own file name, so a traceback through the
     kernel shows its lines; the entry goes when the kernel does.
@@ -545,23 +592,29 @@ def _kernel_source(rows, deltas, n_species, watch, timed) -> str:
     table order, so ``s`` of the last is the total, and the reaction is
     chosen by a chain ``if x < s1 ... elif ... else`` over those sums: the
     first j with x < s_(j+1), or the last reaction when there is none. Each
-    event appends its time to the list argument ``events``, and each branch
-    appends its index to ``chosen`` and applies its own changes. Watch i has a flag
-    ``p{i}``, set while it is pending, and its threshold in ``level{i}``;
-    only a branch that moves its species toward the threshold tests it,
-    and marks it reached there. The stop, no watch pending, is tested at
-    the top of each event. Each event reads one wait ``e`` from ``rng`` and
-    one selection uniform ``v`` from ``sel``; both come in blocks of one
-    size, and the event budget is tested once per block, when the block is
-    sized to the events left in it. The event time is ``t + e / total``,
-    so no event calls ``log``. After the loop the kernel writes its counts
-    back to ``counts`` and returns the end time and status; it holds no
+    event appends its total propensity, not its time, to the list argument
+    ``events``, and each branch appends its index to ``chosen`` and applies
+    its own changes. Watch i has a flag ``p{i}``, set while it is pending,
+    and its threshold in ``level{i}``; only a branch that moves its species
+    toward the threshold tests it, and marks it reached there by storing
+    the number of events so far in ``wt[i]``. The stop, no watch pending,
+    is tested at the top of each event. Each event reads one selection
+    uniform ``v`` from ``sel``, and its wait from ``rng``; both come in
+    blocks of one size, and the event budget is tested once per block,
+    when the block is sized to the events left in it. Each block of waits
+    is appended, as drawn, to the list argument ``waits``, from which
+    ``_run_core`` computes the event times. Only a ``timed`` kernel reads
+    the waits: it keeps the clock ``t``, advanced by ``t + e / total``
+    (so no event calls ``log``), for its ``t_max`` test. After the loop
+    the kernel writes its counts back to ``counts`` and returns ``t_max``
+    if the horizon cut the run (else None) and the status; it holds no
     checkpoint code, since ``_run_core`` reads the checkpoints from the
     two event columns. The source holds only integers and local names.
     """
     nrx = len(rows)
     names = [f"c{s}" for s in range(n_species)]
-    out = ["def kernel(table, counts, rng, sel, draw, t_max, levels, max_events, wt, events, chosen):"]
+    out = ["def kernel(table, counts, rng, sel, draw, t_max, levels, max_events, wt, events, chosen,"
+           " waits):"]
 
     def emit(depth, *lines):
         out.extend("    " * depth + line for line in lines)
@@ -599,14 +652,19 @@ def _kernel_source(rows, deltas, n_species, watch, timed) -> str:
         emit(1, f"[{', '.join(f'level{i}' for i in range(len(watch)))}] = levels",
              *(f"{p} = {i} not in wt" for i, p in enumerate(flags)),
              f"pending = {' + '.join(flags)}")
-    emit(1, "t = ZERO", "record = events.append", "mark = chosen.append")
+    emit(1, "end = None", "record = events.append", "mark = chosen.append", "keep = waits.append")
+    if timed:
+        emit(1, "t = ZERO")
     emit(1, *(f"a{j} = {propensity(j)}" for j in sorted(kept)), f"size = {_FIRST_BLOCK}",
          "while True:")
     emit(2, "left = max_events - len(events)", "if left <= 0:")
     emit(3, "status = STOPPED", "break")
-    emit(2, "n = min(size, left)", "waits = rng.standard_exponential(n).tolist()",
+    emit(2, "n = min(size, left)", "block = rng.standard_exponential(n)", "keep(block)",
          f"size = min(2 * size, {_BLOCK})")
-    emit(2, "for e, v in zip(waits, draw(sel, n).tolist()):")
+    if timed:
+        emit(2, "for e, v in zip(block.tolist(), draw(sel, n).tolist()):")
+    else:
+        emit(2, "for v in draw(sel, n).tolist():")
     if watch:
         emit(3, "if not pending:")
         emit(4, "status = STOPPED", "break")
@@ -616,11 +674,11 @@ def _kernel_source(rows, deltas, n_species, watch, timed) -> str:
     total = f"s{nrx}"
     emit(3, f"if {total} <= 0:")
     emit(4, "status = EXHAUSTED", "break")
-    emit(3, f"tn = t + e / {total}")
     if timed:
-        emit(3, "if tn > t_max:")
-        emit(4, "t = t_max", "status = STOPPED", "break")
-    emit(3, "t = tn", "record(t)", f"x = v * {total}")
+        emit(3, f"tn = t + e / {total}", "if tn > t_max:")
+        emit(4, "end = t_max", "status = STOPPED", "break")
+        emit(3, "t = tn")
+    emit(3, f"record({total})", f"x = v * {total}")
     for j, delta in enumerate(deltas):
         if j == 0:
             emit(3, "if x < s1:")
@@ -637,11 +695,11 @@ def _kernel_source(rows, deltas, n_species, watch, timed) -> str:
         for i, (s, side) in enumerate(watch):
             if moved.get(s, 0) * side > 0:
                 emit(4, f"if p{i} and c{s} {'>=' if side > 0 else '<='} level{i}:")
-                emit(5, f"p{i} = False", f"wt[{i}] = t", "pending -= 1")
+                emit(5, f"p{i} = False", f"wt[{i}] = len(events)", "pending -= 1")
     emit(2, "else:")
     emit(3, "continue")
     emit(2, "break")
-    emit(1, f"counts[:{n_species}] = [{', '.join(names)}]", "return t, status")
+    emit(1, f"counts[:{n_species}] = [{', '.join(names)}]", "return end, status")
     return "\n".join(out) + "\n"
 
 
@@ -811,7 +869,8 @@ def _outputs(trials: int, watch, counts):
     """The outputs of ``trials`` runs from ``counts``, as ``_run_batch``
     returns them: end times, first-passage times (NaN, or 0.0 for a
     watch that ``counts`` has reached), exhausted flags and event counts."""
-    first = np.full((trials, len(watch)), math.nan)
+    first = np.empty((trials, len(watch)))
+    first.fill(math.nan)
     for i in _reached(watch, counts):
         first[:, i] = 0.0
     return np.zeros(trials), first, np.zeros(trials, dtype=bool), np.zeros(trials, dtype=np.int64)
@@ -822,7 +881,7 @@ def _run_path(comp, counts, rng, trials, t_max, watch, max_events, record=None):
     """The ``trials`` runs of ``_run_batch`` for a table of at most one
     reaction, returned as ``_run_batch`` returns them; with one trial,
     also the run of ``_run_core``, whose event times it appends to
-    ``record``, one array per block.
+    ``record``, one array per block, each a view of that block's times.
 
     Every active trial fires the one reaction in every sweep, so all of
     them follow one path of counts, ``init + s * delta`` after s sweeps,
@@ -913,10 +972,10 @@ def _run_path(comp, counts, rng, trials, t_max, watch, max_events, record=None):
         late = None
         # the times only grow along a trial, so the last row shows whether
         # any trial passed t_max in this block
-        if t_max is not None and times[fire].max() > t_max:
+        if t_max is not None and np.maximum.reduce(times[fire]) > t_max:
             # so the rows' maxima grow too, and the first late row is the
             # first whose maximum passes t_max
-            top = times[1:, 0] if k == 1 else times[1:].max(axis=1)
+            top = times[1:, 0] if k == 1 else np.maximum.reduce(times[1:], axis=1)
             fire = int(top.searchsorted(t_max, "right")) + 1
             late = times[fire] > t_max
         if record is not None:  # one trial, so a late row ends its run
@@ -926,15 +985,18 @@ def _run_path(comp, counts, rng, trials, t_max, watch, max_events, record=None):
             if s < x <= s + fire:  # the trials that make sweep x reach watch i there
                 saw = ~late if late is not None and x == s + fire else slice(None)
                 first[ids[saw], i] = times[x - s, saw]
-        t = times[fire].copy()
         s += fire
-        if late is not None:  # they take t_max after s - 1 events
-            out = ids[late]
-            end[out] = t_max
-            n_events[out] = s - 1
-            ids, t = ids[~late], t[~late]
-            if not ids.size:
-                return outputs
+        if late is None:
+            t = times[fire].copy()
+            continue
+        # the late trials take t_max after s - 1 events
+        out = ids[late]
+        end[out] = t_max
+        n_events[out] = s - 1
+        if out.size == k:
+            return outputs
+        keep = ~late
+        ids, t = ids[keep], times[fire, keep]
 
 
 def _path_counts(c0: int, d: int, start: int, stop: int) -> np.ndarray:
@@ -959,8 +1021,11 @@ def _prepare(crn: Crn, init: Configuration, stop: StopCondition, volume):
     """(volume, reaction table, counts, event-loop keyword arguments) that
     run ``stop`` from ``init``.
 
-    The volume defaults to the total initial count, and the counts end
-    with the entry held at 1 that the table reads. The loops take the
+    The volume defaults to the total initial count, and is checked with
+    ``errors.check_real`` before the table is looked up in ``_table``, so a
+    volume that is no real number (a list, a 0-d array) raises
+    ``DomainError``. The counts end with the entry held at 1 that the
+    table reads. The loops take the
     stop's watches as (sid, threshold, side) tuples, in the order of
     ``stop.reaches``, side +1 for ``">="`` and -1 for ``"<="``. Without
     ``t_max`` or ``max_events`` a stop with a watch that can never be
@@ -968,7 +1033,8 @@ def _prepare(crn: Crn, init: Configuration, stop: StopCondition, volume):
     """
     if len(init) != crn.n_species:
         raise DomainError("initial configuration does not span the species table")
-    comp = _Compiled(crn, float(init.total) if volume is None else volume)
+    # checked before the lookup, which needs a hashable volume
+    comp = _table(crn, check_real(float(init.total) if volume is None else volume, "volume"))
     counts = init.counts.tolist()
     watch = [(crn.species.id_of(name), level, _SIDES[side])
              for name, side, level in stop.reaches or ()]

@@ -49,12 +49,17 @@ def _check_identifier(name, what: str):
 
 @dataclass(frozen=True)
 class SpeciesTable:
-    """Ordered, immutable table of species names with dense integer ids."""
+    """Ordered, immutable table of species names with dense integer ids.
+
+    The names are kept as a tuple, whatever sequence they come in, so
+    equal tables compare equal and hash alike.
+    """
 
     names: tuple[str, ...]
     _index: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "names", tuple(self.names))
         index = {}
         for i, name in enumerate(self.names):
             _check_identifier(name, "species name")
@@ -177,12 +182,17 @@ class Configuration:
 
 @dataclass(frozen=True)
 class Crn:
-    """A chemical reaction network: species table plus ordered reactions."""
+    """A chemical reaction network: species table plus ordered reactions.
+
+    The reactions are kept as a tuple, whatever sequence they come in, so
+    equal networks compare equal and hash alike.
+    """
 
     species: SpeciesTable
     reactions: tuple[Reaction, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "reactions", tuple(self.reactions))
         n = len(self.species)
         for i, rx in enumerate(self.reactions):
             if len(rx.reactants) != n or len(rx.products) != n:

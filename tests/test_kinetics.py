@@ -4,6 +4,7 @@ import dataclasses
 import gc
 import hashlib
 import io
+import itertools
 import linecache
 import math
 import os
@@ -33,8 +34,8 @@ from crnsim.kinetics import (
     run_trials,
     simulate,
 )
-from crnsim.model import Configuration, Crn, Reaction, SpeciesTable, parse_crn
-from crnsim.streams import open_uniform_block, substream
+from crnsim.model import Configuration, Crn, Reaction, SpeciesTable, format_crn, parse_crn
+from crnsim.streams import open_uniform_block, second_stream, substream
 
 from conftest import random_config, random_crn
 
@@ -108,6 +109,57 @@ class TestPropensity:
         crn, _ = parse_crn("X -> 0\n")
         with pytest.raises(DomainError):
             _Compiled(crn, 0.0)
+
+
+class TestTable:
+    """``_prepare`` takes each reaction table from one cache per (crn, volume)."""
+
+    @pytest.mark.parametrize("first_int", [True, False], ids=["int-first", "float-first"])
+    def test_an_int_volume_stays_an_int(self, first_int):
+        # 10 == 10.0 and both hash alike, so an untyped cache would give the
+        # second call the first one's volume
+        crn, _ = parse_crn("X -> 0 ; k=1\n")
+        init, stop = crn.config({"X": 10}), StopCondition(t_max=0.5)
+        kinetics._table.cache_clear()
+        calls = [{"volume": 10}, {}] if first_int else [{}, {"volume": 10}]
+        volumes = [simulate(crn, init, stop, seed=1, **kw).volume for kw in calls]
+        if not first_int:
+            volumes.reverse()
+        assert volumes == [10, 10.0] and [type(v) for v in volumes] == [int, float]
+
+    @pytest.mark.parametrize("volume", [np.array(10.0), [10.0]], ids=["0-d-array", "list"])
+    def test_an_unhashable_volume_is_a_domain_error(self, volume):
+        crn, _ = parse_crn("X -> 0 ; k=1\n")
+        init, stop = crn.config({"X": 10}), StopCondition(t_max=0.5)
+        with pytest.raises(DomainError, match="volume must be finite and positive"):
+            simulate(crn, init, stop, seed=1, volume=volume)
+        with pytest.raises(DomainError, match="volume must be finite and positive"):
+            run_trials(crn, init, stop, 2, seed=1, volume=volume)
+
+    def test_equal_networks_share_one_table(self):
+        crn, _ = parse_crn("A + B -> C ; k=2\nC -> A + B ; k=1\n")
+        init, stop = crn.config({"A": 3, "B": 2}), StopCondition(t_max=1.0)
+        twin = Crn(SpeciesTable(list(crn.species.names)), list(crn.reactions))
+        comp = kinetics._prepare(crn, init, stop, None)[1]
+        assert kinetics._prepare(twin, init, stop, None)[1] is comp
+        assert kinetics._prepare(parse_crn(format_crn(crn))[0], init, stop, None)[1] is comp
+        assert kinetics._prepare(crn, init, stop, 5)[1] is not comp
+        faster = dataclasses.replace(crn.reactions[1], rate_constant=1.5)
+        other = kinetics._prepare(Crn(crn.species, (crn.reactions[0], faster)), init, stop, None)[1]
+        assert other is not comp and other.table[1][0] == 1.5 and comp.table[1][0] == 1.0
+
+    def test_the_steps_are_read_only(self):
+        # every run of a table reads its steps; the batched loop lays out
+        # its own copy
+        crn, _ = parse_crn("A + B -> C ; k=2\nC -> A + B ; k=1\n")
+        init = crn.config({"A": 3, "B": 2})
+        comp = kinetics._prepare(crn, init, StopCondition(t_max=1.0), None)[1]
+        with pytest.raises(ValueError, match="read-only"):
+            comp.steps[0, 0] = 5
+        assert comp.steps.tolist() == [[-1, -1, 1, 0], [1, 1, -1, 0]]
+        end, first = run_trials(crn, init, StopCondition(t_max=1.0), 3, seed=2)
+        assert end.tolist() == [1.0] * 3 and comp.steps.tolist() == [[-1, -1, 1, 0],
+                                                                    [1, 1, -1, 0]]
 
 
 class TestStep:
@@ -1035,6 +1087,50 @@ def _one_reaction_events(comp, counts, rng, *, t_max=None, watch=(),
     while cps and cps[0] <= until:
         rows.append((cps.pop(0), c[:-1]))
     return t, status, times, c[:-1], rows, dict(sorted(seen.items()))
+
+
+def _direct_method_events(comp, counts, rng, *, t_max=None, watch=(),
+                          max_events=kinetics._NO_BUDGET):
+    """``_run_core``'s run in Python floats, one event at a time, with the
+    clock kept as the scalar loop kept it: ``t += e / total`` after each
+    event, on event i's wait and selection uniform of ``rng`` and of
+    ``second_stream(rng)``.
+
+    At the top of each event the stops, then exhaustion, then the wait and
+    ``t_max``; the total sums the propensities in table order, and the
+    event is the first reaction whose running sum passes ``v * total``, or
+    the last. Every watch is tested after every event, and stays reached
+    once it is. Returns (time, status, event times, reaction indices,
+    terminal counts, watch times by watch index)."""
+    c = list(counts)
+    sel = second_stream(rng)
+    seen = {i: 0.0 for i, (sid, level, side) in enumerate(watch)
+            if _watch_reached(c[sid], level, side)}
+    t, times, chosen = 0.0, [], []
+    while True:
+        if (watch and len(seen) == len(watch)) or len(times) >= max_events:
+            status = "stopped"
+            break
+        e, v = rng.standard_exponential(1).item(), open_uniform_block(sel, 1).item()
+        sums = list(itertools.accumulate(_propensities(comp, c[:-1])))
+        total = sums[-1]
+        if total <= 0.0:
+            status = "exhausted"
+            break
+        tn = t + e / total
+        if t_max is not None and tn > t_max:
+            t, status = t_max, "stopped"
+            break
+        t = tn
+        j = next((j for j, s in enumerate(sums) if v * total < s), len(sums) - 1)
+        times.append(t)
+        chosen.append(j)
+        for x, d in comp.deltas[j]:
+            c[x] += d
+        for i, (sid, level, side) in enumerate(watch):
+            if i not in seen and _watch_reached(c[sid], level, side):
+                seen[i] = t
+    return t, status, times, chosen, c[:-1], seen
 
 
 def _assert_one_trial_matches_simulate(crn, init, stop, seed, key, monkeypatch):
@@ -2017,6 +2113,40 @@ class TestKernel:
             assert other.events == runs[0].events and other.terminal == runs[0].terminal
             assert [(t, c.tolist()) for t, c in other.checkpoints] == [
                 (t, c.tolist()) for t, c in runs[0].checkpoints]
+
+    def test_event_times_follow_the_python_float_rule(self, rng):
+        # the kernel records each event's total and its watches' event
+        # counts, and _run_core sums the times afterwards: bit for bit the
+        # clock of a loop that keeps t += e / total in Python floats, on
+        # random networks, timed and untimed, with watches reached at the
+        # start, during the run or never
+        seen = {"start": 0, "during": 0, "never": 0, "t_max": 0, "exhausted": 0, "kernel": 0}
+        for case in range(160):
+            crn = random_crn(rng, kinetics_compatible=True)
+            init = random_config(rng, crn, max_count=12)
+            c = init.counts.tolist()
+            a, b = (int(x) for x in rng.integers(crn.n_species, size=2))
+            names = crn.species.names
+            reaches = [(names[a], ">=", c[a]), (names[b], ">=", c[b] + 1)]
+            if case % 3 == 0:
+                reaches.append((names[b], ">=", 10**6))
+            stop = StopCondition(t_max=float(rng.uniform(0.05, 3.0)) if case % 2 else None,
+                                 reaches=reaches, max_events=300)
+            _, comp, counts, args = kinetics._prepare(crn, init, stop, None)
+            key = (case,)
+            t, status, events, _, watch_times, n = kinetics._run_core(
+                comp, list(counts), substream(41, *key), **args)
+            want = _direct_method_events(comp, counts, substream(41, *key), **args)
+            assert (t, status, events[0].tolist(), events[1].tolist()) == want[:4]
+            assert type(t) is type(want[0]) and n == len(want[2])
+            assert watch_times == want[5] and list(watch_times) == list(want[5])
+            seen["kernel"] += len(comp.table) > 1
+            seen["start"] += 0 in watch_times and watch_times[0] == 0.0
+            seen["during"] += any(x > 0.0 for x in watch_times.values())
+            seen["never"] += len(watch_times) < len(reaches)
+            seen["t_max"] += t == stop.t_max
+            seen["exhausted"] += status == "exhausted"
+        assert min(seen.values()) >= 10, seen
 
     def test_source_leaves_linecache_with_its_kernel(self):
         crn, _ = parse_crn("X -> Y ; k=1\nY -> X ; k=1\n")

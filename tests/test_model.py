@@ -295,6 +295,18 @@ class TestOperations:
         with pytest.raises(DomainError, match="rate constant must be finite and positive"):
             Reaction((1, 0), (0, 1), True)
 
+    def test_any_sequence_makes_an_equal_hashable_network(self):
+        # a list of reactions, or of names, was kept as given, so the network
+        # compared unequal to its tuple-built twin and could not be hashed
+        crn, _ = parse_crn("A + B -> C ; k=2\nC -> A + B ; k=1\n")
+        names, reactions = crn.species.names, crn.reactions
+        species = SpeciesTable(list(names))
+        assert species == crn.species and hash(species) == hash(crn.species)
+        assert type(SpeciesTable(iter(names)).names) is tuple
+        for twin in (Crn(crn.species, list(reactions)), Crn(species, iter(reactions))):
+            assert twin == crn and hash(twin) == hash(crn)
+            assert type(twin.reactions) is tuple and type(twin.species.names) is tuple
+
 
 class TestInvariants:
     def test_apply_properties_random(self, rng):
